@@ -324,9 +324,10 @@ def build_summary(cfg: SweepConfig, records: Sequence[ReplicaRecord]) -> dict:
     per_n = {}
     var_pairs = []
     means = {}
+    t_summaries = {}
     for n, recs in grouped.items():
-        ts = [r.T for r in recs]
-        entry = {"T": _summary_dict(summarize(ts, cfg.bootstrap))}
+        t_summaries[n] = summarize([r.T for r in recs], cfg.bootstrap)
+        entry = {"T": _summary_dict(t_summaries[n])}
         fs = [r.F_n for r in recs if r.F_n is not None]
         if fs:
             entry["F_n"] = _summary_dict(summarize(fs, cfg.bootstrap))
@@ -363,9 +364,7 @@ def build_summary(cfg: SweepConfig, records: Sequence[ReplicaRecord]) -> dict:
     fits = {}
     if len(var_pairs) >= 3:
         fits["chi"] = _fit_dict(fit_chi(var_pairs, means))
-        prof = sublinearity_profile(
-            {n: summarize([r.T for r in grouped[n]], cfg.bootstrap) for n, _ in var_pairs}
-        )
+        prof = sublinearity_profile({n: t_summaries[n] for n, _ in var_pairs})
         out["sublinearity"] = {
             "rows": [
                 {"n": r.n, "var": r.var, "var_over_n": r.var_over_n,

@@ -33,9 +33,8 @@ from .weights import (
     DistributionSpec,
     WeightField,
     mix64,
-    mix64_array,
     sample_field,
-    uniform53_array,
+    sample_weights,
     validate_for_fpp,
 )
 
@@ -368,11 +367,7 @@ def efron_stein_bound(
     tails, heads = graph.tails, graph.heads
     total = 0.0
     for j in range(resample_count):
-        sub = mix64(seed, j)
-        u = uniform53_array(mix64_array(sub, np.arange(E, dtype=np.uint64)))
-        new_raw = np.where(
-            u > 0.0, spec.inv_cdf_array(np.maximum(u, 2.0**-53)), spec.support_inf()
-        )
+        new_raw = sample_weights(spec, mix64(seed, j), E)
         new_eff = np.rint(new_raw * scale) if scale else new_raw
         cand = np.minimum(
             d_src_eff[tails] + new_eff + d_dst_eff[heads],

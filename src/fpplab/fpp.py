@@ -12,10 +12,14 @@ criterion consistent even though float addition is not associative.
 
 The geodesic DAG is the set of tight arcs whose head can still reach the
 destination through tight arcs; every source-destination path inside it is a
-geodesic and every geodesic is such a path.  Membership in the intersection of
-all geodesics is decided by path counting inside the DAG modulo two
-independently derived 61-bit primes, with an exact edge-removal fallback if
-the moduli ever disagree.
+geodesic and every geodesic is such a path.  A DAG arc u -> v spans the time
+interval [d_src(u), d_src(v)], and every DAG path tiles [0, T] with arcs whose
+interiors do not overlap.  So a positive-length arc lies on every geodesic iff
+no other DAG arc meets the interior of its interval; a sort and a coverage
+sweep decide this for all arcs at once.  Zero-length arcs (weight-0 edges, or
+float weights too small to change d) and torus edges with several cylinder
+lifts in one DAG fall back to an exact check: drop the edge's arcs and test
+whether the DAG still connects source to destination.
 """
 
 from __future__ import annotations
@@ -30,25 +34,23 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .lattice import Box, EdgeId, Region, Site, Torus, ball, point_window
-from .weights import WeightField, mix64, sample_field
+from .weights import WeightField, sample_field
 
 GROW_LIMIT = 6
 
 
 class LatticeGraph:
-    """CSR scaffolding for a region, built once and reused across fields.
+    """CSR scaffolding for an undirected edge list, built once and reused.
 
-    The sparsity structure depends only on the region; per field we overwrite
+    The sparsity structure depends only on the edges; per field we overwrite
     the data array through a precomputed edge-to-data-position map, avoiding a
     COO sort per replica.
     """
 
-    def __init__(self, region: Region):
-        self.region = region
-        tails, heads = region.edge_arrays()
+    def __init__(self, tails: np.ndarray, heads: np.ndarray, n_sites: int):
         self.tails = tails
         self.heads = heads
-        N = region.n_sites()
+        N = n_sites
         E = tails.size
         arc_from = np.concatenate([tails, heads])
         arc_to = np.concatenate([heads, tails])
@@ -57,7 +59,7 @@ class LatticeGraph:
         )
         csr = coo.tocsr()
         if csr.nnz != 2 * E:
-            raise ValueError("parallel edges in region graph")
+            raise ValueError("parallel edges in lattice graph")
         arc_of_pos = csr.data.astype(np.int64)
         self._edge_of_pos = np.where(arc_of_pos < E, arc_of_pos, arc_of_pos - E)
         self._csr = sp.csr_matrix(
@@ -72,20 +74,22 @@ class LatticeGraph:
         out = _csgraph_dijkstra(self._csr, directed=True, indices=sources)
         return np.atleast_2d(out)
 
-    @cached_property
-    def boundary_mask(self) -> np.ndarray:
-        region = self.region
-        if not isinstance(region, Box):
-            return np.zeros(self.n_sites, dtype=bool)
-        shape = tuple(h - l + 1 for l, h in zip(region.lo, region.hi))
-        coords = np.stack(np.unravel_index(np.arange(self.n_sites), shape), axis=-1)
-        edge = np.array(shape) - 1
-        return np.any((coords == 0) | (coords == edge), axis=1)
-
 
 @lru_cache(maxsize=128)
 def _graph(region: Region) -> LatticeGraph:
-    return LatticeGraph(region)
+    return LatticeGraph(*region.edge_arrays(), region.n_sites())
+
+
+@lru_cache(maxsize=128)
+def _boundary_mask(region: Region) -> np.ndarray:
+    """Sites on the boundary of a Box window; no site for other regions."""
+    n_sites = region.n_sites()
+    if not isinstance(region, Box):
+        return np.zeros(n_sites, dtype=bool)
+    shape = tuple(h - l + 1 for l, h in zip(region.lo, region.hi))
+    coords = np.stack(np.unravel_index(np.arange(n_sites), shape), axis=-1)
+    edge = np.array(shape) - 1
+    return np.any((coords == 0) | (coords == edge), axis=1)
 
 
 def _effective_weights(field: WeightField) -> tuple[np.ndarray, Optional[float]]:
@@ -102,54 +106,6 @@ def _effective_weights(field: WeightField) -> tuple[np.ndarray, Optional[float]]
     if (float(snapped.max(initial=0.0)) + 1.0) * field.region.n_sites() > 2.0**52:
         return np.asarray(field.weights, dtype=np.float64), None
     return snapped, float(scale)
-
-
-# ---------------------------------------------------------------------------
-# 61-bit primes for modular path counting, derived deterministically per seed.
-# ---------------------------------------------------------------------------
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _next_prime(n: int) -> int:
-    if n % 2 == 0:
-        n += 1
-    while not _is_prime(n):
-        n += 2
-    return n
-
-
-@lru_cache(maxsize=4096)
-def counting_primes(seed: int) -> tuple[int, int]:
-    """Two independent 61-bit primes derived from the field seed."""
-    p1 = _next_prime((1 << 60) + (mix64(seed, 0xA11CE) % (1 << 60)))
-    p2 = _next_prime((1 << 60) + (mix64(seed, 0xB0B) % (1 << 60)))
-    if p2 == p1:
-        p2 = _next_prime(p1 + 2)
-    return p1, p2
 
 
 # ---------------------------------------------------------------------------
@@ -239,27 +195,36 @@ def _tight_arcs(tails, heads, weff, d_src):
     return arc_from, arc_to, arc_edge
 
 
-def _reverse_reachable(
+def _bfs_hops(
     arc_from: np.ndarray, arc_to: np.ndarray, start: int, n_sites: int
 ) -> np.ndarray:
-    """Vertices from which ``start`` is reachable along the given arcs."""
-    order = np.argsort(arc_to, kind="stable")
-    to_sorted = arc_to[order]
+    """Fewest arcs from ``start`` to each vertex along the given arcs; -1 if unreached."""
+    order = np.argsort(arc_from, kind="stable")
     from_sorted = arc_from[order]
-    visited = np.zeros(n_sites, dtype=bool)
-    visited[start] = True
+    to_sorted = arc_to[order]
+    hops = np.full(n_sites, -1, dtype=np.int64)
+    hops[start] = 0
     frontier = np.array([start], dtype=np.int64)
+    level = 0
     while frontier.size:
-        lo = np.searchsorted(to_sorted, frontier, side="left")
-        hi = np.searchsorted(to_sorted, frontier, side="right")
-        chunks = [from_sorted[a:b] for a, b in zip(lo, hi) if b > a]
+        lo = np.searchsorted(from_sorted, frontier, side="left")
+        hi = np.searchsorted(from_sorted, frontier, side="right")
+        chunks = [to_sorted[a:b] for a, b in zip(lo, hi) if b > a]
         if not chunks:
             break
         nxt = np.unique(np.concatenate(chunks))
-        nxt = nxt[~visited[nxt]]
-        visited[nxt] = True
+        nxt = nxt[hops[nxt] < 0]
+        level += 1
+        hops[nxt] = level
         frontier = nxt
-    return visited
+    return hops
+
+
+def _geodesic_dag(tails, heads, weff, d_src, dst: int, n_sites: int):
+    """Tight arcs whose head still reaches dst through tight arcs: (from, to, edge)."""
+    arc_from, arc_to, arc_edge = _tight_arcs(tails, heads, weff, d_src)
+    keep = _bfs_hops(arc_to, arc_from, dst, n_sites)[arc_to] >= 0
+    return arc_from[keep], arc_to[keep], arc_edge[keep]
 
 
 def _dag_reachable(
@@ -289,79 +254,55 @@ def _dag_reachable(
     return dst in seen
 
 
-def _count_mod(dag_from, dag_to, d_key, src: int, dst: int, prime: int):
-    """Geodesic-path counts mod prime within the DAG, from src and to dst."""
-    cnt_src: dict[int, int] = {src: 1}
-    order_f = np.argsort(d_key[dag_to], kind="stable")
-    for a in order_f:
-        u, v = int(dag_from[a]), int(dag_to[a])
-        if u in cnt_src:
-            cnt_src[v] = (cnt_src.get(v, 0) + cnt_src[u]) % prime
-    cnt_dst: dict[int, int] = {dst: 1}
-    order_b = np.argsort(-d_key[dag_from], kind="stable")
-    for a in order_b:
-        u, v = int(dag_from[a]), int(dag_to[a])
-        if v in cnt_dst:
-            cnt_dst[u] = (cnt_dst.get(u, 0) + cnt_dst[v]) % prime
-    total = cnt_src.get(dst, 0) % prime
-    return cnt_src, cnt_dst, total
+def _intersection(dag_from, dag_to, dag_edge, keys, d_src, src: int, dst: int):
+    """Sorted keys whose arcs carry every src -> dst path of the geodesic DAG.
 
-
-def _intersection_from_counts(
-    dag_from,
-    dag_to,
-    dag_edge,
-    d_key,
-    src: int,
-    dst: int,
-    primes: tuple[int, int],
-    group_by: Optional[np.ndarray] = None,
-):
-    """Keys whose arcs carry every DAG path, plus keys needing an exact check.
-
-    ``group_by`` maps each DAG arc to a grouping key (used to fold cylinder
-    edges onto torus edges); by default arcs group by their own edge index.
-    Groups spanning several distinct underlying edges can be traversed twice
-    by one path, so they are deferred to the exact fallback.
+    ``keys`` names what each DAG arc is judged as: its own edge in a box, the
+    torus edge it covers on the cylinder.  A key is in when one of its arcs
+    has positive length and no other arc meets the interior of its interval.
+    A positive-length arc that another arc meets is avoided by the path
+    through that arc, and so is a zero-length arc whose level lies inside a
+    positive-length arc.  Keys left undecided (uncovered zero-length arcs, or
+    arcs of several distinct edges) get the exact reachability check.
     """
-    keys = dag_edge if group_by is None else group_by
-    verdicts = []
-    for prime in primes:
-        cnt_s, cnt_d, total = _count_mod(dag_from, dag_to, d_key, src, dst, prime)
-        through: dict[int, int] = {}
-        for a in range(dag_from.size):
-            u, v = int(dag_from[a]), int(dag_to[a])
-            k = int(keys[a])
-            through[k] = (through.get(k, 0) + cnt_s.get(u, 0) * cnt_d.get(v, 0)) % prime
-        verdicts.append({k: (c == total) for k, c in through.items()})
-    multi: set[int] = set()
-    if group_by is not None:
-        seen: dict[int, int] = {}
-        for a in range(dag_from.size):
-            k, e = int(keys[a]), int(dag_edge[a])
-            if k in seen and seen[k] != e:
-                multi.add(k)
-            seen[k] = e
-    member: list[int] = []
-    needs_exact: list[int] = []
-    for k in verdicts[0]:
-        if k in multi:
-            needs_exact.append(k)
-        elif verdicts[0][k] and verdicts[1][k]:
-            member.append(k)
-        elif verdicts[0][k] != verdicts[1][k]:
-            needs_exact.append(k)
-    return sorted(member), sorted(needs_exact)
+    lo, hi = d_src[dag_from], d_src[dag_to]
+    pos = lo < hi
+    starts, ends, points = np.sort(lo[pos]), np.sort(hi[pos]), np.sort(lo[~pos])
+    # positive-length arcs b with lo_b < hi and hi_b > lo: for a positive arc
+    # this counts the arc itself, for a zero-length arc at t those around t
+    crossing = np.searchsorted(starts, hi) - np.searchsorted(ends, lo, side="right")
+    # zero-length arcs strictly inside (lo, hi)
+    inside = np.searchsorted(points, hi) - np.searchsorted(points, lo, side="right")
+    sole = pos & (crossing == 1) & (inside == 0)
+    uk, inv = np.unique(keys, return_inverse=True)
+    rep = np.empty(uk.size, dtype=np.int64)
+    rep[inv] = dag_edge  # one edge per key; any other edge makes the key multi-edge
+    multi = np.bincount(inv, weights=rep[inv] != dag_edge, minlength=uk.size) > 0
+    member = np.bincount(inv, weights=sole, minlength=uk.size) > 0
+    uncovered = np.bincount(inv, weights=~pos & (crossing == 0), minlength=uk.size) > 0
+    for k in np.flatnonzero(~member & (multi | uncovered)):
+        drop = np.flatnonzero(inv == k)
+        member[k] = not _dag_reachable(dag_from, dag_to, src, dst, drop)
+    return uk[member]
 
 
-def _extract_path(arc_from, arc_to, src: int, dst: int, site_of, n_sites: int):
-    """Backward walk from dst picking the lexicographically smallest predecessor."""
+def _extract_path(arc_from, arc_to, d, src: int, dst: int, site_of, n_sites: int):
+    """Backward walk from dst picking the lexicographically smallest predecessor.
+
+    A zero-length arc u -> v (d[u] == d[v]) is a candidate only when u is
+    fewer arcs from src than v, so (d, hops) strictly decreases along the
+    walk and zero-weight cycles cannot trap it.
+    """
+    tied = d[arc_from] == d[arc_to]
+    if tied.any():
+        hops = _bfs_hops(arc_from, arc_to, src, n_sites)
+        keep = ~tied | (hops[arc_from] < hops[arc_to])
+        arc_from, arc_to = arc_from[keep], arc_to[keep]
     order = np.argsort(arc_to, kind="stable")
     to_sorted = arc_to[order]
     from_sorted = arc_from[order]
     path = [dst]
     cur = dst
-    guard = 0
     while cur != src:
         lo = int(np.searchsorted(to_sorted, cur, side="left"))
         hi = int(np.searchsorted(to_sorted, cur, side="right"))
@@ -370,9 +311,6 @@ def _extract_path(arc_from, arc_to, src: int, dst: int, site_of, n_sites: int):
             raise RuntimeError("geodesic extraction hit a dead end")
         cur = min(cands, key=site_of)
         path.append(cur)
-        guard += 1
-        if guard > 4 * n_sites:
-            raise RuntimeError("geodesic extraction did not terminate")
     path.reverse()
     return [site_of(i) for i in path]
 
@@ -435,41 +373,31 @@ def passage_time(
                 [], field, scale, grows, _eff=(weff, d_src, None),
             )
         d_dst = graph.distances(weff, [dst_idx])[0]
-        arc_from, arc_to, arc_edge = _tight_arcs(graph.tails, graph.heads, weff, d_src)
-        reach = _reverse_reachable(arc_from, arc_to, dst_idx, graph.n_sites)
-        keep = reach[arc_to]
-        dag_from, dag_to = arc_from[keep], arc_to[keep]
-        dag_edge = arc_edge[keep]
-
-        touched = bool(
-            np.any(graph.boundary_mask[dag_from]) or np.any(graph.boundary_mask[dag_to])
+        dag_from, dag_to, dag_edge = _geodesic_dag(
+            graph.tails, graph.heads, weff, d_src, dst_idx, graph.n_sites
         )
+
+        boundary = _boundary_mask(region)
+        touched = bool(np.any(boundary[dag_from]) or np.any(boundary[dag_to]))
         if touched and grow and isinstance(region, Box) and grows < max_grows:
             new_region = _grow_box(region)
             field = sample_field(field.spec, new_region, field.seed, for_fpp=False)
             grows += 1
             continue
 
-        primes = counting_primes(field.seed)
-        member, needs_exact = _intersection_from_counts(
-            dag_from, dag_to, dag_edge, d_src, src_idx, dst_idx, primes
+        member = _intersection(
+            dag_from, dag_to, dag_edge, dag_edge, d_src, src_idx, dst_idx
         )
-        if needs_exact:
-            extra = {
-                e
-                for e in needs_exact
-                if _edge_removal_increases_T(graph, weff, int(e), src_idx, dst_idx, T_eff)
-            }
-            member = sorted(set(member) | extra)
         path = _extract_path(
-            dag_from, dag_to, src_idx, dst_idx, region.site_from_index, graph.n_sites
+            dag_from, dag_to, d_src, src_idx, dst_idx, region.site_from_index,
+            graph.n_sites,
         )
         T = T_eff / scale if scale else T_eff
         d_src_out = d_src / scale if scale else d_src
         d_dst_out = d_dst / scale if scale else d_dst
         return PassageResult(
             T, src, dst, region, d_src_out, d_dst_out, np.unique(dag_edge),
-            np.asarray(member, dtype=np.int64), path, field, scale, grows,
+            member.astype(np.int64), path, field, scale, grows,
             boundary_flag=touched, _eff=(weff, d_src, d_dst),
         )
 
@@ -584,31 +512,19 @@ def edge_criticality(
         D_eff = max(0.0, T_wo - float(approach))
 
         if grow and isinstance(region, Box) and grows < max_grows:
-            corridor = dp_src + dp_dst == T_wo
-            touched = bool(np.any(graph.boundary_mask & corridor))
+            boundary = _boundary_mask(region)
+            touched = bool(np.any(boundary & (dp_src + dp_dst == T_wo)))
             if not touched:
                 # one shortest approach path per side must stay interior too
-                af, at, _ = _tight_arcs(graph.tails, graph.heads, w2, dp_src)
-                ab, bt, _ = _tight_arcs(graph.tails, graph.heads, w2, dp_dst)
                 try:
-                    for arcs, start in (((af, at), u), ((af, at), v)):
-                        p = _extract_path(
-                            arcs[0], arcs[1], si, start, region.site_from_index,
-                            graph.n_sites,
-                        )
-                        if any(
-                            graph.boundary_mask[region.site_index(s)] for s in p
-                        ):
-                            touched = True
-                    for arcs, start in (((ab, bt), u), ((ab, bt), v)):
-                        p = _extract_path(
-                            arcs[0], arcs[1], di, start, region.site_from_index,
-                            graph.n_sites,
-                        )
-                        if any(
-                            graph.boundary_mask[region.site_index(s)] for s in p
-                        ):
-                            touched = True
+                    for dist, root in ((dp_src, si), (dp_dst, di)):
+                        af, at, _ = _tight_arcs(graph.tails, graph.heads, w2, dist)
+                        for start in (u, v):
+                            p = _extract_path(
+                                af, at, dist, root, start, region.site_from_index,
+                                graph.n_sites,
+                            )
+                            touched |= any(boundary[region.site_index(s)] for s in p)
                 except RuntimeError:
                     touched = True
             if touched:
@@ -638,7 +554,6 @@ class _Cylinder:
         K = n ** (d - 1)
         self.K = K
         levels = 2 * n + 1
-        self.n_sites = levels * K
         if d > 1:
             y_coords = np.stack(
                 np.meshgrid(*[np.arange(n)] * (d - 1), indexing="ij"), axis=-1
@@ -661,29 +576,11 @@ class _Cylinder:
                 tails.append(base)
                 heads.append(level * K + y_head)
                 tedge.append(((level % n) * K + np.arange(K)) * d + a)
-        self.tails = np.concatenate(tails).astype(np.int64)
-        self.heads = np.concatenate(heads).astype(np.int64)
         self.torus_edge = np.concatenate(tedge).astype(np.int64)
-        E = self.tails.size
-        arc_from = np.concatenate([self.tails, self.heads])
-        arc_to = np.concatenate([self.heads, self.tails])
-        coo = sp.coo_matrix(
-            (np.arange(2 * E, dtype=np.float64), (arc_from, arc_to)),
-            shape=(self.n_sites, self.n_sites),
-        )
-        csr = coo.tocsr()
-        arc_of_pos = csr.data.astype(np.int64)
-        self._edge_of_pos = np.where(arc_of_pos < E, arc_of_pos, arc_of_pos - E)
-        self._csr = sp.csr_matrix(
-            (np.zeros(2 * E), csr.indices, csr.indptr),
-            shape=(self.n_sites, self.n_sites),
-        )
-        self.n_edges = E
-
-    def distances(self, cyl_weights: np.ndarray, sources: list[int]) -> np.ndarray:
-        self._csr.data[:] = cyl_weights[self._edge_of_pos]
-        return np.atleast_2d(
-            _csgraph_dijkstra(self._csr, directed=True, indices=sources)
+        self.graph = LatticeGraph(
+            np.concatenate(tails).astype(np.int64),
+            np.concatenate(heads).astype(np.int64),
+            levels * K,
         )
 
     def site_of(self, idx: int) -> tuple[int, ...]:
@@ -714,9 +611,10 @@ def torus_passage(field: WeightField, want_geometry: bool = True) -> PassageResu
         raise ValueError("torus_passage requires a Torus region")
     n, d = region.n, region.d
     cyl = _cylinder(n, d)
+    graph = cyl.graph
     weff, scale = _effective_weights(field)
     wcyl = weff[cyl.torus_edge]
-    dists = cyl.distances(wcyl, list(range(cyl.K)))
+    dists = graph.distances(wcyl, list(range(cyl.K)))
     targets = n * cyl.K + np.arange(cyl.K)
     vals = dists[np.arange(cyl.K), targets]
     T_eff = float(vals.min())
@@ -729,7 +627,6 @@ def torus_passage(field: WeightField, want_geometry: bool = True) -> PassageResu
             field, scale, 0,
         )
     minimizers = np.flatnonzero(vals == T_eff)
-    primes = counting_primes(field.seed)
     inter: Optional[set[int]] = None
     dag_union: set[int] = set()
     sample: list[Site] = []
@@ -738,29 +635,23 @@ def torus_passage(field: WeightField, want_geometry: bool = True) -> PassageResu
         src_idx = int(y)
         dst_idx = int(n * cyl.K + y)
         d_src = dists[y]
-        d_dst = cyl.distances(wcyl, [dst_idx])[0]
+        d_dst = graph.distances(wcyl, [dst_idx])[0]
         if d_dst_first.size == 0:
             d_dst_first = d_dst
-        arc_from, arc_to, arc_cyl = _tight_arcs(cyl.tails, cyl.heads, wcyl, d_src)
-        reach = _reverse_reachable(arc_from, arc_to, dst_idx, cyl.n_sites)
-        keep = reach[arc_to]
-        dag_from, dag_to = arc_from[keep], arc_to[keep]
-        dag_cyl = arc_cyl[keep]
+        dag_from, dag_to, dag_cyl = _geodesic_dag(
+            graph.tails, graph.heads, wcyl, d_src, dst_idx, graph.n_sites
+        )
         dag_tedge = cyl.torus_edge[dag_cyl]
         dag_union.update(int(e) for e in np.unique(dag_tedge))
-        member, needs_exact = _intersection_from_counts(
-            dag_from, dag_to, dag_cyl, d_src, src_idx, dst_idx, primes,
-            group_by=dag_tedge,
+        mem = set(
+            _intersection(
+                dag_from, dag_to, dag_cyl, dag_tedge, d_src, src_idx, dst_idx
+            ).tolist()
         )
-        mem = set(member)
-        for te in needs_exact:
-            drop = np.flatnonzero(dag_tedge == te)
-            if not _dag_reachable(dag_from, dag_to, src_idx, dst_idx, drop):
-                mem.add(int(te))
         inter = mem if inter is None else (inter & mem)
         if not sample:
             raw = _extract_path(
-                dag_from, dag_to, src_idx, dst_idx, cyl.site_of, cyl.n_sites
+                dag_from, dag_to, d_src, src_idx, dst_idx, cyl.site_of, graph.n_sites
             )
             sample = [region.wrap(s) for s in raw]
     gint = np.asarray(sorted(inter or set()), dtype=np.int64)

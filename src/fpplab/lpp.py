@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .weights import DistributionSpec, Geometric, mix64_array, uniform53_array
+from .weights import DistributionSpec, Geometric, sample_weights
 
 
 @dataclass
@@ -41,9 +41,7 @@ def sample_grid(n: int, seed: int, spec: Optional[DistributionSpec] = None) -> L
     """Deterministic grid: vertex (i, j) draws from mix64(seed, i*(n+1)+j)."""
     if spec is None:
         spec = default_spec()
-    count = (n + 1) * (n + 1)
-    u = uniform53_array(mix64_array(seed, np.arange(count, dtype=np.uint64)))
-    w = np.where(u > 0.0, spec.inv_cdf_array(np.maximum(u, 2.0**-53)), spec.support_inf())
+    w = sample_weights(spec, seed, (n + 1) * (n + 1))
     return LppGrid(n, w.reshape(n + 1, n + 1), spec)
 
 

@@ -470,9 +470,6 @@ class WeightField:
         if np.any(self.weights < 0):
             raise ValueError("negative edge weight")
 
-    def weight_of(self, edge) -> float:
-        return float(self.weights[self.region.edge_index(edge)])
-
     def with_weight(self, edge_idx: int, value: float) -> "WeightField":
         w = self.weights.copy()
         w[edge_idx] = value
@@ -485,17 +482,20 @@ def sample_field(
     """Draw an i.i.d. field; per-edge streams come from mix64(seed, edge index)."""
     if for_fpp:
         validate_for_fpp(spec, region.d)
-    E = region.n_edges()
-    z = mix64_array(seed, np.arange(E, dtype=np.uint64))
-    u = uniform53_array(z)
-    # u = 0 has probability 2^-53 per edge; F^{-1}(0) is the support infimum
-    w = np.where(u > 0.0, spec.inv_cdf_array(np.maximum(u, 2.0**-53)), spec.support_inf())
+    w = sample_weights(spec, seed, region.n_edges())
     return WeightField(region, np.asarray(w, dtype=np.float64), seed, spec)
 
 
 def sample_uniforms(seed: int, count: int) -> np.ndarray:
-    """The raw uniform53 stream used by sample_field, for direct checks."""
+    """The raw uniform53 stream used by sample_weights, for direct checks."""
     return uniform53_array(mix64_array(seed, np.arange(count, dtype=np.uint64)))
+
+
+def sample_weights(spec: DistributionSpec, seed: int, count: int) -> np.ndarray:
+    """``count`` i.i.d. draws from spec; draw i inverts the uniform from mix64(seed, i)."""
+    u = sample_uniforms(seed, count)
+    # u = 0 has probability 2^-53 per draw; F^{-1}(0) is the support infimum
+    return np.where(u > 0.0, spec.inv_cdf_array(np.maximum(u, 2.0**-53)), spec.support_inf())
 
 
 # ----------------------------------------------------------------------------
@@ -561,9 +561,3 @@ def log_cdf_weight(spec: DistributionSpec, t: float) -> float:
         raise ValueError(f"F({t}) = 0; weight below support infimum")
     return 1.0 - math.log(F)
 
-
-def log_cdf_weight_array(spec: DistributionSpec, t: np.ndarray) -> np.ndarray:
-    F = np.array([spec.cdf(float(v)) for v in t])
-    if np.any(F <= 0):
-        raise ValueError("F(t) = 0 for some t")
-    return 1.0 - np.log(F)

@@ -87,6 +87,24 @@ class TestPassageTime:
             assert len(res.dag_edge_idx) == len(res.sample_path) - 1
             assert set(res.path_edge_indices()) == set(res.dag_edge_idx)
 
+    def test_zero_atom_sample_path(self):
+        # weight-0 edges are tight both ways, so the geodesic DAG has 2-cycles;
+        # the sampled path must still be a geodesic (simple in the box; on the
+        # torus a winding walk may close a zero-weight loop)
+        spec = Bernoulli(0, 1, 0.3)
+        for seed in range(20):
+            box = passage_time(
+                random_field(point_window(16, 2, 8), spec, seed), (0, 0), (16, 0)
+            )
+            assert len(set(box.sample_path)) == len(box.sample_path)
+            torus = torus_passage(random_field(Torus(8, 2), spec, seed))
+            for res in (box, torus):
+                path = res.sample_path
+                assert (path[0], path[-1]) == (res.src, res.dst)
+                edges = res.path_edge_indices()
+                assert set(edges) <= set(res.dag_edge_idx)
+                assert sum(res.field.weights[edges]) == res.T
+
     def test_path_edges_inside_dag(self):
         for seed in range(20):
             field = random_field(BOX33, Bernoulli(1, 2, 0.5), seed)
@@ -122,7 +140,9 @@ class TestPassageTime:
 
 
 class TestIntersection:
-    @pytest.mark.parametrize("spec", [Bernoulli(1, 2, 0.5), Uniform(0, 1)])
+    @pytest.mark.parametrize(
+        "spec", [Bernoulli(1, 2, 0.5), Uniform(0, 1), Bernoulli(0, 1, 0.3)]
+    )
     def test_edge_removal_oracle(self, spec):
         for seed in range(60):
             field = random_field(BOX33, spec, seed)
@@ -273,13 +293,16 @@ class TestTorus:
         assert len(res.sample_path) == 5
 
     def test_side3_brute_force(self):
+        # the atom at zero gives zero-length DAG arcs and torus edges with
+        # several lifts in one DAG, both decided by the exact fallback
         t = Torus(3, 2)
-        for seed in range(10):
-            field = random_field(t, Bernoulli(1, 2, 0.5), seed)
-            res = torus_passage(field)
-            T_or, gint_or = torus_winding_oracle(field, max_len=12)
-            assert res.T == T_or
-            assert set(int(i) for i in res.gint_edge_idx) == gint_or
+        for spec in (Bernoulli(1, 2, 0.5), Bernoulli(0, 1, 0.3)):
+            for seed in range(10):
+                field = random_field(t, spec, seed)
+                res = torus_passage(field)
+                T_or, gint_or = torus_winding_oracle(field, max_len=12)
+                assert res.T == T_or
+                assert set(int(i) for i in res.gint_edge_idx) == gint_or
 
     def test_cut_invariance(self):
         # relabeling the cut hyperplane = rotating the field along axis 0
