@@ -22,10 +22,10 @@ from scipy import stats as sps
 from .fpp import (
     PassageResult,
     averaged_passage,
+    edge_update_screen,
     passage_time,
     single_edge_update,
     torus_passage,
-    _graph,
 )
 from .lattice import Torus, point_window, window_halfwidth
 from .lpp import last_passage_value, sample_grid
@@ -353,34 +353,18 @@ def efron_stein_bound(
         # the window may have auto-grown; the result's own field is the one
         # the distance fields refer to
         field = result.field
-    region = field.region
-    spec = field.spec
-    graph = _graph(region)
-    weff, d_src_eff, d_dst_eff = result._eff
-    if d_dst_eff is None:
-        raise ValueError("needs a passage result with geometry")
-    scale = result.scale
-    E = region.n_edges()
-    T_eff = float(d_src_eff[region.site_index(result.dst)])
-    gmask = np.zeros(E, dtype=bool)
-    gmask[result.gint_edge_idx] = True
-    tails, heads = graph.tails, graph.heads
+    spec, scale = field.spec, result.scale
+    E = field.region.n_edges()
+    edges = np.arange(E)
     total = 0.0
     for j in range(resample_count):
         new_raw = sample_weights(spec, mix64(seed, j), E)
         new_eff = np.rint(new_raw * scale) if scale else new_raw
-        cand = np.minimum(
-            d_src_eff[tails] + new_eff + d_dst_eff[heads],
-            d_src_eff[heads] + new_eff + d_dst_eff[tails],
-        )
-        hits = np.flatnonzero(
-            ((new_eff >= weff) & gmask) | ((new_eff < weff) & (cand < T_eff))
-        )
-        for e in hits:
+        for e in np.flatnonzero(edge_update_screen(result, edges, new_eff)):
             T_new = single_edge_update(result, int(e), float(new_raw[e]))
             total += (result.T - T_new) ** 2
     estimate = 0.5 * total / resample_count
-    analytic = field.spec.second_moment() * float(gmask.sum())
+    analytic = spec.second_moment() * float(result.gint_edge_idx.size)
     return estimate, analytic
 
 

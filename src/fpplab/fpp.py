@@ -20,6 +20,15 @@ sweep decide this for all arcs at once.  Zero-length arcs (weight-0 edges, or
 float weights too small to change d) and torus edges with several cylinder
 lifts in one DAG fall back to an exact check: drop the edge's arcs and test
 whether the DAG still connects source to destination.
+
+Searches
+--------
+A passage runs one weighted shortest-path search, from the source (from every
+cut site at once on the torus).  The distances to the destination, ``d_dst``,
+are a second search that a Box result runs the first time they are read, for
+single-edge updates; a torus result has none.  Hop counts and reachability
+along tight or DAG arcs (DAG pruning, path extraction, the exact fallback)
+come from one unweighted scipy search, ``_hops``.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
+from scipy.sparse.csgraph import shortest_path
 
 from .lattice import Box, EdgeId, Region, Site, Torus, ball, point_window
 from .weights import WeightField, sample_field
@@ -124,18 +134,24 @@ class CriticalityValue:
 class PassageResult:
     """Passage time with distance fields and geodesic structure.
 
-    ``d_src``/``d_dst`` are per-site distance arrays over ``window`` in time
-    units (for the torus they live on the winding cylinder).  ``dag_edge_idx``
-    and ``gint_edge_idx`` hold region edge indices; the EdgeId views are built
-    on demand.
+    ``T_eff``, ``weff`` (the region's edge weights) and ``d_src_eff`` are what
+    the shortest-path search ran on, in scaled units: integers times
+    1/``scale`` when ``scale`` is set, time units otherwise.  ``T``, ``d_src``
+    and ``d_dst`` are the same in time units.  ``d_src`` is per site of
+    ``window``; on the torus it holds one row per cut site over the winding
+    cylinder.  ``d_dst`` (and ``d_dst_eff``) is computed by one search from
+    ``dst`` the first time it is read; a torus result has none.
+    ``dag_edge_idx`` and ``gint_edge_idx`` hold region edge indices; the
+    EdgeId views are built on demand.  A result without geometry has an empty
+    ``sample_path``.
     """
 
-    T: float
+    T_eff: float
     src: Site
     dst: Site
     window: Region
-    d_src: np.ndarray
-    d_dst: np.ndarray
+    weff: np.ndarray
+    d_src_eff: np.ndarray
     dag_edge_idx: np.ndarray
     gint_edge_idx: np.ndarray
     sample_path: list[Site]
@@ -143,7 +159,28 @@ class PassageResult:
     scale: Optional[float]
     grows: int = 0
     boundary_flag: bool = False
-    _eff: Optional[tuple] = None  # (weff, d_src_eff, d_dst_eff) in scaled units
+
+    def _time(self, x):
+        return x / self.scale if self.scale else x
+
+    @cached_property
+    def T(self) -> float:
+        return self._time(self.T_eff)
+
+    @cached_property
+    def d_src(self) -> np.ndarray:
+        return self._time(self.d_src_eff)
+
+    @cached_property
+    def d_dst_eff(self) -> np.ndarray:
+        if not isinstance(self.window, Box):
+            raise ValueError("a torus passage result has no d_dst")
+        dst = self.window.site_index(self.dst)
+        return _graph(self.window).distances(self.weff, [dst])[0]
+
+    @cached_property
+    def d_dst(self) -> np.ndarray:
+        return self._time(self.d_dst_eff)
 
     @cached_property
     def geodesic_dag(self) -> frozenset:
@@ -195,63 +232,24 @@ def _tight_arcs(tails, heads, weff, d_src):
     return arc_from, arc_to, arc_edge
 
 
-def _bfs_hops(
-    arc_from: np.ndarray, arc_to: np.ndarray, start: int, n_sites: int
-) -> np.ndarray:
-    """Fewest arcs from ``start`` to each vertex along the given arcs; -1 if unreached."""
-    order = np.argsort(arc_from, kind="stable")
-    from_sorted = arc_from[order]
-    to_sorted = arc_to[order]
-    hops = np.full(n_sites, -1, dtype=np.int64)
-    hops[start] = 0
-    frontier = np.array([start], dtype=np.int64)
-    level = 0
-    while frontier.size:
-        lo = np.searchsorted(from_sorted, frontier, side="left")
-        hi = np.searchsorted(from_sorted, frontier, side="right")
-        chunks = [to_sorted[a:b] for a, b in zip(lo, hi) if b > a]
-        if not chunks:
-            break
-        nxt = np.unique(np.concatenate(chunks))
-        nxt = nxt[hops[nxt] < 0]
-        level += 1
-        hops[nxt] = level
-        frontier = nxt
-    return hops
+def _hops(arc_from: np.ndarray, arc_to: np.ndarray, start: int, n_sites: int):
+    """Fewest arcs from ``start`` to each site along the given arcs; inf if unreached.
+
+    Called as ``shortest_path`` rather than through ``_csgraph_dijkstra``, so
+    that the weighted-search seam (timed in ``bench/tracing.py``) counts
+    weighted searches only.
+    """
+    arcs = sp.csr_matrix(
+        (np.ones(arc_from.size), (arc_from, arc_to)), shape=(n_sites, n_sites)
+    )
+    return shortest_path(arcs, method="D", unweighted=True, indices=start)
 
 
-def _geodesic_dag(tails, heads, weff, d_src, dst: int, n_sites: int):
+def _geodesic_dag(tails, heads, weff, d_src, dst: int):
     """Tight arcs whose head still reaches dst through tight arcs: (from, to, edge)."""
     arc_from, arc_to, arc_edge = _tight_arcs(tails, heads, weff, d_src)
-    keep = _bfs_hops(arc_to, arc_from, dst, n_sites)[arc_to] >= 0
+    keep = _hops(arc_to, arc_from, dst, d_src.size)[arc_to] < np.inf
     return arc_from[keep], arc_to[keep], arc_edge[keep]
-
-
-def _dag_reachable(
-    dag_from: np.ndarray, dag_to: np.ndarray, src: int, dst: int, drop: np.ndarray
-) -> bool:
-    """Is dst reachable from src in the DAG once the ``drop`` arcs are removed?"""
-    keep = np.ones(dag_from.size, dtype=bool)
-    keep[drop] = False
-    f, t = dag_from[keep], dag_to[keep]
-    order = np.argsort(f, kind="stable")
-    f_sorted, t_sorted = f[order], t[order]
-    seen = {src}
-    frontier = [src]
-    while frontier:
-        arr = np.array(frontier, dtype=np.int64)
-        lo = np.searchsorted(f_sorted, arr, side="left")
-        hi = np.searchsorted(f_sorted, arr, side="right")
-        frontier = []
-        for a, b in zip(lo, hi):
-            for v in t_sorted[a:b]:
-                v = int(v)
-                if v == dst:
-                    return True
-                if v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
-    return dst in seen
 
 
 def _intersection(dag_from, dag_to, dag_edge, keys, d_src, src: int, dst: int):
@@ -281,12 +279,12 @@ def _intersection(dag_from, dag_to, dag_edge, keys, d_src, src: int, dst: int):
     member = np.bincount(inv, weights=sole, minlength=uk.size) > 0
     uncovered = np.bincount(inv, weights=~pos & (crossing == 0), minlength=uk.size) > 0
     for k in np.flatnonzero(~member & (multi | uncovered)):
-        drop = np.flatnonzero(inv == k)
-        member[k] = not _dag_reachable(dag_from, dag_to, src, dst, drop)
+        keep = inv != k
+        member[k] = _hops(dag_from[keep], dag_to[keep], src, d_src.size)[dst] == np.inf
     return uk[member]
 
 
-def _extract_path(arc_from, arc_to, d, src: int, dst: int, site_of, n_sites: int):
+def _extract_path(arc_from, arc_to, d, src: int, dst: int, site_of):
     """Backward walk from dst picking the lexicographically smallest predecessor.
 
     A zero-length arc u -> v (d[u] == d[v]) is a candidate only when u is
@@ -295,7 +293,7 @@ def _extract_path(arc_from, arc_to, d, src: int, dst: int, site_of, n_sites: int
     """
     tied = d[arc_from] == d[arc_to]
     if tied.any():
-        hops = _bfs_hops(arc_from, arc_to, src, n_sites)
+        hops = _hops(arc_from, arc_to, src, d.size)
         keep = ~tied | (hops[arc_from] < hops[arc_to])
         arc_from, arc_to = arc_from[keep], arc_to[keep]
     order = np.argsort(arc_to, kind="stable")
@@ -365,16 +363,13 @@ def passage_time(
         d_src = graph.distances(weff, [src_idx])[0]
         T_eff = float(d_src[dst_idx])
         if not want_geometry:
-            T = T_eff / scale if scale else T_eff
-            d_out = d_src / scale if scale else d_src
             return PassageResult(
-                T, src, dst, region, d_out, np.array([]),
+                T_eff, src, dst, region, weff, d_src,
                 np.array([], dtype=np.int64), np.array([], dtype=np.int64),
-                [], field, scale, grows, _eff=(weff, d_src, None),
+                [], field, scale, grows,
             )
-        d_dst = graph.distances(weff, [dst_idx])[0]
         dag_from, dag_to, dag_edge = _geodesic_dag(
-            graph.tails, graph.heads, weff, d_src, dst_idx, graph.n_sites
+            graph.tails, graph.heads, weff, d_src, dst_idx
         )
 
         boundary = _boundary_mask(region)
@@ -389,16 +384,12 @@ def passage_time(
             dag_from, dag_to, dag_edge, dag_edge, d_src, src_idx, dst_idx
         )
         path = _extract_path(
-            dag_from, dag_to, d_src, src_idx, dst_idx, region.site_from_index,
-            graph.n_sites,
+            dag_from, dag_to, d_src, src_idx, dst_idx, region.site_from_index
         )
-        T = T_eff / scale if scale else T_eff
-        d_src_out = d_src / scale if scale else d_src
-        d_dst_out = d_dst / scale if scale else d_dst
         return PassageResult(
-            T, src, dst, region, d_src_out, d_dst_out, np.unique(dag_edge),
+            T_eff, src, dst, region, weff, d_src, np.unique(dag_edge),
             member.astype(np.int64), path, field, scale, grows,
-            boundary_flag=touched, _eff=(weff, d_src, d_dst),
+            boundary_flag=touched,
         )
 
 
@@ -430,51 +421,60 @@ def edge_removal_oracle(field: WeightField, src: Site, dst: Site) -> set[int]:
 # ---------------------------------------------------------------------------
 
 
+def _require_box_geometry(result: PassageResult) -> None:
+    if not isinstance(result.window, Box):
+        raise ValueError("single-edge updates need a Box result, not a torus one")
+    if not result.sample_path:
+        raise ValueError("single-edge updates need a passage result with geometry")
+
+
+def edge_update_screen(
+    result: PassageResult, edges: np.ndarray, new_eff: np.ndarray
+) -> np.ndarray:
+    """Mask over ``edges``: can setting each one to ``new_eff`` (scaled units) change T?
+
+    False is certain.  Raising an edge that some geodesic avoids leaves T
+    alone, and lowering an edge changes T only if the best route through it,
+    d_src + new weight + d_dst, beats T.  True calls for a recompute (the
+    stored fields may themselves route through the edge).
+    """
+    _require_box_geometry(result)
+    graph = _graph(result.window)
+    tails, heads = graph.tails[edges], graph.heads[edges]
+    d_src, d_dst = result.d_src_eff, result.d_dst_eff
+    through = np.minimum(
+        d_src[tails] + new_eff + d_dst[heads], d_src[heads] + new_eff + d_dst[tails]
+    )
+    on_every_geodesic = np.isin(edges, result.gint_edge_idx)
+    lower = new_eff < result.weff[edges]
+    return np.where(lower, through < result.T_eff, on_every_geodesic)
+
+
 def single_edge_update(result: PassageResult, edge_idx: int, new_t: float) -> float:
     """New passage time after setting one edge weight; equals a full recompute.
 
-    O(1) screening via the stored distance fields; falls back to one
-    shortest-path run when the screen cannot certify the answer (the stored
-    fields may themselves route through the modified edge).
+    Screened by ``edge_update_screen``; one shortest-path run when the screen
+    cannot certify the answer.
     """
-    field = result.field
-    region = field.region
+    _require_box_geometry(result)
+    region = result.window
     graph = _graph(region)
-    weff, d_src_eff, d_dst_eff = result._eff
-    if d_dst_eff is None:
-        raise ValueError("single_edge_update needs a result with geometry")
+    src, dst = region.site_index(result.src), region.site_index(result.dst)
     scale = result.scale
-    old_eff = float(weff[edge_idx])
     if scale:
         new_eff = float(np.rint(new_t * scale))
         if abs(new_t * scale - new_eff) > 1e-6:
             # value off the integer grid: recompute in raw float weights
-            w2 = np.asarray(field.weights, dtype=np.float64).copy()
+            w2 = np.asarray(result.field.weights, dtype=np.float64).copy()
             w2[edge_idx] = new_t
-            d = graph.distances(w2, [region.site_index(result.src)])[0]
-            return float(d[region.site_index(result.dst)])
+            return float(graph.distances(w2, [src])[0][dst])
     else:
         new_eff = float(new_t)
-    u = int(graph.tails[edge_idx])
-    v = int(graph.heads[edge_idx])
-    T_eff = float(d_src_eff[region.site_index(result.dst)])
-    in_gint = bool(np.isin(edge_idx, result.gint_edge_idx))
-
-    if new_eff >= old_eff and not in_gint:
-        # some geodesic avoids the edge, so raising it cannot change T
+    if not edge_update_screen(result, np.array([edge_idx]), np.array([new_eff]))[0]:
         return result.T
-    if new_eff < old_eff:
-        cand = min(
-            d_src_eff[u] + new_eff + d_dst_eff[v],
-            d_src_eff[v] + new_eff + d_dst_eff[u],
-        )
-        if cand >= T_eff:
-            return result.T  # no through-route can beat the current time
-    w2 = weff.copy()
+    w2 = result.weff.copy()
     w2[edge_idx] = new_eff
-    d = graph.distances(w2, [region.site_index(result.src)])[0]
-    T_new = float(d[region.site_index(result.dst)])
-    return T_new / scale if scale else T_new
+    return result._time(float(graph.distances(w2, [src])[0][dst]))
 
 
 def edge_criticality(
@@ -521,8 +521,7 @@ def edge_criticality(
                         af, at, _ = _tight_arcs(graph.tails, graph.heads, w2, dist)
                         for start in (u, v):
                             p = _extract_path(
-                                af, at, dist, root, start, region.site_from_index,
-                                graph.n_sites,
+                                af, at, dist, root, start, region.site_from_index
                             )
                             touched |= any(boundary[region.site_index(s)] for s in p)
                 except RuntimeError:
@@ -618,11 +617,10 @@ def torus_passage(field: WeightField, want_geometry: bool = True) -> PassageResu
     targets = n * cyl.K + np.arange(cyl.K)
     vals = dists[np.arange(cyl.K), targets]
     T_eff = float(vals.min())
-    T = T_eff / scale if scale else T_eff
     origin = (0,) * d
     if not want_geometry:
         return PassageResult(
-            T, origin, origin, region, dists, np.array([]),
+            T_eff, origin, origin, region, weff, dists,
             np.array([], dtype=np.int64), np.array([], dtype=np.int64), [],
             field, scale, 0,
         )
@@ -630,16 +628,12 @@ def torus_passage(field: WeightField, want_geometry: bool = True) -> PassageResu
     inter: Optional[set[int]] = None
     dag_union: set[int] = set()
     sample: list[Site] = []
-    d_dst_first = np.array([])
     for y in minimizers:
         src_idx = int(y)
         dst_idx = int(n * cyl.K + y)
         d_src = dists[y]
-        d_dst = graph.distances(wcyl, [dst_idx])[0]
-        if d_dst_first.size == 0:
-            d_dst_first = d_dst
         dag_from, dag_to, dag_cyl = _geodesic_dag(
-            graph.tails, graph.heads, wcyl, d_src, dst_idx, graph.n_sites
+            graph.tails, graph.heads, wcyl, d_src, dst_idx
         )
         dag_tedge = cyl.torus_edge[dag_cyl]
         dag_union.update(int(e) for e in np.unique(dag_tedge))
@@ -650,14 +644,12 @@ def torus_passage(field: WeightField, want_geometry: bool = True) -> PassageResu
         )
         inter = mem if inter is None else (inter & mem)
         if not sample:
-            raw = _extract_path(
-                dag_from, dag_to, d_src, src_idx, dst_idx, cyl.site_of, graph.n_sites
-            )
+            raw = _extract_path(dag_from, dag_to, d_src, src_idx, dst_idx, cyl.site_of)
             sample = [region.wrap(s) for s in raw]
     gint = np.asarray(sorted(inter or set()), dtype=np.int64)
     start = sample[0] if sample else origin
     return PassageResult(
-        T, start, start, region, dists, d_dst_first,
+        T_eff, start, start, region, weff, dists,
         np.asarray(sorted(dag_union), dtype=np.int64), gint, sample, field,
         scale, 0,
     )

@@ -9,6 +9,7 @@ axis) so that weight fields can live in flat numpy arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -127,7 +128,6 @@ class Box(Region):
             acc *= shape[i]
         object.__setattr__(self, "_strides", tuple(strides))
         object.__setattr__(self, "_nsites", acc)
-        object.__setattr__(self, "_cache", {})
 
     # sites
     def n_sites(self) -> int:
@@ -150,54 +150,25 @@ class Box(Region):
             out.append(l + q)
         return tuple(out)
 
-    # edges: row-major over sites then axis, skipping (site, axis) pairs whose
-    # head would leave the box, with consecutive dense indices.
-    def _edge_tables(self):
-        cache = self._cache
-        if "edge" not in cache:
-            coords = np.stack(
-                np.meshgrid(
-                    *[np.arange(l, h + 1) for l, h in zip(self.lo, self.hi)],
-                    indexing="ij",
-                ),
-                axis=-1,
-            ).reshape(self._nsites, self.d)
-            valid = np.zeros((self._nsites, self.d), dtype=bool)
-            for a in range(self.d):
-                valid[:, a] = coords[:, a] < self.hi[a]
-            flat = valid.ravel()
-            idx_of_pair = np.cumsum(flat) - 1
-            idx_of_pair[~flat] = -1
-            pairs = np.flatnonzero(flat)
-            tails = pairs // self.d
-            axes = pairs % self.d
-            heads = tails + np.array(self._strides)[axes]
-            cache["edge"] = (
-                idx_of_pair.astype(np.int64),
-                tails.astype(np.int64),
-                axes.astype(np.int64),
-                heads.astype(np.int64),
-            )
-        return cache["edge"]
-
+    # edges
     def n_edges(self) -> int:
-        return int(self._edge_tables()[1].size)
+        return int(_box_edge_tables(self)[1].size)
 
     def edge_index(self, edge: EdgeId) -> int:
         base, head = edge.endpoints()
         if not (self.contains(base) and self.contains(head)):
             raise ValueError(f"edge {edge} outside box")
         pair = self.site_index(base) * self.d + edge.axis
-        idx = int(self._edge_tables()[0][pair])
+        idx = int(_box_edge_tables(self)[0][pair])
         assert idx >= 0
         return idx
 
     def edge_from_index(self, idx: int) -> EdgeId:
-        _, tails, axes, _ = self._edge_tables()
+        _, tails, axes, _ = _box_edge_tables(self)
         return EdgeId(self.site_from_index(int(tails[idx])), int(axes[idx]))
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        _, tails, _, heads = self._edge_tables()
+        _, tails, _, heads = _box_edge_tables(self)
         return tails, heads
 
     def neighbors(self, site: Site) -> list[tuple[Site, EdgeId]]:
@@ -229,7 +200,6 @@ class Torus(Region):
         strides = [self.n ** (self.d - 1 - i) for i in range(self.d)]
         object.__setattr__(self, "_strides", tuple(strides))
         object.__setattr__(self, "_nsites", self.n**self.d)
-        object.__setattr__(self, "_cache", {})
 
     def n_sites(self) -> int:
         return self._nsites
@@ -262,19 +232,7 @@ class Torus(Region):
         return EdgeId(self.site_from_index(idx // self.d), idx % self.d)
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        cache = self._cache
-        if "edge" not in cache:
-            tails = np.repeat(np.arange(self._nsites, dtype=np.int64), self.d)
-            coords = np.stack(
-                np.meshgrid(*[np.arange(self.n)] * self.d, indexing="ij"), axis=-1
-            ).reshape(self._nsites, self.d)
-            heads = np.empty(self.n_edges(), dtype=np.int64)
-            strides = np.array(self._strides)
-            for a in range(self.d):
-                delta = np.where(coords[:, a] == self.n - 1, 1 - self.n, 1)
-                heads[a :: self.d] = tails[a :: self.d] + delta * strides[a]
-            cache["edge"] = (tails, heads)
-        return cache["edge"]
+        return _torus_edge_arrays(self)
 
     def neighbors(self, site: Site) -> list[tuple[Site, EdgeId]]:
         if not self.contains(site):
@@ -286,6 +244,55 @@ class Torus(Region):
             down = self.wrap(add(site, tuple(-u for u in unit(a, self.d))))
             out.append((down, EdgeId(down, a)))
         return out
+
+
+# Edge tables are cached by region value, so equal regions built anew (a
+# fresh window per replica) share one table.
+
+
+@lru_cache(maxsize=128)
+def _box_edge_tables(box: Box):
+    """(dense index of each (site, axis) pair or -1, tails, axes, heads).
+
+    Edges run row-major over sites then axis, skipping (site, axis) pairs
+    whose head would leave the box, with consecutive dense indices.
+    """
+    coords = np.stack(
+        np.meshgrid(
+            *[np.arange(l, h + 1) for l, h in zip(box.lo, box.hi)], indexing="ij"
+        ),
+        axis=-1,
+    ).reshape(box._nsites, box.d)
+    valid = np.zeros((box._nsites, box.d), dtype=bool)
+    for a in range(box.d):
+        valid[:, a] = coords[:, a] < box.hi[a]
+    flat = valid.ravel()
+    idx_of_pair = np.cumsum(flat) - 1
+    idx_of_pair[~flat] = -1
+    pairs = np.flatnonzero(flat)
+    tails = pairs // box.d
+    axes = pairs % box.d
+    heads = tails + np.array(box._strides)[axes]
+    return (
+        idx_of_pair.astype(np.int64),
+        tails.astype(np.int64),
+        axes.astype(np.int64),
+        heads.astype(np.int64),
+    )
+
+
+@lru_cache(maxsize=128)
+def _torus_edge_arrays(torus: Torus) -> tuple[np.ndarray, np.ndarray]:
+    tails = np.repeat(np.arange(torus._nsites, dtype=np.int64), torus.d)
+    coords = np.stack(
+        np.meshgrid(*[np.arange(torus.n)] * torus.d, indexing="ij"), axis=-1
+    ).reshape(torus._nsites, torus.d)
+    heads = np.empty(torus.n_edges(), dtype=np.int64)
+    strides = np.array(torus._strides)
+    for a in range(torus.d):
+        delta = np.where(coords[:, a] == torus.n - 1, 1 - torus.n, 1)
+        heads[a :: torus.d] = tails[a :: torus.d] + delta * strides[a]
+    return tails, heads
 
 
 def point_window(n: int, d: int, w: int) -> Box:

@@ -18,8 +18,8 @@ from fpplab.estimators import (
     summarize,
     tail_profile,
 )
-from fpplab.fpp import passage_time, brute_force_passage
-from fpplab.lattice import Box, point_window
+from fpplab.fpp import passage_time, brute_force_passage, torus_passage
+from fpplab.lattice import Box, Torus, point_window
 from fpplab.weights import Bernoulli, TableCDF, Uniform, WeightField, sample_field
 
 
@@ -189,6 +189,16 @@ class TestEfronStein:
         est, analytic = efron_stein_bound(field, res, resample_count=2, seed=3)
         assert est == 0.0
         assert analytic == res.gint_edge_idx.size  # second moment is 1
+
+    def test_needs_box_result_with_geometry(self):
+        win = point_window(4, 2, 2)
+        field = sample_field(Uniform(0, 1), win, 0)
+        bare = passage_time(field, (0, 0), (4, 0), grow=False, want_geometry=False)
+        tfield = sample_field(Bernoulli(1, 2, 0.5), Torus(4, 2), 0)
+        torus = torus_passage(tfield)
+        for f, res in ((field, bare), (tfield, torus)):
+            with pytest.raises(ValueError):
+                efron_stein_bound(f, res)
 
     def test_exhaustive_small_box_limit(self):
         # 2x2-site box: exact bound by enumeration vs the estimator's limit

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fpplab import fpp
 from fpplab.fpp import (
     averaged_passage,
     brute_force_passage,
@@ -59,6 +60,39 @@ class TestPassageTime:
         di = BOX33.site_index((2, 2))
         si = BOX33.site_index((0, 0))
         assert res.T == res.d_src[di] == res.d_dst[si]
+        # on a tight window that grows, d_dst refers to the grown window
+        grew = 0
+        for seed in range(10):
+            field = random_field(point_window(6, 2, 1), Uniform(0, 1), seed)
+            res = passage_time(field, (0, 0), (6, 0))
+            grew += res.grows > 0
+            fresh = passage_time(
+                res.field, (6, 0), (0, 0), grow=False, want_geometry=False
+            )
+            assert np.array_equal(res.d_dst, fresh.d_src)
+            si = res.window.site_index((0, 0))
+            assert res.d_dst[si] == pytest.approx(res.T, abs=1e-12)
+        assert grew > 0
+
+    def test_one_dijkstra_per_passage(self, monkeypatch):
+        calls = []
+        real = fpp._csgraph_dijkstra
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fpp, "_csgraph_dijkstra", counting)
+        spec = Bernoulli(1, 2, 0.5)
+        field = random_field(point_window(8, 2, 4), spec, 1)
+        res = passage_time(field, (0, 0), (8, 0), grow=False)
+        assert len(calls) == 1
+        torus_passage(random_field(Torus(6, 2), spec, 1))
+        assert len(calls) == 2
+        assert res.d_dst.size == res.window.n_sites()
+        assert len(calls) == 3
+        assert res.d_dst.size == res.window.n_sites()
+        assert len(calls) == 3
 
     def test_triangle_inequality(self):
         field = random_field(Box((0, 0), (4, 4)), Uniform(0, 1), 11)
@@ -141,14 +175,23 @@ class TestPassageTime:
 
 class TestIntersection:
     @pytest.mark.parametrize(
-        "spec", [Bernoulli(1, 2, 0.5), Uniform(0, 1), Bernoulli(0, 1, 0.3)]
+        "spec,region,dst",
+        [
+            pytest.param(Bernoulli(1, 2, 0.5), BOX33, (2, 2), id="spec0"),
+            pytest.param(Uniform(0, 1), BOX33, (2, 2), id="spec1"),
+            pytest.param(Bernoulli(0, 1, 0.3), BOX33, (2, 2), id="spec2"),
+            # zero-weight clusters of several sites reach the exact fallback
+            pytest.param(
+                Bernoulli(0, 1, 0.1), point_window(6, 2, 3), (6, 0), id="window"
+            ),
+        ],
     )
-    def test_edge_removal_oracle(self, spec):
+    def test_edge_removal_oracle(self, spec, region, dst):
         for seed in range(60):
-            field = random_field(BOX33, spec, seed)
-            res = passage_time(field, (0, 0), (2, 2), grow=False)
+            field = random_field(region, spec, seed)
+            res = passage_time(field, (0, 0), dst, grow=False)
             assert set(int(i) for i in res.gint_edge_idx) == edge_removal_oracle(
-                field, (0, 0), (2, 2)
+                field, (0, 0), dst
             )
 
     def test_two_disjoint_corridors_empty(self):
@@ -262,6 +305,14 @@ class TestSingleEdgeUpdate:
                     grow=False, want_geometry=False,
                 ).T
                 assert got == want
+
+    def test_needs_box_result_with_geometry(self):
+        field = random_field(BOX33, Uniform(0, 1), 9)
+        bare = passage_time(field, (0, 0), (2, 2), grow=False, want_geometry=False)
+        torus = torus_passage(random_field(Torus(4, 2), Bernoulli(1, 2, 0.5), 9))
+        for res in (bare, torus):
+            with pytest.raises(ValueError):
+                single_edge_update(res, 0, 0.5)
 
 
 class TestWindowGrowth:
