@@ -14,14 +14,15 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_args, get_type_hints
 
 import numpy as np
 
 from . import __version__
 from .estimators import (
+    WINDOW_MS,
     EstimatorSummary,
     FitResult,
     ReplicaRecord,
@@ -41,14 +42,6 @@ from .lattice import Box
 from .lpp import fit_center
 from .weights import Bernoulli, parse_spec
 
-FPP_POINT_COLS = (
-    "n", "replica", "T", "F_n", "g_dag_size", "g_int_size", "geo_len",
-    "geo_diam", "transverse_dev", "Y_n", "win2", "win4", "win8",
-    "window_grows", "flagged",
-)
-TORUS_COLS = ("n", "replica", "T", "g_dag_size", "g_int_size", "g_bitmap")
-LPP_COLS = ("n", "replica", "T")
-
 
 class ConfigError(Exception):
     pass
@@ -58,11 +51,48 @@ class ConfigError(Exception):
 # Config grammar
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "model", "d", "n_list", "dist", "replicas", "seed", "kappa", "bootstrap",
-    "dyadic_depth", "threads", "record_fn", "record_geometry", "max_grows",
-}
 _BOOL = {"true": True, "false": False, "1": True, "0": False}
+
+
+def _parse_bool(tok: str) -> bool:
+    if tok.lower() not in _BOOL:
+        raise ConfigError(f"expected a boolean, got {tok!r}")
+    return _BOOL[tok.lower()]
+
+
+def _format_bool(value: bool) -> str:
+    return "true" if value else "false"
+
+
+# Config key -> (parse, format), in SweepConfig field order.  Keys name their
+# SweepConfig field, except ``dist``, which holds ``spec``.  Defaults come from
+# SweepConfig alone; serialize_config writes every key in this order, and its
+# bytes are hashed into config_digest.
+_CONFIG = {
+    "model": (str, str),
+    "d": (int, str),
+    "n_list": (
+        lambda tok: tuple(int(t) for t in tok.split(",") if t.strip()),
+        lambda n_list: ",".join(str(n) for n in n_list),
+    ),
+    "dist": (parse_spec, lambda spec: spec.serialize()),
+    "replicas": (int, str),
+    "seed": (int, str),
+    "kappa": (float, repr),
+    "bootstrap": (int, str),
+    "threads": (int, str),
+    "record_fn": (_parse_bool, _format_bool),
+    "record_geometry": (_parse_bool, _format_bool),
+    "max_grows": (int, str),
+}
+
+
+def _field(key: str) -> str:
+    return "spec" if key == "dist" else key
+
+
+_SWEEP_FIELDS = {f.name: f for f in fields(SweepConfig)}
+_REQUIRED = tuple(key for key in _CONFIG if _SWEEP_FIELDS[_field(key)].default is MISSING)
 
 
 def parse_config(text: str) -> SweepConfig:
@@ -75,41 +105,20 @@ def parse_config(text: str) -> SweepConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = value.strip()
-    for required in ("model", "d", "n_list", "dist", "replicas", "seed"):
+    for required in _REQUIRED:
         if required not in raw:
             raise ConfigError(f"missing required key {required!r}")
     try:
-        cfg = SweepConfig(
-            model=raw["model"],
-            d=int(raw["d"]),
-            n_list=tuple(int(tok) for tok in raw["n_list"].split(",") if tok.strip()),
-            spec=parse_spec(raw["dist"]),
-            replicas=int(raw["replicas"]),
-            seed=int(raw["seed"]),
-            kappa=float(raw.get("kappa", "0.5")),
-            bootstrap=int(raw.get("bootstrap", "2000")),
-            dyadic_depth=int(raw.get("dyadic_depth", "53")),
-            threads=int(raw.get("threads", "0")),
-            record_fn=_parse_bool(raw.get("record_fn", "false")),
-            record_geometry=_parse_bool(raw.get("record_geometry", "true")),
-            max_grows=int(raw.get("max_grows", "6")),
+        return SweepConfig(
+            **{_field(key): parse(raw[key]) for key, (parse, _) in _CONFIG.items() if key in raw}
         )
-    except ConfigError:
-        raise
     except (ValueError, KeyError) as exc:
         raise ConfigError(str(exc)) from None
-    return cfg
-
-
-def _parse_bool(tok: str) -> bool:
-    if tok.lower() not in _BOOL:
-        raise ConfigError(f"expected a boolean, got {tok!r}")
-    return _BOOL[tok.lower()]
 
 
 def load_config(path: str | Path) -> SweepConfig:
@@ -117,22 +126,9 @@ def load_config(path: str | Path) -> SweepConfig:
 
 
 def serialize_config(cfg: SweepConfig) -> str:
-    lines = [
-        f"model = {cfg.model}",
-        f"d = {cfg.d}",
-        "n_list = " + ",".join(str(n) for n in cfg.n_list),
-        f"dist = {cfg.spec.serialize()}",
-        f"replicas = {cfg.replicas}",
-        f"seed = {cfg.seed}",
-        f"kappa = {cfg.kappa!r}",
-        f"bootstrap = {cfg.bootstrap}",
-        f"dyadic_depth = {cfg.dyadic_depth}",
-        f"threads = {cfg.threads}",
-        f"record_fn = {'true' if cfg.record_fn else 'false'}",
-        f"record_geometry = {'true' if cfg.record_geometry else 'false'}",
-        f"max_grows = {cfg.max_grows}",
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(
+        f"{key} = {fmt(getattr(cfg, _field(key)))}\n" for key, (_, fmt) in _CONFIG.items()
+    )
 
 
 def config_digest(cfg: SweepConfig) -> str:
@@ -142,6 +138,19 @@ def config_digest(cfg: SweepConfig) -> str:
 # ---------------------------------------------------------------------------
 # Record persistence
 # ---------------------------------------------------------------------------
+
+# Records CSV header per model.  Every column is the ReplicaRecord field of the
+# same name, except the win<m> columns, which hold win_counts[m].
+_WIN_COLS = {f"win{m}": m for m in WINDOW_MS}
+_COLUMNS = {
+    "fpp-point": (
+        "n", "replica", "T", "F_n", "g_dag_size", "g_int_size", "geo_len",
+        "geo_diam", "transverse_dev", "Y_n", *_WIN_COLS, "window_grows", "flagged",
+    ),
+    "fpp-torus": ("n", "replica", "T", "g_dag_size", "g_int_size", "g_bitmap"),
+    "lpp": ("n", "replica", "T"),
+}
+_FIELD_TYPES = get_type_hints(ReplicaRecord)
 
 
 def _fmt(value) -> str:
@@ -154,86 +163,51 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _record_row(model: str, rec: ReplicaRecord) -> list[str]:
-    if model == "lpp":
-        return [_fmt(rec.n), _fmt(rec.replica), _fmt(rec.T)]
-    if model == "fpp-torus":
-        bitmap = (
-            np.packbits(rec.g_bitmap).tobytes().hex()
-            if rec.g_bitmap is not None
-            else ""
-        )
-        return [
-            _fmt(rec.n), _fmt(rec.replica), _fmt(rec.T),
-            _fmt(rec.g_dag_size), _fmt(rec.g_int_size), bitmap,
-        ]
-    win = rec.win_counts or {}
-    return [
-        _fmt(rec.n), _fmt(rec.replica), _fmt(rec.T), _fmt(rec.F_n),
-        _fmt(rec.g_dag_size), _fmt(rec.g_int_size), _fmt(rec.geo_len),
-        _fmt(rec.geo_diam), _fmt(rec.transverse_dev), _fmt(rec.Y_n),
-        _fmt(win.get(2)), _fmt(win.get(4)), _fmt(win.get(8)),
-        _fmt(rec.window_grows), _fmt(rec.flagged),
-    ]
+def _cell(rec: ReplicaRecord, col: str) -> str:
+    if col in _WIN_COLS:
+        return _fmt((rec.win_counts or {}).get(_WIN_COLS[col]))
+    if col == "g_bitmap":
+        return "" if rec.g_bitmap is None else np.packbits(rec.g_bitmap).tobytes().hex()
+    return _fmt(getattr(rec, col))
 
 
-def _columns(model: str) -> tuple[str, ...]:
-    return {"lpp": LPP_COLS, "fpp-torus": TORUS_COLS, "fpp-point": FPP_POINT_COLS}[model]
+def _cell_parser(field_type):
+    """Inverse of ``_fmt`` for a scalar ReplicaRecord field of ``field_type``."""
+    if field_type is bool:
+        return "1".__eq__
+    if field_type in (int, float):
+        return field_type
+    kind, _ = get_args(field_type)  # Optional[kind]: an empty cell is None
+    return lambda tok: None if tok == "" else kind(tok)
 
 
 def records_to_csv(model: str, records: Sequence[ReplicaRecord]) -> str:
-    lines = [",".join(_columns(model))]
+    cols = _COLUMNS[model]
+    lines = [",".join(cols)]
     for rec in records:
-        lines.append(",".join(_record_row(model, rec)))
+        lines.append(",".join(_cell(rec, col) for col in cols))
     return "\n".join(lines) + "\n"
-
-
-def _parse_opt(tok: str, kind):
-    return None if tok == "" else kind(tok)
 
 
 def records_from_csv(model: str, text: str, n_edges: Optional[int] = None) -> list[ReplicaRecord]:
     lines = text.strip().splitlines()
     header = tuple(lines[0].split(","))
-    if header != _columns(model):
+    if header != _COLUMNS[model]:
         raise ConfigError(f"unexpected CSV header for model {model}")
+    parsers = {
+        col: _cell_parser(_FIELD_TYPES[col])
+        for col in header if col not in _WIN_COLS and col != "g_bitmap"
+    }
     out = []
     for line in lines[1:]:
-        tok = line.split(",")
-        if model == "lpp":
-            out.append(ReplicaRecord(int(tok[0]), int(tok[1]), float(tok[2])))
-        elif model == "fpp-torus":
-            bitmap = None
-            if tok[5]:
-                bits = np.unpackbits(np.frombuffer(bytes.fromhex(tok[5]), dtype=np.uint8))
-                bitmap = bits[:n_edges].astype(bool) if n_edges else bits.astype(bool)
-            out.append(
-                ReplicaRecord(
-                    int(tok[0]), int(tok[1]), float(tok[2]),
-                    g_dag_size=_parse_opt(tok[3], int),
-                    g_int_size=_parse_opt(tok[4], int),
-                    g_bitmap=bitmap,
-                )
-            )
-        else:
-            win = None
-            if tok[10] or tok[11] or tok[12]:
-                win = {2: int(tok[10]), 4: int(tok[11]), 8: int(tok[12])}
-            out.append(
-                ReplicaRecord(
-                    int(tok[0]), int(tok[1]), float(tok[2]),
-                    F_n=_parse_opt(tok[3], float),
-                    g_dag_size=_parse_opt(tok[4], int),
-                    g_int_size=_parse_opt(tok[5], int),
-                    geo_len=_parse_opt(tok[6], int),
-                    geo_diam=_parse_opt(tok[7], int),
-                    transverse_dev=_parse_opt(tok[8], int),
-                    Y_n=_parse_opt(tok[9], float),
-                    win_counts=win,
-                    window_grows=int(tok[13]),
-                    flagged=tok[14] == "1",
-                )
-            )
+        cells = dict(zip(header, line.split(",")))
+        values = {col: parse(cells[col]) for col, parse in parsers.items()}
+        if any(cells.get(col) for col in _WIN_COLS):
+            values["win_counts"] = {m: int(cells[col]) for col, m in _WIN_COLS.items()}
+        if cells.get("g_bitmap"):
+            bits = np.unpackbits(np.frombuffer(bytes.fromhex(cells["g_bitmap"]), dtype=np.uint8))
+            values["g_bitmap"] = (bits[:n_edges] if n_edges else bits).astype(bool)
+        out.append(ReplicaRecord(**values))
     return out
 
 
@@ -424,10 +398,32 @@ def plot_manifest_lines(cfg: SweepConfig, store: ResultStore) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _run_model_command(cfg: SweepConfig, out_dir: str, threads: Optional[int]) -> int:
-    store = ResultStore(Path(out_dir))
+def cmd_sweep(args) -> int:
+    """Run the sweep of one model subcommand and write its result store."""
+    if args.config:
+        cfg = load_config(args.config)
+        if cfg.model != args.model:
+            raise ConfigError(
+                f"config file model {cfg.model!r} does not match subcommand {args.model!r}"
+            )
+    else:
+        missing = [k for k in ("d", "dist", "n", "replicas", "seed") if getattr(args, k, None) is None]
+        if missing:
+            raise ConfigError(f"missing flags: {', '.join('--' + m for m in missing)}")
+        cfg = SweepConfig(
+            model=args.model,
+            d=args.d,
+            n_list=tuple(int(t) for t in args.n.split(",")),
+            spec=parse_spec(args.dist),
+            replicas=args.replicas,
+            seed=args.seed,
+            kappa=args.kappa,
+        )
+    if args.record_fn:
+        cfg = replace(cfg, record_fn=True)
+    store = ResultStore(Path(args.out))
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    records = run_sweep(cfg, threads=threads)
+    records = run_sweep(cfg, threads=args.threads)
     paths = store.write_records(cfg.model, records)
     summary = build_summary(cfg, records)
     sp = store.write_summary(summary)
@@ -448,51 +444,6 @@ def _run_model_command(cfg: SweepConfig, out_dir: str, threads: Optional[int]) -
     )
     print(f"wrote {len(records)} records to {store.root}")
     return 0
-
-
-def _cfg_from_args(args, model: str, overrides: Optional[dict] = None) -> SweepConfig:
-    if args.config:
-        cfg = load_config(args.config)
-        if cfg.model != model:
-            raise ConfigError(
-                f"config file model {cfg.model!r} does not match subcommand {model!r}"
-            )
-    else:
-        missing = [k for k in ("d", "dist", "n", "replicas", "seed") if getattr(args, k, None) is None]
-        if missing:
-            raise ConfigError(f"missing flags: {', '.join('--' + m for m in missing)}")
-        cfg = SweepConfig(
-            model=model,
-            d=args.d,
-            n_list=tuple(int(t) for t in args.n.split(",")),
-            spec=parse_spec(args.dist),
-            replicas=args.replicas,
-            seed=args.seed,
-            kappa=args.kappa,
-        )
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg
-
-
-def cmd_fpp_run(args) -> int:
-    cfg = _cfg_from_args(args, "fpp-point")
-    return _run_model_command(cfg, args.out, args.threads)
-
-
-def cmd_fpp_fn(args) -> int:
-    cfg = _cfg_from_args(args, "fpp-point", overrides={"record_fn": True})
-    return _run_model_command(cfg, args.out, args.threads)
-
-
-def cmd_torus_influence(args) -> int:
-    cfg = _cfg_from_args(args, "fpp-torus")
-    return _run_model_command(cfg, args.out, args.threads)
-
-
-def cmd_lpp_run(args) -> int:
-    cfg = _cfg_from_args(args, "lpp")
-    return _run_model_command(cfg, args.out, args.threads)
 
 
 def cmd_fit_chi(args) -> int:
@@ -558,16 +509,16 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="config file (overrides individual flags)")
-    p.add_argument("--d", type=int, help="lattice dimension")
-    p.add_argument("--dist", help="distribution, e.g. uniform:0,1")
-    p.add_argument("--n", help="comma-separated sizes, e.g. 16,32,64")
-    p.add_argument("--replicas", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--kappa", type=float, default=0.5)
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--out", required=True, help="output directory")
+# (command, help, subcommand, help, model, record_fn): the sweep subcommands,
+# all run by cmd_sweep; record_fn = True forces F_n recording.
+_SWEEPS = (
+    ("fpp", "point-to-point passage sweeps", "run", "passage-time sweep", "fpp-point", False),
+    ("fpp", "point-to-point passage sweeps", "fn", "sweep recording the ball-averaged time",
+     "fpp-point", True),
+    ("torus", "torus winding-geodesic sweeps", "influence", "edge influence map sweep",
+     "fpp-torus", False),
+    ("lpp", "last-passage sweeps", "run", "last-passage sweep", "lpp", False),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -577,26 +528,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fpp = sub.add_parser("fpp", help="point-to-point passage sweeps")
-    fpp_sub = fpp.add_subparsers(dest="subcommand", required=True)
-    run = fpp_sub.add_parser("run", help="passage-time sweep")
-    _add_sweep_flags(run)
-    run.set_defaults(func=cmd_fpp_run)
-    fn = fpp_sub.add_parser("fn", help="sweep recording the ball-averaged time")
-    _add_sweep_flags(fn)
-    fn.set_defaults(func=cmd_fpp_fn)
-
-    torus = sub.add_parser("torus", help="torus winding-geodesic sweeps")
-    torus_sub = torus.add_subparsers(dest="subcommand", required=True)
-    infl = torus_sub.add_parser("influence", help="edge influence map sweep")
-    _add_sweep_flags(infl)
-    infl.set_defaults(func=cmd_torus_influence)
-
-    lpp = sub.add_parser("lpp", help="last-passage sweeps")
-    lpp_sub = lpp.add_subparsers(dest="subcommand", required=True)
-    lrun = lpp_sub.add_parser("run", help="last-passage sweep")
-    _add_sweep_flags(lrun)
-    lrun.set_defaults(func=cmd_lpp_run)
+    groups = {}
+    for command, command_help, subcommand, subcommand_help, model, record_fn in _SWEEPS:
+        if command not in groups:
+            group = sub.add_parser(command, help=command_help)
+            groups[command] = group.add_subparsers(dest="subcommand", required=True)
+        p = groups[command].add_parser(subcommand, help=subcommand_help)
+        p.add_argument("--config", help="config file (overrides individual flags)")
+        p.add_argument("--d", type=int, help="lattice dimension")
+        p.add_argument("--dist", help="distribution, e.g. uniform:0,1")
+        p.add_argument("--n", help="comma-separated sizes, e.g. 16,32,64")
+        p.add_argument("--replicas", type=int)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--kappa", type=float, default=0.5)
+        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--out", required=True, help="output directory")
+        p.set_defaults(func=cmd_sweep, model=model, record_fn=record_fn)
 
     fit = sub.add_parser("fit", help="exponent fits")
     fit_sub = fit.add_subparsers(dest="subcommand", required=True)

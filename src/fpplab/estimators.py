@@ -53,7 +53,6 @@ class SweepConfig:
     seed: int
     kappa: float = 0.5
     bootstrap: int = 2000
-    dyadic_depth: int = 53
     threads: int = 0  # 0: use machine parallelism
     record_fn: bool = False
     record_geometry: bool = True

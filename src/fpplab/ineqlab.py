@@ -611,6 +611,44 @@ def _digest(chunks) -> str:
     return h.hexdigest()[:16]
 
 
+def _draw_function_check(rng, check, **kw) -> tuple[bytes, CheckResult]:
+    f = _random_function(rng, **kw)
+    return f.values.tobytes(), check(f)
+
+
+def _draw_log_sobolev(rng) -> tuple[bytes, CheckResult]:
+    f0, f1 = rng.uniform(0, 10, size=2)
+    return np.array([f0, f1]).tobytes(), log_sobolev_check(float(f0), float(f1))
+
+
+def _draw_entropy_variational(rng) -> tuple[bytes, CheckResult]:
+    f = _random_function(rng, k_max=4, nonneg=True)
+    if fexp(f.values) == 0.0:
+        f = HypercubeFunction(f.k, f.values + 1.0)
+    trials = []
+    for _ in range(4):
+        g = rng.normal(0, 1, size=f.values.size)
+        # normalize to E e^g slightly below 1 so feasibility is robust
+        g -= math.log(max(fexp(np.exp(g)), 1e-300)) + 1e-9
+        trials.append(g)
+    return f.values.tobytes(), entropy_variational_check(f, trials)
+
+
+# (name, rng salt, draw): draw(rng) makes one random instance and returns its
+# input bytes for the digest and the check's verdict.  The draws look the
+# checks up by module name at call time, so wrapping a check takes effect.
+_RANDOMIZED_CHECKS = (
+    ("efron_stein", 1, lambda rng: _draw_function_check(rng, efron_stein_check)),
+    ("falik_samorodnitsky", 2, lambda rng: _draw_function_check(rng, falik_samorodnitsky_check)),
+    ("log_sobolev", 3, _draw_log_sobolev),
+    (
+        "tensorization", 4,
+        lambda rng: _draw_function_check(rng, tensorization_check, k_max=4, nonneg=True),
+    ),
+    ("entropy_variational", 5, _draw_entropy_variational),
+)
+
+
 def run_randomized_suite(
     seed: int, instances: int = 10_000, checks: Optional[Sequence[str]] = None
 ) -> list[SuiteReport]:
@@ -625,58 +663,11 @@ def run_randomized_suite(
     def want(name):
         return chosen is None or name in chosen
 
-    if want("efron_stein"):
-        rng = _rng(seed, 1)
-        res, chunks = [], []
-        for _ in range(instances):
-            f = _random_function(rng)
-            chunks.append(f.values.tobytes())
-            res.append(efron_stein_check(f))
-        reports.append(_summarize("efron_stein", res, chunks))
-
-    if want("falik_samorodnitsky"):
-        rng = _rng(seed, 2)
-        res, chunks = [], []
-        for _ in range(instances):
-            f = _random_function(rng)
-            chunks.append(f.values.tobytes())
-            res.append(falik_samorodnitsky_check(f))
-        reports.append(_summarize("falik_samorodnitsky", res, chunks))
-
-    if want("log_sobolev"):
-        rng = _rng(seed, 3)
-        res, chunks = [], []
-        for _ in range(instances):
-            f0, f1 = rng.uniform(0, 10, size=2)
-            chunks.append(np.array([f0, f1]).tobytes())
-            res.append(log_sobolev_check(float(f0), float(f1)))
-        reports.append(_summarize("log_sobolev", res, chunks))
-
-    if want("tensorization"):
-        rng = _rng(seed, 4)
-        res, chunks = [], []
-        for _ in range(instances):
-            f = _random_function(rng, k_max=4, nonneg=True)
-            chunks.append(f.values.tobytes())
-            res.append(tensorization_check(f))
-        reports.append(_summarize("tensorization", res, chunks))
-
-    if want("entropy_variational"):
-        rng = _rng(seed, 5)
-        res, chunks = [], []
-        for _ in range(instances):
-            f = _random_function(rng, k_max=4, nonneg=True)
-            if fexp(f.values) == 0.0:
-                f = HypercubeFunction(f.k, f.values + 1.0)
-            trials = []
-            for _ in range(4):
-                g = rng.normal(0, 1, size=f.values.size)
-                # normalize to E e^g slightly below 1 so feasibility is robust
-                g -= math.log(max(fexp(np.exp(g)), 1e-300)) + 1e-9
-                trials.append(g)
-            chunks.append(f.values.tobytes())
-            res.append(entropy_variational_check(f, trials))
-        reports.append(_summarize("entropy_variational", res, chunks))
+    for name, salt, draw in _RANDOMIZED_CHECKS:
+        if want(name):
+            rng = _rng(seed, salt)
+            drawn = [draw(rng) for _ in range(instances)]
+            reports.append(_summarize(name, [r for _, r in drawn], [c for c, _ in drawn]))
 
     if want("rossignol"):
         rng = _rng(seed, 6)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -13,7 +14,7 @@ from fpplab.cli import (
     records_to_csv,
     serialize_config,
 )
-from fpplab.estimators import SweepConfig, run_sweep
+from fpplab.estimators import ReplicaRecord, SweepConfig, run_sweep
 from fpplab.weights import Bernoulli, Uniform
 
 MINIMAL = """
@@ -32,8 +33,28 @@ class TestConfigGrammar:
         cfg = parse_config(MINIMAL)
         assert cfg.kappa == 0.5
         assert cfg.bootstrap == 2000
-        assert cfg.dyadic_depth == 53
         assert cfg.n_list == (4, 6)
+
+    def test_dyadic_depth_is_not_a_key(self):
+        with pytest.raises(ConfigError, match="dyadic_depth"):
+            parse_config(MINIMAL + "dyadic_depth = 53\n")
+
+    def test_golden_config_text(self):
+        # config_digest hashes these bytes: key order and value formats are fixed
+        assert serialize_config(parse_config(MINIMAL)) == (
+            "model = fpp-point\n"
+            "d = 2\n"
+            "n_list = 4,6\n"
+            "dist = uniform:0.0,1.0\n"
+            "replicas = 3\n"
+            "seed = 1\n"
+            "kappa = 0.5\n"
+            "bootstrap = 2000\n"
+            "threads = 0\n"
+            "record_fn = false\n"
+            "record_geometry = true\n"
+            "max_grows = 6\n"
+        )
 
     def test_distribution_grammar(self):
         cfg = parse_config(MINIMAL.replace("uniform:0,1", "bernoulli:1,2,0.5"))
@@ -48,11 +69,19 @@ class TestConfigGrammar:
             parse_config(MINIMAL + "not a key value pair\n")
 
     def test_round_trip(self):
+        every_key = MINIMAL + (
+            "kappa = 0.25\nbootstrap = 50\nthreads = 2\n"
+            "record_fn = true\nrecord_geometry = false\nmax_grows = 3\n"
+        )
+        cfg = parse_config(every_key)
+        # every SweepConfig default is overridden, so no field escapes the check
+        assert all(getattr(cfg, f.name) != f.default for f in dataclasses.fields(cfg))
         for text in (
             MINIMAL,
             MINIMAL.replace("uniform:0,1", "geometric:0.5").replace(
                 "fpp-point", "lpp"
             ),
+            every_key,
         ):
             cfg = parse_config(text)
             assert parse_config(serialize_config(cfg)) == cfg
@@ -69,36 +98,49 @@ class TestConfigGrammar:
 
 class TestRecordsCsv:
     @pytest.mark.parametrize(
-        "model,spec",
+        "model,spec,n",
         [
-            ("fpp-point", Uniform(0, 1)),
-            ("fpp-torus", Bernoulli(1, 2, 0.5)),
-            ("lpp", None),
+            pytest.param("fpp-point", Uniform(0, 1), 4, id="fpp-point-spec0"),
+            pytest.param("fpp-torus", Bernoulli(1, 2, 0.5), 4, id="fpp-torus-spec1"),
+            pytest.param("lpp", None, 4, id="lpp-None"),
+            # 18 edges pack into 3 bytes: the decoder must drop 6 padding bits
+            pytest.param("fpp-torus", Bernoulli(1, 2, 0.5), 3, id="fpp-torus-n3"),
         ],
     )
-    def test_round_trip(self, model, spec):
+    def test_round_trip(self, model, spec, n):
         from fpplab.lpp import default_spec
 
         cfg = SweepConfig(
             model=model,
             d=2,
-            n_list=(4,),
+            n_list=(n,),
             spec=spec or default_spec(),
             replicas=3,
             seed=5,
             record_fn=(model == "fpp-point"),
         )
         records = run_sweep(cfg, threads=1)
+        n_edges = 2 * n * n
+        if model == "fpp-torus":
+            assert all(r.g_bitmap.size == n_edges for r in records)
+        if model == "fpp-point":
+            records.append(
+                ReplicaRecord(
+                    n, 3, 2.5, F_n=2.25, g_dag_size=9, g_int_size=5, geo_len=8,
+                    geo_diam=4, transverse_dev=1, Y_n=0.75,
+                    win_counts={2: 3, 4: 5, 8: 8}, window_grows=2, flagged=True,
+                )
+            )
         text = records_to_csv(model, records)
-        back = records_from_csv(model, text, n_edges=2 * 16)
+        back = records_from_csv(model, text, n_edges=n_edges)
         assert len(back) == len(records)
         for a, b in zip(records, back):
-            assert (a.n, a.replica, a.T) == (b.n, b.replica, b.T)
-            assert a.F_n == b.F_n
-            assert a.g_int_size == b.g_int_size
-            assert a.win_counts == b.win_counts
-            if a.g_bitmap is not None:
-                assert np.array_equal(a.g_bitmap, b.g_bitmap)
+            for f in dataclasses.fields(ReplicaRecord):
+                x, y = getattr(a, f.name), getattr(b, f.name)
+                if f.name == "g_bitmap" and x is not None:
+                    assert np.array_equal(x, y), f.name
+                else:
+                    assert x == y, f.name
 
     def test_header_stability(self):
         text = records_to_csv("lpp", [])
