@@ -49,27 +49,22 @@ def last_passage_value(grid: LppGrid) -> float:
     """T_n by anti-diagonal dynamic programming, O(n) memory.
 
     Cell (i, k-i) sits at flat index k + i*n, so each anti-diagonal is a
-    strided view; the predecessor maxima reduce to two shifted slices.
+    strided view.  Two buffers hold consecutive diagonals by row, at offset 1,
+    with -inf wherever a row has no cell; so row i takes max(row i, row i-1)
+    of the previous diagonal plus its weight, with no special end cells.
     """
-    w = grid.vertex_weights
     n = grid.n
-    flat = np.ascontiguousarray(w).reshape(-1)
-    prev = flat[0:1].copy()
+    flat = np.ascontiguousarray(grid.vertex_weights).reshape(-1)
+    prev = np.full(n + 2, -np.inf)
+    cur = prev.copy()
+    prev[1] = flat[0]
     for k in range(1, 2 * n + 1):
-        i0 = max(0, k - n)
-        m = min(k, n) - i0 + 1
-        diag = flat[k + i0 * n : k + i0 * n + m * n : n] if n > 0 else flat[k : k + 1]
-        if k <= n:
-            cur = np.empty(m)
-            cur[0] = prev[0]  # only the left predecessor exists at i = 0
-            cur[m - 1] = prev[m - 2]  # only the up predecessor exists at j = 0
-            if m > 2:
-                np.maximum(prev[: m - 2], prev[1 : m - 1], out=cur[1 : m - 1])
-            cur += diag
-        else:
-            cur = np.maximum(prev[:-1], prev[1:]) + diag
-        prev = cur
-    return float(prev[0])
+        i0, i1 = max(0, k - n), min(k, n)
+        out = cur[i0 + 1 : i1 + 2]
+        np.maximum(prev[i0 + 1 : i1 + 2], prev[i0 : i1 + 1], out=out)
+        out += flat[k + i0 * n : k + i1 * n + 1 : n]
+        prev, cur = cur, prev
+    return float(prev[n + 1])
 
 
 def last_passage(grid: LppGrid) -> tuple[float, list[tuple[int, int]]]:

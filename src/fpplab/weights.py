@@ -13,6 +13,12 @@ Sampling is counter-based: the weight of edge ``i`` under master seed ``s`` is
     z ^= z >> 31
 
 (the finalizer is SplitMix64's.)  ``uniform53(z) = (z >> 11) * 2^-53``.
+
+:func:`sample_weights` walks the counter stream in blocks of ``_BLOCK`` draws,
+so the hash, uniform and inverse-CDF temporaries stay in cache.  Draw ``i``
+depends only on ``(seed, i)``, so the block size never shows in the output.
+Every ``inv_cdf_array`` must return exactly ``inv_cdf`` of each input, bit for
+bit; the array form is only a faster way to the same numbers.
 """
 
 from __future__ import annotations
@@ -47,25 +53,27 @@ def mix64(a: int, b: int) -> int:
 
 
 def mix64_array(a: int, b: np.ndarray) -> np.ndarray:
-    """Vectorized mix64 over a uint64 counter array."""
-    with np.errstate(over="ignore"):
-        z = (np.uint64(a & _M64) * np.uint64(_C1)
-             + b.astype(np.uint64) * np.uint64(_C2)
-             + np.uint64(_C3))
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(_C1)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(_C2)
-        z ^= z >> np.uint64(31)
+    """Vectorized mix64 over an integer counter array; ``b`` is left unchanged."""
+    z = np.multiply(b, np.uint64(_C2), dtype=np.uint64, casting="unsafe")
+    z += np.uint64((a * _C1 + _C3) & _M64)
+    return _finalize64(z, np.empty_like(z))
+
+
+def _finalize64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The xorshift-multiply rounds of mix64, in place on z; tmp is scratch."""
+    np.right_shift(z, np.uint64(30), out=tmp)
+    z ^= tmp
+    z *= np.uint64(_C1)
+    np.right_shift(z, np.uint64(27), out=tmp)
+    z ^= tmp
+    z *= np.uint64(_C2)
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
     return z
 
 
 def uniform53(z: int) -> float:
     return (z >> 11) * 2.0**-53
-
-
-def uniform53_array(z: np.ndarray) -> np.ndarray:
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 class DistributionSpec:
@@ -252,7 +260,9 @@ class Exponential(DistributionSpec):
 
     def inv_cdf(self, y):
         _check_y(y)
-        return -math.log1p(-y) / self.rate
+        # numpy's log1p, not math.log1p: the two differ by an ulp on some
+        # inputs, and inv_cdf_array must return these very numbers
+        return float(-np.log1p(-y) / self.rate)
 
     def inv_cdf_array(self, y):
         return -np.log1p(-y) / self.rate
@@ -298,13 +308,37 @@ class Geometric(DistributionSpec):
         return float(k)
 
     def inv_cdf_array(self, y):
-        k = np.ceil(np.log1p(-y) / math.log(self.q)) - 1
-        k = np.maximum(k, 0.0)
-        # same float guard as the scalar path, vectorized one step each way
-        down = (k > 0) & (1.0 - self.q**k >= y)
-        k = np.where(down, k - 1, k)
-        up = 1.0 - self.q ** (k + 1) < y
-        k = np.where(up, k + 1, k)
+        # In real arithmetic k = ceil(r) - 1 with r = log(1-y)/log(q); inv_cdf
+        # instead answers F^(k-1) < y <= F^(k), F^(k) being the float
+        # 1 - q**(k+1).  Let s = 1 - y >= 2^-53 and r^ = log1p(-y) / log(q)
+        # as computed.
+        # * r^: numpy's log1p errs by at most 4 ulps (its SVML AVX-512 loops;
+        #   glibc: 1-2); allow 8, i.e. 2^-49 relative.  log(q) adds 2^-52 and
+        #   the division 2^-53, so |r^ - r| <= 2^-48 r <= 2^-47 r^.
+        # * F^: pow errs by under 1 ulp (2^-52 relative) and 1 - pow rounds by
+        #   at most 2^-54, so the test y <= F^(j-1) agrees with s >= q^j, that
+        #   is with r <= j, whenever |r - j| > (2^-51 + 2^-53/s) / |log q|.
+        # Capping r^ at the integer R = floor(16/|log q|) makes every draw with
+        # r^ >= R count as near an integer.  Any other has r^ < 16/|log q|, so
+        # s > e^-16.0001 > 2^-24, and the two terms sum to less than
+        # (2^-43 + 2^-51 + 2^-29)/|log q| < 2^-28/|log q| = B.  Where r^ lies
+        # farther than B from every integer, floor(r^) = ceil(r^) - 1 is thus
+        # the scalar answer; the rest, about one draw in 10^7 at q = 1/2, take
+        # the scalar walk.  This assumes F^ is nondecreasing in k, which holds
+        # while 1 - q is far above 2^-52.  (For q < e^-16, R = 0 and every draw
+        # takes the scalar walk.)
+        log_q = math.log(self.q)
+        r = np.log1p(-y)
+        r /= log_q
+        np.minimum(r, math.floor(16.0 / -log_q), out=r)
+        k = np.floor(r)
+        r -= k
+        r -= 0.5
+        # 1/2 - distance from r^ to the nearest integer; exact for r^ >= 1 and
+        # within 2^-54 below, far inside the slack left in B
+        np.abs(r, out=r)
+        near = np.flatnonzero(r >= 0.5 - 2.0**-28 / -log_q)
+        k[near] = [self.inv_cdf(float(v)) for v in y[near]]
         return k
 
     def mean(self):
@@ -482,20 +516,51 @@ def sample_field(
     """Draw an i.i.d. field; per-edge streams come from mix64(seed, edge index)."""
     if for_fpp:
         validate_for_fpp(spec, region.d)
-    w = sample_weights(spec, seed, region.n_edges())
-    return WeightField(region, np.asarray(w, dtype=np.float64), seed, spec)
+    return WeightField(region, sample_weights(spec, seed, region.n_edges()), seed, spec)
+
+
+# Draws per block: 2^14 draws keep the 128 KiB hash, uniform and inverse-CDF
+# arrays of a block in L2 cache.
+_BLOCK = 1 << 14
+
+
+def _uniform_blocks(seed: int, count: int):
+    """Yield ``(start, u)`` with u[j] = uniform53(mix64(seed, start + j)), block by block.
+
+    ``u`` is one buffer, overwritten by the next block.
+    """
+    m = min(count, _BLOCK)
+    steps = np.arange(m, dtype=np.uint64) * np.uint64(_C2)
+    z, tmp, u = np.empty(m, np.uint64), np.empty(m, np.uint64), np.empty(m)
+    for start in range(0, count, _BLOCK):
+        size = min(_BLOCK, count - start)
+        zb, ub = z[:size], u[:size]
+        # a*C1 + (start + j)*C2 + C3 = j*C2 + (a*C1 + start*C2 + C3)  mod 2^64
+        np.add(steps[:size], np.uint64((seed * _C1 + start * _C2 + _C3) & _M64), out=zb)
+        _finalize64(zb, tmp[:size])
+        np.right_shift(zb, np.uint64(11), out=zb)
+        np.multiply(zb, 2.0**-53, out=ub)
+        yield start, ub
 
 
 def sample_uniforms(seed: int, count: int) -> np.ndarray:
     """The raw uniform53 stream used by sample_weights, for direct checks."""
-    return uniform53_array(mix64_array(seed, np.arange(count, dtype=np.uint64)))
+    out = np.empty(count)
+    for start, u in _uniform_blocks(seed, count):
+        out[start : start + u.size] = u
+    return out
 
 
 def sample_weights(spec: DistributionSpec, seed: int, count: int) -> np.ndarray:
-    """``count`` i.i.d. draws from spec; draw i inverts the uniform from mix64(seed, i)."""
-    u = sample_uniforms(seed, count)
-    # u = 0 has probability 2^-53 per draw; F^{-1}(0) is the support infimum
-    return np.where(u > 0.0, spec.inv_cdf_array(np.maximum(u, 2.0**-53)), spec.support_inf())
+    """``count`` i.i.d. float64 draws from spec; draw i inverts the uniform from mix64(seed, i)."""
+    out = np.empty(count)
+    for start, u in _uniform_blocks(seed, count):
+        # u = 0 has probability 2^-53 per draw; F^{-1}(0) is the support infimum
+        zero = np.flatnonzero(u == 0.0)
+        u[zero] = 2.0**-53
+        out[start : start + u.size] = spec.inv_cdf_array(u)
+        out[start + zero] = spec.support_inf()
+    return out
 
 
 # ----------------------------------------------------------------------------

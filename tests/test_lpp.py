@@ -46,6 +46,22 @@ class TestLastPassage:
             for (i0, j0), (i1, j1) in zip(path, path[1:]):
                 assert (i1 - i0, j1 - j0) in ((1, 0), (0, 1))
 
+    @pytest.mark.parametrize("law", ["geometric", "exponential", "uniform", "ties"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 17, 64])
+    def test_dp_matches_row_scan_exactly(self, n, law):
+        # the -inf sentinels of the anti-diagonal buffers must reproduce the
+        # row scan bit for bit, non-integer sums included
+        rng = np.random.default_rng(1000 * n + len(law))
+        shape = (n + 1, n + 1)
+        w = {
+            "geometric": lambda: rng.geometric(0.5, shape) - 1.0,
+            "exponential": lambda: rng.exponential(1.0, shape),
+            "uniform": lambda: rng.random(shape),
+            "ties": lambda: rng.integers(0, 3, shape).astype(float),
+        }[law]()
+        grid = LppGrid(n, w)
+        assert last_passage_value(grid) == last_passage(grid)[0]
+
     @pytest.mark.parametrize("n", [2, 3, 6])
     def test_dp_upper_bounds_every_path(self, n):
         rng = np.random.default_rng(n)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -17,9 +18,12 @@ from fpplab.weights import (
     dyadic_value,
     log_cdf_weight,
     mix64,
+    mix64_array,
     parse_spec,
     sample_field,
     sample_uniforms,
+    sample_weights,
+    uniform53,
     validate_for_fpp,
 )
 
@@ -81,13 +85,35 @@ class TestInverseCdf:
         ks = max(np.max(np.abs(emp - F)), np.max(np.abs(emp_left - F_left)))
         assert ks < 0.01
 
-    def test_geometric_matches_scalar(self):
-        spec = Geometric(0.5)
-        u = sample_uniforms(5, 4000)
-        u = np.maximum(u, 2.0**-53)
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
+    def test_array_matches_scalar(self, spec):
+        # a stream, plus the 2000 smallest and largest uniform53 values
+        tail = np.arange(1, 2001) * 2.0**-53
+        u = np.concatenate([np.maximum(sample_uniforms(5, 4000), 2.0**-53), tail, 1.0 - tail])
         vec = spec.inv_cdf_array(u)
         scal = np.array([spec.inv_cdf(float(v)) for v in u])
         assert np.array_equal(vec, scal)
+
+    @pytest.mark.parametrize("q", [0.1, 0.5, 0.9, 0.99])
+    def test_geometric_matches_scalar_at_breakpoints(self, q):
+        # every breakpoint F(k) = 1 - q**(k+1) below 1.0, and 4 ulps each
+        # side: where the array inverse is most likely to round off by one
+        spec = Geometric(q)
+        ys = set()
+        k = 0
+        while (b := 1.0 - q ** (k + 1)) < 1.0:
+            lo = hi = b
+            ys.add(b)
+            for _ in range(4):
+                lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, 1.0)
+                ys.update((float(lo), float(hi)))
+            k += 1
+        y = np.array(sorted(v for v in ys if 0.0 < v < 1.0))
+        vec = spec.inv_cdf_array(y)
+        scal = np.array([spec.inv_cdf(float(v)) for v in y])
+        assert np.array_equal(vec, scal), y[vec != scal][:5]
+        # F(k-1) < y <= F(k) in the scalar pow that defines F
+        assert all(spec.cdf(k - 1) < v <= spec.cdf(k) for k, v in zip(vec, y))
 
 
 class TestSampling:
@@ -127,6 +153,54 @@ class TestSampling:
         assert mix64(1, 2) == 0x26E9B9B126B89ADA
         assert mix64(123456789, 987654321) == 0x82D82D944A064C92
         assert mix64(1, 2) != mix64(2, 1)
+
+
+# 3 blocks of 2^14 draws and a partial block
+_STREAM_COUNT = 3 * 2**14 + 7
+_STREAM_SEED = 20180101
+# sha256 of sample_weights(spec, _STREAM_SEED, count).tobytes(), recorded from
+# the unblocked sampler; the bytes of every field hang on these
+_STREAM_DIGESTS = {
+    ("bernoulli", 1): "3f710ac088db33363087de2b9a657541fe5447821debaa9fe5cbd538eb1a5f29",
+    ("bernoulli", _STREAM_COUNT): "584cb51038f43508d7ed9d60f0e31632572055a4336ee200f44c333e0d06a938",
+    ("uniform", 1): "e38560fbe38fe11bd07db5d2e7d1b6cb19d5b00bf15291ff7cbcf0f17122f521",
+    ("uniform", _STREAM_COUNT): "1cbfea3c80c62819ce773f0910e14095c4d4bda94b356ddd08e0c0837ad63f65",
+    ("exponential", 1): "2a49c1f30234315491b51e1616907b30962c59f2ba968d4ddd2659ce5f961672",
+    ("exponential", _STREAM_COUNT): "fae299fc321718572d22307aa5af08d62a97c025d6069e7e5527fd16a57ee083",
+    ("geometric", 1): "f52df18731eea8d020801fe2c6b3164648d9d81256a6c37964533a25999961d3",
+    ("geometric", _STREAM_COUNT): "1326ca59b6f91837b0a88e177ef121f774ec54d75fde37a4e96d1e342d889478",
+    ("table", 1): "5caaabe50da77f59f448b3edf650d68fbca7b858390664c251c52b3f458a881c",
+    ("table", _STREAM_COUNT): "3ed3422b610d0e0ef42c4b4b3515ae4ae0c017f14991abf12dc30bc91a983453",
+}
+
+
+class TestStream:
+    SEEDS = [0, 1, 2**63 + 5, 2**64 - 1]
+    # both sides of each block edge, and the ends of the counter range
+    COUNTERS = [0, 1, 2**14 - 1, 2**14, 2**15 - 1, 2**15, 3 * 2**14 - 1, 3 * 2**14,
+                _STREAM_COUNT - 1, 2**63, 2**64 - 1]
+
+    @pytest.mark.parametrize("a", SEEDS)
+    def test_mix64_array_matches_scalar(self, a):
+        b = np.array(self.COUNTERS, dtype=np.uint64)
+        z = mix64_array(a, b)
+        assert [int(v) for v in z] == [mix64(a, i) for i in self.COUNTERS]
+        assert [int(v) for v in b] == self.COUNTERS  # the counters are not hashed in place
+
+    @pytest.mark.parametrize("a", SEEDS)
+    def test_uniforms_match_scalar_across_blocks(self, a):
+        u = sample_uniforms(a, _STREAM_COUNT)
+        idx = [i for i in self.COUNTERS if i < _STREAM_COUNT]
+        assert [float(u[i]) for i in idx] == [uniform53(mix64(a, i)) for i in idx]
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
+    @pytest.mark.parametrize("count", [0, 1, _STREAM_COUNT])
+    def test_golden_weight_stream(self, spec, count):
+        w = sample_weights(spec, _STREAM_SEED, count)
+        assert w.dtype == np.float64 and w.shape == (count,)
+        digest = hashlib.sha256(w.tobytes()).hexdigest()
+        empty = hashlib.sha256(b"").hexdigest()  # count 0
+        assert digest == _STREAM_DIGESTS.get((spec.name, count), empty)
 
 
 class TestDyadic:
