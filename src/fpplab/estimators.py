@@ -158,7 +158,9 @@ def _endpoint(n: int, d: int):
 def _geometry_stats(res: PassageResult, spec: DistributionSpec) -> dict:
     path = res.sample_path
     coords = np.asarray(path, dtype=np.int64)
-    dmat = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=-1)
+    # summed per axis: an (L, L, d) temporary reduced over its short last axis
+    # costs several times more
+    dmat = sum(np.abs(x[:, None] - x[None, :]) for x in coords.T)
     geo_diam = int(dmat.max())
     transverse = int(np.abs(coords[:, 1:]).max()) if coords.shape[1] > 1 else 0
     win_counts = {}

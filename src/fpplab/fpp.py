@@ -26,9 +26,10 @@ Searches
 A passage runs one weighted shortest-path search, from the source (from every
 cut site at once on the torus).  The distances to the destination, ``d_dst``,
 are a second search that a Box result runs the first time they are read, for
-single-edge updates; a torus result has none.  Hop counts and reachability
-along tight or DAG arcs (DAG pruning, path extraction, the exact fallback)
-come from one unweighted scipy search, ``_hops``.
+single-edge updates; a torus result has none.  The geodesic DAG comes from
+one backward search from the destination over the graph's CSR, so its cost
+scales with the DAG, not the window.  ``_hops``, one unweighted scipy search
+along DAG arcs, serves only zero-length path extraction and the exact fallback.
 """
 
 from __future__ import annotations
@@ -223,15 +224,6 @@ def geodesic_intersection(result: PassageResult) -> frozenset:
 # ---------------------------------------------------------------------------
 
 
-def _tight_arcs(tails, heads, weff, d_src):
-    fwd = d_src[tails] + weff == d_src[heads]
-    bwd = d_src[heads] + weff == d_src[tails]
-    arc_from = np.concatenate([tails[fwd], heads[bwd]])
-    arc_to = np.concatenate([heads[fwd], tails[bwd]])
-    arc_edge = np.concatenate([np.flatnonzero(fwd), np.flatnonzero(bwd)])
-    return arc_from, arc_to, arc_edge
-
-
 def _hops(arc_from: np.ndarray, arc_to: np.ndarray, start: int, n_sites: int):
     """Fewest arcs from ``start`` to each site along the given arcs; inf if unreached.
 
@@ -245,11 +237,28 @@ def _hops(arc_from: np.ndarray, arc_to: np.ndarray, start: int, n_sites: int):
     return shortest_path(arcs, method="D", unweighted=True, indices=start)
 
 
-def _geodesic_dag(tails, heads, weff, d_src, dst: int):
-    """Tight arcs whose head still reaches dst through tight arcs: (from, to, edge)."""
-    arc_from, arc_to, arc_edge = _tight_arcs(tails, heads, weff, d_src)
-    keep = _hops(arc_to, arc_from, dst, d_src.size)[arc_to] < np.inf
-    return arc_from[keep], arc_to[keep], arc_edge[keep]
+def _geodesic_dag(graph: LatticeGraph, weff, d_src, dst: int):
+    """Tight arcs into the sites that reach dst through tight arcs: (from, to, edge).
+
+    One backward search from dst over the graph's CSR; u -> v along edge e is
+    tight when d_src[u] + weff[e] == d_src[v], the binary64 sum the relaxation
+    produced.  Memoryviews hand out Python ints and floats, several times
+    cheaper per element than numpy scalars.
+    """
+    csr = graph._csr
+    indptr, nbr, d, w = map(memoryview, (csr.indptr, csr.indices, d_src, weff))
+    edge = memoryview(graph._edge_of_pos)
+    arcs, seen, stack = [], {dst}, [dst]
+    while stack:
+        v = stack.pop()
+        for pos in range(indptr[v], indptr[v + 1]):
+            u, e = nbr[pos], edge[pos]
+            if d[u] + w[e] == d[v]:
+                arcs.append((u, v, e))
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+    return tuple(np.array(arcs, dtype=np.int64).reshape(-1, 3).T)
 
 
 def _intersection(dag_from, dag_to, dag_edge, keys, d_src, src: int, dst: int):
@@ -285,32 +294,27 @@ def _intersection(dag_from, dag_to, dag_edge, keys, d_src, src: int, dst: int):
 
 
 def _extract_path(arc_from, arc_to, d, src: int, dst: int, site_of):
-    """Backward walk from dst picking the lexicographically smallest predecessor.
+    """Backward walk from dst through each site's smallest-index DAG predecessor.
 
-    A zero-length arc u -> v (d[u] == d[v]) is a candidate only when u is
-    fewer arcs from src than v, so (d, hops) strictly decreases along the
-    walk and zero-weight cycles cannot trap it.
+    Box and cylinder site indices are row-major, so the smallest index is the
+    lexicographically smallest site.  A zero-length arc u -> v (d[u] == d[v])
+    is a candidate only when u is fewer arcs from src than v, so (d, hops)
+    strictly decreases along the walk and zero-weight cycles cannot trap it.
     """
     tied = d[arc_from] == d[arc_to]
     if tied.any():
         hops = _hops(arc_from, arc_to, src, d.size)
         keep = ~tied | (hops[arc_from] < hops[arc_to])
         arc_from, arc_to = arc_from[keep], arc_to[keep]
-    order = np.argsort(arc_to, kind="stable")
-    to_sorted = arc_to[order]
-    from_sorted = arc_from[order]
+    # later pairs overwrite earlier ones, so each site keeps its smallest predecessor
+    order = np.argsort(arc_from)[::-1]
+    pred = dict(zip(arc_to[order].tolist(), arc_from[order].tolist()))
     path = [dst]
-    cur = dst
-    while cur != src:
-        lo = int(np.searchsorted(to_sorted, cur, side="left"))
-        hi = int(np.searchsorted(to_sorted, cur, side="right"))
-        cands = [int(u) for u in from_sorted[lo:hi]]
-        if not cands:
+    while path[-1] != src:
+        if path[-1] not in pred:
             raise RuntimeError("geodesic extraction hit a dead end")
-        cur = min(cands, key=site_of)
-        path.append(cur)
-    path.reverse()
-    return [site_of(i) for i in path]
+        path.append(pred[path[-1]])
+    return [site_of(i) for i in reversed(path)]
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +372,7 @@ def passage_time(
                 np.array([], dtype=np.int64), np.array([], dtype=np.int64),
                 [], field, scale, grows,
             )
-        dag_from, dag_to, dag_edge = _geodesic_dag(
-            graph.tails, graph.heads, weff, d_src, dst_idx
-        )
+        dag_from, dag_to, dag_edge = _geodesic_dag(graph, weff, d_src, dst_idx)
 
         boundary = _boundary_mask(region)
         touched = bool(np.any(boundary[dag_from]) or np.any(boundary[dag_to]))
@@ -518,8 +520,8 @@ def edge_criticality(
                 # one shortest approach path per side must stay interior too
                 try:
                     for dist, root in ((dp_src, si), (dp_dst, di)):
-                        af, at, _ = _tight_arcs(graph.tails, graph.heads, w2, dist)
                         for start in (u, v):
+                            af, at, _ = _geodesic_dag(graph, w2, dist, start)
                             p = _extract_path(
                                 af, at, dist, root, start, region.site_from_index
                             )
@@ -632,9 +634,7 @@ def torus_passage(field: WeightField, want_geometry: bool = True) -> PassageResu
         src_idx = int(y)
         dst_idx = int(n * cyl.K + y)
         d_src = dists[y]
-        dag_from, dag_to, dag_cyl = _geodesic_dag(
-            graph.tails, graph.heads, wcyl, d_src, dst_idx
-        )
+        dag_from, dag_to, dag_cyl = _geodesic_dag(graph, wcyl, d_src, dst_idx)
         dag_tedge = cyl.torus_edge[dag_cyl]
         dag_union.update(int(e) for e in np.unique(dag_tedge))
         mem = set(

@@ -29,8 +29,8 @@ class LppGrid:
         self.vertex_weights = np.asarray(self.vertex_weights, dtype=np.float64)
         if self.vertex_weights.shape != (self.n + 1, self.n + 1):
             raise ValueError("vertex weight array must be (n+1) x (n+1)")
-        if np.any(self.vertex_weights < 0):
-            raise ValueError("negative vertex weight")
+        if not np.all(self.vertex_weights >= 0):
+            raise ValueError("negative or NaN vertex weight")
 
 
 def default_spec() -> Geometric:

@@ -501,8 +501,8 @@ class WeightField:
     def __post_init__(self):
         if len(self.weights) != self.region.n_edges():
             raise ValueError("weight array length != region edge count")
-        if np.any(self.weights < 0):
-            raise ValueError("negative edge weight")
+        if not np.all(self.weights >= 0):
+            raise ValueError("negative or NaN edge weight")
 
     def with_weight(self, edge_idx: int, value: float) -> "WeightField":
         w = self.weights.copy()

@@ -1,3 +1,5 @@
+from collections import defaultdict, deque
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,32 @@ from fpplab.fpp import (
     torus_winding_oracle,
 )
 from fpplab.lattice import Box, EdgeId, Torus, point_window
-from fpplab.weights import Bernoulli, TableCDF, Uniform, WeightField, sample_field
+from fpplab.weights import (
+    Bernoulli,
+    TableCDF,
+    Uniform,
+    WeightField,
+    parse_spec,
+    sample_field,
+)
 
 BOX33 = Box((0, 0), (2, 2))  # 9 sites, 12 edges
+
+LAWS = [
+    "uniform:0,1",
+    "exponential:1",
+    "bernoulli:1,2,0.5",
+    "bernoulli:0,1,0.3",
+    "bernoulli:0,1,0.1",
+]
+# a torus stands for its winding cylinder; point_window(6, 2, 3) under
+# bernoulli:0,1,0.1 has the zero-weight clusters of the [window] oracle case
+DAG_REGIONS = [
+    pytest.param(BOX33, id="box3x3"),
+    pytest.param(Box((0, 0), (5, 4)), id="box6x5"),
+    pytest.param(point_window(6, 2, 3), id="window"),
+    *(pytest.param(Torus(n, 2), id=f"cyl{n}") for n in (3, 4, 8)),
+]
 
 
 def unit_field(region):
@@ -25,6 +50,60 @@ def unit_field(region):
 
 def random_field(region, spec, seed):
     return sample_field(spec, region, seed, for_fpp=False)
+
+
+def searched_graph(field):
+    """(graph, weights, site labels) that a passage searches: the box itself,
+    or the winding cylinder of a torus."""
+    weff, _ = fpp._effective_weights(field)
+    if isinstance(field.region, Torus):
+        cyl = fpp._cylinder(field.region.n, field.region.d)
+        return cyl.graph, weff[cyl.torus_edge], cyl.site_of
+    return fpp._graph(field.region), weff, field.region.site_from_index
+
+
+def reference_dag(graph, weff, d_src, dst):
+    """Every tight arc of the graph whose head reaches dst along tight arcs."""
+    tight = [
+        (a, b, e)
+        for e, (t, h) in enumerate(zip(graph.tails.tolist(), graph.heads.tolist()))
+        for a, b in ((t, h), (h, t))
+        if d_src[a] + weff[e] == d_src[b]
+    ]
+    into = defaultdict(list)
+    for a, b, _ in tight:
+        into[b].append(a)
+    reach, stack = {dst}, [dst]
+    while stack:
+        for a in into[stack.pop()]:
+            if a not in reach:
+                reach.add(a)
+                stack.append(a)
+    return {(a, b, e) for a, b, e in tight if b in reach}
+
+
+def reference_walk(arcs, d, src, dst, site_of):
+    """Back from dst, always to the lexicographically smallest predecessor; a
+    zero-length arc counts only when its tail is fewer arcs from src."""
+    out = defaultdict(list)
+    for a, b, _ in arcs:
+        out[a].append(b)
+    hops, queue = {src: 0}, deque([src])
+    while queue:
+        a = queue.popleft()
+        for b in out[a]:
+            if b not in hops:
+                hops[b] = hops[a] + 1
+                queue.append(b)
+    path = [dst]
+    while path[-1] != src:
+        v = path[-1]
+        cands = [
+            a for a, b, _ in arcs
+            if b == v and (d[a] != d[v] or hops.get(a, np.inf) < hops.get(v, np.inf))
+        ]
+        path.append(min(cands, key=site_of))
+    return [site_of(i) for i in reversed(path)]
 
 
 class TestPassageTime:
@@ -216,6 +295,46 @@ class TestIntersection:
         assert res.T == 3.0
         assert len(res.gint_edge_idx) == 0
         assert set(res.dag_edge_idx) == set(bottom) | set(top)
+
+
+class TestGeodesicDag:
+    @pytest.mark.parametrize("region", DAG_REGIONS)
+    @pytest.mark.parametrize("law", LAWS)
+    def test_matches_reference_construction(self, law, region):
+        rng = np.random.default_rng(0)
+        for seed in range(12):
+            field = random_field(region, parse_spec(law), seed)
+            graph, weff, _ = searched_graph(field)
+            src, dst = (int(i) for i in rng.choice(graph.n_sites, 2, replace=False))
+            d_src = graph.distances(weff, [src])[0]
+            got = list(zip(*(a.tolist() for a in fpp._geodesic_dag(graph, weff, d_src, dst))))
+            assert len(got) == len(set(got))
+            assert set(got) == reference_dag(graph, weff, d_src, dst)
+
+    @pytest.mark.parametrize("region", DAG_REGIONS)
+    @pytest.mark.parametrize("law", LAWS)
+    def test_sample_path_matches_reference_walk(self, law, region):
+        rng = np.random.default_rng(1)
+        for seed in range(12):
+            field = random_field(region, parse_spec(law), seed)
+            graph, weff, site_of = searched_graph(field)
+            if isinstance(region, Torus):
+                # the path is taken from the first minimizing cut site
+                K = fpp._cylinder(region.n, region.d).K
+                dists = graph.distances(weff, list(range(K)))
+                src = int(np.argmin(dists[np.arange(K), region.n * K + np.arange(K)]))
+                dst, d_src = region.n * K + src, dists[src]
+                res = torus_passage(field)
+            else:
+                src, dst = (int(i) for i in rng.choice(graph.n_sites, 2, replace=False))
+                d_src = graph.distances(weff, [src])[0]
+                res = passage_time(field, site_of(src), site_of(dst), grow=False)
+            arcs = reference_dag(graph, weff, d_src, dst)
+            want = reference_walk(arcs, d_src, src, dst, site_of)
+            if isinstance(region, Torus):
+                want = [region.wrap(s) for s in want]
+            assert res.sample_path == want
+            assert sum(float(w) for w in field.weights[res.path_edge_indices()]) == res.T
 
 
 class TestCriticality:

@@ -24,6 +24,11 @@ class TestLastPassage:
             assert last_passage_value(grid) == T
             assert len(path) == 2 * n + 1
 
+    @pytest.mark.parametrize("bad", [-1.0, np.nan])
+    def test_rejects_negative_or_nan(self, bad):
+        with pytest.raises(ValueError, match="negative or NaN"):
+            LppGrid(1, [[0.0, bad], [0.0, 0.0]])
+
     def test_n1_hand_example(self):
         # max(1+2+4, 1+3+4) = 8 via (0,0),(1,0),(1,1)
         w = np.array([[1.0, 2.0], [3.0, 4.0]])

@@ -14,6 +14,7 @@ from fpplab.weights import (
     Geometric,
     TableCDF,
     Uniform,
+    WeightField,
     dyadic_flip,
     dyadic_value,
     log_cdf_weight,
@@ -145,6 +146,14 @@ class TestSampling:
         validate_for_fpp(Bernoulli(0.0, 1.0, 0.4), 2)
         with pytest.raises(ValueError):
             validate_for_fpp(Bernoulli(0.0, 1.0, 0.3), 3)
+
+    @pytest.mark.parametrize("bad", [-0.5, np.nan])
+    def test_field_rejects_negative_or_nan(self, bad):
+        region = Torus(3, 2)
+        weights = np.ones(region.n_edges())
+        weights[4] = bad
+        with pytest.raises(ValueError, match="negative or NaN"):
+            WeightField(region, weights, 0, None)
 
     def test_mix64_reference_values(self):
         # pinned vectors: the docstring states the algorithm bit-exactly, so
