@@ -24,8 +24,9 @@ whether the DAG still connects source to destination.
 Searches
 --------
 A passage runs one weighted shortest-path search, from the source (from every
-cut site at once on the torus).  The distances to the destination, ``d_dst``,
-are a second search that a Box result runs the first time they are read, for
+cut site at once on the torus, stopped at the cheapest straight winding cycle,
+an upper bound on T).  The distances to the destination, ``d_dst``, are a
+second search that a Box result runs the first time they are read, for
 single-edge updates; a torus result has none.  The geodesic DAG comes from
 one backward search from the destination over the graph's CSR, so its cost
 scales with the DAG, not the window.  ``_hops``, one unweighted scipy search
@@ -79,10 +80,13 @@ class LatticeGraph:
         self.n_sites = N
         self.n_edges = E
 
-    def distances(self, edge_weights: np.ndarray, sources: list[int]) -> np.ndarray:
-        """Shortest-path distance rows from each source, shape (len(sources), N)."""
+    def distances(
+        self, edge_weights: np.ndarray, sources: list[int], limit: float = np.inf
+    ) -> np.ndarray:
+        """Shortest-path distance rows from each source, shape (len(sources), N);
+        sites farther than ``limit`` are inf (scipy's limit is inclusive)."""
         self._csr.data[:] = edge_weights[self._edge_of_pos]
-        out = _csgraph_dijkstra(self._csr, directed=True, indices=sources)
+        out = _csgraph_dijkstra(self._csr, directed=True, indices=sources, limit=limit)
         return np.atleast_2d(out)
 
 
@@ -140,8 +144,9 @@ class PassageResult:
     1/``scale`` when ``scale`` is set, time units otherwise.  ``T``, ``d_src``
     and ``d_dst`` are the same in time units.  ``d_src`` is per site of
     ``window``; on the torus it holds one row per cut site over the winding
-    cylinder.  ``d_dst`` (and ``d_dst_eff``) is computed by one search from
-    ``dst`` the first time it is read; a torus result has none.
+    cylinder, inf beyond the cost of the cheapest straight winding cycle.
+    ``d_dst`` (and ``d_dst_eff``) is computed by one search from ``dst`` the
+    first time it is read; a torus result has none.
     ``dag_edge_idx`` and ``gint_edge_idx`` hold region edge indices; the
     EdgeId views are built on demand.  A result without geometry has an empty
     ``sample_path``.
@@ -605,7 +610,8 @@ def torus_passage(field: WeightField, want_geometry: bool = True) -> PassageResu
     minimizes the distance from each cut site to its shifted copy; geodesic
     structure is computed per minimizing cut site and mapped back to torus
     edges.  The intersection is taken over the minimizing cycles of every
-    minimizing cut site.
+    minimizing cut site.  The searches stop at the cheapest straight winding
+    cycle, which costs at least T, so they find what a full search would.
     """
     region = field.region
     if not isinstance(region, Torus):
@@ -615,7 +621,10 @@ def torus_passage(field: WeightField, want_geometry: bool = True) -> PassageResu
     graph = cyl.graph
     weff, scale = _effective_weights(field)
     wcyl = weff[cyl.torus_edge]
-    dists = graph.distances(wcyl, list(range(cyl.K)))
+    # the cheapest straight row, summed left to right as the relaxation sums
+    # it, bounds T; a 1-D .sum() would sum pairwise and could undercut T
+    U = float(np.cumsum(weff[::d].reshape(n, cyl.K), axis=0)[-1].min())
+    dists = graph.distances(wcyl, list(range(cyl.K)), limit=U)
     targets = n * cyl.K + np.arange(cyl.K)
     vals = dists[np.arange(cyl.K), targets]
     T_eff = float(vals.min())

@@ -252,6 +252,27 @@ class TestPassageTime:
             assert np.array_equal(criterion, in_dag)
 
 
+class TestLatticeGraph:
+    @pytest.mark.parametrize(
+        "law", ["uniform:0,1", "bernoulli:1,2,0.5", "bernoulli:0,1,0.3"]
+    )
+    def test_limit_is_inclusive(self, law):
+        # sites at exactly the limit keep their distance, sites above it are inf
+        region = Box((0, 0), (6, 5))
+        graph = fpp._graph(region)
+        sources = [0, 17, region.n_sites() - 1]
+        for seed in range(10):
+            field = random_field(region, parse_spec(law), seed)
+            weff, _ = fpp._effective_weights(field)
+            full = graph.distances(weff, sources)
+            levels = np.unique(full)
+            for L in levels[[0, 1, levels.size // 2, -2]]:
+                got = graph.distances(weff, sources, limit=L)
+                assert (full == L).any()
+                assert np.array_equal(got[full <= L], full[full <= L])
+                assert np.isinf(got[full > L]).all()
+
+
 class TestIntersection:
     @pytest.mark.parametrize(
         "spec,region,dst",
@@ -454,7 +475,96 @@ class TestWindowGrowth:
         assert _grow_box(point_window(8, 3, 4)) == point_window(8, 3, 8)
 
 
+def reference_torus_passage(field):
+    """(T, DAG edges, intersection, sample path) of a torus passage from one
+    unbounded search per cut site, with the reference DAG and walk."""
+    region = field.region
+    cyl = fpp._cylinder(region.n, region.d)
+    graph, weff, site_of = searched_graph(field)
+    dists = graph.distances(weff, list(range(cyl.K)))
+    vals = dists[np.arange(cyl.K), region.n * cyl.K + np.arange(cyl.K)]
+    T_eff = vals.min()
+    dag, inter, path = set(), None, None
+    for src in np.flatnonzero(vals == T_eff).tolist():
+        dst = region.n * cyl.K + src
+        arcs = reference_dag(graph, weff, dists[src], dst)
+        edges = {int(cyl.torus_edge[e]) for _, _, e in arcs}
+        dag |= edges
+        # a torus edge is on every geodesic iff dropping its lifts cuts src off
+        on_all = set()
+        for t in edges:
+            out = defaultdict(list)
+            for a, b, e in arcs:
+                if cyl.torus_edge[e] != t:
+                    out[a].append(b)
+            seen, stack = {src}, [src]
+            while stack:
+                for b in out[stack.pop()]:
+                    if b not in seen:
+                        seen.add(b)
+                        stack.append(b)
+            if dst not in seen:
+                on_all.add(t)
+        inter = on_all if inter is None else inter & on_all
+        if path is None:
+            walk = reference_walk(arcs, dists[src], src, dst, site_of)
+            path = [region.wrap(x) for x in walk]
+    _, scale = fpp._effective_weights(field)
+    return T_eff / scale if scale else T_eff, sorted(dag), sorted(inter), path
+
+
+TORI = [
+    pytest.param(Torus(n, d), id=f"torus{n}x{d}")
+    for n, d in ((3, 2), (4, 2), (8, 2), (4, 3))
+]
+# bernoulli:0,1,0.7 has a supercritical atom at 0; only for_fpp=False draws it
+BOUNDED_LAWS = [*LAWS[:4], "bernoulli:0,1,0.7"]
+
+
 class TestTorus:
+    @pytest.mark.parametrize("torus", TORI)
+    @pytest.mark.parametrize("law", BOUNDED_LAWS)
+    def test_bounded_search_matches_full_search(self, law, torus):
+        for seed in range(8):
+            field = random_field(torus, parse_spec(law), seed)
+            T, dag, inter, path = reference_torus_passage(field)
+            res = torus_passage(field)
+            assert res.T == T == torus_passage(field, want_geometry=False).T
+            assert res.dag_edge_idx.tolist() == dag
+            assert res.gint_edge_idx.tolist() == inter
+            assert res.sample_path == path
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_bound_sums_rows_left_to_right(self, n):
+        # axis-1 edges cost 10, so the cheapest straight row is the geodesic and
+        # T is its left-to-right sum; a pairwise-summed bound can fall an ulp
+        # below that and cut off the geodesic's endpoint
+        for seed in range(40):
+            w = np.full(2 * n * n, 10.0)
+            w[::2] = np.random.default_rng(seed).random(n * n)
+            field = WeightField(Torus(n, 2), w, 0, None)
+            graph, weff, _ = searched_graph(field)
+            dists = graph.distances(weff, list(range(n)))
+            full = dists[np.arange(n), n * n + np.arange(n)]
+            row_sums = np.zeros(n)
+            for row in w[::2].reshape(n, n):
+                row_sums += row
+            T = torus_passage(field).T
+            assert np.isfinite(T)
+            assert T == full.min() == row_sums.min()
+
+    def test_zero_row_bound(self):
+        # one all-zero straight row: the search limit and T are both 0
+        t = Torus(3, 2)
+        w = np.random.default_rng(5).random(t.n_edges()) + 0.5
+        w[[t.edge_index(EdgeId((x, 1), 0)) for x in range(3)]] = 0.0
+        field = WeightField(t, w, 0, None)
+        res = torus_passage(field)
+        T_or, gint_or = torus_winding_oracle(field, max_len=12)
+        assert res.T == T_or == 0.0
+        assert set(res.gint_edge_idx.tolist()) == gint_or
+        assert np.isinf(res.d_src).any()
+
     def test_unit_weights(self):
         t = Torus(4, 2)
         res = torus_passage(unit_field(t))
