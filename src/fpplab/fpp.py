@@ -46,7 +46,7 @@ from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 from scipy.sparse.csgraph import shortest_path
 
 from .lattice import Box, EdgeId, Region, Site, Torus, ball, point_window
-from .weights import WeightField, sample_field
+from .weights import DistributionSpec, WeightField, sample_field
 
 GROW_LIMIT = 6
 
@@ -107,20 +107,28 @@ def _boundary_mask(region: Region) -> np.ndarray:
     return np.any((coords == 0) | (coords == edge), axis=1)
 
 
-def _effective_weights(field: WeightField) -> tuple[np.ndarray, Optional[float]]:
-    """(weights to run shortest paths on, scale); scale None means float mode."""
-    spec = field.spec
+def scaled_weights(
+    weights: np.ndarray, spec: Optional[DistributionSpec], n_sites: int
+) -> tuple[np.ndarray, Optional[float]]:
+    """(weights to sum paths in, scale) for weights of law ``spec`` on a region
+    of ``n_sites`` sites; scale None means float mode."""
+    weights = np.asarray(weights, dtype=np.float64)
     scale = spec.int_scale() if spec is not None else None
     if scale is None or scale <= 0:
-        return np.asarray(field.weights, dtype=np.float64), None
-    scaled = field.weights * float(scale)
+        return weights, None
+    scaled = weights * float(scale)
     snapped = np.rint(scaled)
     if not np.all(np.abs(scaled - snapped) < 1e-6):
-        return np.asarray(field.weights, dtype=np.float64), None
+        return weights, None
     # keep all path sums exactly representable in float64
-    if (float(snapped.max(initial=0.0)) + 1.0) * field.region.n_sites() > 2.0**52:
-        return np.asarray(field.weights, dtype=np.float64), None
+    if (float(snapped.max(initial=0.0)) + 1.0) * n_sites > 2.0**52:
+        return weights, None
     return snapped, float(scale)
+
+
+def _effective_weights(field: WeightField) -> tuple[np.ndarray, Optional[float]]:
+    """(weights to run shortest paths on, scale); scale None means float mode."""
+    return scaled_weights(field.weights, field.spec, field.region.n_sites())
 
 
 # ---------------------------------------------------------------------------
@@ -753,23 +761,33 @@ def averaged_passage(
     return Fn, terms
 
 
-def brute_force_passage(field: WeightField, src: Site, dst: Site) -> float:
-    """Exhaustive minimum over self-avoiding paths (oracle for tiny regions)."""
-    region = field.region
-    weff, scale = _effective_weights(field)
-    best = math.inf
+def simple_path_matrix(region: Region, src: Site, dst: Site) -> np.ndarray:
+    """0/1 matrix of the self-avoiding ``src -> dst`` paths, one row per path
+    and one column per edge index (exhaustive; for tiny regions only).
 
-    def dfs(site, visited, cost):
-        nonlocal best
-        if cost >= best:
-            return
+    The minimum over rows of ``P @ w`` is the passage time under weights w.
+    """
+    rows = []
+
+    def dfs(site, visited, edges):
         if site == dst:
-            best = cost
+            rows.append(edges)
             return
         for nb, edge in region.neighbors(site):
-            if nb in visited:
-                continue
-            dfs(nb, visited | {nb}, cost + float(weff[region.edge_index(edge)]))
+            if nb not in visited:
+                dfs(nb, visited | {nb}, edges + [region.edge_index(edge)])
 
-    dfs(src, {src}, 0.0)
+    dfs(src, {src}, [])
+    P = np.zeros((len(rows), region.n_edges()))
+    for r, edges in enumerate(rows):
+        P[r, edges] = 1.0
+    return P
+
+
+def brute_force_passage(field: WeightField, src: Site, dst: Site) -> float:
+    """Exhaustive minimum over self-avoiding paths (oracle for tiny regions)."""
+    weff, scale = _effective_weights(field)
+    P = simple_path_matrix(field.region, src, dst)
+    # a masked sum, not P @ weff, so an infinite weight off a path costs nothing
+    best = float(np.where(P > 0, weff, 0.0).sum(axis=1).min(initial=math.inf))
     return best / scale if scale else best

@@ -1,14 +1,21 @@
 """Exact, enumeration-based verification of concentration inequalities on
 small instances: Efron-Stein, Falik-Samorodnitsky, the two-point log-Sobolev
 inequality, entropy tensorization, the variational characterization of
-entropy, the shifted-square integral bounds for monotone step functions, the
-moment-generating-function concentration chain, and an exhaustive check of
-the whole pipeline on tiny weight configurations.
+entropy, the shifted-square integral bounds for monotone step functions, and
+an exhaustive check of the whole pipeline on tiny weight configurations.
 
 Functions on k fair bits are enumerated in full (k <= 20); expectations use
 compensated summation and inequality verdicts allow a 1e-12 relative slack to
 absorb binary64 rounding at equality cases.  The convention 0*log(0) = 0 is
 used throughout.
+
+The exhaustive pipeline enumerates the simple source-destination paths of the
+box once, as a 0/1 path-by-edge matrix P; T of a block of configurations is
+then the column minimum of P @ W, in the scaled integers passage_time uses.
+The step-function integrals scale x by the common denominator D of the breaks
+and tau, and f by the common denominator L of the levels, so each integral is
+an integer sum divided by D L^2: the same exact Fraction as rational
+integration, without Fraction arithmetic per piece.
 """
 
 from __future__ import annotations
@@ -16,18 +23,21 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
+from .fpp import scaled_weights, simple_path_matrix
 from .lattice import Box, Site
-from .weights import Bernoulli, WeightField, mix64
-from .fpp import brute_force_passage
+from .weights import Bernoulli, mix64
 
 K_MAX = 20
 _SLACK = 1e-12
+# configurations per P @ W product in exhaustive_passage_times
+_MASK_BLOCK = 1 << 14
 
 
 def _tol(*vals: float) -> float:
@@ -49,6 +59,11 @@ def entropy(values: np.ndarray, probs: np.ndarray) -> float:
         raise ValueError("entropy requires nonnegative values")
     if abs(probs.sum() - 1.0) > 1e-9 or np.any(probs < 0):
         raise ValueError("probs must form a distribution")
+    return _entropy(values, probs)
+
+
+def _entropy(values: np.ndarray, probs) -> float:
+    """``entropy`` without input checks; probs may be one scalar weight."""
     mean = fexp(values, probs)
     if mean == 0.0:
         return 0.0
@@ -189,38 +204,46 @@ def efron_stein_check(f: HypercubeFunction) -> CheckResult:
     return CheckResult("efron_stein", var, bound, var <= bound + _tol(var, bound))
 
 
-def entropy_lower_bound_check(x: np.ndarray) -> CheckResult:
-    """Ent(X^2) >= E[X^2] log(E[X^2] / (E X)^2) for X >= 0 (uniform measure)."""
-    x = np.abs(np.asarray(x, dtype=np.float64))
-    probs = np.full(x.size, 1.0 / x.size)
-    lhs = fexp(x**2)
-    m1 = fexp(x)
-    ent = entropy(x**2, probs)
-    if lhs == 0.0:
+def _abs_moments(d: np.ndarray) -> tuple[float, float, float]:
+    """(E X, E X^2, Ent(X^2)) for X = |d| under the uniform measure."""
+    x = np.abs(d)
+    sq = x**2
+    return fexp(x), fexp(sq), _entropy(sq, 1.0 / x.size)
+
+
+def _entropy_lower_bound(m1: float, m2: float, ent: float) -> CheckResult:
+    """Ent(X^2) >= E[X^2] log(E[X^2] / (E X)^2) from the three moments."""
+    if m2 == 0.0:
         return CheckResult("entropy_lower_bound", 0.0, 0.0, True, vacuous=True)
-    rhs = lhs * math.log(lhs / m1**2) if m1 > 0 else math.inf
+    rhs = m2 * math.log(m2 / m1**2) if m1 > 0 else math.inf
     # orientation: ent >= rhs
     return CheckResult("entropy_lower_bound", rhs, ent, rhs <= ent + _tol(rhs, ent))
+
+
+def entropy_lower_bound_check(x: np.ndarray) -> CheckResult:
+    """Ent(X^2) >= E[X^2] log(E[X^2] / (E X)^2) for X >= 0 (uniform measure)."""
+    return _entropy_lower_bound(*_abs_moments(np.asarray(x, dtype=np.float64)))
 
 
 def falik_samorodnitsky_check(f: HypercubeFunction) -> CheckResult:
     """Var(f) log(Var(f) / sum_i (E|Delta_i f|)^2) <= sum_i Ent((Delta_i f)^2).
 
-    Also verifies the entropy lower bound for each increment.
+    Also verifies the entropy lower bound for each increment.  Each
+    increment's E|d|, E d^2 and Ent(d^2) are computed once and serve both.
     """
     var = f.variance()
     if var == 0.0:
         return CheckResult("falik_samorodnitsky", 0.0, 0.0, True, vacuous=True)
     dec = MartingaleDecomposition(f)
-    probs = np.full(2**f.k, 0.5**f.k)
-    s = math.fsum(fexp(np.abs(d)) ** 2 for d in dec.increments)
+    moments = [_abs_moments(d) for d in dec.increments]
+    s = math.fsum(m1**2 for m1, _, _ in moments)
     lhs = var * math.log(var / s) if s > 0 else math.inf
-    rhs = math.fsum(entropy(d**2, probs) for d in dec.increments)
+    rhs = math.fsum(ent for _, _, ent in moments)
     holds = lhs <= rhs + _tol(lhs if math.isfinite(lhs) else 0.0, rhs)
     inc_ok = True
     worst_inc = math.inf
-    for d in dec.increments:
-        r = entropy_lower_bound_check(np.abs(d))
+    for m in moments:
+        r = _entropy_lower_bound(*m)
         inc_ok &= r.holds
         worst_inc = min(worst_inc, r.margin)
     return CheckResult(
@@ -342,30 +365,31 @@ class StepFunction:
         return self.breaks[-1] if self.breaks else Fraction(0)
 
 
-def _integrate_sq(f: StepFunction, lo: Fraction, hi: Fraction) -> Fraction:
-    """Exact integral of f^2 over [lo, hi]."""
-    pts = sorted({lo, hi, *[b for b in f.breaks if lo < b < hi]})
-    total = Fraction(0)
-    for a, b in zip(pts, pts[1:]):
-        mid = (a + b) / 2
-        total += f(mid) ** 2 * (b - a)
-    return total
+def _common_scale(values) -> tuple[int, list[int]]:
+    """(D, [D v for v in values]) with D the lcm of the rationals' denominators."""
+    D = math.lcm(1, *(v.denominator for v in values))
+    return D, [v.numerator * (D // v.denominator) for v in values]
 
 
-def _integrate_shift_sq(f: StepFunction, tau: Fraction) -> Fraction:
-    """Exact integral of (f(x) - f(x - tau))^2 over [tau, 1]."""
-    pts = {Fraction(0) + tau, Fraction(1)}
-    for b in f.breaks:
-        for p in (b, b + tau):
-            if tau < p < 1:
-                pts.add(p)
-    pts = sorted(pts)
-    total = Fraction(0)
-    for a, b in zip(pts, pts[1:]):
-        mid = (a + b) / 2
-        diff = f(mid) - f(mid - tau)
-        total += diff**2 * (b - a)
-    return total
+def _sq_integral(breaks: list[int], levels: list[int], lo: int, hi: int) -> int:
+    """Integral of f^2 over [lo, hi] for integer breaks and levels."""
+    pts = [lo, *(b for b in breaks if lo < b < hi), hi]
+    return sum(
+        levels[bisect_right(breaks, p)] ** 2 * (q - p) for p, q in zip(pts, pts[1:])
+    )
+
+
+def _shift_sq_integral(breaks: list[int], levels: list[int], tau: int, one: int) -> int:
+    """Integral of (f(x) - f(x - tau))^2 over [tau, one] for integer data.
+
+    Every piece [p, q) meets no break of f or of f(. - tau) in its interior,
+    so the level at p stands for the piece."""
+    pts = sorted({tau, one, *(p for b in breaks for p in (b, b + tau) if tau < p < one)})
+    return sum(
+        (levels[bisect_right(breaks, p)] - levels[bisect_right(breaks, p - tau)]) ** 2
+        * (q - p)
+        for p, q in zip(pts, pts[1:])
+    )
 
 
 @dataclass
@@ -390,7 +414,8 @@ def rossignol_check(f: StepFunction, a: Fraction, tau: Fraction) -> RossignolRes
     """All applicable cases of the shifted-square integral bound, exactly.
 
     Requires tau in (0, 1/2] and f constant on [a, 1]; integration is exact
-    over rationals so the verdicts carry no tolerance at all.
+    (integer sums over a common denominator) so the verdicts carry no
+    tolerance at all.
     """
     a = Fraction(a)
     tau = Fraction(tau)
@@ -398,10 +423,14 @@ def rossignol_check(f: StepFunction, a: Fraction, tau: Fraction) -> RossignolRes
         raise ValueError("tau must lie in (0, 1/2]")
     if f.constant_from() > a:
         raise ValueError(f"f is not constant on [{a}, 1]")
-    lhs = _integrate_shift_sq(f, tau)
-    tail = _integrate_sq(f, 1 - tau, Fraction(1))
-    always = (lhs <= tail, tail)
-    full_sq = _integrate_sq(f, Fraction(0), Fraction(1))
+    # x -> D x makes every integration point an integer, f -> L f every
+    # level, so each integral is an integer over D L^2
+    D, (t, *breaks) = _common_scale((tau, *f.breaks))
+    L, levels = _common_scale(f.levels)
+    unit = D * L * L
+    lhs = Fraction(_shift_sq_integral(breaks, levels, t, D), unit)
+    tail = Fraction(_sq_integral(breaks, levels, D - t, D), unit)
+    full_sq = Fraction(_sq_integral(breaks, levels, 0, D), unit)
     case_small_a = None
     case_small_tau = None
     if a <= tau:
@@ -410,91 +439,7 @@ def rossignol_check(f: StepFunction, a: Fraction, tau: Fraction) -> RossignolRes
     if tau <= a <= Fraction(1, 2):
         rhs = 2 * tau * full_sq
         case_small_tau = (rhs, lhs <= rhs)
-    return RossignolResult(lhs, always[1], always[0], case_small_a, case_small_tau)
-
-
-# ---------------------------------------------------------------------------
-# MGF concentration chain
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class MgfChainResult:
-    t_grid: np.ndarray
-    premise_ok: np.ndarray
-    conclusion_ok: np.ndarray
-    tail_ok: bool
-    details: dict
-
-    @property
-    def premise_holds(self) -> bool:
-        return bool(np.all(self.premise_ok))
-
-    @property
-    def holds(self) -> bool:
-        return self.premise_holds and bool(np.all(self.conclusion_ok)) and self.tail_ok
-
-
-def mgf_concentration_check(
-    z: Optional[np.ndarray],
-    C: float,
-    B: float,
-    *,
-    mgf: Optional[Callable[[float], float]] = None,
-    tail: Optional[Callable[[float], float]] = None,
-    lambdas: Sequence[float] = (0.5, 1.0, 2.0, 4.0),
-    grid_points: int = 63,
-) -> MgfChainResult:
-    """Verify the exponential-concentration chain on a t grid in (0, B^{-1/2}).
-
-    Premise: Var(e^{tZ/2}) <= C t^2 E[e^{tZ}].  Conclusion: the log-MGF obeys
-    psi(t) <= -2 log(1 - C t^2), whence P(Z >= lam) <= e^{-t lam}/(1 - C t^2)^2.
-    Works from samples or from exact callables (mgf, tail).  A failing premise
-    is reported, not raised; the conclusion is only asserted where the premise
-    holds.
-    """
-    if not (0 < C <= B):
-        raise ValueError("need 0 < C <= B")
-    tmax = B**-0.5
-    t_grid = np.array([tmax * j / (grid_points + 1) for j in range(1, grid_points + 1)])
-
-    if mgf is None:
-        if z is None:
-            raise ValueError("need samples or an mgf callable")
-        z = np.asarray(z, dtype=np.float64)
-        mgf = lambda t: float(np.mean(np.exp(t * z)))  # noqa: E731
-    if tail is None and z is not None:
-        tail = lambda lam: float(np.mean(z >= lam))  # noqa: E731
-
-    premise = np.zeros(t_grid.size, dtype=bool)
-    conclusion = np.zeros(t_grid.size, dtype=bool)
-    with np.errstate(over="ignore"):
-        for i, t in enumerate(t_grid):
-            m_full = mgf(float(t))
-            m_half = mgf(float(t / 2))
-            if not (math.isfinite(m_full) and math.isfinite(m_half)):
-                premise[i] = False  # MGF blows up inside the grid
-                conclusion[i] = True
-                continue
-            var_half = m_full - m_half * m_half
-            premise[i] = var_half <= C * t * t * m_full + _tol(var_half)
-            psi = math.log(m_full)
-            bound = -2.0 * math.log(1.0 - C * t * t)
-            conclusion[i] = (not premise[i]) or psi <= bound + _tol(psi, bound)
-    tail_ok = True
-    tail_rows = []
-    if tail is not None and np.all(premise):
-        for lam in lambdas:
-            best = min(
-                float(np.exp(-t * lam) / (1.0 - C * t * t) ** 2) for t in t_grid
-            )
-            p = tail(float(lam))
-            tail_rows.append((float(lam), p, best))
-            tail_ok &= p <= best + _tol(p, best)
-    return MgfChainResult(
-        t_grid, premise, conclusion, tail_ok,
-        details={"tail_rows": tail_rows},
-    )
+    return RossignolResult(lhs, tail, lhs <= tail, case_small_a, case_small_tau)
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +460,31 @@ class FppExhaustiveResult:
         return self.es_holds and self.fs.holds
 
 
+def exhaustive_passage_times(box: Box, spec: Bernoulli, src: Site, dst: Site) -> np.ndarray:
+    """T for each of the 2^E configurations of a two-point law on a tiny box.
+
+    Bit e of the configuration index picks weight ``spec.b`` (set) or
+    ``spec.a`` for edge index e.  T is the minimum over the rows of ``P @ W``,
+    with P the simple-path matrix and W the weights of a block of
+    configurations, in the arithmetic ``passage_time`` uses for the law:
+    integers scaled by its ``int_scale`` when it has one, so every T is exact.
+    """
+    E = box.n_edges()
+    if E > K_MAX:
+        raise ValueError(f"edge count {E} exceeds the enumeration cap {K_MAX}")
+    P = simple_path_matrix(box, src, dst)
+    (lo, hi), scale = scaled_weights(np.array([spec.a, spec.b]), spec, box.n_sites())
+    bits = np.arange(E)[:, None]
+    values = np.empty(2**E)
+    for start in range(0, 2**E, _MASK_BLOCK):
+        masks = np.arange(start, min(start + _MASK_BLOCK, 2**E))
+        W = np.where((masks >> bits) & 1, hi, lo)
+        values[start : start + masks.size] = (P @ W).min(axis=0, initial=math.inf)
+    if scale is not None:
+        values /= scale
+    return values
+
+
 def fpp_exhaustive_check(
     box: Box, spec: Bernoulli, src: Site, dst: Site
 ) -> FppExhaustiveResult:
@@ -524,23 +494,13 @@ def fpp_exhaustive_check(
     in edge order."""
     if spec.p != 0.5:
         raise ValueError("exhaustive check assumes fair two-point weights")
-    E = box.n_edges()
-    if E > K_MAX:
-        raise ValueError(f"edge count {E} exceeds the enumeration cap {K_MAX}")
-    values = np.empty(2**E)
-    lo, hi = spec.a, spec.b
-    for mask in range(2**E):
-        w = np.where(
-            (mask >> np.arange(E)) & 1, hi, lo
-        ).astype(np.float64)
-        field = WeightField(box, w, 0, None)
-        values[mask] = brute_force_passage(field, src, dst)
-    f = HypercubeFunction(E, values)
+    values = exhaustive_passage_times(box, spec, src, dst)
+    f = HypercubeFunction(box.n_edges(), values)
     var = f.variance()
     # exact resampling bound: (1/4) sum_e E[(f - f o flip_e)^2]
     es = efron_stein_check(f)
     fs = falik_samorodnitsky_check(f)
-    return FppExhaustiveResult(E, var, es.rhs, es.holds, fs)
+    return FppExhaustiveResult(f.k, var, es.rhs, es.holds, fs)
 
 
 # ---------------------------------------------------------------------------

@@ -319,23 +319,6 @@ class TestAnimalWeights:
             assert 0.0 <= p <= 1.0 and ref == pytest.approx(math.exp(1 - beta))
 
 
-class TestMgfFromSweep:
-    def test_rescaled_sweep_statistic(self):
-        # centered, scaled passage times through the concentration chain:
-        # the premise is tested on the grid and the verdict reported
-        from fpplab.ineqlab import mgf_concentration_check
-
-        cfg = unit_config(spec=Uniform(0, 1), n_list=(16,), replicas=400)
-        records = run_sweep(cfg, threads=1)
-        ts = np.array([r.T for r in records])
-        z = (ts - ts.mean()) / ts.std(ddof=1)
-        res = mgf_concentration_check(z, C=2.0, B=2.0)
-        assert res.premise_ok.shape == (63,)
-        if res.premise_holds:
-            assert bool(np.all(res.conclusion_ok))
-            assert res.tail_ok
-
-
 class TestTailProfile:
     def test_gaussian_sanity(self):
         n = 64

@@ -14,22 +14,35 @@ from fpplab.ineqlab import (
     entropy,
     entropy_lower_bound_check,
     entropy_variational_check,
+    exhaustive_passage_times,
     falik_samorodnitsky_check,
     fexp,
     fpp_exhaustive_check,
     log_sobolev_check,
-    mgf_concentration_check,
     rossignol_check,
     run_randomized_suite,
     tensorization_check,
 )
+from fpplab import ineqlab
 from fpplab.lattice import Box
 from fpplab.weights import Bernoulli, WeightField
-from fpplab.fpp import brute_force_passage
+from fpplab.fpp import brute_force_passage, passage_time, simple_path_matrix
 
 
 def uniform_probs(k):
     return np.full(2**k, 0.5**k)
+
+
+BOX4 = Box((0, 0), (1, 1))  # 2x2 sites
+BOX7 = Box((0, 0), (2, 1))  # 3x2 sites
+BOX12 = Box((0, 0), (2, 2))  # 3x3 sites
+BOX17 = Box((0, 0), (3, 2))  # 4x3 sites
+
+
+def configuration(box: Box, spec: Bernoulli, mask: int) -> WeightField:
+    """Bit e of mask gives edge e weight spec.b, else spec.a."""
+    bits = (mask >> np.arange(box.n_edges())) & 1
+    return WeightField(box, np.where(bits, float(spec.b), float(spec.a)), 0, spec)
 
 
 class TestEntropy:
@@ -148,6 +161,27 @@ class TestFalikSamorodnitsky:
             order = list(rng.permutation(np.arange(1, 5)))
             assert falik_samorodnitsky_check(f.permuted(order)).holds
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_shared_moments_match_public_checks(self, seed):
+        # the right side and the increment bounds reuse one set of moments per
+        # increment; they must equal entropy() and entropy_lower_bound_check()
+        # run on each increment, bit for bit, vacuous increments included
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 7))
+        vals = rng.normal(0, 3, size=2**k)
+        if seed % 2:
+            # integer values that ignore coordinate 1: the means are exact in
+            # binary64, so its increment is exactly 0 and its bound vacuous
+            vals = np.repeat(rng.integers(-5, 6, size=2 ** (k - 1)), 2).astype(float)
+        f = HypercubeFunction(k, vals)
+        r = falik_samorodnitsky_check(f)
+        incs = MartingaleDecomposition(f).increments
+        assert r.rhs == math.fsum(entropy(d**2, uniform_probs(k)) for d in incs)
+        bounds = [entropy_lower_bound_check(np.abs(d)) for d in incs]
+        assert r.details["increment_bound_min_margin"] == min(b.margin for b in bounds)
+        assert any(b.vacuous for b in bounds) == bool(seed % 2)
+        assert r.details["sum_sq_mean_abs"] == math.fsum(fexp(np.abs(d)) ** 2 for d in incs)
+
 
 class TestLogSobolev:
     def test_unit_step(self):
@@ -244,35 +278,81 @@ class TestRossignol:
         with pytest.raises(ValueError):
             rossignol_check(f, Fraction(1, 2), Fraction(1, 2))
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_midpoint_reference(self, data):
+        # breaks, levels, a and tau each with their own denominators
+        f, a, tau = data.draw(step_instances())
+        r = rossignol_check(f, a, tau)
+        want = reference_rossignol(f, a, tau)
+        assert (r.lhs, r.always_rhs, r.always_holds) == want[:3]
+        assert r.case_small_a == want[3]
+        assert r.case_small_tau == want[4]
+        assert all(type(x) is Fraction for x in (r.lhs, r.always_rhs))
 
-class TestMgfChain:
-    def test_degenerate_zero(self):
-        r = mgf_concentration_check(np.zeros(100), C=1.0, B=1.0)
-        assert r.holds
 
-    def test_gaussian_exact_mgf(self):
-        # E e^{tZ} = e^{t^2/2} for standard normal: premise holds with C = 1
-        r = mgf_concentration_check(
-            None, C=1.0, B=1.0,
-            mgf=lambda t: math.exp(t * t / 2.0),
-            tail=None,
+def reference_integrate_sq(f: StepFunction, lo: Fraction, hi: Fraction) -> Fraction:
+    """Integral of f^2 over [lo, hi], evaluating f at each piece's midpoint."""
+    pts = sorted({lo, hi, *[b for b in f.breaks if lo < b < hi]})
+    total = Fraction(0)
+    for a, b in zip(pts, pts[1:]):
+        total += f((a + b) / 2) ** 2 * (b - a)
+    return total
+
+
+def reference_integrate_shift_sq(f: StepFunction, tau: Fraction) -> Fraction:
+    """Integral of (f(x) - f(x - tau))^2 over [tau, 1], by midpoints."""
+    pts = {tau, Fraction(1)}
+    for b in f.breaks:
+        for p in (b, b + tau):
+            if tau < p < 1:
+                pts.add(p)
+    pts = sorted(pts)
+    total = Fraction(0)
+    for a, b in zip(pts, pts[1:]):
+        mid = (a + b) / 2
+        total += (f(mid) - f(mid - tau)) ** 2 * (b - a)
+    return total
+
+
+def reference_rossignol(f: StepFunction, a: Fraction, tau: Fraction):
+    """(lhs, always_rhs, always_holds, case_small_a, case_small_tau) in Fractions."""
+    lhs = reference_integrate_shift_sq(f, tau)
+    tail = reference_integrate_sq(f, 1 - tau, Fraction(1))
+    full_sq = reference_integrate_sq(f, Fraction(0), Fraction(1))
+    small_a = (2 * a * full_sq, lhs <= 2 * a * full_sq) if a <= tau else None
+    small_tau = (
+        (2 * tau * full_sq, lhs <= 2 * tau * full_sq) if tau <= a <= Fraction(1, 2) else None
+    )
+    return lhs, tail, lhs <= tail, small_a, small_tau
+
+
+@st.composite
+def step_instances(draw):
+    denominators = st.integers(min_value=2, max_value=60)
+    breaks = set()
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        d = draw(denominators)
+        breaks.add(Fraction(draw(st.integers(min_value=1, max_value=d - 1)), d))
+    breaks = tuple(sorted(breaks))
+    steps = st.builds(
+        Fraction, st.integers(min_value=0, max_value=30), st.integers(min_value=1, max_value=24)
+    )
+    levels = [draw(steps)]
+    for _ in breaks:
+        levels.append(levels[-1] + draw(steps))
+    f = StepFunction(breaks, tuple(levels))
+    a_min = f.constant_from()
+    d = draw(denominators)
+    a = draw(
+        st.one_of(
+            st.just(a_min),
+            st.integers(min_value=math.ceil(a_min * d), max_value=d).map(lambda n: Fraction(n, d)),
         )
-        assert r.premise_holds
-        assert r.holds
-
-    def test_empirical_tail(self):
-        rng = np.random.default_rng(8)
-        z = rng.normal(0, 1, size=20000)
-        r = mgf_concentration_check(z, C=2.0, B=2.0)
-        assert r.premise_holds  # generous C absorbs sampling noise
-        assert bool(np.all(r.conclusion_ok))
-
-    def test_premise_failure_reported(self):
-        # heavy-tailed Z with tiny C: the premise must fail somewhere
-        rng = np.random.default_rng(9)
-        z = rng.exponential(5.0, size=5000)
-        r = mgf_concentration_check(z, C=1e-6, B=1e-6)
-        assert not r.premise_holds  # reported, no exception
+    )
+    d = draw(denominators)
+    tau = Fraction(draw(st.integers(min_value=1, max_value=d // 2)), d)
+    return f, a, tau
 
 
 class TestFppExhaustive:
@@ -303,6 +383,62 @@ class TestFppExhaustive:
         assert res.var_T == 0.0
         assert res.es_bound == 0.0
         assert res.holds
+
+    @pytest.mark.parametrize("box, n_paths", [(BOX4, 2), (BOX7, 4), (BOX12, 12), (BOX17, 38)])
+    def test_simple_path_counts(self, box, n_paths):
+        P = simple_path_matrix(box, (0, 0), box.hi)
+        assert P.shape == (n_paths, box.n_edges())
+        assert len({row.tobytes() for row in P}) == n_paths
+        # a path's length has the parity of |dst - src|_1 on the square lattice
+        assert np.all((P.sum(axis=1) - sum(box.hi)) % 2 == 0)
+
+    @pytest.mark.parametrize("box", [BOX4, BOX7], ids=["4_edges", "7_edges"])
+    @pytest.mark.parametrize(
+        "spec", [Bernoulli(1, 2, 0.5), Bernoulli(0.25, 1.5, 0.5), Bernoulli(0.1, 0.3, 0.5)]
+    )
+    def test_small_boxes_match_dijkstra(self, box, spec):
+        T = exhaustive_passage_times(box, spec, (0, 0), box.hi)
+        for mask in range(2 ** box.n_edges()):
+            res = passage_time(configuration(box, spec, mask), (0, 0), box.hi, grow=False)
+            assert res.T == T[mask]
+
+    @pytest.mark.parametrize("box", [BOX12, BOX17], ids=["12_edges", "17_edges"])
+    def test_large_boxes_efron_stein_and_falik_samorodnitsky(self, box):
+        res = fpp_exhaustive_check(box, Bernoulli(1, 2, 0.5), (0, 0), box.hi)
+        assert res.n_edges == box.n_edges()
+        assert res.var_T > 0
+        assert res.es_holds and res.var_T <= res.es_bound
+        assert not res.fs.vacuous
+        assert res.fs.holds and res.fs.margin >= 0
+        assert res.fs.details["increment_bound_min_margin"] >= 0
+
+    def test_17_edge_box_spot_checks_against_dijkstra(self):
+        spec = Bernoulli(1, 2, 0.5)
+        T = exhaustive_passage_times(BOX17, spec, (0, 0), BOX17.hi)
+        # masks from every block of the enumeration
+        for mask in np.random.default_rng(0).integers(0, 2**17, size=300):
+            field = configuration(BOX17, spec, int(mask))
+            assert passage_time(field, (0, 0), BOX17.hi, grow=False).T == T[mask]
+
+    def test_blocks_do_not_change_the_result(self, monkeypatch):
+        spec = Bernoulli(1, 2, 0.5)
+        whole = exhaustive_passage_times(BOX12, spec, (0, 0), BOX12.hi)
+        monkeypatch.setattr(ineqlab, "_MASK_BLOCK", 100)  # a partial last block
+        assert np.array_equal(exhaustive_passage_times(BOX12, spec, (0, 0), BOX12.hi), whole)
+
+    @pytest.mark.parametrize("spec", [Bernoulli(0, 1, 0.5), Bernoulli(1, 2, 0.5)])
+    def test_12_edge_box_every_configuration(self, spec):
+        # on every configuration: T equals an independent Dijkstra, and the
+        # edges on every geodesic are the edges common to all argmin rows of P
+        P = simple_path_matrix(BOX12, (0, 0), BOX12.hi)
+        T = exhaustive_passage_times(BOX12, spec, (0, 0), BOX12.hi)
+        for mask in range(2**12):
+            field = configuration(BOX12, spec, mask)
+            res = passage_time(field, (0, 0), BOX12.hi, grow=False)
+            assert res.T == T[mask]
+            costs = P @ field.weights
+            on_all = np.all(P[costs == costs.min()] > 0, axis=0)
+            assert sorted(res.gint_edge_idx.tolist()) == np.flatnonzero(on_all).tolist(), mask
 
 
 class TestSuite:
