@@ -1,7 +1,7 @@
 """Monte Carlo sweep engine and statistical reductions: variance summaries
 with bootstrap confidence intervals, fluctuation-exponent fits, sublinearity
 profiles, empirical Efron-Stein bounds, per-edge influence maps on the torus,
-geodesic geometry statistics, geodesic weight sums, and concentration tails.
+geodesic geometry statistics and geodesic weight sums.
 
 Replica r of a sweep with master seed s draws its field from mix64(s, r), so
 record streams are bit-identical for identical configurations regardless of
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import chdtrc
 
 from .fpp import (
     PassageResult,
@@ -402,7 +402,9 @@ def influence_map(records: Sequence[ReplicaRecord], d: int) -> dict[int, Influen
                 pvals[axis] = 1.0
                 continue
             stat = float(np.sum((c - expected) ** 2 / expected))
-            pvals[axis] = float(sps.chi2.sf(stat, df=c.size - 1))
+            # the chi-square survival function itself: scipy.stats.chi2.sf
+            # calls chdtrc, and importing scipy.stats would double start-up
+            pvals[axis] = float(chdtrc(c.size - 1, stat))
         out[n] = InfluenceMap(
             n, freq, pvals, float(freq.max()), float(counts.sum() / reps)
         )
@@ -431,67 +433,6 @@ def geodesic_window_stats(
     if not out:
         raise ValueError("no window counts recorded")
     return out
-
-
-@dataclass
-class AnimalWeightStats:
-    mean_y: dict[int, float]
-    mean_y_over_n: dict[int, float]
-    tail_rows: list[tuple[int, float, float, float]]  # (n, beta, P(Y >= beta n), e^{1-beta})
-    bounded_factor: float
-
-
-def animal_weight_stats(records: Sequence[ReplicaRecord]) -> AnimalWeightStats:
-    """Geodesic weight-sum statistics Y_n = sum over G_n of (1 - log F(t_e))."""
-    mean_y = {}
-    tail_rows = []
-    for n, recs in by_n(records).items():
-        ys = np.array([r.Y_n for r in recs if r.Y_n is not None])
-        if ys.size == 0:
-            continue
-        mean_y[n] = float(ys.mean())
-        for beta in (1.0, 2.0, 4.0, 8.0):
-            tail_rows.append(
-                (n, beta, float(np.mean(ys >= beta * n)), math.exp(1.0 - beta))
-            )
-    if not mean_y:
-        raise ValueError("no Y_n recorded")
-    over = {n: y / n for n, y in mean_y.items()}
-    vals = list(over.values())
-    factor = max(vals) / min(vals) if min(vals) > 0 else math.inf
-    return AnimalWeightStats(mean_y, over, tail_rows, factor)
-
-
-@dataclass
-class TailProfile:
-    n: int
-    lambdas: np.ndarray
-    lower_prob: np.ndarray
-    two_sided_prob: np.ndarray
-    log_decreasing: bool
-
-
-def tail_profile(records: Sequence[ReplicaRecord], n: int, min_exceed: int = 5) -> TailProfile:
-    """Empirical P(T - mean <= -lam sqrt(n / log n)) over a lambda grid."""
-    recs = [r for r in records if r.n == n]
-    if len(recs) < 1000:
-        raise ValueError("tail profile needs at least 1000 replicas")
-    T = np.array([r.T for r in recs])
-    s = math.sqrt(n / math.log(n))
-    mean = T.mean()
-    lams, lo, two = [], [], []
-    for lam in np.arange(0.0, 8.01, 0.5):
-        low = float(np.mean(T - mean <= -lam * s))
-        ts = float(np.mean(np.abs(T - mean) >= lam * s))
-        if lam > 0 and ts * T.size < min_exceed:
-            break
-        lams.append(lam)
-        lo.append(low)
-        two.append(ts)
-    lo_arr = np.array(lo)
-    nz = lo_arr[lo_arr > 0]
-    decreasing = bool(np.all(np.diff(nz) <= 1e-12)) if nz.size > 1 else True
-    return TailProfile(n, np.array(lams), lo_arr, np.array(two), decreasing)
 
 
 @dataclass

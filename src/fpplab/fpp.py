@@ -279,21 +279,21 @@ def _intersection(dag_from, dag_to, dag_edge, keys, d_src, src: int, dst: int):
 
     ``keys`` names what each DAG arc is judged as: its own edge in a box, the
     torus edge it covers on the cylinder.  A key is in when one of its arcs
-    has positive length and no other arc meets the interior of its interval.
-    A positive-length arc that another arc meets is avoided by the path
-    through that arc, and so is a zero-length arc whose level lies inside a
-    positive-length arc.  Keys left undecided (uncovered zero-length arcs, or
-    arcs of several distinct edges) get the exact reachability check.
+    has positive length and no other positive-length arc meets the interior
+    of its interval; the path through that other arc avoids it.  Zero-length
+    arcs need no count of their own: a path through one at level t > 0 first
+    reaches t by a positive-length arc ending at t, and that arc already meets
+    every positive-length arc with t inside its interval.  Keys left undecided
+    (uncovered zero-length arcs, or arcs of several distinct edges) get the
+    exact reachability check.
     """
     lo, hi = d_src[dag_from], d_src[dag_to]
     pos = lo < hi
-    starts, ends, points = np.sort(lo[pos]), np.sort(hi[pos]), np.sort(lo[~pos])
+    starts, ends = np.sort(lo[pos]), np.sort(hi[pos])
     # positive-length arcs b with lo_b < hi and hi_b > lo: for a positive arc
     # this counts the arc itself, for a zero-length arc at t those around t
     crossing = np.searchsorted(starts, hi) - np.searchsorted(ends, lo, side="right")
-    # zero-length arcs strictly inside (lo, hi)
-    inside = np.searchsorted(points, hi) - np.searchsorted(points, lo, side="right")
-    sole = pos & (crossing == 1) & (inside == 0)
+    sole = pos & (crossing == 1)
     uk, inv = np.unique(keys, return_inverse=True)
     rep = np.empty(uk.size, dtype=np.int64)
     rep[inv] = dag_edge  # one edge per key; any other edge makes the key multi-edge

@@ -38,10 +38,6 @@ def add(a: Site, b: Site) -> Site:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def l1_norm(a: Site) -> int:
-    return sum(abs(x) for x in a)
-
-
 def ball(m: int, d: int) -> list[Site]:
     """All sites x with ||x||_1 <= m, in lexicographic order."""
     if m < 0:

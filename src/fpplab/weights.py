@@ -1,4 +1,4 @@
-"""Edge-weight distributions, reproducible sampling, and the dyadic encoding.
+"""Edge-weight distributions and reproducible sampling.
 
 Sampling is counter-based: the weight of edge ``i`` under master seed ``s`` is
 ``F_inv(uniform53(mix64(s, i)))``, so fields are pure functions of
@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -561,68 +560,3 @@ def sample_weights(spec: DistributionSpec, seed: int, count: int) -> np.ndarray:
         out[start : start + u.size] = spec.inv_cdf_array(u)
         out[start + zero] = spec.support_inf()
     return out
-
-
-# ----------------------------------------------------------------------------
-# Dyadic Bernoulli encoding: U = sum_j bits_j 2^-j, weight = F^{-1}(U).
-# ----------------------------------------------------------------------------
-
-DEFAULT_DYADIC_DEPTH = 53
-
-
-@dataclass
-class DyadicCode:
-    """Per-edge fair-bit vectors of truncation depth J encoding uniforms."""
-
-    bits: np.ndarray  # shape (n_edges, J), entries in {0, 1}
-    J: int
-
-    def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=np.uint8)
-        if self.bits.ndim != 2 or self.bits.shape[1] != self.J:
-            raise ValueError("bits must have shape (n_edges, J)")
-
-    @classmethod
-    def sample(cls, seed: int, n_edges: int, J: int = DEFAULT_DYADIC_DEPTH) -> "DyadicCode":
-        z = mix64_array(seed, np.arange(n_edges, dtype=np.uint64))
-        j = np.arange(1, J + 1, dtype=np.uint64)
-        bits = ((z[:, None] >> (np.uint64(64) - j[None, :])) & np.uint64(1)).astype(np.uint8)
-        return cls(bits, J)
-
-    def uniforms(self) -> np.ndarray:
-        weights = 0.5 ** np.arange(1, self.J + 1)
-        return self.bits @ weights
-
-
-def dyadic_value(bits: Sequence[int]) -> float:
-    """U = sum_j bits[j-1] * 2^-j for a single bit vector."""
-    return float(sum(b * 2.0**-j for j, b in enumerate(bits, start=1)))
-
-
-def dyadic_flip(
-    code: DyadicCode, spec: DistributionSpec, edge_idx: int, j: int, direction: str
-) -> tuple[DyadicCode, float]:
-    """Set bit j of one edge to 1 ('+') or 0 ('-'); return new code and weight.
-
-    Matches the plus/minus configurations used when bounding discrete
-    derivatives: the bit is forced, not toggled.
-    """
-    if not (1 <= j <= code.J):
-        raise ValueError(f"bit index {j} out of range [1, {code.J}]")
-    if direction not in ("+", "-"):
-        raise ValueError("direction must be '+' or '-'")
-    bits = code.bits.copy()
-    bits[edge_idx, j - 1] = 1 if direction == "+" else 0
-    new = DyadicCode(bits, code.J)
-    u = dyadic_value(bits[edge_idx])
-    value = spec.inv_cdf(u) if u > 0 else spec.support_inf()
-    return new, value
-
-
-def log_cdf_weight(spec: DistributionSpec, t: float) -> float:
-    """w = 1 - log F(t); satisfies P(w >= r) <= e^{1-r} under t ~ spec."""
-    F = spec.cdf(t)
-    if F <= 0.0:
-        raise ValueError(f"F({t}) = 0; weight below support infimum")
-    return 1.0 - math.log(F)
-

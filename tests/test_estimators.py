@@ -16,7 +16,6 @@ from fpplab.estimators import (
     run_sweep,
     sublinearity_profile,
     summarize,
-    tail_profile,
 )
 from fpplab.fpp import passage_time, brute_force_passage, torus_passage
 from fpplab.lattice import Box, Torus, point_window
@@ -275,6 +274,56 @@ class TestInfluence:
         assert inf[4].mean_g_size == pytest.approx(mean_g)
         assert inf[4].frequencies.sum() == pytest.approx(mean_g)
 
+    @staticmethod
+    def _scipy_stats_pvalues(records, d):
+        from scipy import stats  # the tests may load scipy.stats; fpplab may not
+
+        out = {}
+        for n, recs in by_n(records).items():
+            counts = np.sum([r.g_bitmap for r in recs], axis=0).astype(np.float64)
+            out[n] = {}
+            for axis in range(d):
+                c = counts[axis::d]
+                expected = c.mean()
+                if expected == 0:
+                    out[n][axis] = 1.0
+                    continue
+                stat = float(np.sum((c - expected) ** 2 / expected))
+                out[n][axis] = float(stats.chi2.sf(stat, df=c.size - 1))
+        return out
+
+    def test_pvalues_equal_scipy_stats_on_torus_sweeps(self):
+        cfg = unit_config(
+            model="fpp-torus", spec=Bernoulli(1, 2, 0.5), n_list=(4, 8), replicas=40
+        )
+        records = run_sweep(cfg, threads=1)
+        inf = influence_map(records, 2)
+        ref = self._scipy_stats_pvalues(records, 2)
+        assert {n: im.axis_pvalues for n, im in inf.items()} == ref
+        assert all(any(0.0 < p < 1.0 for p in pv.values()) for pv in ref.values())
+
+    def test_pvalues_equal_scipy_stats_on_hand_made_bitmaps(self):
+        rng = np.random.default_rng(9)
+        records = []
+        # group n: edge count, replicas, membership probability
+        for n, (edges, reps, prob) in enumerate(
+            [(4, 3, 0.5), (6, 10, 0.3), (34, 25, 0.1), (2048, 50, 0.02), (512, 40, 0.9)]
+        ):
+            for i in range(reps):
+                records.append(ReplicaRecord(n, i, 0.0, g_bitmap=rng.random(edges) < prob))
+        skewed = np.zeros(64, dtype=bool)
+        skewed[:4] = True  # a few edges always in: p far below any float tail
+        records += [ReplicaRecord(5, i, 0.0, g_bitmap=skewed) for i in range(30)]
+        # axis 0 has equal counts (stat 0); axis 1 is never used (no test, p = 1)
+        even = np.array([True, False] * 8)
+        records += [ReplicaRecord(6, i, 0.0, g_bitmap=even) for i in range(3)]
+        inf = influence_map(records, 2)
+        assert {n: im.axis_pvalues for n, im in inf.items()} == self._scipy_stats_pvalues(
+            records, 2
+        )
+        assert inf[5].axis_pvalues[0] < 1e-100
+        assert inf[6].axis_pvalues == {0: 1.0, 1: 1.0}
+
 
 class TestGeometryStats:
     def test_window_ratio_unit_weights(self):
@@ -308,36 +357,21 @@ class TestAnimalWeights:
             assert rec.Y_n >= rec.g_int_size - 1e-9  # each w_e >= 1
 
     def test_mean_ratio_bounded(self):
-        from fpplab.estimators import animal_weight_stats
-
+        # E[Y_n] / n stays within a bounded factor across n, and the empirical
+        # tails P(Y_n >= beta n) fall as beta grows
         cfg = unit_config(spec=Uniform(0, 1), n_list=(8, 16, 32), replicas=60)
         records = run_sweep(cfg, threads=1)
-        stats = animal_weight_stats(records)
-        assert stats.bounded_factor <= 3.0
-        assert set(stats.mean_y) == {8, 16, 32}
-        for n, beta, p, ref in stats.tail_rows:
-            assert 0.0 <= p <= 1.0 and ref == pytest.approx(math.exp(1 - beta))
-
-
-class TestTailProfile:
-    def test_gaussian_sanity(self):
-        n = 64
-        s = math.sqrt(n / math.log(n))
-        rng = np.random.default_rng(5)
-        records = [
-            ReplicaRecord(n, i, float(rng.normal(100.0, s))) for i in range(4000)
-        ]
-        prof = tail_profile(records, n)
-        assert prof.lower_prob[0] == pytest.approx(0.5, abs=0.03)
-        # Gaussian envelope: P(Z <= -lam) ~ exp(-lam^2/2)
-        for lam, p in zip(prof.lambdas, prof.lower_prob):
-            if 0 < lam <= 3 and p > 0:
-                assert p <= math.exp(-lam * lam / 2) * 3
-        assert prof.log_decreasing
-
-    def test_needs_replicas(self):
-        with pytest.raises(ValueError):
-            tail_profile([ReplicaRecord(8, i, 1.0) for i in range(10)], 8)
+        groups = by_n(records)
+        assert set(groups) == {8, 16, 32}
+        over = {}
+        for n, recs in groups.items():
+            ys = np.array([r.Y_n for r in recs])
+            over[n] = float(ys.mean()) / n
+            tails = [float(np.mean(ys >= beta * n)) for beta in (1.0, 2.0, 4.0, 8.0)]
+            assert all(0.0 <= p <= 1.0 for p in tails)
+            assert tails == sorted(tails, reverse=True)
+        assert min(over.values()) > 0
+        assert max(over.values()) / min(over.values()) <= 3.0
 
 
 class TestFnComparison:

@@ -1,0 +1,31 @@
+"""What importing fpplab loads, checked in a fresh interpreter.
+
+The test session itself imports scipy.stats (tests/test_lpp.py), so only a
+new process shows what the package pulls in on its own.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _loaded_modules(statement: str) -> list[str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    code = f"{statement}\nimport sys\nprint('\\n'.join(sorted(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.split()
+
+
+@pytest.mark.parametrize("module", ["fpplab", "fpplab.cli"])
+def test_import_does_not_load_scipy_stats(module):
+    mods = _loaded_modules(f"import {module}")
+    assert module in mods
+    assert [m for m in mods if m == "scipy.stats" or m.startswith("scipy.stats.")] == []

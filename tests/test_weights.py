@@ -3,21 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fpplab.lattice import Torus, point_window
 from fpplab.weights import (
     Bernoulli,
-    DyadicCode,
     Exponential,
     Geometric,
     TableCDF,
     Uniform,
     WeightField,
-    dyadic_flip,
-    dyadic_value,
-    log_cdf_weight,
     mix64,
     mix64_array,
     parse_spec,
@@ -212,55 +206,8 @@ class TestStream:
         assert digest == _STREAM_DIGESTS.get((spec.name, count), empty)
 
 
-class TestDyadic:
-    def test_single_bit(self):
-        assert dyadic_value([1]) == 0.5
-
-    def test_101(self):
-        assert dyadic_value([1, 0, 1]) == 0.625
-
-    def test_flip_examples(self):
-        code = DyadicCode(np.array([[1, 0, 1]], dtype=np.uint8), 3)
-        spec = Uniform(0, 1)
-        new, w = dyadic_flip(code, spec, 0, 2, "+")
-        assert dyadic_value(new.bits[0]) == 0.875
-        assert w == pytest.approx(0.875)
-        new, w = dyadic_flip(code, spec, 0, 1, "-")
-        assert dyadic_value(new.bits[0]) == 0.125
-
-    def test_flip_changes_by_power_of_two(self):
-        code = DyadicCode.sample(3, 16, J=20)
-        u0 = code.uniforms()
-        for j in (1, 5, 20):
-            plus, _ = dyadic_flip(code, Uniform(0, 1), 4, j, "+")
-            minus, _ = dyadic_flip(code, Uniform(0, 1), 4, j, "-")
-            du = plus.uniforms()[4] - minus.uniforms()[4]
-            assert du == pytest.approx(2.0**-j, abs=0)
-            assert np.array_equal(np.delete(plus.uniforms(), 4), np.delete(u0, 4))
-
-    def test_bad_bit_index(self):
-        code = DyadicCode.sample(0, 4, J=8)
-        with pytest.raises(ValueError):
-            dyadic_flip(code, Uniform(0, 1), 0, 9, "+")
-
-    def test_truncation_agrees_with_direct_sampling(self):
-        # J = 53 bit codes reproduce the uniform53 stream to 2^-53
-        code = DyadicCode.sample(11, 64, J=53)
-        direct = sample_uniforms(11, 64)
-        assert np.all(np.abs(code.uniforms() - direct) <= 2.0**-53 + 1e-18)
-
-
 class TestLogCdfWeight:
-    def test_full_mass_gives_one(self):
-        assert log_cdf_weight(Bernoulli(1, 2, 0.5), 2.0) == 1.0
-
-    def test_uniform_example(self):
-        assert log_cdf_weight(Uniform(0, 1), math.exp(-1)) == pytest.approx(2.0)
-
-    def test_below_support(self):
-        with pytest.raises(ValueError):
-            log_cdf_weight(Uniform(0.5, 1.0), 0.2)
-
+    # w = 1 - log F(t), the weight criterion 10 computes, has P(w >= r) <= e^{1-r}
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
     def test_exponential_tail_bound(self, spec):
         n = 10**5
@@ -301,10 +248,3 @@ class TestIntScale:
     def test_continuous_none(self):
         assert Uniform(0, 1).int_scale() is None
         assert Exponential(2.0).int_scale() is None
-
-
-@given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=30))
-@settings(max_examples=50, deadline=None)
-def test_dyadic_value_bounds(bits):
-    v = dyadic_value(bits)
-    assert 0.0 <= v <= 1.0 - 2.0 ** -len(bits)
