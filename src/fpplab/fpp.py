@@ -157,7 +157,11 @@ class PassageResult:
     first time it is read; a torus result has none.
     ``dag_edge_idx`` and ``gint_edge_idx`` hold region edge indices; the
     EdgeId views are built on demand.  A result without geometry has an empty
-    ``sample_path``.
+    ``sample_path``.  In a box ``sample_path`` is a simple geodesic.  On the
+    torus it is a closed walk of unit steps from a cut site back to itself,
+    winding once around axis 0, of weight T; it is a simple cycle unless the
+    law has an atom at 0, when it can revisit a site through a zero-weight
+    loop.
     """
 
     T_eff: float
@@ -620,6 +624,9 @@ def torus_passage(field: WeightField, want_geometry: bool = True) -> PassageResu
     edges.  The intersection is taken over the minimizing cycles of every
     minimizing cut site.  The searches stop at the cheapest straight winding
     cycle, which costs at least T, so they find what a full search would.
+    The sample path is a closed walk of weight T, and under a law with an
+    atom at 0 it can revisit a site through a zero-weight loop (29 of 120
+    ``Bernoulli(0, 1, 0.3)`` tori at n = 4, 8, 16 do); see ``PassageResult``.
     """
     region = field.region
     if not isinstance(region, Torus):

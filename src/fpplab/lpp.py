@@ -4,33 +4,94 @@ Vertex weights sit on ([0,n] x [0,n]) and paths step by (1,0) or (0,1); the
 last-passage time is the maximal path sum.  The default weight law is
 geometric with mean one (P(k) = (1/2)^(k+1) on {0,1,2,...}), whose rescaled
 fluctuations follow the GUE Tracy-Widom law with exponent 1/3.
+
+A grid stores its weights by anti-diagonal, so the DP reads each diagonal as
+one contiguous slice.  Cell (i, j) still draws from counter i*(n+1)+j, so a
+sampled grid holds the very weights of the row-major stream, only reordered.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .weights import DistributionSpec, Geometric, sample_weights
+from .weights import DistributionSpec, Geometric, counter_keys, sample_weights
 
 
-@dataclass
+@lru_cache(maxsize=8)
+def _layout(n: int) -> tuple[np.ndarray, tuple[tuple[slice, slice, slice, slice], ...]]:
+    """The anti-diagonal order of size n as ``(keys, plan)``, built once per n.
+
+    Diagonal k = 0..2n holds cells (i, k-i), i0 <= i <= i1 with i0 = max(0, k-n)
+    and i1 = min(k, n), by increasing i, right after diagonal k-1.  ``plan[k]``
+    is ``(row, below, cells, strided)``: the slices of rows i and i-1 in a DP
+    buffer indexed by row at offset 1, the diagonal's cells in that order, and
+    the same cells in the row-major (n+1)^2 array, where (i, k-i) sits at
+    k + i*n.  ``keys`` (read-only) are the counter keys of the cells in order.
+    """
+    plan = []
+    off = 0
+    for k in range(2 * n + 1):
+        i0, i1 = max(0, k - n), min(k, n)
+        m = i1 - i0 + 1
+        strided = slice(k + i0 * n, k + i1 * n + 1, max(n, 1))
+        plan.append((slice(i0 + 1, i1 + 2), slice(i0, i1 + 1), slice(off, off + m), strided))
+        off += m
+    flat_index = np.arange(off, dtype=np.uint64)
+    counters = np.empty_like(flat_index)
+    for *_, cells, strided in plan:
+        counters[cells] = flat_index[strided]
+    keys = counter_keys(counters)
+    keys.flags.writeable = False
+    return keys, tuple(plan)
+
+
 class LppGrid:
-    """(n+1) x (n+1) nonnegative vertex weights for paths (0,0) -> (n,n)."""
+    """(n+1) x (n+1) nonnegative vertex weights for paths (0,0) -> (n,n).
+
+    ``diagonals`` holds the weights in the anti-diagonal order of
+    :func:`_layout`.  ``vertex_weights`` rebuilds the (n+1) x (n+1) array, as a
+    fresh read-only copy, each time it is read.
+    """
 
     n: int
-    vertex_weights: np.ndarray
-    spec: Optional[DistributionSpec] = None
+    diagonals: np.ndarray
+    spec: Optional[DistributionSpec]
 
-    def __post_init__(self):
-        self.vertex_weights = np.asarray(self.vertex_weights, dtype=np.float64)
-        if self.vertex_weights.shape != (self.n + 1, self.n + 1):
+    def __init__(self, n: int, vertex_weights, spec: Optional[DistributionSpec] = None):
+        w = np.asarray(vertex_weights, dtype=np.float64)
+        if w.shape != (n + 1, n + 1):
             raise ValueError("vertex weight array must be (n+1) x (n+1)")
-        if not np.all(self.vertex_weights >= 0):
+        flat = w.reshape(-1)
+        diagonals = np.empty(flat.size)
+        for *_, cells, strided in _layout(n)[1]:
+            diagonals[cells] = flat[strided]
+        self._store(n, diagonals, spec)
+
+    @classmethod
+    def _from_diagonals(
+        cls, n: int, diagonals: np.ndarray, spec: Optional[DistributionSpec]
+    ) -> "LppGrid":
+        grid = cls.__new__(cls)
+        grid._store(n, diagonals, spec)
+        return grid
+
+    def _store(self, n, diagonals, spec):
+        if not np.all(diagonals >= 0):
             raise ValueError("negative or NaN vertex weight")
+        self.n, self.diagonals, self.spec = n, diagonals, spec
+
+    @property
+    def vertex_weights(self) -> np.ndarray:
+        flat = np.empty(self.diagonals.size)
+        for *_, cells, strided in _layout(self.n)[1]:
+            flat[strided] = self.diagonals[cells]
+        w = flat.reshape(self.n + 1, self.n + 1)
+        w.flags.writeable = False
+        return w
 
 
 def default_spec() -> Geometric:
@@ -38,31 +99,34 @@ def default_spec() -> Geometric:
 
 
 def sample_grid(n: int, seed: int, spec: Optional[DistributionSpec] = None) -> LppGrid:
-    """Deterministic grid: vertex (i, j) draws from mix64(seed, i*(n+1)+j)."""
+    """Deterministic grid: vertex (i, j) draws from mix64(seed, i*(n+1)+j).
+
+    The draws are made in anti-diagonal order, from the keys of :func:`_layout`.
+    """
     if spec is None:
         spec = default_spec()
-    w = sample_weights(spec, seed, (n + 1) * (n + 1))
-    return LppGrid(n, w.reshape(n + 1, n + 1), spec)
+    keys = _layout(n)[0]
+    return LppGrid._from_diagonals(n, sample_weights(spec, seed, keys.size, keys), spec)
 
 
 def last_passage_value(grid: LppGrid) -> float:
     """T_n by anti-diagonal dynamic programming, O(n) memory.
 
-    Cell (i, k-i) sits at flat index k + i*n, so each anti-diagonal is a
-    strided view.  Two buffers hold consecutive diagonals by row, at offset 1,
-    with -inf wherever a row has no cell; so row i takes max(row i, row i-1)
-    of the previous diagonal plus its weight, with no special end cells.
+    Each anti-diagonal is one contiguous slice of ``grid.diagonals``, and the
+    plan of :func:`_layout` gives its slices.  Two buffers hold consecutive
+    diagonals by row, at offset 1, with -inf wherever a row has no cell; so
+    row i takes max(row i, row i-1) of the previous diagonal plus its weight,
+    with no special end cells.
     """
     n = grid.n
-    flat = np.ascontiguousarray(grid.vertex_weights).reshape(-1)
+    d = grid.diagonals
     prev = np.full(n + 2, -np.inf)
     cur = prev.copy()
-    prev[1] = flat[0]
-    for k in range(1, 2 * n + 1):
-        i0, i1 = max(0, k - n), min(k, n)
-        out = cur[i0 + 1 : i1 + 2]
-        np.maximum(prev[i0 + 1 : i1 + 2], prev[i0 : i1 + 1], out=out)
-        out += flat[k + i0 * n : k + i1 * n + 1 : n]
+    prev[1] = d[0]
+    for row, below, cells, _ in _layout(n)[1][1:]:
+        out = cur[row]
+        np.maximum(prev[row], prev[below], out=out)
+        out += d[cells]
         prev, cur = cur, prev
     return float(prev[n + 1])
 

@@ -17,6 +17,10 @@ Sampling is counter-based: the weight of edge ``i`` under master seed ``s`` is
 :func:`sample_weights` walks the counter stream in blocks of ``_BLOCK`` draws,
 so the hash, uniform and inverse-CDF temporaries stay in cache.  Draw ``i``
 depends only on ``(seed, i)``, so the block size never shows in the output.
+The same walk can take its counters in another order, as premultiplied keys
+``c * C2 mod 2^64`` (:func:`counter_keys`): a block then adds the seed term to
+a slice of the keys where it would add it to ``j * C2``, one add per draw
+either way.  :mod:`fpplab.lpp` draws its grid by anti-diagonal this way.
 Every ``inv_cdf_array`` must return exactly ``inv_cdf`` of each input, bit for
 bit; the array form is only a faster way to the same numbers.
 """
@@ -51,9 +55,14 @@ def mix64(a: int, b: int) -> int:
     return z
 
 
+def counter_keys(counters: np.ndarray) -> np.ndarray:
+    """Keys ``c * C2 mod 2^64`` of counters ``c``, for ``sample_weights(keys=...)``."""
+    return np.multiply(counters, np.uint64(_C2), dtype=np.uint64, casting="unsafe")
+
+
 def mix64_array(a: int, b: np.ndarray) -> np.ndarray:
     """Vectorized mix64 over an integer counter array; ``b`` is left unchanged."""
-    z = np.multiply(b, np.uint64(_C2), dtype=np.uint64, casting="unsafe")
+    z = counter_keys(b)
     z += np.uint64((a * _C1 + _C3) & _M64)
     return _finalize64(z, np.empty_like(z))
 
@@ -523,19 +532,26 @@ def sample_field(
 _BLOCK = 1 << 14
 
 
-def _uniform_blocks(seed: int, count: int):
-    """Yield ``(start, u)`` with u[j] = uniform53(mix64(seed, start + j)), block by block.
+def _uniform_blocks(seed: int, count: int, keys: np.ndarray | None = None):
+    """Yield ``(start, u)`` with u[j] = uniform53(mix64(seed, c)), block by block.
 
-    ``u`` is one buffer, overwritten by the next block.
+    ``c`` is the counter of draw ``start + j``: that index itself, or, given
+    ``keys`` from :func:`counter_keys`, the counter whose key is
+    ``keys[start + j]``.  ``u`` is one buffer, overwritten by the next block.
     """
     m = min(count, _BLOCK)
-    steps = np.arange(m, dtype=np.uint64) * np.uint64(_C2)
+    if keys is None:
+        steps = counter_keys(np.arange(m, dtype=np.uint64))
     z, tmp, u = np.empty(m, np.uint64), np.empty(m, np.uint64), np.empty(m)
     for start in range(0, count, _BLOCK):
         size = min(_BLOCK, count - start)
         zb, ub = z[:size], u[:size]
-        # a*C1 + (start + j)*C2 + C3 = j*C2 + (a*C1 + start*C2 + C3)  mod 2^64
-        np.add(steps[:size], np.uint64((seed * _C1 + start * _C2 + _C3) & _M64), out=zb)
+        # a*C1 + c*C2 + C3  mod 2^64, where c*C2 = j*C2 + start*C2 by default
+        if keys is None:
+            kb, base = steps[:size], start * _C2
+        else:
+            kb, base = keys[start : start + size], 0
+        np.add(kb, np.uint64((seed * _C1 + base + _C3) & _M64), out=zb)
         _finalize64(zb, tmp[:size])
         np.right_shift(zb, np.uint64(11), out=zb)
         np.multiply(zb, 2.0**-53, out=ub)
@@ -550,10 +566,16 @@ def sample_uniforms(seed: int, count: int) -> np.ndarray:
     return out
 
 
-def sample_weights(spec: DistributionSpec, seed: int, count: int) -> np.ndarray:
-    """``count`` i.i.d. float64 draws from spec; draw i inverts the uniform from mix64(seed, i)."""
+def sample_weights(
+    spec: DistributionSpec, seed: int, count: int, keys: np.ndarray | None = None
+) -> np.ndarray:
+    """``count`` i.i.d. float64 draws from spec; draw i inverts the uniform from mix64(seed, i).
+
+    With ``keys`` (``count`` of them, from :func:`counter_keys`), draw i uses
+    the counter behind ``keys[i]`` in place of i.
+    """
     out = np.empty(count)
-    for start, u in _uniform_blocks(seed, count):
+    for start, u in _uniform_blocks(seed, count, keys):
         # u = 0 has probability 2^-53 per draw; F^{-1}(0) is the support infimum
         zero = np.flatnonzero(u == 0.0)
         u[zero] = 2.0**-53

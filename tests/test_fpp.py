@@ -218,6 +218,31 @@ class TestPassageTime:
                 assert set(edges) <= set(res.dag_edge_idx)
                 assert sum(res.field.weights[edges]) == res.T
 
+    @pytest.mark.parametrize(
+        "spec", [Bernoulli(0, 1, 0.3), Bernoulli(1, 2, 0.5), Uniform(0, 1)], ids=str
+    )
+    def test_torus_sample_path_winds_once(self, spec):
+        # a closed walk of unit torus steps with net axis-0 displacement +-n;
+        # a simple cycle unless the law has an atom at 0, whose zero-weight
+        # loops the walk may close (29 of 120 tori at n = 4, 8, 16 under
+        # Bernoulli(0, 1, 0.3))
+        revisits = 0
+        for n in (4, 8):
+            for seed in range(20):
+                path = torus_passage(random_field(Torus(n, 2), spec, seed)).sample_path
+                assert path[0] == path[-1]
+                net = 0
+                for a, b in zip(path, path[1:]):
+                    step = [(y - x + 1) % n - 1 for x, y in zip(a, b)]
+                    assert sorted(map(abs, step)) == [0, 1], (a, b)
+                    net += step[0]
+                assert abs(net) == n
+                revisits += len(set(path[:-1])) < len(path) - 1
+        if spec.atom_at_zero() == 0:
+            assert revisits == 0
+        else:
+            assert revisits > 0
+
     def test_path_edges_inside_dag(self):
         for seed in range(20):
             field = random_field(BOX33, Bernoulli(1, 2, 0.5), seed)

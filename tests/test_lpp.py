@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,33 @@ from fpplab.lpp import (
     rescaled_statistic,
     sample_grid,
 )
+from fpplab.weights import (
+    Bernoulli,
+    Exponential,
+    Geometric,
+    TableCDF,
+    Uniform,
+    parse_spec,
+    sample_weights,
+)
+
+LAWS = [
+    Bernoulli(1.0, 2.0, 0.5),
+    Uniform(0.0, 1.0),
+    Exponential(1.0),
+    Geometric(0.5),
+    TableCDF(((0.5, 0.25), (1.0, 0.75), (2.5, 1.0))),
+]
+
+# sha256 of np.array([last_passage_value(sample_grid(n, 7919 + s, law)) for s
+# in range(reps)]).tobytes(), recorded from the row-major grid with the strided
+# DP; draw-order or summation-order drift moves them
+_T_DIGESTS = {
+    ("geometric:0.5", 64, 16): "e4a061ce2fdaec8cb8da6d2d968279950d99433745398f00478b461243687685",
+    ("geometric:0.5", 512, 4): "f723d03ec9a049ddfd099f59c4122dcb2c7db52c3a9e1aa1ceb0d1b2e9ce5d63",
+    ("exponential:1", 64, 16): "351a66c427cdf2df0812f3c9f5f2460b42f8ee67c8d4fc51fd5ac022bcbd9e58",
+    ("exponential:1", 512, 4): "9eea83dfea2f91bb258839ec97f0b30ee8850f48caa7e53eea380e0151777c76",
+}
 
 
 class TestLastPassage:
@@ -111,6 +140,30 @@ class TestLastPassage:
         g2 = sample_grid(8, seed=5)
         assert np.array_equal(g1.vertex_weights, g2.vertex_weights)
         assert g1.spec == default_spec()
+
+    @pytest.mark.parametrize("spec", LAWS, ids=lambda s: s.name)
+    @pytest.mark.parametrize("n", [0, 1, 2, 17, 128])
+    def test_sampled_grid_is_the_row_major_stream(self, n, spec):
+        # cell (i, j) draws counter i*(n+1)+j whatever order the grid is drawn
+        # in; n = 128 has 16,641 cells, past one 2^14-draw block
+        grid = sample_grid(n, 31 + n, spec)
+        want = sample_weights(spec, 31 + n, (n + 1) ** 2)
+        got = grid.vertex_weights
+        assert got.shape == (n + 1, n + 1)
+        assert got.reshape(-1).tobytes() == want.tobytes()
+        assert last_passage_value(grid) == last_passage(grid)[0]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 17, 64])
+    def test_vertex_weights_round_trip(self, n):
+        w = np.random.default_rng(n).exponential(1.0, (n + 1, n + 1))
+        got = LppGrid(n, w).vertex_weights
+        assert got.shape == w.shape and got.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("law, n, reps", sorted(_T_DIGESTS))
+    def test_golden_passage_values(self, law, n, reps):
+        spec = parse_spec(law)
+        T = np.array([last_passage_value(sample_grid(n, 7919 + s, spec)) for s in range(reps)])
+        assert hashlib.sha256(T.tobytes()).hexdigest() == _T_DIGESTS[law, n, reps]
 
     def test_geometric_mean_one(self):
         g = sample_grid(200, seed=11)
