@@ -300,10 +300,6 @@ class SublinearityProfile:
     var_over_n_nonincreasing: bool
     log_lower_c: float
 
-    @property
-    def log_lower_positive(self) -> bool:
-        return self.log_lower_c > 0
-
 
 def sublinearity_profile(
     summaries: dict[int, EstimatorSummary],

@@ -12,14 +12,14 @@ criterion consistent even though float addition is not associative.
 
 The geodesic DAG is the set of tight arcs whose head can still reach the
 destination through tight arcs; every source-destination path inside it is a
-geodesic and every geodesic is such a path.  A DAG arc u -> v spans the time
-interval [d_src(u), d_src(v)], and every DAG path tiles [0, T] with arcs whose
-interiors do not overlap.  So a positive-length arc lies on every geodesic iff
-no other DAG arc meets the interior of its interval; a sort and a coverage
-sweep decide this for all arcs at once.  Zero-length arcs (weight-0 edges, or
-float weights too small to change d) and torus edges with several cylinder
-lifts in one DAG fall back to an exact check: drop the edge's arcs and test
-whether the DAG still connects source to destination.
+geodesic and every geodesic is such a path.  One walk decides the rest: it
+takes a sample geodesic through each site's smallest-index predecessor, and
+an edge lies on every geodesic iff its arc on that path is a cut of the DAG,
+which a running maximum of where the other arcs rejoin the path decides for
+every path arc at once.  The test is exact in both arithmetic modes, and
+zero-length arcs need no special case.  Only a torus edge with several
+cylinder lifts in one DAG can be on every geodesic without a cut arc; one
+breadth-first search that avoids all of its lifts decides it.
 
 Searches
 --------
@@ -29,13 +29,14 @@ an upper bound on T).  The distances to the destination, ``d_dst``, are a
 second search that a Box result runs the first time they are read, for
 single-edge updates; a torus result has none.  The geodesic DAG comes from
 one backward search from the destination over the graph's CSR, so its cost
-scales with the DAG, not the window.  ``_hops``, one unweighted scipy search
-along DAG arcs, serves only zero-length path extraction and the exact fallback.
+scales with the DAG, not the window.  Everything after it, the hop counts
+that order zero-length arcs included, walks the DAG's arcs in pure Python.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
@@ -43,7 +44,6 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
-from scipy.sparse.csgraph import shortest_path
 
 from .lattice import Box, EdgeId, Region, Site, Torus, ball, point_window
 from .weights import DistributionSpec, WeightField, sample_field
@@ -201,11 +201,6 @@ class PassageResult:
         return self._time(self.d_dst_eff)
 
     @cached_property
-    def geodesic_dag(self) -> frozenset:
-        reg = self.field.region
-        return frozenset(reg.edge_from_index(int(i)) for i in self.dag_edge_idx)
-
-    @cached_property
     def g_intersection(self) -> frozenset:
         reg = self.field.region
         return frozenset(reg.edge_from_index(int(i)) for i in self.gint_edge_idx)
@@ -241,19 +236,6 @@ def geodesic_intersection(result: PassageResult) -> frozenset:
 # ---------------------------------------------------------------------------
 
 
-def _hops(arc_from: np.ndarray, arc_to: np.ndarray, start: int, n_sites: int):
-    """Fewest arcs from ``start`` to each site along the given arcs; inf if unreached.
-
-    Called as ``shortest_path`` rather than through ``_csgraph_dijkstra``, so
-    that the weighted-search seam (timed in ``bench/tracing.py``) counts
-    weighted searches only.
-    """
-    arcs = sp.csr_matrix(
-        (np.ones(arc_from.size), (arc_from, arc_to)), shape=(n_sites, n_sites)
-    )
-    return shortest_path(arcs, method="D", unweighted=True, indices=start)
-
-
 def _geodesic_dag(graph: LatticeGraph, weff, d_src, dst: int):
     """Tight arcs into the sites that reach dst through tight arcs: (from, to, edge).
 
@@ -278,60 +260,82 @@ def _geodesic_dag(graph: LatticeGraph, weff, d_src, dst: int):
     return tuple(np.array(arcs, dtype=np.int64).reshape(-1, 3).T)
 
 
-def _intersection(dag_from, dag_to, dag_edge, keys, d_src, src: int, dst: int):
-    """Sorted keys whose arcs carry every src -> dst path of the geodesic DAG.
+def _bfs(out: dict, src: int, avoid: int = -1) -> dict:
+    """Fewest arcs from src to each site it reaches along ``out``'s (head, key)
+    arcs, skipping the arcs whose key is ``avoid``."""
+    hops, frontier = {src: 0}, [src]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b, key in out[a]:
+                if key != avoid and b not in hops:
+                    hops[b] = hops[a] + 1
+                    nxt.append(b)
+        frontier = nxt
+    return hops
 
-    ``keys`` names what each DAG arc is judged as: its own edge in a box, the
-    torus edge it covers on the cylinder.  A key is in when one of its arcs
-    has positive length and no other positive-length arc meets the interior
-    of its interval; the path through that other arc avoids it.  Zero-length
-    arcs need no count of their own: a path through one at level t > 0 first
-    reaches t by a positive-length arc ending at t, and that arc already meets
-    every positive-length arc with t inside its interval.  Keys left undecided
-    (uncovered zero-length arcs, or arcs of several distinct edges) get the
-    exact reachability check.
+
+def _geodesic_walk(dag_from, dag_to, dag_edge, d, src: int, dst: int, key_of=None):
+    """(sample geodesic as site indices, sorted keys on every src -> dst path).
+
+    An arc's key is its own edge in a box; on the cylinder ``key_of`` maps it
+    to the torus edge it covers.  The path walks back from dst through each
+    site's smallest-index DAG predecessor; box and cylinder site indices are
+    row-major, so that is the lexicographically smallest site.  A zero-length
+    arc u -> v (d[u] == d[v]) is a candidate only when u is fewer arcs from
+    src than v, so (d, hops) strictly decreases along the walk and the path
+    is simple.
+
+    A key on every path lies on this one.  The path arc out of position i is
+    a cut iff no DAG arc leaving positions 0..i lands beyond i, directly or
+    through off-path sites.  Each off-path site is explored once, from the
+    first position that reaches it, so a running maximum of the landings
+    decides every path arc in one pass.  Dropping a path arc cuts dst off
+    exactly when dropping both arcs of its edge does: a detour through the
+    reverse arc can skip the loop it closes.  A torus edge with several lifts
+    in the DAG and no cut among its path arcs is in iff one BFS that avoids
+    all of its lifts misses dst.
     """
-    lo, hi = d_src[dag_from], d_src[dag_to]
-    pos = lo < hi
-    starts, ends = np.sort(lo[pos]), np.sort(hi[pos])
-    # positive-length arcs b with lo_b < hi and hi_b > lo: for a positive arc
-    # this counts the arc itself, for a zero-length arc at t those around t
-    crossing = np.searchsorted(starts, hi) - np.searchsorted(ends, lo, side="right")
-    sole = pos & (crossing == 1)
-    uk, inv = np.unique(keys, return_inverse=True)
-    rep = np.empty(uk.size, dtype=np.int64)
-    rep[inv] = dag_edge  # one edge per key; any other edge makes the key multi-edge
-    multi = np.bincount(inv, weights=rep[inv] != dag_edge, minlength=uk.size) > 0
-    member = np.bincount(inv, weights=sole, minlength=uk.size) > 0
-    uncovered = np.bincount(inv, weights=~pos & (crossing == 0), minlength=uk.size) > 0
-    for k in np.flatnonzero(~member & (multi | uncovered)):
-        keep = inv != k
-        member[k] = _hops(dag_from[keep], dag_to[keep], src, d_src.size)[dst] == np.inf
-    return uk[member]
-
-
-def _extract_path(arc_from, arc_to, d, src: int, dst: int, site_of):
-    """Backward walk from dst through each site's smallest-index DAG predecessor.
-
-    Box and cylinder site indices are row-major, so the smallest index is the
-    lexicographically smallest site.  A zero-length arc u -> v (d[u] == d[v])
-    is a candidate only when u is fewer arcs from src than v, so (d, hops)
-    strictly decreases along the walk and zero-weight cycles cannot trap it.
-    """
-    tied = d[arc_from] == d[arc_to]
-    if tied.any():
-        hops = _hops(arc_from, arc_to, src, d.size)
-        keep = ~tied | (hops[arc_from] < hops[arc_to])
-        arc_from, arc_to = arc_from[keep], arc_to[keep]
-    # later pairs overwrite earlier ones, so each site keeps its smallest predecessor
-    order = np.argsort(arc_from)[::-1]
-    pred = dict(zip(arc_to[order].tolist(), arc_from[order].tolist()))
+    edges = dag_edge.tolist()
+    keys = edges if key_of is None else key_of[dag_edge].tolist()
+    frm, to = dag_from.tolist(), dag_to.tolist()
+    out = defaultdict(list)
+    for a, b, k in zip(frm, to, keys):
+        out[a].append((b, k))
+    flat = (d[dag_from] == d[dag_to]).tolist()
+    hops = _bfs(out, src) if any(flat) else None
+    pred = {}
+    for a, b, f in zip(frm, to, flat):
+        if (not f or hops[a] < hops[b]) and a < pred.get(b, a + 1):
+            pred[b] = a
     path = [dst]
     while path[-1] != src:
-        if path[-1] not in pred:
-            raise RuntimeError("geodesic extraction hit a dead end")
         path.append(pred[path[-1]])
-    return [site_of(i) for i in reversed(path)]
+    path.reverse()
+
+    at = {v: i for i, v in enumerate(path)}
+    explored = set()
+    reach = 0  # furthest path position reached by leaving the path by now
+    cut, not_cut = set(), set()
+    for i, (u, nxt) in enumerate(zip(path, path[1:])):
+        stack = [u]
+        while stack:
+            x = stack.pop()
+            for v, k in out[x]:
+                if x == u and v == nxt:
+                    key = k
+                elif v in at:
+                    reach = max(reach, at[v])
+                elif v not in explored:
+                    explored.add(v)
+                    stack.append(v)
+        (cut if reach <= i else not_cut).add(key)
+    if key_of is not None:
+        lifts = Counter(k for k, _ in set(zip(keys, edges)))
+        for k in not_cut - cut:
+            if lifts[k] > 1 and dst not in _bfs(out, src, avoid=k):
+                cut.add(k)
+    return path, sorted(cut)
 
 
 # ---------------------------------------------------------------------------
@@ -399,15 +403,13 @@ def passage_time(
             grows += 1
             continue
 
-        member = _intersection(
-            dag_from, dag_to, dag_edge, dag_edge, d_src, src_idx, dst_idx
-        )
-        path = _extract_path(
-            dag_from, dag_to, d_src, src_idx, dst_idx, region.site_from_index
+        path, member = _geodesic_walk(
+            dag_from, dag_to, dag_edge, d_src, src_idx, dst_idx
         )
         return PassageResult(
             T_eff, src, dst, region, weff, d_src, np.unique(dag_edge),
-            member.astype(np.int64), path, field, scale, grows,
+            np.asarray(member, dtype=np.int64),
+            [region.site_from_index(i) for i in path], field, scale, grows,
             boundary_flag=touched,
         )
 
@@ -497,62 +499,28 @@ def single_edge_update(result: PassageResult, edge_idx: int, new_t: float) -> fl
 
 
 def edge_criticality(
-    field: WeightField,
-    edge_idx: int,
-    src: Site,
-    dst: Site,
-    *,
-    grow: Optional[bool] = None,
-    max_grows: int = GROW_LIMIT,
+    field: WeightField, edge_idx: int, src: Site, dst: Site
 ) -> CriticalityValue:
     """D = T_without_e - best approach cost through e, clamped at zero.
 
     For t < D the edge lies on every configuration's geodesic DAG, and
     T(t') - T(t) = min(t' - t, (D - t)_+) for t' >= t.  On a finite window D
-    is capped at the in-window detour value; the window auto-grows while the
-    detour corridor or the approach paths touch the boundary.
+    is the in-window detour value.
     """
-    if grow is None:
-        grow = isinstance(field.region, Box) and field.spec is not None
-    grows = 0
-    while True:
-        region = field.region
-        graph = _graph(region)
-        weff, scale = _effective_weights(field)
-        si, di = region.site_index(src), region.site_index(dst)
-        w2 = weff.copy()
-        w2[edge_idx] = np.inf
-        dp_src = graph.distances(w2, [si])[0]
-        dp_dst = graph.distances(w2, [di])[0]
-        T_wo = float(dp_src[di])
-        u = int(graph.tails[edge_idx])
-        v = int(graph.heads[edge_idx])
-        approach = min(dp_src[u] + dp_dst[v], dp_src[v] + dp_dst[u])
-        D_eff = max(0.0, T_wo - float(approach))
-
-        if grow and isinstance(region, Box) and grows < max_grows:
-            boundary = _boundary_mask(region)
-            touched = bool(np.any(boundary & (dp_src + dp_dst == T_wo)))
-            if not touched:
-                # one shortest approach path per side must stay interior too
-                try:
-                    for dist, root in ((dp_src, si), (dp_dst, di)):
-                        for start in (u, v):
-                            af, at, _ = _geodesic_dag(graph, w2, dist, start)
-                            p = _extract_path(
-                                af, at, dist, root, start, region.site_from_index
-                            )
-                            touched |= any(boundary[region.site_index(s)] for s in p)
-                except RuntimeError:
-                    touched = True
-            if touched:
-                edge = region.edge_from_index(edge_idx)
-                new_region = _grow_box(region)
-                field = sample_field(field.spec, new_region, field.seed, for_fpp=False)
-                edge_idx = new_region.edge_index(edge)
-                grows += 1
-                continue
-        return CriticalityValue(D_eff / scale if scale else D_eff)
+    region = field.region
+    graph = _graph(region)
+    weff, scale = _effective_weights(field)
+    si, di = region.site_index(src), region.site_index(dst)
+    w2 = weff.copy()
+    w2[edge_idx] = np.inf
+    dp_src = graph.distances(w2, [si])[0]
+    dp_dst = graph.distances(w2, [di])[0]
+    T_wo = float(dp_src[di])
+    u = int(graph.tails[edge_idx])
+    v = int(graph.heads[edge_idx])
+    approach = min(dp_src[u] + dp_dst[v], dp_src[v] + dp_dst[u])
+    D_eff = max(0.0, T_wo - float(approach))
+    return CriticalityValue(D_eff / scale if scale else D_eff)
 
 
 # ---------------------------------------------------------------------------
@@ -659,17 +627,13 @@ def torus_passage(field: WeightField, want_geometry: bool = True) -> PassageResu
         dst_idx = int(n * cyl.K + y)
         d_src = dists[y]
         dag_from, dag_to, dag_cyl = _geodesic_dag(graph, wcyl, d_src, dst_idx)
-        dag_tedge = cyl.torus_edge[dag_cyl]
-        dag_union.update(int(e) for e in np.unique(dag_tedge))
-        mem = set(
-            _intersection(
-                dag_from, dag_to, dag_cyl, dag_tedge, d_src, src_idx, dst_idx
-            ).tolist()
+        dag_union.update(np.unique(cyl.torus_edge[dag_cyl]).tolist())
+        raw, mem = _geodesic_walk(
+            dag_from, dag_to, dag_cyl, d_src, src_idx, dst_idx, cyl.torus_edge
         )
-        inter = mem if inter is None else (inter & mem)
+        inter = set(mem) if inter is None else (inter & set(mem))
         if not sample:
-            raw = _extract_path(dag_from, dag_to, d_src, src_idx, dst_idx, cyl.site_of)
-            sample = [region.wrap(s) for s in raw]
+            sample = [region.wrap(cyl.site_of(i)) for i in raw]
     gint = np.asarray(sorted(inter or set()), dtype=np.int64)
     start = sample[0] if sample else origin
     return PassageResult(

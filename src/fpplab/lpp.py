@@ -80,7 +80,7 @@ class LppGrid:
         return grid
 
     def _store(self, n, diagonals, spec):
-        if not np.all(diagonals >= 0):
+        if not diagonals.min(initial=0.0) >= 0:  # NaN fails too
             raise ValueError("negative or NaN vertex weight")
         self.n, self.diagonals, self.spec = n, diagonals, spec
 

@@ -115,9 +115,6 @@ class DistributionSpec:
         """(value, mass) pairs for purely atomic laws, else None."""
         return None
 
-    def is_atomic(self) -> bool:
-        return self.atoms() is not None
-
     def params(self) -> tuple:
         raise NotImplementedError
 

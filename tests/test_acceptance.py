@@ -5,13 +5,14 @@ fixtures; all seeds are fixed so the whole gate is deterministic.  Run with
 ``pytest tests/test_acceptance.py -v -s`` to watch the per-criterion lines.
 """
 
+import hashlib
 import math
 import time
 
 import numpy as np
 import pytest
 
-from fpplab.cli import ResultStore
+from fpplab.cli import ResultStore, records_to_csv
 from fpplab.estimators import (
     SweepConfig,
     by_n,
@@ -131,7 +132,7 @@ def test_criterion_03_criticality_law():
         field = sample_field(Uniform(0, 1), win, 30_000 + trial, for_fpp=False)
         e = int(rng.integers(0, win.n_edges()))
         s, t = np.sort(rng.uniform(0.0, 2.0, size=2))
-        D = edge_criticality(field, e, (0, 0), (4, 3), grow=False).D
+        D = edge_criticality(field, e, (0, 0), (4, 3)).D
         Ts = passage_time(
             field.with_weight(e, float(s)), (0, 0), (4, 3),
             grow=False, want_geometry=False,
@@ -282,3 +283,40 @@ def test_criterion_11_determinism(fpp_sweep, tmp_path):
         for n in cfg.n_list
     )
     _check(11, "rerunning the acceptance sweep reproduces the CSVs byte for byte", same)
+
+
+# the records-CSV digests listed under "Output digests" in bench/README.md,
+# over the bytes that bench/digests.py hashes; summary.json is not pinned here
+RECORDS_SHA256 = {
+    101: {
+        16: "40996cf102b33f7d664585da63dbdd3a27e7a2d7701dc46d5fc6bc92356538a0",
+        32: "7d7d3160e8416d883cffac97ab697d01daebcda00210b2746101950a6aef2379",
+        64: "ba05235e4366aa1cc880d3bcfff0f27cb151db9af684a5cb0ea6669285db1c0b",
+        128: "17163d6b22da4da6c99e2919633c226bf28a0e320fb6e3ebba16a23e471a62b7",
+    },
+    202: {
+        16: "acff21af5746934f37dfcfba772b4ad07d55ffe455e6f46734a6fdcb3b52e0aa",
+        32: "637c8c95b3af15bca875bf7383791b693515b4fc152edab093c8702c2b48968b",
+        64: "cdc8371828f61898c122713b9a1f6eb7f7d84e6c97a6f19d73d599a568dee0c4",
+    },
+    303: {
+        8: "ed97f5dd7451c47926f759d9de66eb8273445dea7b403f02d9b5f32bbde5d7a4",
+        16: "f009ccbfd3ee45ad5171577bcaf03e8b0c6fa9b39b67a4d077d05c241795da14",
+        32: "4b2733dd49b0c7c63cea0952c3c1e5dc51e66cced7549e6d2690e1cf75178b0c",
+    },
+    404: {
+        64: "df1524bc064406ae5ed7b1e9b3ea5cfe744e3b9198a3fe436b9fa450805e47ea",
+        128: "924ecf69712405ddfefeaa84a631cec25810131b84e2420c24c13d883e08137c",
+        256: "a5f89ed547a88020b032318c2ea06a088685eb16da4635c7b768b7fdf3527374",
+        512: "9fdf91785b391cd18519d14411fa97e9200848d3eb7f1a6b232802772eb25511",
+    },
+}
+
+
+def test_records_csv_digests(fpp_sweep, fn_sweep, torus_sweep, lpp_sweep):
+    for cfg, records in (fpp_sweep, fn_sweep, torus_sweep, lpp_sweep):
+        got = {
+            n: hashlib.sha256(records_to_csv(cfg.model, recs).encode()).hexdigest()
+            for n, recs in by_n(records).items()
+        }
+        assert got == RECORDS_SHA256[cfg.seed], cfg.model

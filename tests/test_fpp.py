@@ -305,7 +305,7 @@ class TestIntersection:
             pytest.param(Bernoulli(1, 2, 0.5), BOX33, (2, 2), id="spec0"),
             pytest.param(Uniform(0, 1), BOX33, (2, 2), id="spec1"),
             pytest.param(Bernoulli(0, 1, 0.3), BOX33, (2, 2), id="spec2"),
-            # zero-weight clusters of several sites reach the exact fallback
+            # zero-weight clusters of several sites: the walk explores off-path sites
             pytest.param(
                 Bernoulli(0, 1, 0.1), point_window(6, 2, 3), (6, 0), id="window"
             ),
@@ -390,7 +390,7 @@ class TestCriticality:
         win = point_window(5, 2, 3)
         field = unit_field(win)
         e = win.edge_index(EdgeId((0, 0), 0))
-        D = edge_criticality(field, e, (0, 0), (5, 0), grow=False).D
+        D = edge_criticality(field, e, (0, 0), (5, 0)).D
         Ts = {}
         for t in [0.0, 1.0, 2.0, 2.5, 3.0, 3.5, 4.0, 8.0]:
             f2 = WeightField(win, field.weights.copy(), 0, None).with_weight(e, t)
@@ -408,7 +408,7 @@ class TestCriticality:
         # make the top row useless even for free
         field = WeightField(box, w, 0, None)
         e_top = box.edge_index(EdgeId((0, 1), 0))
-        D = edge_criticality(field, e_top, (0, 0), (2, 0), grow=False).D
+        D = edge_criticality(field, e_top, (0, 0), (2, 0)).D
         assert D == 0.0
 
     def test_update_law_random(self):
@@ -419,7 +419,7 @@ class TestCriticality:
             field = random_field(win, Uniform(0, 1), 500 + trial)
             e = int(rng.integers(0, win.n_edges()))
             s, t = np.sort(rng.uniform(0, 2, size=2))
-            D = edge_criticality(field, e, (0, 0), (4, 3), grow=False).D
+            D = edge_criticality(field, e, (0, 0), (4, 3)).D
             fs = field.with_weight(e, s)
             ft = field.with_weight(e, t)
             Ts = passage_time(fs, (0, 0), (4, 3), grow=False, want_geometry=False).T
@@ -597,9 +597,33 @@ class TestTorus:
         assert len(res.gint_edge_idx) == 0  # every column ties
         assert len(res.sample_path) == 5
 
+    @pytest.mark.parametrize(
+        "law,torus,seed,gint",
+        [
+            pytest.param("bernoulli:0,1,0.3", Torus(4, 3), 34, [54], id="torus4x3-seed34"),
+            pytest.param("bernoulli:0,1,0.3", Torus(4, 3), 70, [91], id="torus4x3-seed70"),
+            pytest.param(
+                "bernoulli:0,1,0.5", Torus(5, 2), 218, [10, 19, 20, 31],
+                id="torus5x2-seed218",
+            ),
+        ],
+    )
+    def test_multi_lift_edge_without_cut_arc(self, law, torus, seed, gint):
+        # every geodesic uses one of the edge's cylinder lifts, but the sample
+        # path's lift alone is no cut: only the search that avoids all of
+        # its lifts finds the edge
+        field = random_field(torus, parse_spec(law), seed)
+        T, dag, inter, path = reference_torus_passage(field)
+        res = torus_passage(field)
+        assert inter == gint
+        assert res.T == T
+        assert res.gint_edge_idx.tolist() == gint
+        assert res.sample_path == path
+
     def test_side3_brute_force(self):
         # the atom at zero gives zero-length DAG arcs and torus edges with
-        # several lifts in one DAG, both decided by the exact fallback
+        # several lifts in one DAG; the walk's cut test and the search that
+        # avoids every lift decide them
         t = Torus(3, 2)
         for spec in (Bernoulli(1, 2, 0.5), Bernoulli(0, 1, 0.3)):
             for seed in range(10):
