@@ -38,7 +38,7 @@ from .estimators import (
     summarize,
 )
 from .ineqlab import fpp_exhaustive_check, run_randomized_suite, suite_to_json
-from .lattice import Box
+from .lattice import Box, Torus
 from .lpp import fit_center
 from .weights import Bernoulli, parse_spec
 
@@ -235,7 +235,7 @@ class ResultStore:
     def read_records(self, model: str, n_list: Sequence[int], d: int = 2) -> list[ReplicaRecord]:
         out = []
         for n in n_list:
-            n_edges = d * n**d if model == "fpp-torus" else None
+            n_edges = Torus(n, d).n_edges() if model == "fpp-torus" else None
             text = self.records_path(model, n).read_text()
             out.extend(records_from_csv(model, text, n_edges))
         return out

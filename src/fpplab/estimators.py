@@ -20,6 +20,7 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .fpp import (
+    GROW_LIMIT,
     PassageResult,
     averaged_passage,
     edge_update_screen,
@@ -56,7 +57,7 @@ class SweepConfig:
     threads: int = 0  # 0: use machine parallelism
     record_fn: bool = False
     record_geometry: bool = True
-    max_grows: int = 6
+    max_grows: int = GROW_LIMIT
 
     def __post_init__(self):
         if self.model not in MODELS:

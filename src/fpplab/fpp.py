@@ -45,7 +45,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
-from .lattice import Box, EdgeId, Region, Site, Torus, ball, point_window
+from .lattice import Box, Region, Site, Torus, _edge_tables, ball, point_window
 from .weights import DistributionSpec, WeightField, sample_field
 
 GROW_LIMIT = 6
@@ -97,14 +97,17 @@ def _graph(region: Region) -> LatticeGraph:
 
 @lru_cache(maxsize=128)
 def _boundary_mask(region: Region) -> np.ndarray:
-    """Sites on the boundary of a Box window; no site for other regions."""
-    n_sites = region.n_sites()
-    if not isinstance(region, Box):
-        return np.zeros(n_sites, dtype=bool)
-    shape = tuple(h - l + 1 for l, h in zip(region.lo, region.hi))
-    coords = np.stack(np.unravel_index(np.arange(n_sites), shape), axis=-1)
-    edge = np.array(shape) - 1
-    return np.any((coords == 0) | (coords == edge), axis=1)
+    """Sites on the first or last layer of an open axis: a Box window's
+    boundary; no site of a torus."""
+    coords = np.indices(region.shape).reshape(region.d, -1).T
+    ends = (coords == 0) | (coords == np.array(region.shape) - 1)
+    return np.any(ends & ~np.array(region.periodic), axis=1)
+
+
+def _sites(region: Region, idx) -> list[Site]:
+    """The sites of row-major site indices ``idx``, as tuples of Python ints."""
+    coords = np.stack(np.unravel_index(idx, region.shape), axis=-1) + region.lo
+    return list(map(tuple, coords.tolist()))
 
 
 def scaled_weights(
@@ -215,14 +218,9 @@ class PassageResult:
 
 
 def _edge_index_between(region: Region, a: Site, b: Site) -> int:
-    for axis in range(region.d):
-        for base, other in ((a, b), (b, a)):
-            head = list(base)
-            head[axis] += 1
-            if isinstance(region, Torus):
-                head = [c % region.n for c in head]
-            if tuple(head) == tuple(other):
-                return region.edge_index(EdgeId(tuple(base), axis))
+    for nb, edge in region.neighbors(a):
+        if nb == b:
+            return region.edge_index(edge)
     raise ValueError(f"sites {a} and {b} are not adjacent")
 
 
@@ -409,7 +407,7 @@ def passage_time(
         return PassageResult(
             T_eff, src, dst, region, weff, d_src, np.unique(dag_edge),
             np.asarray(member, dtype=np.int64),
-            [region.site_from_index(i) for i in path], field, scale, grows,
+            _sites(region, path), field, scale, grows,
             boundary_flag=touched,
         )
 
@@ -528,54 +526,23 @@ def edge_criticality(
 # ---------------------------------------------------------------------------
 
 
-class _Cylinder:
-    """Two fundamental domains of the torus cut along x_0 = 0.
+class _Cylinder(Region):
+    """Two fundamental domains of the torus (Z/nZ)^d cut along x_0 = 0.
 
-    Levels 0..2n along axis 0 (no wrap), a (d-1)-torus of side n per level.
-    Every cylinder edge records the torus edge it covers.
+    A region with levels 0..2n along axis 0, which is open, and side n along
+    the other axes, which wrap; K = n^(d-1) sites per level.  Cylinder site
+    i covers torus site i mod n^d, so every cylinder edge covers the torus
+    edge of the same axis out of that site, recorded in ``torus_edge``.
     """
 
     def __init__(self, n: int, d: int):
-        self.n, self.d = n, d
-        K = n ** (d - 1)
-        self.K = K
-        levels = 2 * n + 1
-        if d > 1:
-            y_coords = np.stack(
-                np.meshgrid(*[np.arange(n)] * (d - 1), indexing="ij"), axis=-1
-            ).reshape(K, d - 1)
-        else:
-            y_coords = np.zeros((1, 0), dtype=int)
-        tails, heads, tedge = [], [], []
-        for level in range(levels - 1):
-            base = level * K + np.arange(K)
-            tails.append(base)
-            heads.append(base + K)
-            tedge.append(((level % n) * K + np.arange(K)) * d + 0)
-        strides = np.array([n ** (d - 2 - i) for i in range(d - 1)], dtype=int)
-        for a in range(1, d):
-            shifted = y_coords.copy()
-            shifted[:, a - 1] = (shifted[:, a - 1] + 1) % n
-            y_head = shifted @ strides
-            for level in range(levels):
-                base = level * K + np.arange(K)
-                tails.append(base)
-                heads.append(level * K + y_head)
-                tedge.append(((level % n) * K + np.arange(K)) * d + a)
-        self.torus_edge = np.concatenate(tedge).astype(np.int64)
-        self.graph = LatticeGraph(
-            np.concatenate(tails).astype(np.int64),
-            np.concatenate(heads).astype(np.int64),
-            levels * K,
+        super().__init__(
+            (0,) * d, (2 * n + 1,) + (n,) * (d - 1), (False,) + (True,) * (d - 1)
         )
-
-    def site_of(self, idx: int) -> tuple[int, ...]:
-        level, y = divmod(int(idx), self.K)
-        out = [level]
-        for s in [self.n ** (self.d - 2 - i) for i in range(self.d - 1)]:
-            q, y = divmod(y, s)
-            out.append(q)
-        return tuple(out)
+        self.n, self.K = n, n ** (d - 1)
+        _, tails, axes, heads = _edge_tables(self)
+        self.torus_edge = tails % n**d * d + axes
+        self.graph = LatticeGraph(tails, heads, self.n_sites())
 
 
 @lru_cache(maxsize=32)
@@ -633,7 +600,7 @@ def torus_passage(field: WeightField, want_geometry: bool = True) -> PassageResu
         )
         inter = set(mem) if inter is None else (inter & set(mem))
         if not sample:
-            sample = [region.wrap(cyl.site_of(i)) for i in raw]
+            sample = _sites(region, np.asarray(raw) % region.n_sites())
     gint = np.asarray(sorted(inter or set()), dtype=np.int64)
     start = sample[0] if sample else origin
     return PassageResult(

@@ -1,13 +1,18 @@
 """Finite lattice geometry: boxes in Z^d, tori (Z/nZ)^d, edges, and L1 balls.
 
 Sites are plain integer tuples.  An edge is identified by its base site and an
-axis; the edge runs from ``base`` to ``base + unit(axis)`` (wrapping on a
-torus).  Every region exposes a dense edge index (row-major over sites, then
-axis) so that weight fields can live in flat numpy arrays.
+axis; it runs from ``base`` one step up ``axis``, wrapping where that axis is
+periodic.  Every region is a ``Region``: a row-major block of sites given by
+``lo``, ``shape`` and one ``periodic`` flag per axis.  Box (no axis wraps)
+and Torus (every axis wraps) only set that grid, so the site index, the
+neighbour rule and the dense edge index exist once.  The edge index runs
+row-major over sites, then axis, so that weight fields can live in flat numpy
+arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -19,7 +24,7 @@ Site = tuple[int, ...]
 
 @dataclass(frozen=True)
 class EdgeId:
-    """Canonical lattice edge: from ``base`` to ``base + unit(axis)``."""
+    """Canonical lattice edge: from ``base`` one step up ``axis``."""
 
     base: Site
     axis: int
@@ -28,14 +33,6 @@ class EdgeId:
         head = list(self.base)
         head[self.axis] += 1
         return self.base, tuple(head)
-
-
-def unit(axis: int, d: int) -> Site:
-    return tuple(1 if i == axis else 0 for i in range(d))
-
-
-def add(a: Site, b: Site) -> Site:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def ball(m: int, d: int) -> list[Site]:
@@ -58,85 +55,45 @@ def ball(m: int, d: int) -> list[Site]:
 
 
 class Region:
-    """Common interface for Box and Torus regions."""
+    """A row-major block of sites in which some axes wrap.
 
-    d: int
+    Axis i has ``shape[i]`` layers, from ``lo[i]`` up; ``periodic[i]`` says
+    whether a step off its last layer wraps back to the first.  An edge
+    leaves every site along each axis, except from the last layer of an open
+    axis.  Box and Torus only set the grid; the cylinder that torus passage
+    searches is such a region too.
+    """
+
+    def __init__(self, lo: Site, shape: Sequence[int], periodic: Sequence[bool]):
+        shape, periodic = tuple(shape), tuple(periodic)
+        n_sites = math.prod(shape)
+        # every (site, axis) pair but those on the last layer of an open axis
+        n_edges = sum(n_sites // s * (s if p else s - 1) for s, p in zip(shape, periodic))
+        strides = tuple(math.prod(shape[i + 1 :]) for i in range(len(shape)))
+        # object.__setattr__, because Box and Torus are frozen dataclasses
+        for name, value in (
+            ("lo", tuple(lo)),
+            ("shape", shape),
+            ("periodic", periodic),
+            ("d", len(shape)),
+            ("_strides", strides),
+            ("_nsites", n_sites),
+            ("_nedges", n_edges),
+        ):
+            object.__setattr__(self, name, value)
 
     # -- sites -----------------------------------------------------------
-    def n_sites(self) -> int:
-        raise NotImplementedError
-
-    def contains(self, site: Site) -> bool:
-        raise NotImplementedError
-
-    def site_index(self, site: Site) -> int:
-        raise NotImplementedError
-
-    def site_from_index(self, idx: int) -> Site:
-        raise NotImplementedError
-
-    def sites(self) -> Iterator[Site]:
-        for i in range(self.n_sites()):
-            yield self.site_from_index(i)
-
-    # -- edges -----------------------------------------------------------
-    def n_edges(self) -> int:
-        raise NotImplementedError
-
-    def edge_index(self, edge: EdgeId) -> int:
-        raise NotImplementedError
-
-    def edge_from_index(self, idx: int) -> EdgeId:
-        raise NotImplementedError
-
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(tails, heads) site-index arrays, one entry per edge, edge-index order."""
-        raise NotImplementedError
-
-    def neighbors(self, site: Site) -> list[tuple[Site, EdgeId]]:
-        raise NotImplementedError
-
-
-def enumerate_edges(region: Region) -> list[EdgeId]:
-    """Every edge of the region exactly once, in dense index order."""
-    return [region.edge_from_index(i) for i in range(region.n_edges())]
-
-
-@dataclass(frozen=True)
-class Box(Region):
-    """Axis-aligned box of sites {x : lo_i <= x_i <= hi_i}."""
-
-    lo: Site
-    hi: Site
-
-    def __post_init__(self) -> None:
-        if len(self.lo) != len(self.hi):
-            raise ValueError("lo/hi dimension mismatch")
-        if any(h < l for l, h in zip(self.lo, self.hi)):
-            raise ValueError("empty box")
-        object.__setattr__(self, "d", len(self.lo))
-        shape = tuple(h - l + 1 for l, h in zip(self.lo, self.hi))
-        object.__setattr__(self, "shape", shape)
-        strides = [0] * self.d
-        acc = 1
-        for i in reversed(range(self.d)):
-            strides[i] = acc
-            acc *= shape[i]
-        object.__setattr__(self, "_strides", tuple(strides))
-        object.__setattr__(self, "_nsites", acc)
-
-    # sites
     def n_sites(self) -> int:
         return self._nsites
 
     def contains(self, site: Site) -> bool:
         return len(site) == self.d and all(
-            l <= x <= h for x, l, h in zip(site, self.lo, self.hi)
+            0 <= x - l < s for x, l, s in zip(site, self.lo, self.shape)
         )
 
     def site_index(self, site: Site) -> int:
         if not self.contains(site):
-            raise ValueError(f"site {site} outside box")
+            raise ValueError(f"site {site} outside {self}")
         return sum((x - l) * s for x, l, s in zip(site, self.lo, self._strides))
 
     def site_from_index(self, idx: int) -> Site:
@@ -146,39 +103,80 @@ class Box(Region):
             out.append(l + q)
         return tuple(out)
 
-    # edges
+    def sites(self) -> Iterator[Site]:
+        for i in range(self.n_sites()):
+            yield self.site_from_index(i)
+
+    def wrap(self, site: Sequence[int]) -> Site:
+        """``site`` with every periodic coordinate reduced into the region."""
+        return tuple(
+            l + (x - l) % s if p else x
+            for x, l, s, p in zip(site, self.lo, self.shape, self.periodic)
+        )
+
+    def _step(self, site: Site, axis: int, delta: int) -> Site:
+        """The site ``delta`` layers from ``site`` along ``axis``, wrapped."""
+        out = list(site)
+        out[axis] += delta
+        return self.wrap(out)
+
+    # -- edges -----------------------------------------------------------
     def n_edges(self) -> int:
-        return int(_box_edge_tables(self)[1].size)
+        return self._nedges
 
     def edge_index(self, edge: EdgeId) -> int:
-        base, head = edge.endpoints()
-        if not (self.contains(base) and self.contains(head)):
-            raise ValueError(f"edge {edge} outside box")
-        pair = self.site_index(base) * self.d + edge.axis
-        idx = int(_box_edge_tables(self)[0][pair])
-        assert idx >= 0
-        return idx
+        base, axis = edge.base, edge.axis
+        if not (
+            0 <= axis < self.d
+            and self.contains(base)
+            and self.contains(self._step(base, axis, 1))
+        ):
+            raise ValueError(f"edge {edge} outside {self}")
+        pair = self.site_index(base) * self.d + axis
+        return int(_edge_tables(self)[0][pair])
 
     def edge_from_index(self, idx: int) -> EdgeId:
-        _, tails, axes, _ = _box_edge_tables(self)
+        _, tails, axes, _ = _edge_tables(self)
         return EdgeId(self.site_from_index(int(tails[idx])), int(axes[idx]))
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        _, tails, _, heads = _box_edge_tables(self)
+        """(tails, heads) site-index arrays, one entry per edge, edge-index order."""
+        _, tails, _, heads = _edge_tables(self)
         return tails, heads
 
     def neighbors(self, site: Site) -> list[tuple[Site, EdgeId]]:
         if not self.contains(site):
-            raise ValueError(f"site {site} outside box")
+            raise ValueError(f"site {site} outside {self}")
         out = []
         for a in range(self.d):
-            up = add(site, unit(a, self.d))
+            up = self._step(site, a, 1)
             if self.contains(up):
                 out.append((up, EdgeId(site, a)))
-            down = add(site, tuple(-u for u in unit(a, self.d)))
+            down = self._step(site, a, -1)
             if self.contains(down):
                 out.append((down, EdgeId(down, a)))
         return out
+
+
+def enumerate_edges(region: Region) -> list[EdgeId]:
+    """Every edge of the region exactly once, in dense index order."""
+    return [region.edge_from_index(i) for i in range(region.n_edges())]
+
+
+@dataclass(frozen=True)
+class Box(Region):
+    """Axis-aligned box of sites {x : lo_i <= x_i <= hi_i}; no axis wraps."""
+
+    lo: Site
+    hi: Site
+
+    def __post_init__(self) -> None:
+        if len(self.lo) != len(self.hi):
+            raise ValueError("lo/hi dimension mismatch")
+        if any(h < l for l, h in zip(self.lo, self.hi)):
+            raise ValueError("empty box")
+        shape = tuple(h - l + 1 for l, h in zip(self.lo, self.hi))
+        Region.__init__(self, self.lo, shape, (False,) * len(shape))
 
 
 @dataclass(frozen=True)
@@ -193,53 +191,7 @@ class Torus(Region):
             raise ValueError("torus side must be >= 3")
         if self.d < 1:
             raise ValueError("dimension must be >= 1")
-        strides = [self.n ** (self.d - 1 - i) for i in range(self.d)]
-        object.__setattr__(self, "_strides", tuple(strides))
-        object.__setattr__(self, "_nsites", self.n**self.d)
-
-    def n_sites(self) -> int:
-        return self._nsites
-
-    def contains(self, site: Site) -> bool:
-        return len(site) == self.d and all(0 <= x < self.n for x in site)
-
-    def site_index(self, site: Site) -> int:
-        if not self.contains(site):
-            raise ValueError(f"site {site} outside torus")
-        return sum(x * s for x, s in zip(site, self._strides))
-
-    def site_from_index(self, idx: int) -> Site:
-        out = []
-        for s in self._strides:
-            q, idx = divmod(idx, s)
-            out.append(q)
-        return tuple(out)
-
-    def wrap(self, site: Sequence[int]) -> Site:
-        return tuple(x % self.n for x in site)
-
-    def n_edges(self) -> int:
-        return self.d * self._nsites
-
-    def edge_index(self, edge: EdgeId) -> int:
-        return self.site_index(edge.base) * self.d + edge.axis
-
-    def edge_from_index(self, idx: int) -> EdgeId:
-        return EdgeId(self.site_from_index(idx // self.d), idx % self.d)
-
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return _torus_edge_arrays(self)
-
-    def neighbors(self, site: Site) -> list[tuple[Site, EdgeId]]:
-        if not self.contains(site):
-            raise ValueError(f"site {site} outside torus")
-        out = []
-        for a in range(self.d):
-            up = self.wrap(add(site, unit(a, self.d)))
-            out.append((up, EdgeId(site, a)))
-            down = self.wrap(add(site, tuple(-u for u in unit(a, self.d))))
-            out.append((down, EdgeId(down, a)))
-        return out
+        Region.__init__(self, (0,) * self.d, (self.n,) * self.d, (True,) * self.d)
 
 
 # Edge tables are cached by region value, so equal regions built anew (a
@@ -247,48 +199,24 @@ class Torus(Region):
 
 
 @lru_cache(maxsize=128)
-def _box_edge_tables(box: Box):
+def _edge_tables(region: Region):
     """(dense index of each (site, axis) pair or -1, tails, axes, heads).
 
-    Edges run row-major over sites then axis, skipping (site, axis) pairs
-    whose head would leave the box, with consecutive dense indices.
+    Edges run row-major over sites then axis, skipping the pairs on the last
+    layer of an open axis, with consecutive dense indices.
     """
-    coords = np.stack(
-        np.meshgrid(
-            *[np.arange(l, h + 1) for l, h in zip(box.lo, box.hi)], indexing="ij"
-        ),
-        axis=-1,
-    ).reshape(box._nsites, box.d)
-    valid = np.zeros((box._nsites, box.d), dtype=bool)
-    for a in range(box.d):
-        valid[:, a] = coords[:, a] < box.hi[a]
-    flat = valid.ravel()
+    shape = np.array(region.shape)
+    coords = np.indices(region.shape).reshape(region.d, -1).T
+    last = coords == shape - 1
+    flat = (~last | np.array(region.periodic)).ravel()
     idx_of_pair = np.cumsum(flat) - 1
     idx_of_pair[~flat] = -1
     pairs = np.flatnonzero(flat)
-    tails = pairs // box.d
-    axes = pairs % box.d
-    heads = tails + np.array(box._strides)[axes]
-    return (
-        idx_of_pair.astype(np.int64),
-        tails.astype(np.int64),
-        axes.astype(np.int64),
-        heads.astype(np.int64),
-    )
-
-
-@lru_cache(maxsize=128)
-def _torus_edge_arrays(torus: Torus) -> tuple[np.ndarray, np.ndarray]:
-    tails = np.repeat(np.arange(torus._nsites, dtype=np.int64), torus.d)
-    coords = np.stack(
-        np.meshgrid(*[np.arange(torus.n)] * torus.d, indexing="ij"), axis=-1
-    ).reshape(torus._nsites, torus.d)
-    heads = np.empty(torus.n_edges(), dtype=np.int64)
-    strides = np.array(torus._strides)
-    for a in range(torus.d):
-        delta = np.where(coords[:, a] == torus.n - 1, 1 - torus.n, 1)
-        heads[a :: torus.d] = tails[a :: torus.d] + delta * strides[a]
-    return tails, heads
+    tails, axes = np.divmod(pairs, region.d)
+    strides = np.array(region._strides)[axes]
+    # only a periodic axis has edges off its last layer; they wrap to the first
+    heads = tails + np.where(last.ravel()[pairs], (1 - shape[axes]) * strides, strides)
+    return tuple(a.astype(np.int64) for a in (idx_of_pair, tails, axes, heads))
 
 
 def point_window(n: int, d: int, w: int) -> Box:

@@ -58,7 +58,7 @@ def searched_graph(field):
     weff, _ = fpp._effective_weights(field)
     if isinstance(field.region, Torus):
         cyl = fpp._cylinder(field.region.n, field.region.d)
-        return cyl.graph, weff[cyl.torus_edge], cyl.site_of
+        return cyl.graph, weff[cyl.torus_edge], cyl.site_from_index
     return fpp._graph(field.region), weff, field.region.site_from_index
 
 

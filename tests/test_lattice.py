@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpplab import fpp
 from fpplab.lattice import (
     Box,
+    EdgeId,
     Torus,
     ball,
     enumerate_edges,
@@ -73,6 +75,8 @@ class TestEdgeEnumeration:
             Torus(4, 3),
             Torus(3, 4),
             point_window(5, 2, 3),
+            fpp._cylinder(3, 2),
+            fpp._cylinder(4, 3),
         ],
     )
     def test_index_round_trip(self, region):
@@ -80,11 +84,20 @@ class TestEdgeEnumeration:
         for i in range(E):
             e = region.edge_from_index(i)
             assert region.edge_index(e) == i
+        with pytest.raises(ValueError):
+            region.edge_index(EdgeId(region.site_from_index(0), -1))
         tails, heads = region.edge_arrays()
-        assert tails.shape == (E,)
+        assert tails.shape == (E,) and len(heads) == E
+        torus = Torus(region.n, region.d) if hasattr(region, "torus_edge") else None
         for i in range(E):
-            base, head = region.edge_from_index(i).endpoints()
+            edge = region.edge_from_index(i)
+            base, head = edge.endpoints()
             assert region.site_index(base) == tails[i]
+            assert region.site_index(region.wrap(head)) == heads[i]
+            if torus is not None:
+                # cylinder edges cover the torus edge of the same axis and base
+                want = torus.edge_index(EdgeId(torus.wrap(base), edge.axis))
+                assert region.torus_edge[i] == want
 
     def test_site_round_trip(self):
         for region in (Box((-1, 0), (2, 3)), Torus(5, 2)):
