@@ -22,7 +22,7 @@ from fpplab.estimators import (
     summarize,
 )
 from fpplab.fpp import passage_time
-from fpplab.lattice import point_window
+from fpplab.lattice import point_window, window_halfwidth
 from fpplab.weights import mix64, parse_spec, sample_field
 
 
@@ -62,7 +62,8 @@ def main() -> int:
     n_top = max(n_list)
     ests = []
     for r in range(min(50, replicas)):
-        field = sample_field(cfg.spec, point_window(n_top, 2, n_top // 2), mix64(cfg.seed, r))
+        window = point_window(n_top, 2, window_halfwidth(n_top, 0, cfg.kappa))
+        field = sample_field(cfg.spec, window, mix64(cfg.seed, r))
         res = passage_time(field, (0, 0), (n_top, 0))
         est, _ = efron_stein_bound(field, res, resample_count=1, seed=r)
         ests.append(est)

@@ -15,6 +15,7 @@ from .weights import (
     sample_field,
 )
 from .fpp import (
+    AveragedPassage,
     CriticalityValue,
     PassageResult,
     averaged_passage,
@@ -44,6 +45,7 @@ __all__ = [
     "WeightField",
     "parse_spec",
     "sample_field",
+    "AveragedPassage",
     "CriticalityValue",
     "PassageResult",
     "averaged_passage",

@@ -417,7 +417,7 @@ def cmd_sweep(args) -> int:
             spec=parse_spec(args.dist),
             replicas=args.replicas,
             seed=args.seed,
-            kappa=args.kappa,
+            **({} if args.kappa is None else {"kappa": args.kappa}),
         )
     if args.record_fn:
         cfg = replace(cfg, record_fn=True)
@@ -540,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", help="comma-separated sizes, e.g. 16,32,64")
         p.add_argument("--replicas", type=int)
         p.add_argument("--seed", type=int)
-        p.add_argument("--kappa", type=float, default=0.5)
+        p.add_argument("--kappa", type=float, help="first window half-width, in units of n^(2/3)")
         p.add_argument("--threads", type=int, default=None)
         p.add_argument("--out", required=True, help="output directory")
         p.set_defaults(func=cmd_sweep, model=model, record_fn=record_fn)

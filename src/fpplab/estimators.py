@@ -52,7 +52,7 @@ class SweepConfig:
     spec: DistributionSpec
     replicas: int
     seed: int
-    kappa: float = 0.5
+    kappa: float = 1.25  # first window half-width in units of n^(2/3)
     bootstrap: int = 2000
     threads: int = 0  # 0: use machine parallelism
     record_fn: bool = False
@@ -218,7 +218,12 @@ def run_replica(config: SweepConfig, n: int, replica: int) -> ReplicaRecord:
         for key, val in _geometry_stats(res, config.spec).items():
             setattr(rec, key, val)
     if config.record_fn:
-        rec.F_n, _ = averaged_passage(res.field, n)
+        # F_n starts on T's final window and may grow it further; the
+        # record counts the grows of both and flags either flag
+        fn = averaged_passage(res.field, n, max_grows=config.max_grows - res.grows)
+        rec.F_n = fn.F_n
+        rec.window_grows += fn.grows
+        rec.flagged |= fn.boundary_flag
     return rec
 
 

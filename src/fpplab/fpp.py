@@ -159,8 +159,13 @@ class PassageResult:
     ``d_dst`` (and ``d_dst_eff``) is computed by one search from ``dst`` the
     first time it is read; a torus result has none.
     ``dag_edge_idx`` and ``gint_edge_idx`` hold region edge indices; the
-    EdgeId views are built on demand.  A result without geometry has an empty
-    ``sample_path``.  In a box ``sample_path`` is a simple geodesic.  On the
+    EdgeId views are built on demand.  ``window`` and ``field`` are those of
+    the last search: after ``grows`` doublings of a Box window, the larger
+    box, whose sampled field holds the first window's weights on the first
+    window's edges.  ``boundary_flag`` says the geodesic DAG still touched
+    that window's boundary.  A box result without geometry has the DAG but
+    an empty ``sample_path`` and ``gint_edge_idx``; a torus result without
+    geometry has neither.  In a box ``sample_path`` is a simple geodesic.  On the
     torus it is a closed walk of unit steps from a cut site back to itself,
     winding once around axis 0, of weight T; it is a simple cycle unless the
     law has an atom at 0, when it can revisit a site through a zero-weight
@@ -358,6 +363,35 @@ def _grow_box(box: Box) -> Box:
     )
 
 
+def _search_inside(field: WeightField, pairs, grow: Optional[bool], max_grows: int):
+    """One search from each (src, dst) pair's source and the geodesic DAG into
+    its destination, rerun on a doubled window while some DAG touches the
+    window's boundary, at most ``max_grows`` times.
+
+    Returns ``(field, weff, scale, dists, dags, grows, touched)`` of the last
+    window; ``dags`` stops at the first DAG that touches.  ``grow`` None grows
+    a sampled Box field.
+    """
+    if grow is None:
+        grow = isinstance(field.region, Box) and field.spec is not None
+    grows = 0
+    while True:
+        region = field.region
+        graph, boundary = _graph(region), _boundary_mask(region)
+        weff, scale = _effective_weights(field)
+        dists = graph.distances(weff, [region.site_index(src) for src, _ in pairs])
+        dags, touched = [], False
+        for row, (_, dst) in zip(dists, pairs):
+            dags.append(_geodesic_dag(graph, weff, row, region.site_index(dst)))
+            touched = bool(np.any(boundary[dags[-1][0]]) or np.any(boundary[dags[-1][1]]))
+            if touched:
+                break
+        if not (touched and grow and grows < max_grows):
+            return field, weff, scale, dists, dags, grows, touched
+        field = sample_field(field.spec, _grow_box(region), field.seed, for_fpp=False)
+        grows += 1
+
+
 def passage_time(
     field: WeightField,
     src: Site,
@@ -369,47 +403,30 @@ def passage_time(
 ) -> PassageResult:
     """Exact minimum passage time over lattice paths from src to dst.
 
-    On a Box window the computation reruns on a doubled window whenever a
-    geodesic-DAG edge touches the boundary (the field is resampled from its
-    (seed, spec) on the larger region), so the reported geodesic structure
-    matches the unbounded lattice whenever it completes without a flag.
+    On a Box window the search reruns on a doubled window whenever a
+    geodesic-DAG edge touches the boundary, up to ``max_grows`` times; past
+    that the result is flagged (``boundary_flag``).  A sampled Box field keys
+    its weights by lattice coordinates, so the larger window holds the very
+    weights of the smaller one plus new edges: growing reveals more of the
+    same environment.  The DAG and the test run with or without
+    ``want_geometry``, so T, ``grows`` and the flag do not depend on it; only
+    the geodesic walk (``sample_path``, ``gint_edge_idx``) is skipped.
     """
-    if grow is None:
-        grow = isinstance(field.region, Box) and field.spec is not None
-    grows = 0
-    while True:
-        region = field.region
-        graph = _graph(region)
-        weff, scale = _effective_weights(field)
-        src_idx = region.site_index(src)
-        dst_idx = region.site_index(dst)
-        d_src = graph.distances(weff, [src_idx])[0]
-        T_eff = float(d_src[dst_idx])
-        if not want_geometry:
-            return PassageResult(
-                T_eff, src, dst, region, weff, d_src,
-                np.array([], dtype=np.int64), np.array([], dtype=np.int64),
-                [], field, scale, grows,
-            )
-        dag_from, dag_to, dag_edge = _geodesic_dag(graph, weff, d_src, dst_idx)
-
-        boundary = _boundary_mask(region)
-        touched = bool(np.any(boundary[dag_from]) or np.any(boundary[dag_to]))
-        if touched and grow and isinstance(region, Box) and grows < max_grows:
-            new_region = _grow_box(region)
-            field = sample_field(field.spec, new_region, field.seed, for_fpp=False)
-            grows += 1
-            continue
-
-        path, member = _geodesic_walk(
-            dag_from, dag_to, dag_edge, d_src, src_idx, dst_idx
+    field, weff, scale, dists, dags, grows, touched = _search_inside(
+        field, [(src, dst)], grow, max_grows
+    )
+    region = field.region
+    path, member = [], []
+    if want_geometry:
+        raw, member = _geodesic_walk(
+            *dags[0], dists[0], region.site_index(src), region.site_index(dst)
         )
-        return PassageResult(
-            T_eff, src, dst, region, weff, d_src, np.unique(dag_edge),
-            np.asarray(member, dtype=np.int64),
-            _sites(region, path), field, scale, grows,
-            boundary_flag=touched,
-        )
+        path = _sites(region, raw)
+    return PassageResult(
+        float(dists[0, region.site_index(dst)]), src, dst, region, weff, dists[0],
+        np.unique(dags[0][2]), np.asarray(member, dtype=np.int64), path, field,
+        scale, grows, boundary_flag=touched,
+    )
 
 
 def _edge_removal_increases_T(
@@ -668,35 +685,45 @@ def torus_winding_oracle(field: WeightField, max_len: int) -> tuple[float, set[i
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class AveragedPassage:
+    """F_n, its terms T(z, z + n e_1) by source z, and the window growth behind
+    them: ``grows`` doublings, and ``boundary_flag`` when some term's geodesic
+    DAG still touched the final window's boundary."""
+
+    F_n: float
+    terms: dict[Site, float]
+    grows: int
+    boundary_flag: bool
+
+
 def averaged_passage(
-    field: WeightField, n: int, m: Optional[int] = None
-) -> tuple[float, dict[Site, float]]:
+    field: WeightField,
+    n: int,
+    m: Optional[int] = None,
+    *,
+    max_grows: int = GROW_LIMIT,
+) -> AveragedPassage:
     """F_n: the passage time averaged over sources z in the L1 ball B_m.
 
-    m defaults to ceil(n^(1/4)); each term is an independent shortest-path
-    run on the same field.
+    m defaults to ceil(n^(1/4)).  One multi-source search gives every term;
+    each term's geodesic DAG gets the boundary test of :func:`passage_time`,
+    and the window doubles for all terms at once when any DAG touches it.
     """
-    region = field.region
-    d = region.d
+    d = field.region.d
     if m is None:
         m = math.ceil(n**0.25)
-    zs = ball(m, d)
     shift = tuple(n if i == 0 else 0 for i in range(d))
-    pairs = []
-    for z in zs:
-        z2 = tuple(a + b for a, b in zip(z, shift))
-        if not (region.contains(z) and region.contains(z2)):
+    pairs = [(z, tuple(a + b for a, b in zip(z, shift))) for z in ball(m, d)]
+    for z, z2 in pairs:
+        if not (field.region.contains(z) and field.region.contains(z2)):
             raise ValueError(f"window too small for translate {z}")
-        pairs.append((z, z2))
-    graph = _graph(region)
-    weff, scale = _effective_weights(field)
-    dists = graph.distances(weff, [region.site_index(z) for z, _ in pairs])
+    field, _, scale, dists, _, grows, touched = _search_inside(field, pairs, None, max_grows)
     terms = {}
-    for i, (z, z2) in enumerate(pairs):
-        val = float(dists[i, region.site_index(z2)])
+    for (z, z2), row in zip(pairs, dists):
+        val = float(row[field.region.site_index(z2)])
         terms[z] = val / scale if scale else val
-    Fn = sum(terms.values()) / len(terms)
-    return Fn, terms
+    return AveragedPassage(sum(terms.values()) / len(terms), terms, grows, touched)
 
 
 def simple_path_matrix(region: Region, src: Site, dst: Site) -> np.ndarray:

@@ -136,6 +136,8 @@ class Region:
         return int(_edge_tables(self)[0][pair])
 
     def edge_from_index(self, idx: int) -> EdgeId:
+        if not 0 <= idx < self._nedges:
+            raise ValueError(f"edge index {idx} outside 0..{self._nedges - 1}")
         _, tails, axes, _ = _edge_tables(self)
         return EdgeId(self.site_from_index(int(tails[idx])), int(axes[idx]))
 
@@ -226,6 +228,13 @@ def point_window(n: int, d: int, w: int) -> Box:
     return Box(lo, hi)
 
 
-def window_halfwidth(n: int, m: int = 0, kappa: float = 0.5) -> int:
-    """Initial window half-width: max(m, ceil(kappa * n))."""
-    return max(m, int(np.ceil(kappa * n)), 1)
+def window_halfwidth(n: int, m: int, kappa: float) -> int:
+    """Initial window half-width: max(m + ceil(kappa * n^(2/3)), 1).
+
+    Geodesics wander n^(2/3) off the straight line (the KPZ transverse
+    scale), so that is the width that scales with where they go.  An F_n
+    term starts up to m off the axis, so m is added: each term gets the
+    room T gets.  The ceiling forgives a float error of 1e-9, so a perfect
+    cube n gives the same width whichever way ``pow`` rounds its last bit.
+    """
+    return max(m + math.ceil(kappa * n ** (2 / 3) - 1e-9), 1)

@@ -14,6 +14,20 @@ Sampling is counter-based: the weight of edge ``i`` under master seed ``s`` is
 
 (the finalizer is SplitMix64's.)  ``uniform53(z) = (z >> 11) * 2^-53``.
 
+The counter ``i`` of an edge depends on the region.  A region with a wrapping
+axis (a Torus) uses the dense edge index, itself a function of the torus
+coordinates.  An open region (a Box) uses the edge's lattice coordinates, so
+every box that holds an edge gives it the same weight, and a grown window is
+the old one plus new edges.  The edge from ``base`` up ``axis`` in Z^d has
+
+    key(base, axis) = ((x_0 + h) * 2^(b(d-1)) + ... + (x_(d-1) + h)) * 2^a + axis
+
+with ``a`` the bit length of d - 1, ``b = (64 - a) // d`` and ``h = 2^(b-1)``:
+each shifted coordinate fills its own b-bit field, and the axis the low a
+bits, so the key is injective on the bases with ``-h <= x_i < h``: h = 2^30
+in d = 2, 2^19 in d = 3 and 2^14 in d = 4.  A coordinate outside that range
+raises ``ValueError`` (:func:`edge_key`, :func:`sample_field`).
+
 :func:`sample_weights` walks the counter stream in blocks of ``_BLOCK`` draws,
 so the hash, uniform and inverse-CDF temporaries stay in cache.  Draw ``i``
 depends only on ``(seed, i)``, so the block size never shows in the output.
@@ -30,10 +44,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
-from .lattice import Region
+from .lattice import Region, _edge_tables
 
 _M64 = (1 << 64) - 1
 _C1 = 0xBF58476D1CE4E5B9
@@ -78,6 +94,44 @@ def _finalize64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     np.right_shift(z, np.uint64(31), out=tmp)
     z ^= tmp
     return z
+
+
+def _key_bits(d: int) -> tuple[int, int, int]:
+    """(a, b, h) of the edge key in dimension d; see the module docstring."""
+    a = (d - 1).bit_length()
+    b = (64 - a) // d
+    return a, b, 1 << (b - 1)
+
+
+def edge_key(base: Sequence[int], axis: int) -> int:
+    """The counter of the Box edge from ``base`` one step up ``axis``."""
+    a, b, h = _key_bits(len(base))
+    if not 0 <= axis < len(base):
+        raise ValueError(f"axis {axis} outside 0..{len(base) - 1}")
+    key = 0
+    for x in base:
+        if not -h <= x < h:
+            raise ValueError(f"coordinate {x} outside the key range [-{h}, {h})")
+        key = (key << b) | (x + h)
+    return (key << a) | axis
+
+
+@lru_cache(maxsize=32)
+def _box_keys(region: Region) -> np.ndarray:
+    """Premultiplied keys (:func:`counter_keys`) of :func:`edge_key` for every
+    edge of an open region, in edge-index order; built once per region."""
+    a, b, h = _key_bits(region.d)
+    top = [l + s - 1 for l, s in zip(region.lo, region.shape)]
+    if min(region.lo) < -h or max(top) >= h:
+        raise ValueError(f"{region} leaves the key range [-{h}, {h})")
+    _, tails, axes, _ = _edge_tables(region)
+    key = axes.astype(np.uint64)
+    for i, coord in enumerate(np.unravel_index(tails, region.shape)):
+        shift = np.uint64(a + b * (region.d - 1 - i))
+        key |= (coord.astype(np.uint64) + np.uint64(region.lo[i] + h)) << shift
+    keys = counter_keys(key)
+    keys.flags.writeable = False
+    return keys
 
 
 def uniform53(z: int) -> float:
@@ -495,7 +549,9 @@ class WeightField:
 
     ``weights[i]`` is the weight of ``region.edge_from_index(i)``.  Fields
     produced by :func:`sample_field` are bit-exact functions of
-    (seed, spec, region); hand-built fields may pass spec None.
+    (seed, spec, region); on a Box each weight depends on (seed, spec, edge)
+    alone, so the field on a larger box extends this one.  Hand-built fields
+    may pass spec None.
     """
 
     region: Region
@@ -518,10 +574,16 @@ class WeightField:
 def sample_field(
     spec: DistributionSpec, region: Region, seed: int, for_fpp: bool = True
 ) -> WeightField:
-    """Draw an i.i.d. field; per-edge streams come from mix64(seed, edge index)."""
+    """Draw an i.i.d. field; edge e's weight comes from mix64(seed, counter of e).
+
+    On an open region (a Box) the counter is :func:`edge_key` of the edge's
+    lattice coordinates, so boxes that share an edge give it the same weight;
+    on a region with a wrapping axis (a Torus) it is the dense edge index.
+    """
     if for_fpp:
         validate_for_fpp(spec, region.d)
-    return WeightField(region, sample_weights(spec, seed, region.n_edges()), seed, spec)
+    keys = None if any(region.periodic) else _box_keys(region)
+    return WeightField(region, sample_weights(spec, seed, region.n_edges(), keys), seed, spec)
 
 
 # Draws per block: 2^14 draws keep the 128 KiB hash, uniform and inverse-CDF

@@ -31,7 +31,7 @@ seed = 1
 class TestConfigGrammar:
     def test_minimal_defaults(self):
         cfg = parse_config(MINIMAL)
-        assert cfg.kappa == 0.5
+        assert cfg.kappa == 1.25
         assert cfg.bootstrap == 2000
         assert cfg.n_list == (4, 6)
 
@@ -48,7 +48,7 @@ class TestConfigGrammar:
             "dist = uniform:0.0,1.0\n"
             "replicas = 3\n"
             "seed = 1\n"
-            "kappa = 0.5\n"
+            "kappa = 1.25\n"
             "bootstrap = 2000\n"
             "threads = 0\n"
             "record_fn = false\n"
@@ -253,6 +253,17 @@ class TestCliCommands:
         # timestamps never leak into the data files
         csv_text = (out / "records_fpp-point_n4.csv").read_text()
         assert "20" not in csv_text.splitlines()[0]
+
+    def test_kappa_default_lives_in_sweep_config(self, tmp_path):
+        base = [
+            "fpp", "run", "--d", "2", "--dist", "uniform:0,1", "--n", "4",
+            "--replicas", "2", "--seed", "1", "--threads", "1",
+        ]
+        for extra, want in (([], SweepConfig.kappa), (["--kappa", "0.3"], 0.3)):
+            out = tmp_path / str(want)
+            assert main(base + extra + ["--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert parse_config(manifest["config_text"]).kappa == want
 
     def test_plot_manifest(self, tmp_path):
         out = tmp_path / "p"

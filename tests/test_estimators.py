@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpplab.estimators import (
     ReplicaRecord,
@@ -13,13 +16,14 @@ from fpplab.estimators import (
     geodesic_speed_stats,
     geodesic_window_stats,
     influence_map,
+    run_replica,
     run_sweep,
     sublinearity_profile,
     summarize,
 )
-from fpplab.fpp import passage_time, brute_force_passage, torus_passage
-from fpplab.lattice import Box, Torus, point_window
-from fpplab.weights import Bernoulli, TableCDF, Uniform, WeightField, sample_field
+from fpplab.fpp import _grow_box, averaged_passage, passage_time, brute_force_passage, torus_passage
+from fpplab.lattice import Box, Torus, point_window, window_halfwidth
+from fpplab.weights import Bernoulli, TableCDF, Uniform, WeightField, mix64, parse_spec, sample_field
 
 
 def unit_config(**kw):
@@ -178,6 +182,40 @@ class TestSublinearity:
         for row in prof.rows:
             assert row.var_over_n == pytest.approx(1.0, rel=1e-12)
         assert prof.var_over_n_nonincreasing
+
+
+class TestWindowRecords:
+    @given(
+        law=st.sampled_from(["uniform:0,1", "bernoulli:0,1,0.3"]),
+        kappa=st.floats(0.05, 1.5),
+        n=st.integers(4, 16),
+        replica=st.integers(0, 10**6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_t_only_and_geometry_records_agree(self, law, kappa, n, replica):
+        cfg = unit_config(spec=parse_spec(law), n_list=(n,), kappa=kappa)
+        geo = run_replica(cfg, n, replica)
+        bare = run_replica(dataclasses.replace(cfg, record_geometry=False), n, replica)
+        assert bare.geo_len is None
+        assert (bare.T, bare.window_grows, bare.flagged) == (geo.T, geo.window_grows, geo.flagged)
+
+    def test_fn_records_count_their_grows(self):
+        # F_n's last search ran on the first window grown window_grows times
+        cfg = unit_config(
+            spec=Uniform(0, 1), n_list=(16,), kappa=0.05, record_fn=True,
+            record_geometry=False,
+        )
+        grew = 0
+        for r in range(12):
+            rec = run_replica(cfg, 16, r)
+            window = point_window(16, 2, window_halfwidth(16, 2, cfg.kappa))
+            for _ in range(rec.window_grows):
+                window = _grow_box(window)
+            field = sample_field(cfg.spec, window, mix64(cfg.seed, r))
+            assert rec.F_n == averaged_passage(field, 16, max_grows=0).F_n
+            assert not rec.flagged
+            grew += rec.window_grows
+        assert grew > 0
 
 
 class TestEfronStein:
@@ -389,6 +427,6 @@ class TestFnComparison:
         win = point_window(6, 2, 3)
         field = sample_field(Uniform(0, 1), win, 3)
         res = passage_time(field, (0, 0), (6, 0), grow=False)
-        Fn, terms = averaged_passage(field, 6, m=0)
-        assert list(terms) == [(0, 0)]
-        assert Fn == res.T
+        fn = averaged_passage(field, 6, m=0)
+        assert list(fn.terms) == [(0, 0)]
+        assert fn.F_n == res.T

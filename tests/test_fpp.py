@@ -1,7 +1,10 @@
+import math
 from collections import defaultdict, deque
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fpplab import fpp
 from fpplab.fpp import (
@@ -15,7 +18,7 @@ from fpplab.fpp import (
     torus_passage,
     torus_winding_oracle,
 )
-from fpplab.lattice import Box, EdgeId, Torus, point_window
+from fpplab.lattice import Box, EdgeId, Torus, enumerate_edges, point_window, window_halfwidth
 from fpplab.weights import (
     Bernoulli,
     TableCDF,
@@ -480,6 +483,15 @@ class TestSingleEdgeUpdate:
                 single_edge_update(res, 0, 0.5)
 
 
+GROWTH_LAWS = st.sampled_from(["uniform:0,1", "bernoulli:0,1,0.3"])
+
+
+def box_geometry(res):
+    """(T, geodesic DAG, intersection) of a box result, in lattice edges."""
+    dag = frozenset(res.window.edge_from_index(int(i)) for i in res.dag_edge_idx)
+    return res.T, dag, res.g_intersection
+
+
 class TestWindowGrowth:
     def test_growth_occurs_and_is_deterministic(self):
         win = point_window(6, 2, 1)  # deliberately tight window
@@ -498,6 +510,68 @@ class TestWindowGrowth:
 
         assert _grow_box(point_window(6, 2, 1)) == point_window(6, 2, 2)
         assert _grow_box(point_window(8, 3, 4)) == point_window(8, 3, 8)
+
+    @given(law=GROWTH_LAWS, seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_grow_keeps_every_weight(self, law, seed):
+        small = random_field(point_window(16, 2, 8), parse_spec(law), seed)
+        big = random_field(fpp._grow_box(small.region), parse_spec(law), seed)
+        at = [big.region.edge_index(e) for e in enumerate_edges(small.region)]
+        assert np.array_equal(big.weights[at], small.weights)
+
+    @given(
+        law=GROWTH_LAWS,
+        seed=st.integers(0, 2**32),
+        n=st.integers(4, 12),
+        kappas=st.tuples(st.floats(0.1, 2.0), st.floats(0.1, 2.0)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_unflagged_results_do_not_depend_on_kappa(self, law, seed, n, kappas):
+        narrow, wide = sorted(
+            (
+                passage_time(
+                    random_field(point_window(n, 2, window_halfwidth(n, 0, k)), parse_spec(law), seed),
+                    (0, 0), (n, 0),
+                )
+                for k in kappas
+            ),
+            key=lambda res: res.window.n_sites(),
+        )
+        assume(not (narrow.boundary_flag or wide.boundary_flag))
+        # The boundary test is no certificate: a geodesic of the wider window
+        # can leave the narrower one while the narrower window's DAG stays off
+        # its boundary.  Wherever the wider DAG stays inside, the two agree.
+        box = narrow.window
+        sites = {s for e in box_geometry(wide)[1] for s in e.endpoints()}
+        assume(all(l < x < h for s in sites for x, l, h in zip(s, box.lo, box.hi)))
+        assert box_geometry(narrow) == box_geometry(wide)
+
+    @given(
+        law=GROWTH_LAWS,
+        seed=st.integers(0, 2**32),
+        n=st.integers(4, 12),
+        kappas=st.tuples(st.floats(0.1, 2.0), st.floats(0.1, 2.0)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_unflagged_fn_terms_do_not_depend_on_kappa(self, law, seed, n, kappas):
+        spec, m = parse_spec(law), math.ceil(n**0.25)
+        runs = []
+        for k in kappas:
+            window = point_window(n, 2, window_halfwidth(n, m, k))
+            fn = averaged_passage(random_field(window, spec, seed), n, m)
+            for _ in range(fn.grows):
+                window = fpp._grow_box(window)
+            runs.append((window, fn))
+        (box, narrow), (wide_box, wide) = sorted(runs, key=lambda run: run[0].n_sites())
+        assume(not (narrow.boundary_flag or wide.boundary_flag))
+        field = random_field(wide_box, spec, seed)
+        for z, Tz in narrow.terms.items():
+            # as for T: equal wherever the wider term's DAG stays inside
+            res = passage_time(field, z, (z[0] + n, z[1]), max_grows=0, want_geometry=False)
+            assert res.T == wide.terms[z]
+            sites = {s for e in box_geometry(res)[1] for s in e.endpoints()}
+            if all(l < x < h for s in sites for x, l, h in zip(s, box.lo, box.hi)):
+                assert Tz == wide.terms[z]
 
 
 def reference_torus_passage(field):
@@ -660,20 +734,34 @@ class TestTorus:
 class TestAveragedPassage:
     def test_unit_weights(self):
         win = point_window(16, 2, 8)
-        Fn, terms = averaged_passage(unit_field(win), 16)
-        assert Fn == 16.0
-        assert len(terms) == 13  # m = ceil(16^(1/4)) = 2, |B_2| = 13 in d = 2
+        fn = averaged_passage(unit_field(win), 16)
+        assert fn.F_n == 16.0
+        assert len(fn.terms) == 13  # m = ceil(16^(1/4)) = 2, |B_2| = 13 in d = 2
 
     def test_subadditivity_bound(self):
         win = point_window(8, 2, 4)
         field = random_field(win, Uniform(0, 1), 21)
         T0 = passage_time(field, (0, 0), (8, 0), grow=False, want_geometry=False).T
-        _, terms = averaged_passage(field, 8, m=2)
+        terms = averaged_passage(field, 8, m=2).terms
         for z, Tz in terms.items():
             z2 = (z[0] + 8, z[1])
             a = passage_time(field, (0, 0), z, grow=False, want_geometry=False).T if z != (0, 0) else 0.0
             b = passage_time(field, (8, 0), z2, grow=False, want_geometry=False).T if z != (0, 0) else 0.0
             assert abs(T0 - Tz) <= a + b + 1e-12
+
+    def test_grows_for_all_terms(self):
+        spec, grew = Uniform(0, 1), 0
+        for seed in range(20):
+            tight = random_field(point_window(8, 2, 2), spec, seed)
+            fn = averaged_passage(tight, 8, m=2)
+            final = tight.region
+            for _ in range(fn.grows):
+                final = fpp._grow_box(final)
+            again = averaged_passage(random_field(final, spec, seed), 8, m=2, max_grows=0)
+            assert again.terms == fn.terms
+            assert not (again.boundary_flag or fn.boundary_flag)
+            grew += fn.grows > 0
+        assert grew > 0
 
     def test_window_too_small(self):
         win = point_window(8, 2, 1)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -137,11 +139,30 @@ class TestRegionValidation:
         with pytest.raises(ValueError):
             Torus(2, 2)
 
+    @pytest.mark.parametrize("region", [Box((0, 0), (2, 2)), Torus(3, 2)], ids=["box", "torus"])
+    def test_edge_index_out_of_range(self, region):
+        E = region.n_edges()
+        assert region.edge_index(region.edge_from_index(E - 1)) == E - 1
+        for bad in (-1, -E, E, E + 5):
+            with pytest.raises(ValueError, match="edge index"):
+                region.edge_from_index(bad)
+
     def test_window(self):
         win = point_window(8, 2, 4)
         assert win.lo == (-4, -4) and win.hi == (12, 4)
-        assert window_halfwidth(8) == 4
-        assert window_halfwidth(8, m=6) == 6
+        assert window_halfwidth(8, 0, 1.0) == 4
+        assert window_halfwidth(8, 6, 1.0) == 10
+        assert window_halfwidth(128, 0, 1.25) == 32
+        assert window_halfwidth(64, 0, 1.25) == 20
+
+    @pytest.mark.parametrize("n", [8, 27, 64, 1000])
+    def test_window_at_perfect_cube(self, n):
+        # n^(2/3) is a whole number c; pow may round it one ulp either way
+        c = round(n ** (2 / 3))
+        assert window_halfwidth(n, 0, 1.0) == c
+        assert window_halfwidth(n, 2, 1.0) == c + 2
+        above = math.nextafter(float(c), math.inf) / n ** (2 / 3)
+        assert window_halfwidth(n, 0, above) == c
 
 
 @given(

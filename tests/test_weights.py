@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fpplab.lattice import Torus, point_window
+from fpplab.lattice import Box, Torus, enumerate_edges, point_window
 from fpplab.weights import (
     Bernoulli,
     Exponential,
@@ -12,6 +14,8 @@ from fpplab.weights import (
     TableCDF,
     Uniform,
     WeightField,
+    counter_keys,
+    edge_key,
     mix64,
     mix64_array,
     parse_spec,
@@ -156,6 +160,74 @@ class TestSampling:
         assert mix64(1, 2) == 0x26E9B9B126B89ADA
         assert mix64(123456789, 987654321) == 0x82D82D944A064C92
         assert mix64(1, 2) != mix64(2, 1)
+
+
+def _key_fields(d):
+    """(a, b) of the edge key as the weights docstring states them."""
+    a = (d - 1).bit_length()
+    return a, (64 - a) // d
+
+
+class TestEdgeKey:
+    def test_reference_values(self):
+        # pinned like the mix64 vectors: Box fields hang on these counters
+        assert edge_key((0, 0), 0) == 0x4000000080000000
+        assert edge_key((0, 0), 1) == 0x4000000080000001
+        assert edge_key((-3, 5), 1) == 0x3FFFFFFD8000000B
+        assert edge_key((-(2**30), 2**30 - 1), 0) == 0xFFFFFFFE
+        assert edge_key((1, 2, 3), 2) == 0x2000060000A0000E
+        assert edge_key((-1,), 0) == 2**63 - 1
+
+    @given(
+        data=st.data(),
+        d=st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_decodes_over_the_whole_range(self, data, d):
+        # reading the fields back recovers (base, axis), so the key is injective
+        a, b = _key_fields(d)
+        h = 2 ** (b - 1)
+        base = tuple(data.draw(st.integers(-h, h - 1)) for _ in range(d))
+        axis = data.draw(st.integers(0, d - 1))
+        key = edge_key(base, axis)
+        assert 0 <= key < 2**64
+        assert key % 2**a == axis
+        site = key >> a
+        got = []
+        for _ in range(d):
+            got.append(site % 2**b - h)
+            site >>= b
+        assert tuple(reversed(got)) == base
+
+    def test_injective_on_a_full_small_box(self):
+        box = Box((-4, -4), (4, 4))
+        keys = [edge_key(e.base, e.axis) for e in enumerate_edges(box)]
+        assert len(set(keys)) == len(keys) == box.n_edges()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_outside_the_range_raises(self, d):
+        h = 2 ** (_key_fields(d)[1] - 1)
+        edge_key((h - 1,) * d, d - 1)
+        edge_key((-h,) * d, 0)
+        for x in (h, -h - 1):
+            with pytest.raises(ValueError, match="key range"):
+                edge_key((0,) * (d - 1) + (x,), 0)
+        with pytest.raises(ValueError):
+            edge_key((0,) * d, d)
+        with pytest.raises(ValueError, match="key range"):
+            sample_field(Uniform(0, 1), Box((h - 1,) * d, (h,) * d), 0, for_fpp=False)
+
+    def test_box_field_draws_from_the_keys(self):
+        box = point_window(3, 2, 2)
+        field = sample_field(Uniform(0, 1), box, 5)
+        counters = [edge_key(e.base, e.axis) for e in enumerate_edges(box)]
+        assert list(field.weights) == [uniform53(mix64(5, c)) for c in counters]
+        keyed = counter_keys(np.array(counters, dtype=np.uint64))
+        assert np.array_equal(field.weights, sample_weights(Uniform(0, 1), 5, len(counters), keyed))
+
+    def test_torus_field_keeps_the_dense_index(self):
+        field = sample_field(Uniform(0, 1), Torus(4, 2), 5)
+        assert np.array_equal(field.weights, sample_uniforms(5, field.region.n_edges()))
 
 
 # 3 blocks of 2^14 draws and a partial block
