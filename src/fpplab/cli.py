@@ -37,7 +37,7 @@ from .estimators import (
     sublinearity_profile,
     summarize,
 )
-from .ineqlab import fpp_exhaustive_check, run_randomized_suite, suite_to_json
+from .ineqlab import CheckResult, fpp_exhaustive_check, run_randomized_suite, suite_to_json
 from .lattice import Box, Torus
 from .lpp import fit_center
 from .weights import Bernoulli, parse_spec
@@ -471,15 +471,8 @@ def cmd_ineq_verify(args) -> int:
         for box, dst in ((Box((0, 0), (1, 1)), (1, 1)), (Box((0, 0), (2, 1)), (2, 1))):
             res = fpp_exhaustive_check(box, Bernoulli(1, 2, 0.5), (0, 0), dst)
             exhaustive_ok &= res.holds
-            payload.append(
-                {
-                    "check": f"fpp_exhaustive_{res.n_edges}_edges",
-                    "lhs": res.var_T,
-                    "rhs": res.es_bound,
-                    "margin": res.es_bound - res.var_T,
-                    "holds": res.holds,
-                }
-            )
+            name = f"fpp_exhaustive_{res.n_edges}_edges"
+            payload.append(CheckResult(name, res.var_T, res.es_bound, res.holds).to_json())
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text)

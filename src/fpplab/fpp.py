@@ -160,16 +160,16 @@ class PassageResult:
     first time it is read; a torus result has none.
     ``dag_edge_idx`` and ``gint_edge_idx`` hold region edge indices; the
     EdgeId views are built on demand.  ``window`` and ``field`` are those of
-    the last search: after ``grows`` doublings of a Box window, the larger
-    box, whose sampled field holds the first window's weights on the first
-    window's edges.  ``boundary_flag`` says the geodesic DAG still touched
-    that window's boundary.  A box result without geometry has the DAG but
-    an empty ``sample_path`` and ``gint_edge_idx``; a torus result without
-    geometry has neither.  In a box ``sample_path`` is a simple geodesic.  On the
-    torus it is a closed walk of unit steps from a cut site back to itself,
-    winding once around axis 0, of weight T; it is a simple cycle unless the
-    law has an atom at 0, when it can revisit a site through a zero-weight
-    loop.
+    the last search: after ``grows`` doublings of a Box window (``max_grows``
+    of :func:`passage_time` is the one setting for them), the larger box,
+    whose field holds the first window's weights on the first window's
+    edges, hand edits included.  ``boundary_flag`` says the geodesic DAG
+    still touched that window's boundary.  A box result without geometry has
+    the DAG but an empty ``sample_path`` and ``gint_edge_idx``.  In a box
+    ``sample_path`` is a simple geodesic.  On the torus it is a closed walk
+    of unit steps from a cut site back to itself, winding once around axis 0,
+    of weight T; it is a simple cycle unless the law has an atom at 0, when
+    it can revisit a site through a zero-weight loop.
     """
 
     T_eff: float
@@ -363,17 +363,18 @@ def _grow_box(box: Box) -> Box:
     )
 
 
-def _search_inside(field: WeightField, pairs, grow: Optional[bool], max_grows: int):
+def _search_inside(field: WeightField, pairs, max_grows: int):
     """One search from each (src, dst) pair's source and the geodesic DAG into
     its destination, rerun on a doubled window while some DAG touches the
-    window's boundary, at most ``max_grows`` times.
+    window's boundary, at most ``max_grows`` times; only a Box field with a
+    law grows.
 
     Returns ``(field, weff, scale, dists, dags, grows, touched)`` of the last
-    window; ``dags`` stops at the first DAG that touches.  ``grow`` None grows
-    a sampled Box field.
+    window; ``dags`` stops at the first DAG that touches.  A grown field draws
+    its new edges from the law and keeps the current weights on the edges
+    both windows share, so hand-edited weights survive the grow.
     """
-    if grow is None:
-        grow = isinstance(field.region, Box) and field.spec is not None
+    growable = isinstance(field.region, Box) and field.spec is not None
     grows = 0
     while True:
         region = field.region
@@ -386,9 +387,17 @@ def _search_inside(field: WeightField, pairs, grow: Optional[bool], max_grows: i
             touched = bool(np.any(boundary[dags[-1][0]]) or np.any(boundary[dags[-1][1]]))
             if touched:
                 break
-        if not (touched and grow and grows < max_grows):
+        if not (touched and growable and grows < max_grows):
             return field, weff, scale, dists, dags, grows, touched
-        field = sample_field(field.spec, _grow_box(region), field.seed, for_fpp=False)
+        big = _grow_box(region)
+        weights = sample_field(field.spec, big, field.seed, for_fpp=False).weights
+        _, tails, axes, _ = _edge_tables(region)
+        coords = np.unravel_index(tails, region.shape)
+        at = np.ravel_multi_index(
+            [c + (l - bl) for c, l, bl in zip(coords, region.lo, big.lo)], big.shape
+        )
+        weights[_edge_tables(big)[0][at * region.d + axes]] = field.weights
+        field = WeightField(big, weights, field.seed, field.spec)
         grows += 1
 
 
@@ -398,22 +407,24 @@ def passage_time(
     dst: Site,
     *,
     want_geometry: bool = True,
-    grow: Optional[bool] = None,
     max_grows: int = GROW_LIMIT,
 ) -> PassageResult:
     """Exact minimum passage time over lattice paths from src to dst.
 
-    On a Box window the search reruns on a doubled window whenever a
-    geodesic-DAG edge touches the boundary, up to ``max_grows`` times; past
-    that the result is flagged (``boundary_flag``).  A sampled Box field keys
-    its weights by lattice coordinates, so the larger window holds the very
-    weights of the smaller one plus new edges: growing reveals more of the
-    same environment.  The DAG and the test run with or without
-    ``want_geometry``, so T, ``grows`` and the flag do not depend on it; only
-    the geodesic walk (``sample_path``, ``gint_edge_idx``) is skipped.
+    ``max_grows`` is the one growth setting.  A Box field with a law (``spec``
+    set) reruns the search on a doubled window whenever a geodesic-DAG edge
+    touches the boundary, up to ``max_grows`` times, and ``max_grows=0``
+    never grows; past that the result is flagged (``boundary_flag``).  The
+    grown window keeps the field it grew from, edits included, and draws only
+    its new edges; a sampled Box field keys its weights by lattice
+    coordinates, so those are the very weights a sample of the larger window
+    holds: growing reveals more of the same environment.  The DAG and the
+    test run with or without ``want_geometry``, so T, ``grows`` and the flag
+    do not depend on it; only the geodesic walk (``sample_path``,
+    ``gint_edge_idx``) is skipped.
     """
     field, weff, scale, dists, dags, grows, touched = _search_inside(
-        field, [(src, dst)], grow, max_grows
+        field, [(src, dst)], max_grows
     )
     region = field.region
     path, member = [], []
@@ -567,7 +578,7 @@ def _cylinder(n: int, d: int) -> _Cylinder:
     return _Cylinder(n, d)
 
 
-def torus_passage(field: WeightField, want_geometry: bool = True) -> PassageResult:
+def torus_passage(field: WeightField) -> PassageResult:
     """Minimal weight over closed torus paths winding once around axis 0.
 
     Cuts along x_0 = 0, lifts to a cylinder of two fundamental domains, and
@@ -595,13 +606,6 @@ def torus_passage(field: WeightField, want_geometry: bool = True) -> PassageResu
     targets = n * cyl.K + np.arange(cyl.K)
     vals = dists[np.arange(cyl.K), targets]
     T_eff = float(vals.min())
-    origin = (0,) * d
-    if not want_geometry:
-        return PassageResult(
-            T_eff, origin, origin, region, weff, dists,
-            np.array([], dtype=np.int64), np.array([], dtype=np.int64), [],
-            field, scale, 0,
-        )
     minimizers = np.flatnonzero(vals == T_eff)
     inter: Optional[set[int]] = None
     dag_union: set[int] = set()
@@ -619,7 +623,7 @@ def torus_passage(field: WeightField, want_geometry: bool = True) -> PassageResu
         if not sample:
             sample = _sites(region, np.asarray(raw) % region.n_sites())
     gint = np.asarray(sorted(inter or set()), dtype=np.int64)
-    start = sample[0] if sample else origin
+    start = sample[0] if sample else (0,) * d
     return PassageResult(
         T_eff, start, start, region, weff, dists,
         np.asarray(sorted(dag_union), dtype=np.int64), gint, sample, field,
@@ -718,7 +722,7 @@ def averaged_passage(
     for z, z2 in pairs:
         if not (field.region.contains(z) and field.region.contains(z2)):
             raise ValueError(f"window too small for translate {z}")
-    field, _, scale, dists, _, grows, touched = _search_inside(field, pairs, None, max_grows)
+    field, _, scale, dists, _, grows, touched = _search_inside(field, pairs, max_grows)
     terms = {}
     for (z, z2), row in zip(pairs, dists):
         val = float(row[field.region.site_index(z2)])

@@ -25,6 +25,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -400,6 +401,8 @@ class RossignolResult:
     case_small_a: Optional[tuple[Fraction, bool]]
     case_small_tau: Optional[tuple[Fraction, bool]]
 
+    vacuous = False
+
     @property
     def holds(self) -> bool:
         ok = self.always_holds
@@ -408,6 +411,18 @@ class RossignolResult:
         if self.case_small_tau is not None:
             ok &= self.case_small_tau[1]
         return ok
+
+    @cached_property
+    def margin(self) -> float:
+        """The least right side minus lhs over the cases that apply."""
+        rhs = [self.always_rhs]
+        for case in (self.case_small_a, self.case_small_tau):
+            if case is not None:
+                rhs.append(case[0])
+        return min(float(r - self.lhs) for r in rhs)
+
+    def to_json(self) -> dict:
+        return {"lhs": float(self.lhs), "margin": self.margin}
 
 
 def rossignol_check(f: StepFunction, a: Fraction, tau: Fraction) -> RossignolResult:
@@ -594,6 +609,11 @@ def _draw_entropy_variational(rng) -> tuple[bytes, CheckResult]:
     return f.values.tobytes(), entropy_variational_check(f, trials)
 
 
+def _draw_rossignol(rng) -> tuple[bytes, RossignolResult]:
+    f, a, tau = _random_step_function(rng)
+    return str((f.breaks, f.levels, a, tau)).encode(), rossignol_check(f, a, tau)
+
+
 # (name, rng salt, draw): draw(rng) makes one random instance and returns its
 # input bytes for the digest and the check's verdict.  The draws look the
 # checks up by module name at call time, so wrapping a check takes effect.
@@ -606,6 +626,7 @@ _RANDOMIZED_CHECKS = (
         lambda rng: _draw_function_check(rng, tensorization_check, k_max=4, nonneg=True),
     ),
     ("entropy_variational", 5, _draw_entropy_variational),
+    ("rossignol", 6, _draw_rossignol),
 )
 
 
@@ -619,42 +640,11 @@ def run_randomized_suite(
     """
     chosen = set(checks) if checks else None
     reports = []
-
-    def want(name):
-        return chosen is None or name in chosen
-
     for name, salt, draw in _RANDOMIZED_CHECKS:
-        if want(name):
+        if chosen is None or name in chosen:
             rng = _rng(seed, salt)
             drawn = [draw(rng) for _ in range(instances)]
             reports.append(_summarize(name, [r for _, r in drawn], [c for c, _ in drawn]))
-
-    if want("rossignol"):
-        rng = _rng(seed, 6)
-        ok = 0
-        min_margin = math.inf
-        worst = None
-        chunks = []
-        for _ in range(instances):
-            f, a, tau = _random_step_function(rng)
-            chunks.append(str((f.breaks, f.levels, a, tau)).encode())
-            r = rossignol_check(f, a, tau)
-            margins = [float(r.always_rhs - r.lhs)]
-            if r.case_small_a:
-                margins.append(float(r.case_small_a[0] - r.lhs))
-            if r.case_small_tau:
-                margins.append(float(r.case_small_tau[0] - r.lhs))
-            m = min(margins)
-            if m < min_margin:
-                min_margin = m
-                worst = {"lhs": float(r.lhs), "margin": m}
-            ok += r.holds
-        reports.append(
-            SuiteReport(
-                "rossignol", instances, instances - ok, min_margin,
-                _digest(chunks), worst,
-            )
-        )
     return reports
 
 

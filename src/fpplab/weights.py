@@ -14,11 +14,12 @@ Sampling is counter-based: the weight of edge ``i`` under master seed ``s`` is
 
 (the finalizer is SplitMix64's.)  ``uniform53(z) = (z >> 11) * 2^-53``.
 
-The counter ``i`` of an edge depends on the region.  A region with a wrapping
-axis (a Torus) uses the dense edge index, itself a function of the torus
-coordinates.  An open region (a Box) uses the edge's lattice coordinates, so
-every box that holds an edge gives it the same weight, and a grown window is
-the old one plus new edges.  The edge from ``base`` up ``axis`` in Z^d has
+The counter ``i`` of an edge depends on the region, by one rule
+(:func:`_edge_keys`).  A region with a wrapping axis (a Torus) uses the dense
+edge index, itself a function of the torus coordinates.  An open region (a
+Box) uses the edge's lattice coordinates, so every box that holds an edge
+gives it the same weight, and a grown window is the old one plus new edges.
+The edge from ``base`` up ``axis`` in Z^d has
 
     key(base, axis) = ((x_0 + h) * 2^(b(d-1)) + ... + (x_(d-1) + h)) * 2^a + axis
 
@@ -28,13 +29,15 @@ bits, so the key is injective on the bases with ``-h <= x_i < h``: h = 2^30
 in d = 2, 2^19 in d = 3 and 2^14 in d = 4.  A coordinate outside that range
 raises ``ValueError`` (:func:`edge_key`, :func:`sample_field`).
 
-:func:`sample_weights` walks the counter stream in blocks of ``_BLOCK`` draws,
-so the hash, uniform and inverse-CDF temporaries stay in cache.  Draw ``i``
-depends only on ``(seed, i)``, so the block size never shows in the output.
-The same walk can take its counters in another order, as premultiplied keys
-``c * C2 mod 2^64`` (:func:`counter_keys`): a block then adds the seed term to
-a slice of the keys where it would add it to ``j * C2``, one add per draw
-either way.  :mod:`fpplab.lpp` draws its grid by anti-diagonal this way.
+There is one sampling walk.  It takes its counters as premultiplied keys
+``c * C2 mod 2^64`` (:func:`counter_keys`) and runs in blocks of ``_BLOCK``
+draws, so the hash, uniform and inverse-CDF temporaries stay in cache; a
+block adds the seed term to a slice of the keys, one add per draw.  Draw
+``j`` depends only on ``(seed, key j)``, so the block size never shows in
+the output.  A caller without keys (:func:`sample_weights` by count,
+:func:`sample_uniforms`) gets the dense counters 0, 1, 2, ...; a field gets
+its region's keys; :mod:`fpplab.lpp` passes its grid's counters in
+anti-diagonal order.
 Every ``inv_cdf_array`` must return exactly ``inv_cdf`` of each input, bit for
 bit; the array form is only a faster way to the same numbers.
 """
@@ -76,13 +79,6 @@ def counter_keys(counters: np.ndarray) -> np.ndarray:
     return np.multiply(counters, np.uint64(_C2), dtype=np.uint64, casting="unsafe")
 
 
-def mix64_array(a: int, b: np.ndarray) -> np.ndarray:
-    """Vectorized mix64 over an integer counter array; ``b`` is left unchanged."""
-    z = counter_keys(b)
-    z += np.uint64((a * _C1 + _C3) & _M64)
-    return _finalize64(z, np.empty_like(z))
-
-
 def _finalize64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """The xorshift-multiply rounds of mix64, in place on z; tmp is scratch."""
     np.right_shift(z, np.uint64(30), out=tmp)
@@ -116,20 +112,29 @@ def edge_key(base: Sequence[int], axis: int) -> int:
     return (key << a) | axis
 
 
+def _dense_keys(count: int) -> np.ndarray:
+    """Premultiplied keys of the counters 0, 1, ..., count - 1."""
+    return counter_keys(np.arange(count, dtype=np.uint64))
+
+
 @lru_cache(maxsize=32)
-def _box_keys(region: Region) -> np.ndarray:
-    """Premultiplied keys (:func:`counter_keys`) of :func:`edge_key` for every
-    edge of an open region, in edge-index order; built once per region."""
-    a, b, h = _key_bits(region.d)
-    top = [l + s - 1 for l, s in zip(region.lo, region.shape)]
-    if min(region.lo) < -h or max(top) >= h:
-        raise ValueError(f"{region} leaves the key range [-{h}, {h})")
-    _, tails, axes, _ = _edge_tables(region)
-    key = axes.astype(np.uint64)
-    for i, coord in enumerate(np.unravel_index(tails, region.shape)):
-        shift = np.uint64(a + b * (region.d - 1 - i))
-        key |= (coord.astype(np.uint64) + np.uint64(region.lo[i] + h)) << shift
-    keys = counter_keys(key)
+def _edge_keys(region: Region) -> np.ndarray:
+    """Premultiplied keys (:func:`counter_keys`) of every edge of a region, in
+    edge-index order; built once per region.  The dense index on a region
+    with a wrapping axis, :func:`edge_key` on an open one."""
+    if any(region.periodic):
+        counters = np.arange(region.n_edges(), dtype=np.uint64)
+    else:
+        a, b, h = _key_bits(region.d)
+        top = [l + s - 1 for l, s in zip(region.lo, region.shape)]
+        if min(region.lo) < -h or max(top) >= h:
+            raise ValueError(f"{region} leaves the key range [-{h}, {h})")
+        _, tails, axes, _ = _edge_tables(region)
+        counters = axes.astype(np.uint64)
+        for i, coord in enumerate(np.unravel_index(tails, region.shape)):
+            shift = np.uint64(a + b * (region.d - 1 - i))
+            counters |= (coord.astype(np.uint64) + np.uint64(region.lo[i] + h)) << shift
+    keys = counter_keys(counters)
     keys.flags.writeable = False
     return keys
 
@@ -582,8 +587,8 @@ def sample_field(
     """
     if for_fpp:
         validate_for_fpp(spec, region.d)
-    keys = None if any(region.periodic) else _box_keys(region)
-    return WeightField(region, sample_weights(spec, seed, region.n_edges(), keys), seed, spec)
+    keys = _edge_keys(region)
+    return WeightField(region, sample_weights(spec, seed, keys.size, keys), seed, spec)
 
 
 # Draws per block: 2^14 draws keep the 128 KiB hash, uniform and inverse-CDF
@@ -591,26 +596,20 @@ def sample_field(
 _BLOCK = 1 << 14
 
 
-def _uniform_blocks(seed: int, count: int, keys: np.ndarray | None = None):
+def _uniform_blocks(seed: int, keys: np.ndarray):
     """Yield ``(start, u)`` with u[j] = uniform53(mix64(seed, c)), block by block.
 
-    ``c`` is the counter of draw ``start + j``: that index itself, or, given
-    ``keys`` from :func:`counter_keys`, the counter whose key is
-    ``keys[start + j]``.  ``u`` is one buffer, overwritten by the next block.
+    ``c`` is the counter whose key (:func:`counter_keys`) is ``keys[start + j]``.
+    ``u`` is one buffer, overwritten by the next block.
     """
-    m = min(count, _BLOCK)
-    if keys is None:
-        steps = counter_keys(np.arange(m, dtype=np.uint64))
+    m = min(keys.size, _BLOCK)
     z, tmp, u = np.empty(m, np.uint64), np.empty(m, np.uint64), np.empty(m)
-    for start in range(0, count, _BLOCK):
-        size = min(_BLOCK, count - start)
+    seed_term = np.uint64((seed * _C1 + _C3) & _M64)
+    for start in range(0, keys.size, _BLOCK):
+        size = min(_BLOCK, keys.size - start)
         zb, ub = z[:size], u[:size]
-        # a*C1 + c*C2 + C3  mod 2^64, where c*C2 = j*C2 + start*C2 by default
-        if keys is None:
-            kb, base = steps[:size], start * _C2
-        else:
-            kb, base = keys[start : start + size], 0
-        np.add(kb, np.uint64((seed * _C1 + base + _C3) & _M64), out=zb)
+        # a*C1 + c*C2 + C3  mod 2^64
+        np.add(keys[start : start + size], seed_term, out=zb)
         _finalize64(zb, tmp[:size])
         np.right_shift(zb, np.uint64(11), out=zb)
         np.multiply(zb, 2.0**-53, out=ub)
@@ -618,9 +617,9 @@ def _uniform_blocks(seed: int, count: int, keys: np.ndarray | None = None):
 
 
 def sample_uniforms(seed: int, count: int) -> np.ndarray:
-    """The raw uniform53 stream used by sample_weights, for direct checks."""
+    """The raw uniform53 stream of the dense counters, for direct checks."""
     out = np.empty(count)
-    for start, u in _uniform_blocks(seed, count):
+    for start, u in _uniform_blocks(seed, _dense_keys(count)):
         out[start : start + u.size] = u
     return out
 
@@ -633,8 +632,12 @@ def sample_weights(
     With ``keys`` (``count`` of them, from :func:`counter_keys`), draw i uses
     the counter behind ``keys[i]`` in place of i.
     """
+    if keys is None:
+        keys = _dense_keys(count)
+    elif keys.size != count:
+        raise ValueError(f"{keys.size} keys for {count} draws")
     out = np.empty(count)
-    for start, u in _uniform_blocks(seed, count, keys):
+    for start, u in _uniform_blocks(seed, keys):
         # u = 0 has probability 2^-53 per draw; F^{-1}(0) is the support infimum
         zero = np.flatnonzero(u == 0.0)
         u[zero] = 2.0**-53

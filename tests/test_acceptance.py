@@ -95,7 +95,7 @@ def test_criterion_01_shortest_path_oracle():
     for i, spec in enumerate((Uniform(0, 1), Bernoulli(1, 2, 0.5))):
         for seed in range(100):
             field = sample_field(spec, BOX33, 10_000 * i + seed, for_fpp=False)
-            got = passage_time(field, (0, 0), (2, 2), grow=False).T
+            got = passage_time(field, (0, 0), (2, 2), max_grows=0).T
             want = brute_force_passage(field, (0, 0), (2, 2))
             worst = max(worst, abs(got - want))
     elapsed = time.perf_counter() - t0
@@ -112,7 +112,7 @@ def test_criterion_02_intersection_oracle():
     for i, spec in enumerate((Uniform(0, 1), Bernoulli(1, 2, 0.5))):
         for seed in range(100):
             field = sample_field(spec, BOX33, 20_000 * i + seed, for_fpp=False)
-            res = passage_time(field, (0, 0), (2, 2), grow=False)
+            res = passage_time(field, (0, 0), (2, 2), max_grows=0)
             got = {int(e) for e in res.gint_edge_idx}
             if got != edge_removal_oracle(field, (0, 0), (2, 2)):
                 mismatches += 1
@@ -135,11 +135,11 @@ def test_criterion_03_criticality_law():
         D = edge_criticality(field, e, (0, 0), (4, 3)).D
         Ts = passage_time(
             field.with_weight(e, float(s)), (0, 0), (4, 3),
-            grow=False, want_geometry=False,
+            max_grows=0, want_geometry=False,
         ).T
         Tt = passage_time(
             field.with_weight(e, float(t)), (0, 0), (4, 3),
-            grow=False, want_geometry=False,
+            max_grows=0, want_geometry=False,
         ).T
         worst = max(worst, abs((Tt - Ts) - min(t - s, max(D - s, 0.0))))
     _check(

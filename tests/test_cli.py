@@ -218,6 +218,11 @@ class TestCliCommands:
         assert "fpp_exhaustive_4_edges" in names
         assert "fpp_exhaustive_7_edges" in names
         assert all(entry["holds"] for entry in payload)
+        exhaustive = [e for e in payload if e["check"].startswith("fpp_exhaustive_")]
+        assert len(exhaustive) == 2
+        for entry in exhaustive:
+            assert set(entry) == {"check", "lhs", "rhs", "margin", "holds"}
+            assert entry["margin"] == entry["rhs"] - entry["lhs"]
 
     def test_torus_influence_command(self, tmp_path):
         out = tmp_path / "torus"

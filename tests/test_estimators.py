@@ -222,7 +222,7 @@ class TestEfronStein:
     def test_point_mass_zero(self):
         win = point_window(4, 2, 2)
         field = sample_field(TableCDF.point_mass(1.0), win, 0)
-        res = passage_time(field, (0, 0), (4, 0), grow=False)
+        res = passage_time(field, (0, 0), (4, 0), max_grows=0)
         est, analytic = efron_stein_bound(field, res, resample_count=2, seed=3)
         assert est == 0.0
         assert analytic == res.gint_edge_idx.size  # second moment is 1
@@ -230,7 +230,7 @@ class TestEfronStein:
     def test_needs_box_result_with_geometry(self):
         win = point_window(4, 2, 2)
         field = sample_field(Uniform(0, 1), win, 0)
-        bare = passage_time(field, (0, 0), (4, 0), grow=False, want_geometry=False)
+        bare = passage_time(field, (0, 0), (4, 0), max_grows=0, want_geometry=False)
         tfield = sample_field(Bernoulli(1, 2, 0.5), Torus(4, 2), 0)
         torus = torus_passage(tfield)
         for f, res in ((field, bare), (tfield, torus)):
@@ -256,7 +256,7 @@ class TestEfronStein:
         reps = 300
         for seed in range(reps):
             field = sample_field(spec, box, seed, for_fpp=False)
-            res = passage_time(field, (0, 0), (1, 1), grow=False)
+            res = passage_time(field, (0, 0), (1, 1), max_grows=0)
             est, _ = efron_stein_bound(field, res, resample_count=4, seed=seed + 999)
             acc += est
         assert acc / reps == pytest.approx(exact, rel=0.15)
@@ -267,7 +267,7 @@ class TestEfronStein:
         ts, bounds = [], []
         for seed in range(60):
             field = sample_field(spec, win, seed)
-            res = passage_time(field, (0, 0), (8, 0), grow=False)
+            res = passage_time(field, (0, 0), (8, 0), max_grows=0)
             ts.append(res.T)
             est, _ = efron_stein_bound(field, res, resample_count=1, seed=seed)
             bounds.append(est)
@@ -426,7 +426,7 @@ class TestFnComparison:
 
         win = point_window(6, 2, 3)
         field = sample_field(Uniform(0, 1), win, 3)
-        res = passage_time(field, (0, 0), (6, 0), grow=False)
+        res = passage_time(field, (0, 0), (6, 0), max_grows=0)
         fn = averaged_passage(field, 6, m=0)
         assert list(fn.terms) == [(0, 0)]
         assert fn.F_n == res.T

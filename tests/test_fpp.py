@@ -113,7 +113,7 @@ class TestPassageTime:
     def test_unit_weights_straight_segment(self):
         win = point_window(5, 2, 3)
         field = unit_field(win)
-        res = passage_time(field, (0, 0), (5, 0), grow=False)
+        res = passage_time(field, (0, 0), (5, 0), max_grows=0)
         assert res.T == 5.0
         axis_edges = {win.edge_index(EdgeId((k, 0), 0)) for k in range(5)}
         assert set(res.gint_edge_idx) == axis_edges
@@ -124,21 +124,21 @@ class TestPassageTime:
     def test_brute_force_oracle(self, spec):
         for seed in range(100):
             field = random_field(BOX33, spec, seed)
-            res = passage_time(field, (0, 0), (2, 2), grow=False)
+            res = passage_time(field, (0, 0), (2, 2), max_grows=0)
             oracle = brute_force_passage(field, (0, 0), (2, 2))
             assert res.T == pytest.approx(oracle, abs=1e-12)
 
     def test_scaling_homogeneity(self):
         field = random_field(BOX33, Uniform(0, 1), 7)
-        res = passage_time(field, (0, 0), (2, 2), grow=False)
+        res = passage_time(field, (0, 0), (2, 2), max_grows=0)
         scaled = WeightField(BOX33, field.weights * 3.0, 0, None)
-        res3 = passage_time(scaled, (0, 0), (2, 2), grow=False)
+        res3 = passage_time(scaled, (0, 0), (2, 2), max_grows=0)
         assert res3.T == pytest.approx(3.0 * res.T, rel=1e-15)
         assert set(res3.dag_edge_idx) == set(res.dag_edge_idx)
 
     def test_T_equals_distance_fields(self):
         field = random_field(BOX33, Uniform(0, 1), 3)
-        res = passage_time(field, (0, 0), (2, 2), grow=False)
+        res = passage_time(field, (0, 0), (2, 2), max_grows=0)
         di = BOX33.site_index((2, 2))
         si = BOX33.site_index((0, 0))
         assert res.T == res.d_src[di] == res.d_dst[si]
@@ -149,7 +149,7 @@ class TestPassageTime:
             res = passage_time(field, (0, 0), (6, 0))
             grew += res.grows > 0
             fresh = passage_time(
-                res.field, (6, 0), (0, 0), grow=False, want_geometry=False
+                res.field, (6, 0), (0, 0), max_grows=0, want_geometry=False
             )
             assert np.array_equal(res.d_dst, fresh.d_src)
             si = res.window.site_index((0, 0))
@@ -167,7 +167,7 @@ class TestPassageTime:
         monkeypatch.setattr(fpp, "_csgraph_dijkstra", counting)
         spec = Bernoulli(1, 2, 0.5)
         field = random_field(point_window(8, 2, 4), spec, 1)
-        res = passage_time(field, (0, 0), (8, 0), grow=False)
+        res = passage_time(field, (0, 0), (8, 0), max_grows=0)
         assert len(calls) == 1
         torus_passage(random_field(Torus(6, 2), spec, 1))
         assert len(calls) == 2
@@ -183,23 +183,23 @@ class TestPassageTime:
         for x, y, z in zip(sites, sites[4:], sites[8:]):
             if len({x, y, z}) < 3:
                 continue
-            txz = passage_time(field, x, z, grow=False, want_geometry=False).T
-            txy = passage_time(field, x, y, grow=False, want_geometry=False).T
-            tyz = passage_time(field, y, z, grow=False, want_geometry=False).T
+            txz = passage_time(field, x, z, max_grows=0, want_geometry=False).T
+            txy = passage_time(field, x, y, max_grows=0, want_geometry=False).T
+            tyz = passage_time(field, y, z, max_grows=0, want_geometry=False).T
             assert txz <= txy + tyz + 1e-12
 
     def test_monotone_in_single_weight(self):
         field = random_field(BOX33, Uniform(0, 1), 5)
-        base = passage_time(field, (0, 0), (2, 2), grow=False).T
+        base = passage_time(field, (0, 0), (2, 2), max_grows=0).T
         for e in range(BOX33.n_edges()):
             up = field.with_weight(e, field.weights[e] + 0.5)
-            assert passage_time(up, (0, 0), (2, 2), grow=False).T >= base - 1e-12
+            assert passage_time(up, (0, 0), (2, 2), max_grows=0).T >= base - 1e-12
 
     def test_continuous_geodesic_unique(self):
         # under exact float ties, uniform weights give a unique geodesic
         for seed in range(100):
             field = random_field(BOX33, Uniform(0, 1), 1000 + seed)
-            res = passage_time(field, (0, 0), (2, 2), grow=False)
+            res = passage_time(field, (0, 0), (2, 2), max_grows=0)
             assert len(res.dag_edge_idx) == len(res.sample_path) - 1
             assert set(res.path_edge_indices()) == set(res.dag_edge_idx)
 
@@ -249,13 +249,13 @@ class TestPassageTime:
     def test_path_edges_inside_dag(self):
         for seed in range(20):
             field = random_field(BOX33, Bernoulli(1, 2, 0.5), seed)
-            res = passage_time(field, (0, 0), (2, 2), grow=False)
+            res = passage_time(field, (0, 0), (2, 2), max_grows=0)
             assert set(res.path_edge_indices()) <= set(res.dag_edge_idx)
             assert set(res.gint_edge_idx) <= set(res.dag_edge_idx)
 
     def test_geodesic_intersection_view(self):
         field = random_field(BOX33, Uniform(0, 1), 13)
-        res = passage_time(field, (0, 0), (2, 2), grow=False)
+        res = passage_time(field, (0, 0), (2, 2), max_grows=0)
         edges = geodesic_intersection(res)
         assert edges == res.g_intersection
         assert {BOX33.edge_index(e) for e in edges} == set(
@@ -269,7 +269,7 @@ class TestPassageTime:
         tails, heads = BOX33.edge_arrays()
         for seed in range(30):
             field = random_field(BOX33, spec, 4000 + seed)
-            res = passage_time(field, (0, 0), (2, 2), grow=False)
+            res = passage_time(field, (0, 0), (2, 2), max_grows=0)
             in_dag = np.zeros(BOX33.n_edges(), dtype=bool)
             in_dag[res.dag_edge_idx] = True
             best = np.minimum(
@@ -317,7 +317,7 @@ class TestIntersection:
     def test_edge_removal_oracle(self, spec, region, dst):
         for seed in range(60):
             field = random_field(region, spec, seed)
-            res = passage_time(field, (0, 0), dst, grow=False)
+            res = passage_time(field, (0, 0), dst, max_grows=0)
             assert set(int(i) for i in res.gint_edge_idx) == edge_removal_oracle(
                 field, (0, 0), dst
             )
@@ -340,7 +340,7 @@ class TestIntersection:
         for e, val in zip(top, [1.0, 0.5, 0.5, 0.5, 0.5]):
             w[e] = val
         field = WeightField(box, w, 0, None)
-        res = passage_time(field, (0, 0), (3, 0), grow=False)
+        res = passage_time(field, (0, 0), (3, 0), max_grows=0)
         assert res.T == 3.0
         assert len(res.gint_edge_idx) == 0
         assert set(res.dag_edge_idx) == set(bottom) | set(top)
@@ -377,7 +377,7 @@ class TestGeodesicDag:
             else:
                 src, dst = (int(i) for i in rng.choice(graph.n_sites, 2, replace=False))
                 d_src = graph.distances(weff, [src])[0]
-                res = passage_time(field, site_of(src), site_of(dst), grow=False)
+                res = passage_time(field, site_of(src), site_of(dst), max_grows=0)
             arcs = reference_dag(graph, weff, d_src, dst)
             want = reference_walk(arcs, d_src, src, dst, site_of)
             if isinstance(region, Torus):
@@ -397,7 +397,7 @@ class TestCriticality:
         Ts = {}
         for t in [0.0, 1.0, 2.0, 2.5, 3.0, 3.5, 4.0, 8.0]:
             f2 = WeightField(win, field.weights.copy(), 0, None).with_weight(e, t)
-            Ts[t] = passage_time(f2, (0, 0), (5, 0), grow=False, want_geometry=False).T
+            Ts[t] = passage_time(f2, (0, 0), (5, 0), max_grows=0, want_geometry=False).T
         for t, T in Ts.items():
             assert T == pytest.approx(min(7.0, 4.0 + t), abs=1e-12)
         assert D == pytest.approx(3.0, abs=1e-12)
@@ -425,8 +425,8 @@ class TestCriticality:
             D = edge_criticality(field, e, (0, 0), (4, 3)).D
             fs = field.with_weight(e, s)
             ft = field.with_weight(e, t)
-            Ts = passage_time(fs, (0, 0), (4, 3), grow=False, want_geometry=False).T
-            Tt = passage_time(ft, (0, 0), (4, 3), grow=False, want_geometry=False).T
+            Ts = passage_time(fs, (0, 0), (4, 3), max_grows=0, want_geometry=False).T
+            Tt = passage_time(ft, (0, 0), (4, 3), max_grows=0, want_geometry=False).T
             errs.append(abs((Tt - Ts) - min(t - s, max(D - s, 0.0))))
         assert max(errs) <= 1e-10
 
@@ -434,14 +434,14 @@ class TestCriticality:
 class TestSingleEdgeUpdate:
     def test_raise_off_dag(self):
         field = random_field(BOX33, Uniform(0, 1), 9)
-        res = passage_time(field, (0, 0), (2, 2), grow=False)
+        res = passage_time(field, (0, 0), (2, 2), max_grows=0)
         off = [e for e in range(BOX33.n_edges()) if e not in set(res.dag_edge_idx)]
         for e in off[:4]:
             assert single_edge_update(res, e, field.weights[e] + 5.0) == res.T
 
     def test_lower_geodesic_edge_linear(self):
         field = random_field(BOX33, Uniform(0, 1), 10)
-        res = passage_time(field, (0, 0), (2, 2), grow=False)
+        res = passage_time(field, (0, 0), (2, 2), max_grows=0)
         path_edges = res.path_edge_indices()
         e = max(path_edges, key=lambda i: field.weights[i])
         delta = field.weights[e] * 0.5
@@ -452,31 +452,31 @@ class TestSingleEdgeUpdate:
         rng = np.random.default_rng(7)
         for trial in range(100):
             field = random_field(BOX33, Uniform(0, 2), 2000 + trial)
-            res = passage_time(field, (0, 0), (2, 2), grow=False)
+            res = passage_time(field, (0, 0), (2, 2), max_grows=0)
             e = int(rng.integers(0, BOX33.n_edges()))
             new_t = float(rng.uniform(0, 3))
             got = single_edge_update(res, e, new_t)
             want = passage_time(
                 field.with_weight(e, new_t), (0, 0), (2, 2),
-                grow=False, want_geometry=False,
+                max_grows=0, want_geometry=False,
             ).T
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_integer_mode_exact(self):
         for trial in range(30):
             field = random_field(BOX33, Bernoulli(1, 2, 0.5), 3000 + trial)
-            res = passage_time(field, (0, 0), (2, 2), grow=False)
+            res = passage_time(field, (0, 0), (2, 2), max_grows=0)
             for e, new_t in ((1, 1.0), (5, 2.0), (8, 1.0)):
                 got = single_edge_update(res, e, new_t)
                 want = passage_time(
                     field.with_weight(e, new_t), (0, 0), (2, 2),
-                    grow=False, want_geometry=False,
+                    max_grows=0, want_geometry=False,
                 ).T
                 assert got == want
 
     def test_needs_box_result_with_geometry(self):
         field = random_field(BOX33, Uniform(0, 1), 9)
-        bare = passage_time(field, (0, 0), (2, 2), grow=False, want_geometry=False)
+        bare = passage_time(field, (0, 0), (2, 2), max_grows=0, want_geometry=False)
         torus = torus_passage(random_field(Torus(4, 2), Bernoulli(1, 2, 0.5), 9))
         for res in (bare, torus):
             with pytest.raises(ValueError):
@@ -504,6 +504,19 @@ class TestWindowGrowth:
             assert not r1.boundary_flag
             grew += r1.grows > 0
         assert grew > 0  # the tight window must trigger at least one regrow
+
+    def test_grown_window_keeps_hand_edits(self):
+        field = sample_field(Uniform(0, 1), point_window(6, 2, 1), 3)
+        row0 = [field.region.edge_index(EdgeId((x, 0), 0)) for x in range(6)]
+        weights = field.weights.copy()
+        weights[row0] = 10.0
+        edited = WeightField(field.region, weights, field.seed, field.spec)
+        res = passage_time(edited, (0, 0), (6, 0))
+        assert res.grows == 1 and not res.boundary_flag
+        at = [res.window.edge_index(e) for e in enumerate_edges(edited.region)]
+        assert np.array_equal(res.field.weights[at], edited.weights)
+        assert res.T == passage_time(res.field, (0, 0), (6, 0), max_grows=0).T
+        assert res.T == 3.8693566740085554
 
     def test_grown_window_shape(self):
         from fpplab.fpp import _grow_box
@@ -628,7 +641,7 @@ class TestTorus:
             field = random_field(torus, parse_spec(law), seed)
             T, dag, inter, path = reference_torus_passage(field)
             res = torus_passage(field)
-            assert res.T == T == torus_passage(field, want_geometry=False).T
+            assert res.T == T
             assert res.dag_edge_idx.tolist() == dag
             assert res.gint_edge_idx.tolist() == inter
             assert res.sample_path == path
@@ -711,7 +724,7 @@ class TestTorus:
         # relabeling the cut hyperplane = rotating the field along axis 0
         t = Torus(4, 2)
         field = random_field(t, Uniform(0, 1), 77)
-        base = torus_passage(field, want_geometry=False).T
+        base = torus_passage(field).T
         for c in range(1, 4):
             w = np.empty_like(field.weights)
             for i in range(t.n_edges()):
@@ -719,9 +732,7 @@ class TestTorus:
                 shifted = t.wrap(tuple((e.base[0] + c, e.base[1])))
                 w[t.edge_index(EdgeId(shifted, e.axis))] = field.weights[i]
             rotated = WeightField(t, w, 0, None)
-            assert torus_passage(rotated, want_geometry=False).T == pytest.approx(
-                base, abs=1e-12
-            )
+            assert torus_passage(rotated).T == pytest.approx(base, abs=1e-12)
 
     def test_winding_geodesic_length(self):
         t = Torus(5, 2)
@@ -741,12 +752,12 @@ class TestAveragedPassage:
     def test_subadditivity_bound(self):
         win = point_window(8, 2, 4)
         field = random_field(win, Uniform(0, 1), 21)
-        T0 = passage_time(field, (0, 0), (8, 0), grow=False, want_geometry=False).T
+        T0 = passage_time(field, (0, 0), (8, 0), max_grows=0, want_geometry=False).T
         terms = averaged_passage(field, 8, m=2).terms
         for z, Tz in terms.items():
             z2 = (z[0] + 8, z[1])
-            a = passage_time(field, (0, 0), z, grow=False, want_geometry=False).T if z != (0, 0) else 0.0
-            b = passage_time(field, (8, 0), z2, grow=False, want_geometry=False).T if z != (0, 0) else 0.0
+            a = passage_time(field, (0, 0), z, max_grows=0, want_geometry=False).T if z != (0, 0) else 0.0
+            b = passage_time(field, (8, 0), z2, max_grows=0, want_geometry=False).T if z != (0, 0) else 0.0
             assert abs(T0 - Tz) <= a + b + 1e-12
 
     def test_grows_for_all_terms(self):

@@ -399,7 +399,7 @@ class TestFppExhaustive:
     def test_small_boxes_match_dijkstra(self, box, spec):
         T = exhaustive_passage_times(box, spec, (0, 0), box.hi)
         for mask in range(2 ** box.n_edges()):
-            res = passage_time(configuration(box, spec, mask), (0, 0), box.hi, grow=False)
+            res = passage_time(configuration(box, spec, mask), (0, 0), box.hi, max_grows=0)
             assert res.T == T[mask]
 
     @pytest.mark.parametrize("box", [BOX12, BOX17], ids=["12_edges", "17_edges"])
@@ -418,7 +418,7 @@ class TestFppExhaustive:
         # masks from every block of the enumeration
         for mask in np.random.default_rng(0).integers(0, 2**17, size=300):
             field = configuration(BOX17, spec, int(mask))
-            assert passage_time(field, (0, 0), BOX17.hi, grow=False).T == T[mask]
+            assert passage_time(field, (0, 0), BOX17.hi, max_grows=0).T == T[mask]
 
     def test_blocks_do_not_change_the_result(self, monkeypatch):
         spec = Bernoulli(1, 2, 0.5)
@@ -434,7 +434,7 @@ class TestFppExhaustive:
         T = exhaustive_passage_times(BOX12, spec, (0, 0), BOX12.hi)
         for mask in range(2**12):
             field = configuration(BOX12, spec, mask)
-            res = passage_time(field, (0, 0), BOX12.hi, grow=False)
+            res = passage_time(field, (0, 0), BOX12.hi, max_grows=0)
             assert res.T == T[mask]
             costs = P @ field.weights
             on_all = np.all(P[costs == costs.min()] > 0, axis=0)
@@ -448,6 +448,31 @@ class TestSuite:
         for rep in reports:
             assert rep.violations == 0, rep.name
             assert rep.instances == 200
+
+    @pytest.mark.parametrize("seed", [7, 271828])
+    def test_rossignol_row_matches_its_own_loop(self, seed):
+        # a standalone Rossignol loop, field by field against the table-driven suite
+        rng = ineqlab._rng(seed, 6)
+        ok, min_margin, worst, chunks = 0, math.inf, None, []
+        for _ in range(300):
+            f, a, tau = ineqlab._random_step_function(rng)
+            chunks.append(str((f.breaks, f.levels, a, tau)).encode())
+            r = rossignol_check(f, a, tau)
+            margins = [float(r.always_rhs - r.lhs)]
+            if r.case_small_a:
+                margins.append(float(r.case_small_a[0] - r.lhs))
+            if r.case_small_tau:
+                margins.append(float(r.case_small_tau[0] - r.lhs))
+            m = min(margins)
+            if m < min_margin:
+                min_margin, worst = m, {"lhs": float(r.lhs), "margin": m}
+            ok += r.holds
+        (report,) = run_randomized_suite(seed, 300, checks=("rossignol",))
+        got = report.to_json()
+        assert got["violations"] == 300 - ok
+        assert got["min_margin"] == min_margin
+        assert got["inputs_digest"] == ineqlab._digest(chunks)
+        assert got["worst"] == worst
 
     def test_json_shape(self):
         import json

@@ -17,7 +17,6 @@ from fpplab.weights import (
     counter_keys,
     edge_key,
     mix64,
-    mix64_array,
     parse_spec,
     sample_field,
     sample_uniforms,
@@ -256,11 +255,15 @@ class TestStream:
                 _STREAM_COUNT - 1, 2**63, 2**64 - 1]
 
     @pytest.mark.parametrize("a", SEEDS)
-    def test_mix64_array_matches_scalar(self, a):
-        b = np.array(self.COUNTERS, dtype=np.uint64)
-        z = mix64_array(a, b)
-        assert [int(v) for v in z] == [mix64(a, i) for i in self.COUNTERS]
-        assert [int(v) for v in b] == self.COUNTERS  # the counters are not hashed in place
+    def test_keyed_walk_matches_scalar(self, a):
+        keys = counter_keys(np.array(self.COUNTERS, dtype=np.uint64))
+        w = sample_weights(Uniform(0, 1), a, len(self.COUNTERS), keys)
+        assert list(w) == [uniform53(mix64(a, c)) for c in self.COUNTERS]
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_key_count_must_match(self, count):
+        with pytest.raises(ValueError, match="keys for"):
+            sample_weights(Uniform(0, 1), 1, count, counter_keys(np.arange(3, dtype=np.uint64)))
 
     @pytest.mark.parametrize("a", SEEDS)
     def test_uniforms_match_scalar_across_blocks(self, a):
