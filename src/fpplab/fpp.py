@@ -23,10 +23,13 @@ breadth-first search that avoids all of its lifts decides it.
 
 Searches
 --------
-A passage runs one weighted shortest-path search, from the source (from every
-cut site at once on the torus, stopped at the cheapest straight winding cycle,
-an upper bound on T).  The distances to the destination, ``d_dst``, are a
-second search that a Box result runs the first time they are read, for
+A point passage runs one weighted shortest-path search, from the source.  A
+torus passage runs one search from the far copy of the cut, which bounds each
+cut site's winding cost from below, and then searches from each cut site
+whose bound can still attain T, cheapest bound first, each stopped at the
+least winding cost found so far (at first the cheapest straight winding
+cycle, an upper bound on T).  The distances to the destination, ``d_dst``,
+are a second search that a Box result runs the first time they are read, for
 single-edge updates; a torus result has none.  The geodesic DAG comes from
 one backward search from the destination over the graph's CSR, so its cost
 scales with the DAG, not the window.  Everything after it, the hop counts
@@ -80,14 +83,25 @@ class LatticeGraph:
         self.n_sites = N
         self.n_edges = E
 
+    def load(self, edge_weights: np.ndarray) -> "LatticeGraph":
+        """Write one field's edge weights into the CSR that :meth:`search` reads."""
+        self._csr.data[:] = edge_weights[self._edge_of_pos]
+        return self
+
+    def search(self, sources, limit: float = np.inf, min_only: bool = False) -> np.ndarray:
+        """Shortest-path distances over the loaded weights: one row per source,
+        or with ``min_only`` one row of the distance to the nearest source;
+        sites farther than ``limit`` are inf (scipy's limit is inclusive)."""
+        return _csgraph_dijkstra(
+            self._csr, directed=True, indices=sources, limit=limit, min_only=min_only
+        )
+
     def distances(
         self, edge_weights: np.ndarray, sources: list[int], limit: float = np.inf
     ) -> np.ndarray:
         """Shortest-path distance rows from each source, shape (len(sources), N);
-        sites farther than ``limit`` are inf (scipy's limit is inclusive)."""
-        self._csr.data[:] = edge_weights[self._edge_of_pos]
-        out = _csgraph_dijkstra(self._csr, directed=True, indices=sources, limit=limit)
-        return np.atleast_2d(out)
+        sites farther than ``limit`` are inf."""
+        return np.atleast_2d(self.load(edge_weights).search(sources, limit))
 
 
 @lru_cache(maxsize=128)
@@ -155,7 +169,9 @@ class PassageResult:
     1/``scale`` when ``scale`` is set, time units otherwise.  ``T``, ``d_src``
     and ``d_dst`` are the same in time units.  ``d_src`` is per site of
     ``window``; on the torus it holds one row per cut site over the winding
-    cylinder, inf beyond the cost of the cheapest straight winding cycle.
+    cylinder, inf past the limit that cut site's search ran with (the least
+    winding cost found before it), and all inf for a cut site that
+    :func:`torus_passage` skipped because it cannot attain T.
     ``d_dst`` (and ``d_dst_eff``) is computed by one search from ``dst`` the
     first time it is read; a torus result has none.
     ``dag_edge_idx`` and ``gint_edge_idx`` hold region edge indices; the
@@ -582,29 +598,63 @@ def torus_passage(field: WeightField) -> PassageResult:
     """Minimal weight over closed torus paths winding once around axis 0.
 
     Cuts along x_0 = 0, lifts to a cylinder of two fundamental domains, and
-    minimizes the distance from each cut site to its shifted copy; geodesic
-    structure is computed per minimizing cut site and mapped back to torus
-    edges.  The intersection is taken over the minimizing cycles of every
-    minimizing cut site.  The searches stop at the cheapest straight winding
-    cycle, which costs at least T, so they find what a full search would.
-    The sample path is a closed walk of weight T, and under a law with an
-    atom at 0 it can revisit a site through a zero-weight loop (29 of 120
-    ``Bernoulli(0, 1, 0.3)`` tori at n = 4, 8, 16 do); see ``PassageResult``.
+    minimizes T(y), the distance from cut site y to its shifted copy
+    y + n·e_0; geodesic structure is computed per minimizing cut site and
+    mapped back to torus edges.  The intersection is taken over the
+    minimizing cycles of every minimizing cut site.  The sample path is a
+    closed walk of weight T, and under a law with an atom at 0 it can revisit
+    a site through a zero-weight loop (29 of 120 ``Bernoulli(0, 1, 0.3)``
+    tori at n = 4, 8, 16 do); see ``PassageResult``.
+
+    Only the cut sites that can still attain T are searched.  U, the
+    cheapest straight winding row summed as the relaxation sums it, is at
+    least T.  One search from all of the cut's far copy (level n), stopped
+    at U·slack, gives ``lower[y]``, the distance from the nearest far site
+    to y, which is at most T(y) up to rounding: the far copy holds y's own
+    target.  The cut sites are then searched one at a time in stable order of
+    ``lower``, each stopped at ``best``, the least T(y) found so far (U at
+    first), until ``lower[y] > best·slack``; every later site then has
+    T(y) > best >= T too.  scipy's limit is inclusive, and a row stopped at
+    ``best`` equals the full row wherever it is at most ``best``.  T, the
+    minimizers, their DAGs (sites at distance at most T) and the walk
+    therefore match a full search from every cut site.  A skipped cut site's
+    ``d_src`` row is all inf.
+
+    Slack: the relaxation sums each path left to right from its source, and
+    binary64 addition is monotone, so a computed distance is at most the
+    left-to-right sum of every path to the site.  Let P be the path that
+    gives T(y), with m <= N_cyl arcs, and u = eps/2.  Recursive summation of
+    m nonnegative terms errs by at most g = (m - 1)u / (1 - (m - 1)u) of the
+    exact sum S, in either order, so lower[y] <= (reverse sum of P) <=
+    S(1 + g) <= T(y)(1 + g)/(1 - g) < T(y)(1 + 2·N_cyl·eps), while the
+    rounded best·slack with slack = 1 + 4·N_cyl·eps is at least
+    best(1 + 3·N_cyl·eps).  So lower[y] > best·slack implies T(y) > best.
+    In integer mode the sums are exact and lower[y] <= T(y) outright.
     """
     region = field.region
     if not isinstance(region, Torus):
         raise ValueError("torus_passage requires a Torus region")
     n, d = region.n, region.d
     cyl = _cylinder(n, d)
+    K, N = cyl.K, cyl.n_sites()
     graph = cyl.graph
     weff, scale = _effective_weights(field)
     wcyl = weff[cyl.torus_edge]
+    graph.load(wcyl)
     # the cheapest straight row, summed left to right as the relaxation sums
     # it, bounds T; a 1-D .sum() would sum pairwise and could undercut T
-    U = float(np.cumsum(weff[::d].reshape(n, cyl.K), axis=0)[-1].min())
-    dists = graph.distances(wcyl, list(range(cyl.K)), limit=U)
-    targets = n * cyl.K + np.arange(cyl.K)
-    vals = dists[np.arange(cyl.K), targets]
+    U = float(np.cumsum(weff[::d].reshape(n, K), axis=0)[-1].min())
+    slack = 1.0 + 4.0 * N * np.finfo(np.float64).eps
+    far = n * K + np.arange(K)
+    lower = graph.search(far, limit=U * slack, min_only=True)[:K]
+    dists = np.full((K, N), np.inf)
+    best = U
+    for y in np.argsort(lower, kind="stable").tolist():
+        if lower[y] > best * slack:
+            break
+        dists[y] = graph.search(y, limit=best)
+        best = min(best, float(dists[y, far[y]]))
+    vals = dists[np.arange(K), far]
     T_eff = float(vals.min())
     minimizers = np.flatnonzero(vals == T_eff)
     inter: Optional[set[int]] = None
@@ -612,7 +662,7 @@ def torus_passage(field: WeightField) -> PassageResult:
     sample: list[Site] = []
     for y in minimizers:
         src_idx = int(y)
-        dst_idx = int(n * cyl.K + y)
+        dst_idx = int(far[y])
         d_src = dists[y]
         dag_from, dag_to, dag_cyl = _geodesic_dag(graph, wcyl, d_src, dst_idx)
         dag_union.update(np.unique(cyl.torus_edge[dag_cyl]).tolist())

@@ -399,7 +399,6 @@ class RossignolResult:
     always_rhs: Fraction
     always_holds: bool
     case_small_a: Optional[tuple[Fraction, bool]]
-    case_small_tau: Optional[tuple[Fraction, bool]]
 
     vacuous = False
 
@@ -408,17 +407,14 @@ class RossignolResult:
         ok = self.always_holds
         if self.case_small_a is not None:
             ok &= self.case_small_a[1]
-        if self.case_small_tau is not None:
-            ok &= self.case_small_tau[1]
         return ok
 
     @cached_property
     def margin(self) -> float:
         """The least right side minus lhs over the cases that apply."""
         rhs = [self.always_rhs]
-        for case in (self.case_small_a, self.case_small_tau):
-            if case is not None:
-                rhs.append(case[0])
+        if self.case_small_a is not None:
+            rhs.append(self.case_small_a[0])
         return min(float(r - self.lhs) for r in rhs)
 
     def to_json(self) -> dict:
@@ -430,7 +426,10 @@ def rossignol_check(f: StepFunction, a: Fraction, tau: Fraction) -> RossignolRes
 
     Requires tau in (0, 1/2] and f constant on [a, 1]; integration is exact
     (integer sums over a common denominator) so the verdicts carry no
-    tolerance at all.
+    tolerance at all.  The small-tau case (tau <= a <= 1/2, bound
+    2·tau·int f^2) is not computed, because it never decides: there f is
+    the constant c on [1 - tau, 1], so 2·tau·int f^2 >= 2·tau·(1 - a)·c^2 >=
+    tau·c^2, the always-case bound.
     """
     a = Fraction(a)
     tau = Fraction(tau)
@@ -445,16 +444,11 @@ def rossignol_check(f: StepFunction, a: Fraction, tau: Fraction) -> RossignolRes
     unit = D * L * L
     lhs = Fraction(_shift_sq_integral(breaks, levels, t, D), unit)
     tail = Fraction(_sq_integral(breaks, levels, D - t, D), unit)
-    full_sq = Fraction(_sq_integral(breaks, levels, 0, D), unit)
     case_small_a = None
-    case_small_tau = None
     if a <= tau:
-        rhs = 2 * a * full_sq
+        rhs = 2 * a * Fraction(_sq_integral(breaks, levels, 0, D), unit)
         case_small_a = (rhs, lhs <= rhs)
-    if tau <= a <= Fraction(1, 2):
-        rhs = 2 * tau * full_sq
-        case_small_tau = (rhs, lhs <= rhs)
-    return RossignolResult(lhs, tail, lhs <= tail, case_small_a, case_small_tau)
+    return RossignolResult(lhs, tail, lhs <= tail, case_small_a)
 
 
 # ---------------------------------------------------------------------------

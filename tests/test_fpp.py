@@ -161,7 +161,7 @@ class TestPassageTime:
         real = fpp._csgraph_dijkstra
 
         def counting(*args, **kwargs):
-            calls.append(1)
+            calls.append(kwargs)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(fpp, "_csgraph_dijkstra", counting)
@@ -169,12 +169,18 @@ class TestPassageTime:
         field = random_field(point_window(8, 2, 4), spec, 1)
         res = passage_time(field, (0, 0), (8, 0), max_grows=0)
         assert len(calls) == 1
-        torus_passage(random_field(Torus(6, 2), spec, 1))
+        assert res.d_dst.size == res.window.n_sites()
         assert len(calls) == 2
         assert res.d_dst.size == res.window.n_sites()
-        assert len(calls) == 3
-        assert res.d_dst.size == res.window.n_sites()
-        assert len(calls) == 3
+        assert len(calls) == 2
+        # a torus passage: one bound search from the cut's far copy, then one
+        # search per cut site that can still attain T, fewer than all K = 16
+        calls.clear()
+        torus = torus_passage(random_field(Torus(16, 2), spec, 1))
+        searched = np.flatnonzero(np.isfinite(torus.d_src).any(axis=1))
+        assert calls[0]["min_only"] and len(calls[0]["indices"]) == 16
+        assert sorted(c["indices"] for c in calls[1:]) == searched.tolist()
+        assert 0 < searched.size < 16
 
     def test_triangle_inequality(self):
         field = random_field(Box((0, 0), (4, 4)), Uniform(0, 1), 11)
@@ -645,6 +651,20 @@ class TestTorus:
             assert res.dag_edge_idx.tolist() == dag
             assert res.gint_edge_idx.tolist() == inter
             assert res.sample_path == path
+
+    @pytest.mark.parametrize("torus", TORI)
+    @pytest.mark.parametrize("law", BOUNDED_LAWS)
+    def test_skipped_cut_sites_cannot_attain_T(self, law, torus):
+        # a cut site left unsearched (an all-inf d_src row) winds at more than T
+        n, K = torus.n, torus.n ** (torus.d - 1)
+        for seed in range(8):
+            field = random_field(torus, parse_spec(law), seed)
+            res = torus_passage(field)
+            skipped = np.flatnonzero(np.isinf(res.d_src_eff).all(axis=1))
+            if skipped.size:
+                graph, weff, _ = searched_graph(field)
+                full = graph.distances(weff, skipped.tolist())
+                assert np.all(full[np.arange(skipped.size), n * K + skipped] > res.T_eff)
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_bound_sums_rows_left_to_right(self, n):
