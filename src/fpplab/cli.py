@@ -410,15 +410,18 @@ def cmd_sweep(args) -> int:
         missing = [k for k in ("d", "dist", "n", "replicas", "seed") if getattr(args, k, None) is None]
         if missing:
             raise ConfigError(f"missing flags: {', '.join('--' + m for m in missing)}")
-        cfg = SweepConfig(
-            model=args.model,
-            d=args.d,
-            n_list=tuple(int(t) for t in args.n.split(",")),
-            spec=parse_spec(args.dist),
-            replicas=args.replicas,
-            seed=args.seed,
-            **({} if args.kappa is None else {"kappa": args.kappa}),
-        )
+        try:
+            cfg = SweepConfig(
+                model=args.model,
+                d=args.d,
+                n_list=tuple(int(t) for t in args.n.split(",")),
+                spec=parse_spec(args.dist),
+                replicas=args.replicas,
+                seed=args.seed,
+                **({} if args.kappa is None else {"kappa": args.kappa}),
+            )
+        except (ValueError, KeyError) as exc:
+            raise ConfigError(str(exc)) from None
     if args.record_fn:
         cfg = replace(cfg, record_fn=True)
     store = ResultStore(Path(args.out))

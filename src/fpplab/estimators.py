@@ -65,6 +65,8 @@ class SweepConfig:
         self.n_list = tuple(int(n) for n in self.n_list)
         if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])) or not self.n_list:
             raise ValueError("n_list must be strictly increasing and nonempty")
+        if self.n_list[0] < 1:
+            raise ValueError(f"sizes must be >= 1, got {self.n_list[0]}")
         if self.replicas < 2:
             raise ValueError("need at least 2 replicas")
         if self.model.startswith("fpp"):

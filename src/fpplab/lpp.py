@@ -14,39 +14,55 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .weights import DistributionSpec, Geometric, counter_keys, sample_weights
 
 
+class _Layout(NamedTuple):
+    """The anti-diagonal order of one size, with the DP's scratch rows."""
+
+    keys: np.ndarray  # counter keys of the cells in order, read-only
+    plan: tuple[tuple[slice, slice], ...]  # (cells, strided) per diagonal
+    rows: np.ndarray  # two DP scratch rows of length n + 2
+    steps: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, slice], ...]
+
+
 @lru_cache(maxsize=8)
-def _layout(n: int) -> tuple[np.ndarray, tuple[tuple[slice, slice, slice, slice], ...]]:
-    """The anti-diagonal order of size n as ``(keys, plan)``, built once per n.
+def _layout(n: int) -> _Layout:
+    """The anti-diagonal order of size n, built once per n.
 
     Diagonal k = 0..2n holds cells (i, k-i), i0 <= i <= i1 with i0 = max(0, k-n)
     and i1 = min(k, n), by increasing i, right after diagonal k-1.  ``plan[k]``
-    is ``(row, below, cells, strided)``: the slices of rows i and i-1 in a DP
-    buffer indexed by row at offset 1, the diagonal's cells in that order, and
-    the same cells in the row-major (n+1)^2 array, where (i, k-i) sits at
-    k + i*n.  ``keys`` (read-only) are the counter keys of the cells in order.
+    is ``(cells, strided)``: the slice of the diagonal's cells in that order,
+    and the same cells in the row-major (n+1)^2 array, where (i, k-i) sits at
+    k + i*n.  ``steps[k-1]`` is ``(out, prev_row, prev_below, cells)`` for
+    diagonal k >= 1: views of rows i, i and i-1 of the scratch rows, indexed by
+    row at offset 1, diagonal k in ``rows[k % 2]`` and k-1 in the other one.
+    Every grid of size n is built or drawn through this, so n < 0 stops here.
     """
-    plan = []
+    if n < 0:
+        raise ValueError(f"grid size must be >= 0, got {n}")
+    rows = np.empty((2, n + 2))
+    plan, steps = [], []
     off = 0
     for k in range(2 * n + 1):
         i0, i1 = max(0, k - n), min(k, n)
-        m = i1 - i0 + 1
-        strided = slice(k + i0 * n, k + i1 * n + 1, max(n, 1))
-        plan.append((slice(i0 + 1, i1 + 2), slice(i0, i1 + 1), slice(off, off + m), strided))
-        off += m
+        cells = slice(off, off + i1 - i0 + 1)
+        plan.append((cells, slice(k + i0 * n, k + i1 * n + 1, max(n, 1))))
+        if k:
+            out, prev = rows[k % 2], rows[1 - k % 2]
+            steps.append((out[i0 + 1 : i1 + 2], prev[i0 + 1 : i1 + 2], prev[i0 : i1 + 1], cells))
+        off = cells.stop
     flat_index = np.arange(off, dtype=np.uint64)
     counters = np.empty_like(flat_index)
-    for *_, cells, strided in plan:
+    for cells, strided in plan:
         counters[cells] = flat_index[strided]
     keys = counter_keys(counters)
     keys.flags.writeable = False
-    return keys, tuple(plan)
+    return _Layout(keys, tuple(plan), rows, tuple(steps))
 
 
 class LppGrid:
@@ -67,7 +83,7 @@ class LppGrid:
             raise ValueError("vertex weight array must be (n+1) x (n+1)")
         flat = w.reshape(-1)
         diagonals = np.empty(flat.size)
-        for *_, cells, strided in _layout(n)[1]:
+        for cells, strided in _layout(n).plan:
             diagonals[cells] = flat[strided]
         self._store(n, diagonals, spec)
 
@@ -87,7 +103,7 @@ class LppGrid:
     @property
     def vertex_weights(self) -> np.ndarray:
         flat = np.empty(self.diagonals.size)
-        for *_, cells, strided in _layout(self.n)[1]:
+        for cells, strided in _layout(self.n).plan:
             flat[strided] = self.diagonals[cells]
         w = flat.reshape(self.n + 1, self.n + 1)
         w.flags.writeable = False
@@ -105,30 +121,33 @@ def sample_grid(n: int, seed: int, spec: Optional[DistributionSpec] = None) -> L
     """
     if spec is None:
         spec = default_spec()
-    keys = _layout(n)[0]
+    keys = _layout(n).keys
     return LppGrid._from_diagonals(n, sample_weights(spec, seed, keys.size, keys), spec)
 
 
 def last_passage_value(grid: LppGrid) -> float:
     """T_n by anti-diagonal dynamic programming, O(n) memory.
 
-    Each anti-diagonal is one contiguous slice of ``grid.diagonals``, and the
-    plan of :func:`_layout` gives its slices.  Two buffers hold consecutive
-    diagonals by row, at offset 1, with -inf wherever a row has no cell; so
-    row i takes max(row i, row i-1) of the previous diagonal plus its weight,
-    with no special end cells.
+    Each anti-diagonal is one contiguous slice of ``grid.diagonals``.  The
+    scratch rows of :func:`_layout` hold consecutive diagonals by row, at
+    offset 1, with -inf wherever a row has no cell; so row i takes max(row i,
+    row i-1) of the previous diagonal plus its weight, with no special end
+    cells.  The steps of :func:`_layout` are those views, built once per n.
+
+    The scratch rows are shared by every call at the same n, so two threads
+    must not call this at once; fpplab runs replicas in parallel in
+    processes, each with its own cache.
     """
     n = grid.n
     d = grid.diagonals
-    prev = np.full(n + 2, -np.inf)
-    cur = prev.copy()
-    prev[1] = d[0]
-    for row, below, cells, _ in _layout(n)[1][1:]:
-        out = cur[row]
-        np.maximum(prev[row], prev[below], out=out)
-        out += d[cells]
-        prev, cur = cur, prev
-    return float(prev[n + 1])
+    layout = _layout(n)
+    rows = layout.rows
+    rows.fill(-np.inf)
+    rows[0, 1] = d[0]
+    for out, prev_row, prev_below, cells in layout.steps:
+        np.maximum(prev_row, prev_below, out=out)
+        np.add(out, d[cells], out=out)
+    return float(rows[0, n + 1])
 
 
 def last_passage(grid: LppGrid) -> tuple[float, list[tuple[int, int]]]:

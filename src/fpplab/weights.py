@@ -372,6 +372,21 @@ class Geometric(DistributionSpec):
         return float(k)
 
     def inv_cdf_array(self, y):
+        if self.q == 0.5:
+            # k = max(0, -e) with s = 1 - y = m * 2^e, 1/2 <= m < 1 (frexp).
+            # * F^(k) = 1 - 2^-(k+1) is exact in binary64 for k <= 52, and
+            #   inv_cdf answers the least k >= 0 with y <= F^(k).
+            # * For y >= 1/2, 1 - y is exact (Sterbenz), so y <= F^(k) iff
+            #   s >= 2^-(k+1) iff e - 1 >= -(k+1) iff k >= -e; y < 1 gives
+            #   s >= 2^-53, so -e <= 52.
+            # * For y < 1/2 the answer is 0, and s rounds into [1/2, 1], so
+            #   e is 0 or 1.
+            # 0.0 - e is +0.0 at e = 0, so no -0.0 reaches the output.
+            s = np.subtract(1.0, y)
+            e = np.frexp(s, out=(s, None))[1]
+            np.subtract(0.0, e, out=s)
+            np.maximum(s, 0.0, out=s)
+            return s
         # In real arithmetic k = ceil(r) - 1 with r = log(1-y)/log(q); inv_cdf
         # instead answers F^(k-1) < y <= F^(k), F^(k) being the float
         # 1 - q**(k+1).  Let s = 1 - y >= 2^-53 and r^ = log1p(-y) / log(q)

@@ -167,6 +167,27 @@ class TestCliCommands:
         code = main(["fpp", "run", "--out", str(tmp_path)])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "model, dist, n",
+        [("lpp", "geometric:0.5", "-1,4"), ("fpp", "uniform:0,1", "-2,4"), ("lpp", "geometric:0.5", "0,4")],
+    )
+    def test_size_below_one_is_a_config_error(self, tmp_path, capsys, model, dist, n):
+        out = tmp_path / "o"
+        code = main(
+            [model, "run", "--d", "2", "--dist", dist, f"--n={n}", "--replicas", "3",
+             "--seed", "1", "--threads", "1", "--out", str(out)]
+        )
+        assert code == 1
+        assert "config error: sizes must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_size_below_one_in_config_file(self, tmp_path):
+        cfg_path = tmp_path / "sweep.cfg"
+        cfg_path.write_text(MINIMAL.replace("n_list = 4,6", "n_list = 0,6"))
+        with pytest.raises(ConfigError, match="sizes must be >= 1"):
+            parse_config(cfg_path.read_text())
+        assert main(["fpp", "run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+
     def test_config_file_run(self, tmp_path):
         cfg_path = tmp_path / "sweep.cfg"
         cfg_path.write_text(MINIMAL + "threads = 1\n")

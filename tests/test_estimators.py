@@ -72,6 +72,12 @@ class TestSweep:
         with pytest.raises(ValueError):
             unit_config(model="bogus")
 
+    @pytest.mark.parametrize("model", ["fpp-point", "lpp"])
+    @pytest.mark.parametrize("n_list", [(0, 4), (-1, 4), (-2, 4), (-3, -1)])
+    def test_rejects_sizes_below_one(self, model, n_list):
+        with pytest.raises(ValueError, match="sizes must be >= 1"):
+            unit_config(model=model, n_list=n_list)
+
     def test_sweep_worker_pool_matches_serial(self):
         cfg = unit_config(spec=Uniform(0, 1), n_list=(4,), replicas=4)
         serial = run_sweep(cfg, threads=1)

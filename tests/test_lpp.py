@@ -96,6 +96,26 @@ class TestLastPassage:
         grid = LppGrid(n, w)
         assert last_passage_value(grid) == last_passage(grid)[0]
 
+    def test_scratch_rows_reused_across_grids(self):
+        # the DP's scratch rows are shared by every grid of one size: run
+        # n = 0, 1, 17, 64, a second n = 17 grid, then the first one again;
+        # each value must be the row scan's, and stay put
+        rng = np.random.default_rng(17)
+        grids = [LppGrid(n, rng.exponential(1.0, (n + 1, n + 1))) for n in (0, 1, 17, 64, 17)]
+        order = [0, 1, 2, 3, 4, 2]
+        values = [last_passage_value(grids[i]) for i in order]
+        for i, T in zip(order, values):
+            assert T == last_passage(grids[i])[0]
+        assert values[5] == values[2] != values[4]
+
+    def test_rejects_negative_size(self):
+        # a (0, 0) array has the shape (n+1, n+1) of n = -1
+        with pytest.raises(ValueError, match="grid size"):
+            LppGrid(-1, np.zeros((0, 0)))
+        for n in (-1, -5):
+            with pytest.raises(ValueError, match="grid size"):
+                sample_grid(n, seed=1)
+
     @pytest.mark.parametrize("n", [2, 3, 6])
     def test_dp_upper_bounds_every_path(self, n):
         rng = np.random.default_rng(n)

@@ -114,6 +114,39 @@ class TestInverseCdf:
         assert all(spec.cdf(k - 1) < v <= spec.cdf(k) for k, v in zip(vec, y))
 
 
+def _ulps_from(x, steps):
+    """The float ``steps`` ulps above x (below, for negative steps)."""
+    to = math.inf if steps > 0 else -math.inf
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, to)
+    return x
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            # 1 - y rounds to 1.0 here, and only the clamp at 0 holds
+            st.floats(0.0, 2.0**-53, exclude_min=True, exclude_max=True),
+            st.integers(-6, 6).map(lambda j: _ulps_from(0.5, j)),
+            st.integers(1, 6).map(lambda j: _ulps_from(1.0, -j)),
+        ),
+        min_size=1,
+        max_size=32,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_geometric_half_matches_scalar(ys):
+    # q = 1/2 reads k off the float exponent of 1 - y; it must still be the
+    # scalar inverse bit for bit, with no -0.0
+    spec = Geometric(0.5)
+    y = np.array(ys)
+    vec = spec.inv_cdf_array(y)
+    scal = np.array([spec.inv_cdf(v) for v in ys])
+    assert vec.dtype == np.float64
+    assert vec.tobytes() == scal.tobytes(), y[vec != scal]
+
+
 class TestSampling:
     def test_determinism(self):
         region = point_window(4, 2, 2)
