@@ -37,7 +37,7 @@ from .estimators import (
     sublinearity_profile,
     summarize,
 )
-from .ineqlab import CheckResult, fpp_exhaustive_check, run_randomized_suite, suite_to_json
+from .ineqlab import CheckResult, fpp_exhaustive_check, run_randomized_suite
 from .lattice import Box, Torus
 from .lpp import fit_center
 from .weights import Bernoulli, parse_spec
@@ -467,8 +467,11 @@ def cmd_fit_chi(args) -> int:
 
 def cmd_ineq_verify(args) -> int:
     checks = None if args.suite == "all" else tuple(args.suite.split(","))
-    reports = run_randomized_suite(args.seed, instances=args.instances, checks=checks)
-    payload = json.loads(suite_to_json(reports))
+    try:
+        reports = run_randomized_suite(args.seed, instances=args.instances, checks=checks)
+    except ValueError as exc:  # an unknown check name or instances < 1
+        raise ConfigError(str(exc)) from None
+    payload = [r.to_json() for r in reports]
     exhaustive_ok = True
     if args.suite == "all":
         for box, dst in ((Box((0, 0), (1, 1)), (1, 1)), (Box((0, 0), (2, 1)), (2, 1))):

@@ -9,6 +9,26 @@ compensated summation and inequality verdicts allow a 1e-12 relative slack to
 absorb binary64 rounding at equality cases.  The convention 0*log(0) = 0 is
 used throughout.
 
+Each hypercube check is one row kernel over a stack X of shape (m, 2^k),
+one function table per row; the public ``<check>_check`` calls it with
+m = 1.  The randomized suite draws its instances one by one, in a fixed
+order from one generator per check, then runs the kernel once per k on the
+instances of that k stacked in draw order and puts the verdicts back in
+draw order.  A row's verdict does not depend on the rows stacked with it,
+bit for bit, by three rules:
+
+- every sum is a per-row ``math.fsum``, which is correctly rounded, so it
+  cannot depend on how rows are grouped;
+- every numpy operation is elementwise or a reduction within a row
+  (the conditional expectation E[f | coordinates 1..i] is a reshape to
+  (m, 2^(k-i), 2^i) and a mean over axis 1, the same sequential sum of
+  2^(k-i) terms at any m), and gives the same bits per element at any batch
+  size; ``np.log`` and ``np.exp`` always see a freshly computed contiguous
+  array, as they did per instance;
+- scalar steps stay Python scalars: ``math.log`` and ``np.log`` differ in
+  the last bit on some inputs, so the Falik-Samorodnitsky left side keeps
+  ``math.log``, and the log-Sobolev right side keeps Python ``**``.
+
 The exhaustive pipeline enumerates the simple source-destination paths of the
 box once, as a 0/1 path-by-edge matrix P; T of a block of configurations is
 then the column minimum of P @ W, in the scaled integers passage_time uses.
@@ -25,8 +45,8 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,15 +61,24 @@ _SLACK = 1e-12
 _MASK_BLOCK = 1 << 14
 
 
-def _tol(*vals: float) -> float:
-    return _SLACK * max(1.0, *(abs(v) for v in vals))
+def _tol(a: float, b: float) -> float:
+    return _SLACK * max(1.0, abs(a), abs(b))
 
 
-def fexp(values: np.ndarray, probs: Optional[np.ndarray] = None) -> float:
-    """Compensated expectation; uniform measure when probs is None."""
-    if probs is None:
-        return math.fsum(values.tolist()) / values.size
-    return math.fsum((values * probs).tolist())
+def _row_means(X: np.ndarray) -> list[float]:
+    """Uniform mean of every row (last axis) of X, in C order: one fsum per row."""
+    n = X.shape[-1]
+    return [math.fsum(row) / n for row in X.reshape(-1, n).tolist()]
+
+
+def _per_row(vals: Sequence[float], X: np.ndarray) -> np.ndarray:
+    """One value per row of X, shaped to broadcast along its last axis."""
+    return np.reshape(vals, X.shape[:-1] + (1,))
+
+
+def fexp(values: np.ndarray) -> float:
+    """Compensated expectation under the uniform measure."""
+    return _row_means(np.ravel(values))[0]
 
 
 def entropy(values: np.ndarray, probs: np.ndarray) -> float:
@@ -60,17 +89,44 @@ def entropy(values: np.ndarray, probs: np.ndarray) -> float:
         raise ValueError("entropy requires nonnegative values")
     if abs(probs.sum() - 1.0) > 1e-9 or np.any(probs < 0):
         raise ValueError("probs must form a distribution")
-    return _entropy(values, probs)
+    return _entropy_rows(values, probs)[0]
 
 
-def _entropy(values: np.ndarray, probs) -> float:
-    """``entropy`` without input checks; probs may be one scalar weight."""
-    mean = fexp(values, probs)
-    if mean == 0.0:
-        return 0.0
+def _entropy_rows(X: np.ndarray, probs) -> list[float]:
+    """``entropy`` of every row of X without input checks; probs broadcasts
+    against X and may be one scalar weight.  A row of mean 0 has entropy 0."""
+    n = X.shape[-1]
+    means = [math.fsum(row) for row in (X * probs).reshape(-1, n).tolist()]
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(values > 0, values * np.log(values / mean), 0.0)
-    return math.fsum((terms * probs).tolist())
+        terms = np.where(X > 0, X * np.log(X / _per_row(means, X)), 0.0)
+        rows = (terms * probs).reshape(-1, n).tolist()
+    return [math.fsum(row) if mean != 0.0 else 0.0 for mean, row in zip(means, rows)]
+
+
+def _variance_rows(X: np.ndarray) -> list[float]:
+    return _row_means((X - _per_row(_row_means(X), X)) ** 2)
+
+
+def _flip(X: np.ndarray, i: int) -> np.ndarray:
+    """Rows of X (m, 2^k) with coordinate i (1-based) flipped: bit i-1 of the index."""
+    m, n = X.shape
+    low = 1 << (i - 1)
+    return X.reshape(m, n // (2 * low), 2, low)[:, :, ::-1].reshape(m, n)
+
+
+def _increments(X: np.ndarray) -> list[np.ndarray]:
+    """Doob increments Delta_1 .. Delta_k of every row of X (m, 2^k), one (m, 2^k)
+    array per coordinate.  E[f | coordinates 1..i] averages the high k - i bits:
+    a reshape to (m, 2^(k-i), 2^i) and a mean over axis 1, broadcast back."""
+    m, n = X.shape
+    prev = _per_row(_row_means(X), X)
+    out = []
+    for i in range(1, n.bit_length()):
+        shape = (m, n >> i, 1 << i)
+        cur = np.broadcast_to(X.reshape(shape).mean(axis=1, keepdims=True), shape).reshape(m, n)
+        out.append(cur - prev)
+        prev = cur
+    return out
 
 
 @dataclass
@@ -98,24 +154,7 @@ class HypercubeFunction:
         return fexp(self.values)
 
     def variance(self) -> float:
-        mu = self.mean()
-        return fexp((self.values - mu) ** 2)
-
-    def tensor(self) -> np.ndarray:
-        # axis t corresponds to coordinate k - t
-        return self.values.reshape([2] * self.k)
-
-    def conditional(self, i: int) -> np.ndarray:
-        """E[f | coordinates 1..i], broadcast back over all 2^k points."""
-        if i == self.k:
-            return self.values.copy()
-        t = self.tensor().mean(axis=tuple(range(self.k - i)))
-        return np.broadcast_to(t, [2] * self.k).reshape(-1).copy()
-
-    def flip(self, i: int) -> np.ndarray:
-        """f evaluated with coordinate i (1-based) flipped."""
-        axis = self.k - i
-        return np.flip(self.tensor(), axis=axis).reshape(-1)
+        return _variance_rows(self.values)[0]
 
     def permuted(self, order: Sequence[int]) -> "HypercubeFunction":
         """Relabel coordinates: new coordinate j+1 reads old coordinate order[j]."""
@@ -140,11 +179,7 @@ class MartingaleDecomposition:
 
     def __post_init__(self):
         if not self.increments:
-            prev = np.full(2**self.func.k, self.func.mean())
-            for i in range(1, self.func.k + 1):
-                cur = self.func.conditional(i)
-                self.increments.append(cur - prev)
-                prev = cur
+            self.increments = [d[0] for d in _increments(self.func.values[None])]
 
     def telescope_error(self) -> float:
         total = sum(self.increments)
@@ -194,22 +229,36 @@ class CheckResult:
         return out
 
 
+# Each hypercube check below is a row kernel ``_<check>_rows`` over a stack X,
+# one instance per row (a table of 2^k values; for log-Sobolev the pair
+# (f(0), f(1))), returning the m verdicts in row order; the public
+# ``<check>_check`` runs it on a stack of one.
+
+
 def efron_stein_check(f: HypercubeFunction) -> CheckResult:
     """Var(f) <= (1/2) sum_i E[(f(X) - f(X with bit i resampled))^2].
 
     Resampling a fair bit flips it with probability 1/2, so the bound equals
     (1/4) sum_i E[(f - f o flip_i)^2]; both sides are enumerated exactly.
     """
-    var = f.variance()
-    bound = 0.25 * math.fsum(fexp((f.values - f.flip(i)) ** 2) for i in range(1, f.k + 1))
-    return CheckResult("efron_stein", var, bound, var <= bound + _tol(var, bound))
+    return _efron_stein_rows(f.values[None])[0]
 
 
-def _abs_moments(d: np.ndarray) -> tuple[float, float, float]:
-    """(E X, E X^2, Ent(X^2)) for X = |d| under the uniform measure."""
-    x = np.abs(d)
+def _efron_stein_rows(X: np.ndarray) -> list[CheckResult]:
+    k = X.shape[1].bit_length() - 1
+    flips = [_row_means((X - _flip(X, i)) ** 2) for i in range(1, k + 1)]
+    out = []
+    for var, terms in zip(_variance_rows(X), zip(*flips)):
+        bound = 0.25 * math.fsum(terms)
+        out.append(CheckResult("efron_stein", var, bound, var <= bound + _tol(var, bound)))
+    return out
+
+
+def _abs_moments(D: np.ndarray) -> tuple[list[float], list[float], list[float]]:
+    """(E X, E X^2, Ent(X^2)) for X = |d|, d each row of D, under the uniform measure."""
+    x = np.abs(D)
     sq = x**2
-    return fexp(x), fexp(sq), _entropy(sq, 1.0 / x.size)
+    return _row_means(x), _row_means(sq), _entropy_rows(sq, 1.0 / D.shape[-1])
 
 
 def _entropy_lower_bound(m1: float, m2: float, ent: float) -> CheckResult:
@@ -223,7 +272,7 @@ def _entropy_lower_bound(m1: float, m2: float, ent: float) -> CheckResult:
 
 def entropy_lower_bound_check(x: np.ndarray) -> CheckResult:
     """Ent(X^2) >= E[X^2] log(E[X^2] / (E X)^2) for X >= 0 (uniform measure)."""
-    return _entropy_lower_bound(*_abs_moments(np.asarray(x, dtype=np.float64)))
+    return _entropy_lower_bound(*(col[0] for col in _abs_moments(np.asarray(x, dtype=np.float64))))
 
 
 def falik_samorodnitsky_check(f: HypercubeFunction) -> CheckResult:
@@ -232,11 +281,19 @@ def falik_samorodnitsky_check(f: HypercubeFunction) -> CheckResult:
     Also verifies the entropy lower bound for each increment.  Each
     increment's E|d|, E d^2 and Ent(d^2) are computed once and serve both.
     """
-    var = f.variance()
+    return _falik_samorodnitsky_rows(f.values[None])[0]
+
+
+def _falik_samorodnitsky_rows(X: np.ndarray) -> list[CheckResult]:
+    # moments[r] holds (E|d|, E d^2, Ent(d^2)) of each increment d of row r
+    moments = zip(*(zip(*_abs_moments(d)) for d in _increments(X)))
+    return [_falik_samorodnitsky(var, m) for var, m in zip(_variance_rows(X), moments)]
+
+
+def _falik_samorodnitsky(var: float, moments) -> CheckResult:
+    """The verdict of one function from Var(f) and each increment's moments."""
     if var == 0.0:
         return CheckResult("falik_samorodnitsky", 0.0, 0.0, True, vacuous=True)
-    dec = MartingaleDecomposition(f)
-    moments = [_abs_moments(d) for d in dec.increments]
     s = math.fsum(m1**2 for m1, _, _ in moments)
     lhs = var * math.log(var / s) if s > 0 else math.inf
     rhs = math.fsum(ent for _, _, ent in moments)
@@ -258,37 +315,48 @@ def falik_samorodnitsky_check(f: HypercubeFunction) -> CheckResult:
 
 def log_sobolev_check(f0: float, f1: float) -> CheckResult:
     """Two-point Bonami-Gross inequality: Ent(f^2) <= (1/2) (f(0) - f(1))^2."""
-    vals = np.array([f0, f1], dtype=np.float64)
-    lhs = entropy(vals**2, np.array([0.5, 0.5]))
-    rhs = 0.5 * (f0 - f1) ** 2
-    holds = lhs <= rhs + _tol(lhs, rhs)
-    return CheckResult(
-        "log_sobolev", lhs, rhs, holds,
-        details={"equality": abs(lhs - rhs) <= _tol(lhs, rhs)},
-    )
+    return _log_sobolev_rows(np.array([[f0, f1]], dtype=np.float64))[0]
+
+
+def _log_sobolev_rows(X: np.ndarray) -> list[CheckResult]:
+    """Rows (f(0), f(1)); the right side stays Python float arithmetic."""
+    out = []
+    for (f0, f1), lhs in zip(X.tolist(), _entropy_rows(X**2, 0.5)):
+        rhs = 0.5 * (f0 - f1) ** 2
+        out.append(CheckResult(
+            "log_sobolev", lhs, rhs, lhs <= rhs + _tol(lhs, rhs),
+            details={"equality": abs(lhs - rhs) <= _tol(lhs, rhs)},
+        ))
+    return out
 
 
 def tensorization_check(f: HypercubeFunction) -> CheckResult:
     """Ent(f) <= sum_i E[Ent_i(f)] for nonnegative f on the hypercube."""
-    if np.any(f.values < 0):
+    return _tensorization_rows(f.values[None])[0]
+
+
+def _tensorization_rows(X: np.ndarray) -> list[CheckResult]:
+    if np.any(X < 0):
         raise ValueError("tensorization requires nonnegative f")
-    probs = np.full(2**f.k, 0.5**f.k)
-    lhs = entropy(f.values, probs)
-    total = 0.0
-    for i in range(1, f.k + 1):
-        axis = f.k - i
-        t = f.tensor()
-        x0 = np.take(t, 0, axis=axis).reshape(-1)
-        x1 = np.take(t, 1, axis=axis).reshape(-1)
-        m = 0.5 * (x0 + x1)
+    m, n = X.shape
+    per_coordinate = []
+    for i in range(1, n.bit_length()):
+        # x0, x1: the rows with coordinate i set to 0 and to 1
+        halves = X.reshape(m, n >> i, 2, 1 << (i - 1))
+        x0 = halves[:, :, 0].reshape(m, -1)
+        x1 = halves[:, :, 1].reshape(m, -1)
+        mid = 0.5 * (x0 + x1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            e0 = np.where(x0 > 0, x0 * np.log(x0 / m), 0.0)
-            e1 = np.where(x1 > 0, x1 * np.log(x1 / m), 0.0)
-        ent_i = 0.5 * (e0 + e1)
-        ent_i = np.where(m > 0, ent_i, 0.0)
-        total += math.fsum(ent_i.tolist()) / ent_i.size
-    holds = lhs <= total + _tol(lhs, total)
-    return CheckResult("tensorization", lhs, total, holds)
+            e0 = np.where(x0 > 0, x0 * np.log(x0 / mid), 0.0)
+            e1 = np.where(x1 > 0, x1 * np.log(x1 / mid), 0.0)
+        per_coordinate.append(_row_means(np.where(mid > 0, 0.5 * (e0 + e1), 0.0)))
+    out = []
+    for lhs, ents in zip(_entropy_rows(X, 1.0 / n), zip(*per_coordinate)):
+        total = 0.0
+        for ent_i in ents:
+            total += ent_i
+        out.append(CheckResult("tensorization", lhs, total, lhs <= total + _tol(lhs, total)))
+    return out
 
 
 def entropy_variational_check(
@@ -296,32 +364,43 @@ def entropy_variational_check(
 ) -> CheckResult:
     """sup{E[f g] : E[e^g] <= 1} = Ent(f): every feasible trial g stays below,
     and the optimizer g* = log(f / Ef) attains the supremum."""
-    if np.any(f.values < 0):
+    G = np.asarray(trials, dtype=np.float64).reshape(1, len(trials), f.values.size)
+    return _entropy_variational_rows(f.values[None], G)[0]
+
+
+def _entropy_variational_rows(X: np.ndarray, G: np.ndarray) -> list[CheckResult]:
+    """Rows f of X (m, n) against the trials G (m, t, n) of the same row."""
+    if np.any(X < 0):
         raise ValueError("needs f >= 0")
-    probs = np.full(2**f.k, 0.5**f.k)
-    ent = entropy(f.values, probs)
-    mean = fexp(f.values)
-    if mean == 0.0:
+    n = X.shape[1]
+    ents = _entropy_rows(X, 1.0 / n)
+    means = _row_means(X)
+    if 0.0 in means:
         raise ValueError("needs E f > 0")
-    worst = -math.inf
-    infeasible = 0
-    for g in trials:
-        g = np.asarray(g, dtype=np.float64)
-        if fexp(np.exp(g)) > 1.0 + 1e-12:
-            infeasible += 1
-            continue
-        worst = max(worst, fexp(f.values * g))
-    holds = worst <= ent + _tol(worst if math.isfinite(worst) else 0.0, ent)
+    t = G.shape[1]
+    exp_means = _row_means(np.exp(G))
+    fg_means = _row_means(X[:, None, :] * G)
     # plug in the optimizer; -745 stands in for log 0 and exp(-745) == 0.0
-    gstar = np.where(f.values > 0, np.log(np.maximum(f.values, 1e-300) / mean), -745.0)
-    feas = fexp(np.exp(gstar)) <= 1.0 + 1e-12
-    attained = fexp(f.values * gstar)
-    opt_ok = feas and abs(attained - ent) <= 1e-10 * max(1.0, abs(ent))
-    return CheckResult(
-        "entropy_variational", worst if math.isfinite(worst) else ent, ent,
-        holds and opt_ok,
-        details={"optimizer_value": attained, "infeasible_trials": infeasible},
-    )
+    gstar = np.where(X > 0, np.log(np.maximum(X, 1e-300) / _per_row(means, X)), -745.0)
+    out = []
+    for r, (ent, feas, attained) in enumerate(
+        zip(ents, _row_means(np.exp(gstar)), _row_means(X * gstar))
+    ):
+        worst = -math.inf
+        infeasible = 0
+        for j in range(r * t, (r + 1) * t):
+            if exp_means[j] > 1.0 + 1e-12:
+                infeasible += 1
+                continue
+            worst = max(worst, fg_means[j])
+        holds = worst <= ent + _tol(worst if math.isfinite(worst) else 0.0, ent)
+        opt_ok = feas <= 1.0 + 1e-12 and abs(attained - ent) <= 1e-10 * max(1.0, abs(ent))
+        out.append(CheckResult(
+            "entropy_variational", worst if math.isfinite(worst) else ent, ent,
+            holds and opt_ok,
+            details={"optimizer_value": attained, "infeasible_trials": infeasible},
+        ))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +478,7 @@ class RossignolResult:
     always_rhs: Fraction
     always_holds: bool
     case_small_a: Optional[tuple[Fraction, bool]]
+    margin: float  # the least right side minus lhs over the cases that apply
 
     vacuous = False
 
@@ -408,14 +488,6 @@ class RossignolResult:
         if self.case_small_a is not None:
             ok &= self.case_small_a[1]
         return ok
-
-    @cached_property
-    def margin(self) -> float:
-        """The least right side minus lhs over the cases that apply."""
-        rhs = [self.always_rhs]
-        if self.case_small_a is not None:
-            rhs.append(self.case_small_a[0])
-        return min(float(r - self.lhs) for r in rhs)
 
     def to_json(self) -> dict:
         return {"lhs": float(self.lhs), "margin": self.margin}
@@ -438,17 +510,25 @@ def rossignol_check(f: StepFunction, a: Fraction, tau: Fraction) -> RossignolRes
     if f.constant_from() > a:
         raise ValueError(f"f is not constant on [{a}, 1]")
     # x -> D x makes every integration point an integer, f -> L f every
-    # level, so each integral is an integer over D L^2
+    # level, so each integral is an integer over D L^2.  Verdicts and margins
+    # compare the integers; int / int is correctly rounded, as float() of
+    # the reduced Fraction is, so each margin is that float exactly.
     D, (t, *breaks) = _common_scale((tau, *f.breaks))
     L, levels = _common_scale(f.levels)
     unit = D * L * L
-    lhs = Fraction(_shift_sq_integral(breaks, levels, t, D), unit)
-    tail = Fraction(_sq_integral(breaks, levels, D - t, D), unit)
+    lhs = _shift_sq_integral(breaks, levels, t, D)
+    tail = _sq_integral(breaks, levels, D - t, D)
+    margin = (tail - lhs) / unit
     case_small_a = None
     if a <= tau:
-        rhs = 2 * a * Fraction(_sq_integral(breaks, levels, 0, D), unit)
-        case_small_a = (rhs, lhs <= rhs)
-    return RossignolResult(lhs, tail, lhs <= tail, case_small_a)
+        # 2 a int f^2 over the unit q D L^2, for a = p / q
+        q = a.denominator
+        rhs = 2 * a.numerator * _sq_integral(breaks, levels, 0, D)
+        case_small_a = (Fraction(rhs, q * unit), q * lhs <= rhs)
+        margin = min(margin, (rhs - q * lhs) / (q * unit))
+    return RossignolResult(
+        Fraction(lhs, unit), Fraction(tail, unit), lhs <= tail, case_small_a, margin
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +601,8 @@ def _rng(seed: int, salt: int) -> np.random.Generator:
     return np.random.default_rng(mix64(seed, salt))
 
 
-def _random_function(rng, k_max=6, nonneg=False) -> HypercubeFunction:
+def _random_function(rng, k_max=6, nonneg=False) -> np.ndarray:
+    """The table of a random function of k <= k_max fair bits (finite by construction)."""
     k = int(rng.integers(1, k_max + 1))
     kind = rng.integers(0, 3)
     if kind == 0:
@@ -532,20 +613,18 @@ def _random_function(rng, k_max=6, nonneg=False) -> HypercubeFunction:
             vals = np.abs(vals)
     else:
         vals = rng.integers(0, 4, size=2**k).astype(float)
-    return HypercubeFunction(k, vals)
+    return vals
 
 
 def _random_step_function(rng) -> tuple[StepFunction, Fraction, Fraction]:
     m = int(rng.integers(0, 5))
     denom = int(rng.integers(8, 64))
-    cuts = sorted(set(int(c) for c in rng.integers(1, denom, size=m)))
+    cuts = sorted(set(rng.integers(1, denom, size=m).tolist()))
     breaks = tuple(Fraction(c, denom) for c in cuts)
-    levels = np.cumsum(rng.integers(0, 5, size=len(breaks) + 1))
-    f = StepFunction(breaks, tuple(Fraction(int(v)) for v in levels))
-    a_min = f.constant_from()
-    # admissible a in [a_min, 1]; tau in (0, 1/2]
-    a_num = int(rng.integers(a_min.numerator * denom // a_min.denominator, denom + 1)) if a_min < 1 else denom
-    a = max(Fraction(a_num, denom), a_min)
+    levels = accumulate(rng.integers(0, 5, size=len(breaks) + 1).tolist())
+    f = StepFunction(breaks, tuple(map(Fraction, levels)))
+    # admissible a in [last break, 1]; tau in (0, 1/2]
+    a = Fraction(int(rng.integers(cuts[-1] if cuts else 0, denom + 1)), denom)
     tau = Fraction(int(rng.integers(1, denom // 2 + 1)), denom)
     return f, a, tau
 
@@ -580,65 +659,97 @@ def _digest(chunks) -> str:
     return h.hexdigest()[:16]
 
 
-def _draw_function_check(rng, check, **kw) -> tuple[bytes, CheckResult]:
-    f = _random_function(rng, **kw)
-    return f.values.tobytes(), check(f)
+def _draw_function(rng, **kw) -> tuple[bytes, np.ndarray]:
+    values = _random_function(rng, **kw)
+    return values.tobytes(), values
 
 
-def _draw_log_sobolev(rng) -> tuple[bytes, CheckResult]:
-    f0, f1 = rng.uniform(0, 10, size=2)
-    return np.array([f0, f1]).tobytes(), log_sobolev_check(float(f0), float(f1))
+def _draw_log_sobolev(rng) -> tuple[bytes, np.ndarray]:
+    pair = rng.uniform(0, 10, size=2)
+    return pair.tobytes(), pair
 
 
-def _draw_entropy_variational(rng) -> tuple[bytes, CheckResult]:
-    f = _random_function(rng, k_max=4, nonneg=True)
-    if fexp(f.values) == 0.0:
-        f = HypercubeFunction(f.k, f.values + 1.0)
-    trials = []
-    for _ in range(4):
-        g = rng.normal(0, 1, size=f.values.size)
-        # normalize to E e^g slightly below 1 so feasibility is robust
-        g -= math.log(max(fexp(np.exp(g)), 1e-300)) + 1e-9
-        trials.append(g)
-    return f.values.tobytes(), entropy_variational_check(f, trials)
+def _draw_entropy_variational(rng) -> tuple[bytes, np.ndarray]:
+    """f in row 0, then four raw trials g."""
+    values = _random_function(rng, k_max=4, nonneg=True)
+    if fexp(values) == 0.0:
+        values = values + 1.0
+    return values.tobytes(), np.vstack([values, rng.normal(0, 1, size=(4, values.size))])
 
 
-def _draw_rossignol(rng) -> tuple[bytes, RossignolResult]:
+def _entropy_variational_draws(X: np.ndarray) -> list[CheckResult]:
+    """Stacked draws: each trial is shifted to E e^g slightly below 1, so
+    feasibility is robust, then checked against the f of its draw."""
+    G = X[:, 1:]
+    shifts = [math.log(max(mean, 1e-300)) + 1e-9 for mean in _row_means(np.exp(G))]
+    return _entropy_variational_rows(X[:, 0], G - _per_row(shifts, G))
+
+
+def _draw_rossignol(rng) -> tuple[bytes, tuple[StepFunction, Fraction, Fraction]]:
     f, a, tau = _random_step_function(rng)
-    return str((f.breaks, f.levels, a, tau)).encode(), rossignol_check(f, a, tau)
+    return str((f.breaks, f.levels, a, tau)).encode(), (f, a, tau)
 
 
-# (name, rng salt, draw): draw(rng) makes one random instance and returns its
-# input bytes for the digest and the check's verdict.  The draws look the
-# checks up by module name at call time, so wrapping a check takes effect.
+def _by_size(kernel, inputs: list[np.ndarray]) -> list[CheckResult]:
+    """``kernel`` once per input length 2^k, on the inputs of that length
+    stacked in order; the verdicts come back in input order."""
+    groups: dict[int, list[int]] = {}
+    for j, x in enumerate(inputs):
+        groups.setdefault(x.shape[-1], []).append(j)
+    out = [None] * len(inputs)
+    for rows in groups.values():
+        for j, result in zip(rows, kernel(np.stack([inputs[j] for j in rows]))):
+            out[j] = result
+    return out
+
+
+# (name, rng salt, draw, check): draw(rng) makes one random instance and
+# returns its input bytes for the digest and its input; check(inputs) returns
+# the verdicts in input order.  The checks look their row kernels up by module
+# name at call time, so wrapping a kernel takes effect.
 _RANDOMIZED_CHECKS = (
-    ("efron_stein", 1, lambda rng: _draw_function_check(rng, efron_stein_check)),
-    ("falik_samorodnitsky", 2, lambda rng: _draw_function_check(rng, falik_samorodnitsky_check)),
-    ("log_sobolev", 3, _draw_log_sobolev),
+    ("efron_stein", 1, _draw_function, lambda xs: _by_size(_efron_stein_rows, xs)),
     (
-        "tensorization", 4,
-        lambda rng: _draw_function_check(rng, tensorization_check, k_max=4, nonneg=True),
+        "falik_samorodnitsky", 2, _draw_function,
+        lambda xs: _by_size(_falik_samorodnitsky_rows, xs),
     ),
-    ("entropy_variational", 5, _draw_entropy_variational),
-    ("rossignol", 6, _draw_rossignol),
+    ("log_sobolev", 3, _draw_log_sobolev, lambda xs: _by_size(_log_sobolev_rows, xs)),
+    (
+        "tensorization", 4, lambda rng: _draw_function(rng, k_max=4, nonneg=True),
+        lambda xs: _by_size(_tensorization_rows, xs),
+    ),
+    (
+        "entropy_variational", 5, _draw_entropy_variational,
+        lambda xs: _by_size(_entropy_variational_draws, xs),
+    ),
+    ("rossignol", 6, _draw_rossignol, lambda xs: [rossignol_check(*x) for x in xs]),
 )
+CHECK_NAMES = tuple(name for name, *_ in _RANDOMIZED_CHECKS)
 
 
 def run_randomized_suite(
     seed: int, instances: int = 10_000, checks: Optional[Sequence[str]] = None
 ) -> list[SuiteReport]:
-    """Run every inequality check on ``instances`` random instances each.
+    """Run every inequality check (or those named in ``checks``) on
+    ``instances`` random instances each.
 
     Any violation is a genuine failure: the inequalities are theorems for the
-    generated inputs.
+    generated inputs.  An unknown check name or ``instances < 1`` raises
+    ValueError, so a run can never pass by checking nothing.
     """
-    chosen = set(checks) if checks else None
+    unknown = sorted(set(checks or ()) - set(CHECK_NAMES))
+    if unknown:
+        raise ValueError(
+            f"unknown check {', '.join(map(repr, unknown))}; valid: {', '.join(CHECK_NAMES)}"
+        )
+    if instances < 1:
+        raise ValueError(f"instances must be at least 1, got {instances}")
     reports = []
-    for name, salt, draw in _RANDOMIZED_CHECKS:
-        if chosen is None or name in chosen:
+    for name, salt, draw, check in _RANDOMIZED_CHECKS:
+        if not checks or name in checks:
             rng = _rng(seed, salt)
-            drawn = [draw(rng) for _ in range(instances)]
-            reports.append(_summarize(name, [r for _, r in drawn], [c for c, _ in drawn]))
+            chunks, inputs = zip(*(draw(rng) for _ in range(instances)))
+            reports.append(_summarize(name, check(list(inputs)), chunks))
     return reports
 
 

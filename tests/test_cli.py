@@ -245,6 +245,36 @@ class TestCliCommands:
             assert set(entry) == {"check", "lhs", "rhs", "margin", "holds"}
             assert entry["margin"] == entry["rhs"] - entry["lhs"]
 
+    def test_ineq_verify_writes_the_suite_json_round_trip(self, capsys):
+        # the payload is built from the report dicts; the bytes equal those of
+        # suite_to_json parsed back and written sorted
+        from fpplab.ineqlab import run_randomized_suite, suite_to_json
+
+        checks = "efron_stein,rossignol"
+        assert main(["ineq", "verify", "--suite", checks, "--seed", "3", "--instances", "40"]) == 0
+        reports = run_randomized_suite(3, 40, checks=checks.split(","))
+        want = json.dumps(json.loads(suite_to_json(reports)), indent=2, sort_keys=True) + "\n"
+        assert capsys.readouterr().out == want
+
+    def test_ineq_verify_unknown_check_is_a_config_error(self, capsys):
+        # a misspelled check must not verify nothing and pass
+        code = main(["ineq", "verify", "--suite", "efron_stien", "--instances", "5"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error: unknown check 'efron_stien'" in captured.err
+        for name in ("efron_stein", "falik_samorodnitsky", "rossignol"):
+            assert name in captured.err
+
+    @pytest.mark.parametrize("instances", ["0", "-3"])
+    def test_ineq_verify_needs_an_instance(self, capsys, instances):
+        # zero instances used to report "holds": true with min_margin Infinity
+        code = main(["ineq", "verify", "--suite", "all", "--instances", instances])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error: instances must be at least 1" in captured.err
+
     def test_torus_influence_command(self, tmp_path):
         out = tmp_path / "torus"
         code = main(

@@ -287,6 +287,9 @@ class TestRossignol:
         want = reference_rossignol(f, a, tau)
         assert (r.lhs, r.always_rhs, r.always_holds) == want[:3]
         assert r.case_small_a == want[3]
+        # the integer margin is float() of the exact Fraction difference
+        rhs = [want[1]] + ([want[3][0]] if want[3] else [])
+        assert r.margin == min(float(x - want[0]) for x in rhs)
         # the small-tau case is never tighter than the always case
         assert want[4] is None or want[4][0] >= want[1]
         assert all(type(x) is Fraction for x in (r.lhs, r.always_rhs))
@@ -442,6 +445,54 @@ class TestFppExhaustive:
             assert sorted(res.gint_edge_idx.tolist()) == np.flatnonzero(on_all).tolist(), mask
 
 
+def draw_hypercube(check, **kw):
+    """One suite instance of a hypercube row, checked by the public function."""
+
+    def instance(rng):
+        values = ineqlab._random_function(rng, **kw)
+        return values.tobytes(), check(HypercubeFunction(values.size.bit_length() - 1, values))
+
+    return instance
+
+
+def draw_log_sobolev(rng):
+    f0, f1 = rng.uniform(0, 10, size=2)
+    return np.array([f0, f1]).tobytes(), log_sobolev_check(float(f0), float(f1))
+
+
+def draw_entropy_variational(rng):
+    values = ineqlab._random_function(rng, k_max=4, nonneg=True)
+    if fexp(values) == 0.0:
+        values = values + 1.0
+    trials = []
+    for _ in range(4):
+        g = rng.normal(0, 1, size=values.size)
+        g -= math.log(max(fexp(np.exp(g)), 1e-300)) + 1e-9
+        trials.append(g)
+    f = HypercubeFunction(values.size.bit_length() - 1, values)
+    return values.tobytes(), entropy_variational_check(f, trials)
+
+
+def draw_rossignol(rng):
+    f, a, tau = ineqlab._random_step_function(rng)
+    return str((f.breaks, f.levels, a, tau)).encode(), rossignol_check(f, a, tau)
+
+
+# name: (rng salt, one instance drawn and checked on its own)
+PER_INSTANCE = {
+    "efron_stein": (1, draw_hypercube(efron_stein_check)),
+    "falik_samorodnitsky": (2, draw_hypercube(falik_samorodnitsky_check)),
+    "log_sobolev": (3, draw_log_sobolev),
+    "tensorization": (4, draw_hypercube(tensorization_check, k_max=4, nonneg=True)),
+    "entropy_variational": (5, draw_entropy_variational),
+    "rossignol": (6, draw_rossignol),
+}
+
+
+# The suite JSON's digest is deliberately not pinned here: the last bits of
+# np.log depend on which SIMD loops numpy selects for the CPU (AVX-512 or
+# not), so a pinned value could fail on another machine.  The suite is
+# compared with its own per-instance loops instead.
 class TestSuite:
     def test_small_run_all_hold(self):
         reports = run_randomized_suite(seed=7, instances=200)
@@ -480,6 +531,46 @@ class TestSuite:
         assert got["inputs_digest"] == ineqlab._digest(chunks)
         assert got["worst"] == worst
 
+    @pytest.mark.parametrize("seed", [7, 271828])
+    @pytest.mark.parametrize("name", list(PER_INSTANCE))
+    def test_row_matches_a_per_instance_loop(self, name, seed):
+        # the batched row against one public check call per instance, drawn
+        # in the suite's order (trials one normal() call each)
+        salt, instance = PER_INSTANCE[name]
+        rng = ineqlab._rng(seed, salt)
+        chunks, results = zip(*(instance(rng) for _ in range(300)))
+        worst = None
+        for r in results:
+            if not r.vacuous and (worst is None or r.margin < worst.margin):
+                worst = r
+        margins = [r.margin for r in results if not r.vacuous and math.isfinite(r.margin)]
+        (report,) = run_randomized_suite(seed, 300, checks=(name,))
+        got = report.to_json()
+        assert got["violations"] == sum(not r.holds for r in results)
+        assert got["min_margin"] == min(margins)
+        assert got["inputs_digest"] == ineqlab._digest(chunks)
+        assert got["worst"] == worst.to_json()
+
+    @pytest.mark.parametrize("name", [n for n in ineqlab.CHECK_NAMES if n != "rossignol"])
+    def test_suite_draw_stacked_equals_rows_alone(self, name):
+        # a real draw mixes several k; the stacked verdicts equal each
+        # instance checked on its own, bit for bit (repr round-trips floats)
+        salt, draw, check = next(row[1:] for row in ineqlab._RANDOMIZED_CHECKS if row[0] == name)
+        rng = ineqlab._rng(11, salt)
+        inputs = [draw(rng)[1] for _ in range(120)]
+        if name != "log_sobolev":
+            assert len({x.shape[-1] for x in inputs}) > 1
+        assert [repr(r) for r in check(inputs)] == [repr(check([x])[0]) for x in inputs]
+
+    def test_unknown_check_raises(self):
+        with pytest.raises(ValueError, match="unknown check 'efron_stien'.*efron_stein"):
+            run_randomized_suite(7, 5, checks=("efron_stien",))
+
+    @pytest.mark.parametrize("instances", [0, -3])
+    def test_needs_an_instance(self, instances):
+        with pytest.raises(ValueError, match="instances must be at least 1"):
+            run_randomized_suite(7, instances)
+
     def test_json_shape(self):
         import json
 
@@ -489,6 +580,55 @@ class TestSuite:
         data = json.loads(suite_to_json(reports))
         for entry in data:
             assert {"check", "instances", "violations", "min_margin", "inputs_digest", "holds"} <= set(entry)
+
+
+@st.composite
+def stacked_tables(draw, nonneg=False):
+    """(m, 2^k) tables, each row normal, constant (variance 0) or with exact zeros."""
+    k = draw(st.integers(min_value=1, max_value=6))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["normal", "constant", "zeros"]), min_size=1, max_size=5)):
+        if kind == "normal":
+            row = rng.normal(0, 3, size=2**k)
+        elif kind == "constant":
+            row = np.full(2**k, float(rng.integers(-3, 4)))
+        else:
+            row = rng.integers(0, 3, size=2**k) * rng.uniform(0.5, 2.0)
+        rows.append(np.abs(row) if nonneg else row)
+    return np.array(rows)
+
+
+def assert_rows_alone(stacked, alone):
+    assert [repr(r) for r in stacked] == [repr(r) for r in alone]
+
+
+@given(stacked_tables())
+@settings(max_examples=80, deadline=None)
+def test_signed_kernels_stacked_equal_rows_alone(X):
+    for kernel in (ineqlab._efron_stein_rows, ineqlab._falik_samorodnitsky_rows):
+        assert_rows_alone(kernel(X), [kernel(X[j : j + 1])[0] for j in range(len(X))])
+
+
+@given(stacked_tables(nonneg=True), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_nonnegative_kernels_stacked_equal_rows_alone(X, seed):
+    kernel = ineqlab._tensorization_rows
+    assert_rows_alone(kernel(X), [kernel(X[j : j + 1])[0] for j in range(len(X))])
+    # entropy_variational draws: f with E f > 0 in row 0, then four raw trials
+    X = np.where(X.sum(axis=1, keepdims=True) > 0, X, X + 1.0)
+    G = np.random.default_rng(seed).normal(0, 1, size=(len(X), 4, X.shape[1]))
+    kernel = ineqlab._entropy_variational_draws
+    draws = np.concatenate([X[:, None], G], axis=1)
+    assert_rows_alone(kernel(draws), [kernel(draws[j : j + 1])[0] for j in range(len(X))])
+
+
+@given(st.lists(st.tuples(*[st.one_of(st.just(0.0), st.floats(0, 10))] * 2), min_size=1, max_size=8))
+@settings(max_examples=80, deadline=None)
+def test_log_sobolev_stacked_equals_rows_alone(pairs):
+    X = np.array(pairs, dtype=np.float64)
+    kernel = ineqlab._log_sobolev_rows
+    assert_rows_alone(kernel(X), [kernel(X[j : j + 1])[0] for j in range(len(X))])
 
 
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2**16))
