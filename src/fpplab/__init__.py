@@ -20,7 +20,6 @@ from .fpp import (
     PassageResult,
     averaged_passage,
     edge_criticality,
-    geodesic_intersection,
     passage_time,
     single_edge_update,
     torus_passage,
@@ -50,7 +49,6 @@ __all__ = [
     "PassageResult",
     "averaged_passage",
     "edge_criticality",
-    "geodesic_intersection",
     "passage_time",
     "single_edge_update",
     "torus_passage",

@@ -14,7 +14,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence, get_args, get_type_hints
 
@@ -24,7 +24,6 @@ from . import __version__
 from .estimators import (
     WINDOW_MS,
     EstimatorSummary,
-    FitResult,
     ReplicaRecord,
     SweepConfig,
     by_n,
@@ -266,26 +265,7 @@ class ResultStore:
 
 
 def _summary_dict(s: EstimatorSummary) -> dict:
-    return {
-        "count": s.count,
-        "mean": s.mean,
-        "variance": s.variance,
-        "mean_ci": list(s.mean_ci),
-        "var_ci": list(s.var_ci),
-        "mean_ci_half": s.mean_ci_half,
-        "var_ci_half": s.var_ci_half,
-    }
-
-
-def _fit_dict(f: FitResult) -> dict:
-    return {
-        "chi_hat": f.chi_hat,
-        "chi_stderr": f.chi_stderr,
-        "nu_hat": f.nu_hat,
-        "sigma_hat": f.sigma_hat,
-        "residuals": list(f.residuals),
-        "n_values": list(f.n_values),
-    }
+    return {**asdict(s), "mean_ci_half": s.mean_ci_half, "var_ci_half": s.var_ci_half}
 
 
 def build_summary(cfg: SweepConfig, records: Sequence[ReplicaRecord]) -> dict:
@@ -337,7 +317,7 @@ def build_summary(cfg: SweepConfig, records: Sequence[ReplicaRecord]) -> dict:
     }
     fits = {}
     if len(var_pairs) >= 3:
-        fits["chi"] = _fit_dict(fit_chi(var_pairs, means))
+        fits["chi"] = asdict(fit_chi(var_pairs, means))
         prof = sublinearity_profile({n: t_summaries[n] for n, _ in var_pairs})
         out["sublinearity"] = {
             "rows": [

@@ -23,7 +23,6 @@ from .fpp import (
     GROW_LIMIT,
     PassageResult,
     averaged_passage,
-    edge_update_screen,
     passage_time,
     single_edge_update,
     torus_passage,
@@ -32,7 +31,6 @@ from .lattice import Torus, point_window, window_halfwidth
 from .lpp import last_passage_value, sample_grid
 from .weights import (
     DistributionSpec,
-    WeightField,
     mix64,
     sample_field,
     sample_weights,
@@ -150,14 +148,6 @@ def summarize(values: Sequence[float], bootstrap: int = 2000, seed: Optional[int
 # ---------------------------------------------------------------------------
 
 
-def _origin(d: int):
-    return (0,) * d
-
-
-def _endpoint(n: int, d: int):
-    return (n,) + (0,) * (d - 1)
-
-
 def _geometry_stats(res: PassageResult, spec: DistributionSpec) -> dict:
     path = res.sample_path
     coords = np.asarray(path, dtype=np.int64)
@@ -209,8 +199,9 @@ def run_replica(config: SweepConfig, n: int, replica: int) -> ReplicaRecord:
     w = window_halfwidth(n, m_fn, config.kappa)
     window = point_window(n, config.d, w)
     fieldv = sample_field(config.spec, window, master)
+    origin = (0,) * config.d
     res = passage_time(
-        fieldv, _origin(config.d), _endpoint(n, config.d),
+        fieldv, origin, (n,) + origin[1:],
         want_geometry=config.record_geometry, max_grows=config.max_grows,
     )
     rec = ReplicaRecord(
@@ -344,33 +335,28 @@ def sublinearity_profile(
 
 
 def efron_stein_bound(
-    field: WeightField,
-    result: PassageResult,
-    resample_count: int = 1,
-    seed: int = 0,
+    result: PassageResult, resample_count: int = 1, seed: int = 0
 ) -> tuple[float, float]:
     """(Monte Carlo estimate of the resampling bound, analytic relaxation).
 
-    The estimate is (1/2) sum_e avg_k (T - T with edge e resampled)^2 using
-    the screened single-edge update; the relaxation is E[(t'_e)^2] #G_n.
+    The estimate is (1/2) sum_e avg_k (T - T with edge e resampled)^2 over
+    the edges of ``result.field``, the window after any growth.  Resample k
+    redraws every edge from the field's law with seed mix64(seed, k); one
+    vectorized :func:`single_edge_update` answers all its edges, with no
+    search.  The relaxation is E[(t'_e)^2] #G_n.  Needs a Box result with
+    geometry whose field has a law.
     """
-    if field.region != result.field.region:
-        # the window may have auto-grown; the result's own field is the one
-        # the distance fields refer to
-        field = result.field
-    spec, scale = field.spec, result.scale
-    E = field.region.n_edges()
-    edges = np.arange(E)
+    spec = result.field.spec
+    if spec is None:
+        raise ValueError("efron_stein_bound needs a field drawn from a law (spec)")
+    if resample_count < 1:
+        raise ValueError(f"resample_count must be at least 1, got {resample_count}")
+    E = result.field.region.n_edges()
     total = 0.0
-    for j in range(resample_count):
-        new_raw = sample_weights(spec, mix64(seed, j), E)
-        new_eff = np.rint(new_raw * scale) if scale else new_raw
-        for e in np.flatnonzero(edge_update_screen(result, edges, new_eff)):
-            T_new = single_edge_update(result, int(e), float(new_raw[e]))
-            total += (result.T - T_new) ** 2
-    estimate = 0.5 * total / resample_count
-    analytic = spec.second_moment() * float(result.gint_edge_idx.size)
-    return estimate, analytic
+    for k in range(resample_count):
+        T_new = single_edge_update(result, np.arange(E), sample_weights(spec, mix64(seed, k), E))
+        total += float(np.sum((result.T - T_new) ** 2))
+    return 0.5 * total / resample_count, spec.second_moment() * float(result.gint_edge_idx.size)
 
 
 # ---------------------------------------------------------------------------

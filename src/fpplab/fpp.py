@@ -23,17 +23,16 @@ breadth-first search that avoids all of its lifts decides it.
 
 Searches
 --------
-A point passage runs one weighted shortest-path search, from the source.  A
-torus passage runs one search from the far copy of the cut, which bounds each
-cut site's winding cost from below, and then searches from each cut site
-whose bound can still attain T, cheapest bound first, each stopped at the
-least winding cost found so far (at first the cheapest straight winding
-cycle, an upper bound on T).  The distances to the destination, ``d_dst``,
-are a second search that a Box result runs the first time they are read, for
-single-edge updates; a torus result has none.  The geodesic DAG comes from
-one backward search from the destination over the graph's CSR, so its cost
-scales with the DAG, not the window.  Everything after it, the hop counts
-that order zero-length arcs included, walks the DAG's arcs in pure Python.
+A point passage runs one weighted shortest-path search, from the source; a
+torus passage one search from the far copy of the cut, which bounds every
+cut site's winding cost, and then one from each cut site that can still
+attain T (see :func:`torus_passage`).  A Box result's ``d_dst`` and its
+source's shortest-path tree come from one more search, from source and
+destination together, on first read; every single-edge answer is a formula
+over those rows.  The geodesic DAG comes from one backward search from the
+destination over the graph's CSR, so its cost scales with the DAG, not the
+window.  Everything after it, the hop counts that order zero-length arcs
+included, walks the DAG's arcs in pure Python.
 """
 
 from __future__ import annotations
@@ -172,8 +171,9 @@ class PassageResult:
     cylinder, inf past the limit that cut site's search ran with (the least
     winding cost found before it), and all inf for a cut site that
     :func:`torus_passage` skipped because it cannot attain T.
-    ``d_dst`` (and ``d_dst_eff``) is computed by one search from ``dst`` the
-    first time it is read; a torus result has none.
+    A Box result's ``d_dst`` (and ``d_dst_eff``), source shortest-path tree
+    and ``T_without_eff`` (T with each edge deleted) come on first read from
+    one search from ``src`` and ``dst``, whose source row is ``d_src_eff``.
     ``dag_edge_idx`` and ``gint_edge_idx`` hold region edge indices; the
     EdgeId views are built on demand.  ``window`` and ``field`` are those of
     the last search: after ``grows`` doublings of a Box window (``max_grows``
@@ -214,15 +214,70 @@ class PassageResult:
         return self._time(self.d_src_eff)
 
     @cached_property
-    def d_dst_eff(self) -> np.ndarray:
+    def _two_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(distance rows from src and dst, the src row's tree as predecessors)."""
         if not isinstance(self.window, Box):
             raise ValueError("a torus passage result has no d_dst")
-        dst = self.window.site_index(self.dst)
-        return _graph(self.window).distances(self.weff, [dst])[0]
+        ends = [self.window.site_index(self.src), self.window.site_index(self.dst)]
+        csr = _graph(self.window).load(self.weff)._csr
+        dist, pred = _csgraph_dijkstra(csr, indices=ends, return_predecessors=True)
+        return dist, pred[0]
+
+    @cached_property
+    def d_dst_eff(self) -> np.ndarray:
+        return self._two_rows[0][1]
 
     @cached_property
     def d_dst(self) -> np.ndarray:
         return self._time(self.d_dst_eff)
+
+    @cached_property
+    def T_without_eff(self) -> np.ndarray:
+        """T with each edge deleted, in scaled units (inf for a bridge): T
+        itself off the intersection, where a geodesic avoids the edge, and on
+        it one exact replacement-path pass along the sample path p_0 = src,
+        ..., p_m = dst.
+
+        Give each p_i the parent p_(i-1) in the source's shortest-path tree
+        (it stays tight and acyclic) and let label(x) be the index of the
+        first path site on x's tree path, found by pointer doubling.  T
+        without e_i = {p_i, p_(i+1)} is the least d_src[x] + w + d_dst[y] over
+        the arcs x -> y off the path with label(x) <= i < label(y); no step
+        compares distances, so ties and zero weights need no case.
+        - A route avoiding e_i goes from label 0 to label m, so it uses such
+          an arc (the only such path arc is e_i) and costs at least its term.
+        - For label(x) <= i the tree path to x avoids e_i and costs d_src[x].
+        - For label(y) = j > i a route from y through e_i costs at least
+          d_src[y] - d_src[p_(i+1)] + d_dst[p_(i+1)]; y's subtree up to p_j,
+          then the path, avoids e_i and costs d_src[y] - d_src[p_j] +
+          d_dst[p_j], no more, so d_dst[y] avoids e_i.
+        In binary64 the tree sums are the sums the search stored, so the
+        source side is exact; the rest differs from a search by rounding.
+        """
+        _require_box_geometry(self)
+        out = np.full(self.weff.size, self.T_eff)
+        if not self.gint_edge_idx.size:
+            return out
+        graph, parent, gint = _graph(self.window), self._two_rows[1], self.gint_edge_idx
+        path = np.array([self.window.site_index(s) for s in self.sample_path])
+        label = np.full(parent.size, -1)
+        label[path] = np.arange(path.size)
+        on_path = label >= 0
+        # path sites stay put, and so do sites the search never reached (label -1)
+        up = np.where(on_path | (parent < 0), np.arange(parent.size), parent)
+        while not np.array_equal(nxt := up[up], up):
+            up = nxt
+        label = label[up]
+        # an edge can cross only from its lower-labelled end; path arcs never count
+        t, h = graph.tails, graph.heads
+        x, y = np.where(label[t] <= label[h], t, h), np.where(label[t] <= label[h], h, t)
+        path_arc = on_path[x] & on_path[y] & (label[y] - label[x] == 1)
+        cross = np.flatnonzero((label[x] >= 0) & (label[x] < label[y]) & ~path_arc)
+        x, y = x[cross], y[cross]
+        terms = self.d_src_eff[x] + self.weff[cross] + self.d_dst_eff[y]
+        cover = _cover_min(label[x], label[y], terms, path.size - 1)
+        out[gint] = cover[np.minimum(label[t[gint]], label[h[gint]])]
+        return out
 
     @cached_property
     def g_intersection(self) -> frozenset:
@@ -231,11 +286,8 @@ class PassageResult:
 
     def path_edge_indices(self) -> list[int]:
         """Region edge indices of the sampled geodesic, in path order."""
-        reg = self.field.region
-        out = []
-        for a, b in zip(self.sample_path, self.sample_path[1:]):
-            out.append(_edge_index_between(reg, a, b))
-        return out
+        path, reg = self.sample_path, self.field.region
+        return [_edge_index_between(reg, a, b) for a, b in zip(path, path[1:])]
 
 
 def _edge_index_between(region: Region, a: Site, b: Site) -> int:
@@ -243,11 +295,6 @@ def _edge_index_between(region: Region, a: Site, b: Site) -> int:
         if nb == b:
             return region.edge_index(edge)
     raise ValueError(f"sites {a} and {b} are not adjacent")
-
-
-def geodesic_intersection(result: PassageResult) -> frozenset:
-    """Edges used by every geodesic (computed during the passage)."""
-    return result.g_intersection
 
 
 # ---------------------------------------------------------------------------
@@ -491,53 +538,51 @@ def _require_box_geometry(result: PassageResult) -> None:
         raise ValueError("single-edge updates need a passage result with geometry")
 
 
-def edge_update_screen(
-    result: PassageResult, edges: np.ndarray, new_eff: np.ndarray
-) -> np.ndarray:
-    """Mask over ``edges``: can setting each one to ``new_eff`` (scaled units) change T?
-
-    False is certain.  Raising an edge that some geodesic avoids leaves T
-    alone, and lowering an edge changes T only if the best route through it,
-    d_src + new weight + d_dst, beats T.  True calls for a recompute (the
-    stored fields may themselves route through the edge).
-    """
-    _require_box_geometry(result)
-    graph = _graph(result.window)
-    tails, heads = graph.tails[edges], graph.heads[edges]
-    d_src, d_dst = result.d_src_eff, result.d_dst_eff
-    through = np.minimum(
-        d_src[tails] + new_eff + d_dst[heads], d_src[heads] + new_eff + d_dst[tails]
-    )
-    on_every_geodesic = np.isin(edges, result.gint_edge_idx)
-    lower = new_eff < result.weff[edges]
-    return np.where(lower, through < result.T_eff, on_every_geodesic)
+def _cover_min(lo: np.ndarray, hi: np.ndarray, val: np.ndarray, m: int) -> np.ndarray:
+    """out[i] = min of val[k] over the k with lo[k] <= i < hi[k] (inf if none),
+    for i < m: each range writes its value to the two blocks of length 2^j
+    that cover it, and each level of blocks hands its minima to its halves."""
+    j = np.frexp(hi - lo)[1] - 1  # the largest 2^j <= hi - lo
+    table = np.full((m.bit_length(), 2 * m), np.inf)
+    np.minimum.at(table, (j, lo), val)
+    np.minimum.at(table, (j, hi - np.left_shift(1, j)), val)
+    for level in range(table.shape[0] - 1, 0, -1):
+        half = 1 << (level - 1)
+        for lower in (table[level - 1, :m], table[level - 1, half : half + m]):
+            np.minimum(lower, table[level, :m], out=lower)
+    return table[0, :m]
 
 
-def single_edge_update(result: PassageResult, edge_idx: int, new_t: float) -> float:
+def single_edge_update(result: PassageResult, edge_idx, new_t):
     """New passage time after setting one edge weight; equals a full recompute.
 
-    Screened by ``edge_update_screen``; one shortest-path run when the screen
-    cannot certify the answer.
+    ``edge_idx`` and ``new_t`` may be arrays, each entry changing its edge
+    alone; the answer has their broadcast shape (a float for scalars).  For
+    e = {u, v} set to t', with T_-e = ``result.T_without_eff[e]``,
+
+        T'(t') = min(T_-e, d_src[u] + t' + d_dst[v], d_src[v] + t' + d_dst[u]),
+
+    exactly, although the intact rows may route through e: a row that does
+    adds a term such as d_src[v] + w + t' + d_dst[v], a walk that avoids e or
+    uses it twice, which costs at least T_-e or the other orientation's term.
+    The law runs in scaled units; a value off the integer grid enters
+    unrounded.  An edge index outside [0, E) or a negative or NaN weight
+    raises ValueError.
     """
-    _require_box_geometry(result)
-    region = result.window
-    graph = _graph(region)
-    src, dst = region.site_index(result.src), region.site_index(result.dst)
-    scale = result.scale
-    if scale:
-        new_eff = float(np.rint(new_t * scale))
-        if abs(new_t * scale - new_eff) > 1e-6:
-            # value off the integer grid: recompute in raw float weights
-            w2 = np.asarray(result.field.weights, dtype=np.float64).copy()
-            w2[edge_idx] = new_t
-            return float(graph.distances(w2, [src])[0][dst])
-    else:
-        new_eff = float(new_t)
-    if not edge_update_screen(result, np.array([edge_idx]), np.array([new_eff]))[0]:
-        return result.T
-    w2 = result.weff.copy()
-    w2[edge_idx] = new_eff
-    return result._time(float(graph.distances(w2, [src])[0][dst]))
+    edges, E = np.asarray(edge_idx), result.weff.size
+    if edges.dtype.kind not in "iu" or np.any((edges < 0) | (edges >= E)):
+        raise ValueError(f"edge index {edge_idx} outside 0..{E - 1}")
+    t = np.asarray(new_t, dtype=np.float64)
+    if not np.all(t >= 0):
+        raise ValueError("negative or NaN edge weight")
+    if result.scale:
+        t = t * result.scale
+        t = np.where(np.abs(t - np.rint(t)) <= 1e-6, np.rint(t), t)
+    without, graph = result.T_without_eff[edges], _graph(result.window)
+    u, v, d_src, d_dst = graph.tails[edges], graph.heads[edges], result.d_src_eff, result.d_dst_eff
+    through = np.minimum(d_src[u] + t + d_dst[v], d_src[v] + t + d_dst[u])
+    T_new = result._time(np.minimum(without, through))
+    return float(T_new) if T_new.ndim == 0 else T_new
 
 
 def edge_criticality(
@@ -547,22 +592,12 @@ def edge_criticality(
 
     For t < D the edge lies on every configuration's geodesic DAG, and
     T(t') - T(t) = min(t' - t, (D - t)_+) for t' >= t.  On a finite window D
-    is the in-window detour value.
+    is the in-window detour value.  It is T_-e - T'(0) under the law of
+    :func:`single_edge_update`, after one passage on the Box field, not grown.
     """
-    region = field.region
-    graph = _graph(region)
-    weff, scale = _effective_weights(field)
-    si, di = region.site_index(src), region.site_index(dst)
-    w2 = weff.copy()
-    w2[edge_idx] = np.inf
-    dp_src = graph.distances(w2, [si])[0]
-    dp_dst = graph.distances(w2, [di])[0]
-    T_wo = float(dp_src[di])
-    u = int(graph.tails[edge_idx])
-    v = int(graph.heads[edge_idx])
-    approach = min(dp_src[u] + dp_dst[v], dp_src[v] + dp_dst[u])
-    D_eff = max(0.0, T_wo - float(approach))
-    return CriticalityValue(D_eff / scale if scale else D_eff)
+    result = passage_time(field, src, dst, max_grows=0)
+    at_zero = single_edge_update(result, edge_idx, 0.0)
+    return CriticalityValue(result._time(float(result.T_without_eff[edge_idx])) - at_zero)
 
 
 # ---------------------------------------------------------------------------

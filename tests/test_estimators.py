@@ -23,7 +23,9 @@ from fpplab.estimators import (
 )
 from fpplab.fpp import _grow_box, averaged_passage, passage_time, brute_force_passage, torus_passage
 from fpplab.lattice import Box, Torus, point_window, window_halfwidth
-from fpplab.weights import Bernoulli, TableCDF, Uniform, WeightField, mix64, parse_spec, sample_field
+from fpplab.weights import (
+    Bernoulli, TableCDF, Uniform, WeightField, mix64, parse_spec, sample_field, sample_weights,
+)
 
 
 def unit_config(**kw):
@@ -229,7 +231,7 @@ class TestEfronStein:
         win = point_window(4, 2, 2)
         field = sample_field(TableCDF.point_mass(1.0), win, 0)
         res = passage_time(field, (0, 0), (4, 0), max_grows=0)
-        est, analytic = efron_stein_bound(field, res, resample_count=2, seed=3)
+        est, analytic = efron_stein_bound(res, resample_count=2, seed=3)
         assert est == 0.0
         assert analytic == res.gint_edge_idx.size  # second moment is 1
 
@@ -239,9 +241,42 @@ class TestEfronStein:
         bare = passage_time(field, (0, 0), (4, 0), max_grows=0, want_geometry=False)
         tfield = sample_field(Bernoulli(1, 2, 0.5), Torus(4, 2), 0)
         torus = torus_passage(tfield)
-        for f, res in ((field, bare), (tfield, torus)):
+        for res in (bare, torus):
             with pytest.raises(ValueError):
-                efron_stein_bound(f, res)
+                efron_stein_bound(res)
+
+    def test_needs_a_field_with_a_law(self):
+        win = point_window(4, 2, 2)
+        field = sample_field(Uniform(0, 1), win, 0)
+        bare = WeightField(win, field.weights, 0, None)
+        res = passage_time(bare, (0, 0), (4, 0), max_grows=0)
+        with pytest.raises(ValueError, match="law"):
+            efron_stein_bound(res)
+
+    @pytest.mark.parametrize("law", ["uniform:0,1", "bernoulli:1,2,0.5", "bernoulli:0,1,0.3"])
+    def test_matches_per_edge_recompute(self, law):
+        # the vectorized single-edge law against one full search per edge and
+        # resample, on the same redrawn weights
+        spec, box = parse_spec(law), Box((0, 0), (3, 2))
+        for seed in range(5):
+            field = sample_field(spec, box, seed, for_fpp=False)
+            res = passage_time(field, (0, 0), (3, 2), max_grows=0)
+            total = 0.0
+            for k in range(2):
+                redrawn = sample_weights(spec, mix64(seed + 7, k), box.n_edges())
+                for e, t in enumerate(redrawn):
+                    f = field.with_weight(e, t)
+                    T = passage_time(f, (0, 0), (3, 2), max_grows=0, want_geometry=False).T
+                    total += (res.T - T) ** 2
+            est, _ = efron_stein_bound(res, resample_count=2, seed=seed + 7)
+            assert est == pytest.approx(0.25 * total, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_needs_a_resample(self, count):
+        field = sample_field(Uniform(0, 1), point_window(4, 2, 2), 0)
+        res = passage_time(field, (0, 0), (4, 0), max_grows=0)
+        with pytest.raises(ValueError, match="resample_count"):
+            efron_stein_bound(res, resample_count=count)
 
     def test_exhaustive_small_box_limit(self):
         # 2x2-site box: exact bound by enumeration vs the estimator's limit
@@ -263,7 +298,7 @@ class TestEfronStein:
         for seed in range(reps):
             field = sample_field(spec, box, seed, for_fpp=False)
             res = passage_time(field, (0, 0), (1, 1), max_grows=0)
-            est, _ = efron_stein_bound(field, res, resample_count=4, seed=seed + 999)
+            est, _ = efron_stein_bound(res, resample_count=4, seed=seed + 999)
             acc += est
         assert acc / reps == pytest.approx(exact, rel=0.15)
 
@@ -275,7 +310,7 @@ class TestEfronStein:
             field = sample_field(spec, win, seed)
             res = passage_time(field, (0, 0), (8, 0), max_grows=0)
             ts.append(res.T)
-            est, _ = efron_stein_bound(field, res, resample_count=1, seed=seed)
+            est, _ = efron_stein_bound(res, resample_count=1, seed=seed)
             bounds.append(est)
         assert np.mean(bounds) >= np.var(ts, ddof=1) * 0.5
 
@@ -293,7 +328,7 @@ class TestEfronStein:
 
             field = sample_field(cfg.spec, point_window(16, 2, 8), mix64(cfg.seed, r.replica))
             res = passage_time(field, (0, 0), (16, 0))
-            est, _ = efron_stein_bound(field, res, resample_count=1, seed=r.replica)
+            est, _ = efron_stein_bound(res, resample_count=1, seed=r.replica)
             ests.append(est)
         bound = summarize(ests, bootstrap=500)
         slack = 2 * (s.var_ci_half + bound.mean_ci_half)

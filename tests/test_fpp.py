@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from collections import defaultdict, deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,12 +11,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fpplab import fpp
+from fpplab.estimators import efron_stein_bound
 from fpplab.fpp import (
     averaged_passage,
     brute_force_passage,
     edge_criticality,
     edge_removal_oracle,
-    geodesic_intersection,
     passage_time,
     single_edge_update,
     torus_passage,
@@ -37,6 +41,8 @@ LAWS = [
     "bernoulli:0,1,0.3",
     "bernoulli:0,1,0.1",
 ]
+# bernoulli:0,1,0.7 has a supercritical atom at 0; only for_fpp=False draws it
+BOUNDED_LAWS = [*LAWS[:4], "bernoulli:0,1,0.7"]
 # a torus stands for its winding cylinder; point_window(6, 2, 3) under
 # bernoulli:0,1,0.1 has the zero-weight clusters of the [window] oracle case
 DAG_REGIONS = [
@@ -262,8 +268,7 @@ class TestPassageTime:
     def test_geodesic_intersection_view(self):
         field = random_field(BOX33, Uniform(0, 1), 13)
         res = passage_time(field, (0, 0), (2, 2), max_grows=0)
-        edges = geodesic_intersection(res)
-        assert edges == res.g_intersection
+        edges = res.g_intersection
         assert {BOX33.edge_index(e) for e in edges} == set(
             int(i) for i in res.gint_edge_idx
         )
@@ -420,6 +425,15 @@ class TestCriticality:
         D = edge_criticality(field, e_top, (0, 0), (2, 0)).D
         assert D == 0.0
 
+    def test_rejects_edge_outside_window_and_torus_field(self):
+        field = random_field(BOX33, Uniform(0, 1), 9)
+        for e in (-1, BOX33.n_edges()):
+            with pytest.raises(ValueError, match="edge index"):
+                edge_criticality(field, e, (0, 0), (2, 2))
+        torus = random_field(Torus(4, 2), Bernoulli(1, 2, 0.5), 9)
+        with pytest.raises(ValueError, match="Box"):
+            edge_criticality(torus, 0, (0, 0), (2, 0))
+
     def test_update_law_random(self):
         rng = np.random.default_rng(42)
         win = Box((0, 0), (4, 3))
@@ -487,6 +501,148 @@ class TestSingleEdgeUpdate:
         for res in (bare, torus):
             with pytest.raises(ValueError):
                 single_edge_update(res, 0, 0.5)
+
+    def test_off_grid_value_matches_float_recompute(self):
+        # Bernoulli(1, 2, 1/2) runs in integer mode; a value off its grid
+        # enters the law unrounded and must match a search in raw floats
+        rng = np.random.default_rng(5)
+        for trial in range(30):
+            field = random_field(BOX33, Bernoulli(1, 2, 0.5), 3100 + trial)
+            res = passage_time(field, (0, 0), (2, 2), max_grows=0)
+            assert res.scale
+            for e in rng.choice(BOX33.n_edges(), 4, replace=False):
+                new_t = float(rng.uniform(0, 3))
+                w = field.weights.copy()
+                w[e] = new_t
+                want = passage_time(
+                    WeightField(BOX33, w, 0, None), (0, 0), (2, 2),
+                    max_grows=0, want_geometry=False,
+                ).T
+                assert single_edge_update(res, int(e), new_t) == pytest.approx(
+                    want, abs=1e-12
+                )
+
+    def test_arrays_match_scalar_calls(self):
+        field = random_field(Box((0, 0), (4, 3)), Uniform(0, 1), 21)
+        res = passage_time(field, (0, 0), (4, 3), max_grows=0)
+        edges = np.arange(field.weights.size)
+        new_t = np.random.default_rng(1).uniform(0, 2, edges.size)
+        got = single_edge_update(res, edges, new_t)
+        assert got.shape == edges.shape
+        assert got.tolist() == [
+            single_edge_update(res, int(e), float(t)) for e, t in zip(edges, new_t)
+        ]
+
+    def test_rejects_edge_outside_window(self):
+        field = random_field(BOX33, Uniform(0, 1), 9)
+        res = passage_time(field, (0, 0), (2, 2), max_grows=0)
+        for e in (-1, BOX33.n_edges(), [0, -1]):
+            with pytest.raises(ValueError, match="edge index"):
+                single_edge_update(res, e, 0.5)
+
+    def test_rejects_negative_or_nan_weight(self):
+        # a negative weight that reaches scipy's dijkstra makes it run away and
+        # abort the interpreter (std::bad_alloc), so the calls run in a child
+        # process with capped memory, where such an abort fails only this test
+        code = (
+            "import math\n"
+            "from fpplab.fpp import passage_time, single_edge_update\n"
+            "from fpplab.lattice import Box\n"
+            "from fpplab.weights import Uniform, sample_field\n"
+            "field = sample_field(Uniform(0, 1), Box((0, 0), (2, 2)), 9, for_fpp=False)\n"
+            "res = passage_time(field, (0, 0), (2, 2), max_grows=0)\n"
+            "assert 1 in res.gint_edge_idx\n"
+            "for t in (-0.5, math.nan, [0.5, -0.5]):\n"
+            "    try:\n"
+            "        single_edge_update(res, [0, 1] if isinstance(t, list) else 1, t)\n"
+            "    except ValueError:\n"
+            "        print('ValueError')\n"
+        )
+        out = _run_capped(code)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["ValueError"] * 3
+
+    def test_single_edge_answers_need_one_more_search(self, monkeypatch):
+        # updates on several edges and an Efron-Stein bound read the rows of
+        # one lazy search from src and dst; its source row is the passage's
+        calls, rows = [], []
+        real = fpp._csgraph_dijkstra
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            out = real(*args, **kwargs)
+            rows.append(out)
+            return out
+
+        monkeypatch.setattr(fpp, "_csgraph_dijkstra", counting)
+        spec = Uniform(0, 1)
+        field = random_field(point_window(8, 2, 4), spec, 3)
+        res = passage_time(field, (0, 0), (8, 0), max_grows=0)
+        assert len(calls) == 1 and not calls[0].get("return_predecessors")
+        for e in [*res.gint_edge_idx[:3].tolist(), 0, 7]:
+            single_edge_update(res, e, 0.25)
+            single_edge_update(res, e, 3.0)
+        efron_stein_bound(res, resample_count=4)
+        assert len(calls) == 2 and calls[1]["return_predecessors"]
+        dist, _ = rows[1]
+        assert dist[0].tobytes() == res.d_src_eff.tobytes()
+        assert dist[1].tobytes() == res.d_dst_eff.tobytes()
+
+
+def _run_capped(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter on this tree's sources, with its
+    address space capped at 2 GiB and a 120 s timeout."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120, preexec_fn=cap,
+    )
+
+
+REPLACEMENT_CASES = [
+    pytest.param(BOX33, (2, 2), id="box3x3"),
+    pytest.param(Box((0, 0), (4, 3)), (4, 3), id="box5x4"),
+    *(
+        pytest.param(point_window(n, 2, window_halfwidth(n, 0, 1.25)), (n, 0), id=f"n{n}")
+        for n in (8, 16)
+    ),
+]
+
+
+class TestReplacementPaths:
+    @pytest.mark.parametrize("region,dst", REPLACEMENT_CASES)
+    @pytest.mark.parametrize("law", BOUNDED_LAWS)
+    def test_without_edge_matches_removal_search(self, law, region, dst):
+        # T with an intersection edge deleted equals a search without it:
+        # exactly in integer mode, to 1e-12 in float mode; off the
+        # intersection it is T itself
+        graph = fpp._graph(region)
+        si, di = region.site_index((0, 0)), region.site_index(dst)
+        checked = 0
+        for seed in range(12):
+            field = random_field(region, parse_spec(law), seed)
+            res = passage_time(field, (0, 0), dst, max_grows=0)
+            without = res.T_without_eff
+            off = np.ones(region.n_edges(), dtype=bool)
+            off[res.gint_edge_idx] = False
+            assert np.all(without[off] == res.T_eff)
+            for e in res.gint_edge_idx:
+                w = res.weff.copy()
+                w[e] = np.inf
+                want = graph.distances(w, [si])[0, di]
+                if res.scale or np.isinf(want):
+                    assert without[e] == want
+                else:
+                    assert without[e] == pytest.approx(want, abs=1e-12)
+                checked += 1
+        assert checked > 0
 
 
 GROWTH_LAWS = st.sampled_from(["uniform:0,1", "bernoulli:0,1,0.3"])
@@ -635,8 +791,6 @@ TORI = [
     pytest.param(Torus(n, d), id=f"torus{n}x{d}")
     for n, d in ((3, 2), (4, 2), (8, 2), (4, 3))
 ]
-# bernoulli:0,1,0.7 has a supercritical atom at 0; only for_fpp=False draws it
-BOUNDED_LAWS = [*LAWS[:4], "bernoulli:0,1,0.7"]
 
 
 class TestTorus:
