@@ -15,6 +15,7 @@ import json
 import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, fields, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence, get_args, get_type_hints
 
@@ -545,10 +546,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first ``main`` call: each
+    ``parse_args`` starts from a fresh namespace, so reuse carries nothing
+    from one call to the next."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags; map usage problems to the config-error code
         return 0 if exc.code in (0, None) else 1

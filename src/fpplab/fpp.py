@@ -286,15 +286,37 @@ class PassageResult:
 
     def path_edge_indices(self) -> list[int]:
         """Region edge indices of the sampled geodesic, in path order."""
-        path, reg = self.sample_path, self.field.region
-        return [_edge_index_between(reg, a, b) for a, b in zip(path, path[1:])]
+        return _path_edges(self.field.region, self.sample_path)
 
 
-def _edge_index_between(region: Region, a: Site, b: Site) -> int:
-    for nb, edge in region.neighbors(a):
-        if nb == b:
-            return region.edge_index(edge)
-    raise ValueError(f"sites {a} and {b} are not adjacent")
+def _path_edges(region: Region, path: list[Site]) -> list[int]:
+    """The region edge index of each step of ``path``, from the edge table.
+
+    A step takes the first of its candidate edges in the order
+    ``Region.neighbors`` lists them: per axis, the edge up from the step's
+    tail, then the edge down.  The first step whose tail lies outside the
+    region, or whose ends are not adjacent, raises ValueError.
+    """
+    steps = len(path) - 1
+    if steps < 1:
+        return []
+    coords = np.array(path, dtype=np.int64).reshape(len(path), region.d) - region.lo
+    inside = np.all((coords >= 0) & (coords < region.shape), axis=1)
+    site = np.where(inside, coords @ np.array(region._strides, dtype=np.int64), 0)
+    idx_of_pair, _, _, heads = _edge_tables(region)
+    a, b = site[:-1, None], site[1:, None]
+    axes = np.arange(region.d)
+    # candidates (step, axis, up/down): the edge out of a to b, the edge out of b to a
+    edge = idx_of_pair[np.stack([a * region.d + axes, b * region.d + axes], axis=2)]
+    hit = ((edge >= 0) & (heads[edge] == np.stack([b, a], axis=2))).reshape(steps, -1)
+    hit &= (inside[:-1] & inside[1:])[:, None]
+    bad = np.flatnonzero(~hit.any(axis=1))
+    if bad.size:
+        j = int(bad[0])
+        if not inside[j]:
+            raise ValueError(f"site {path[j]} outside {region}")
+        raise ValueError(f"sites {path[j]} and {path[j + 1]} are not adjacent")
+    return edge.reshape(steps, -1)[np.arange(steps), hit.argmax(axis=1)].tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,15 @@ bit for bit, by three rules:
 The exhaustive pipeline enumerates the simple source-destination paths of the
 box once, as a 0/1 path-by-edge matrix P; T of a block of configurations is
 then the column minimum of P @ W, in the scaled integers passage_time uses.
-The step-function integrals scale x by the common denominator D of the breaks
-and tau, and f by the common denominator L of the levels, so each integral is
-an integer sum divided by D L^2: the same exact Fraction as rational
-integration, without Fraction arithmetic per piece.
+The step-function integrals scale x by a common denominator D of the breaks,
+a and tau, and f by the common denominator L of the levels, so each integral
+is an integer sum divided by D L^2: the same exact Fraction as rational
+integration, without Fraction arithmetic per piece.  One integer kernel,
+``_rossignol_rows``, gives every Rossignol verdict and margin; the suite
+draws its instances as integers over the draw's denominator and feeds them
+to it directly, and ``rossignol_check`` calls it on one row after reducing
+its Fractions to integers.  No Fraction is built unless a result's exact
+value is read.
 """
 
 from __future__ import annotations
@@ -261,18 +266,23 @@ def _abs_moments(D: np.ndarray) -> tuple[list[float], list[float], list[float]]:
     return _row_means(x), _row_means(sq), _entropy_rows(sq, 1.0 / D.shape[-1])
 
 
-def _entropy_lower_bound(m1: float, m2: float, ent: float) -> CheckResult:
-    """Ent(X^2) >= E[X^2] log(E[X^2] / (E X)^2) from the three moments."""
+def _entropy_lower_bound(m1: float, m2: float, ent: float) -> tuple[Optional[float], bool]:
+    """(bound, holds) for Ent(X^2) >= bound = E[X^2] log(E[X^2] / (E X)^2),
+    from the three moments; bound None when E[X^2] = 0 (vacuous, holds)."""
     if m2 == 0.0:
-        return CheckResult("entropy_lower_bound", 0.0, 0.0, True, vacuous=True)
-    rhs = m2 * math.log(m2 / m1**2) if m1 > 0 else math.inf
-    # orientation: ent >= rhs
-    return CheckResult("entropy_lower_bound", rhs, ent, rhs <= ent + _tol(rhs, ent))
+        return None, True
+    bound = m2 * math.log(m2 / m1**2) if m1 > 0 else math.inf
+    return bound, bound <= ent + _tol(bound, ent)
 
 
 def entropy_lower_bound_check(x: np.ndarray) -> CheckResult:
     """Ent(X^2) >= E[X^2] log(E[X^2] / (E X)^2) for X >= 0 (uniform measure)."""
-    return _entropy_lower_bound(*(col[0] for col in _abs_moments(np.asarray(x, dtype=np.float64))))
+    m1, m2, ent = (col[0] for col in _abs_moments(np.asarray(x, dtype=np.float64)))
+    bound, holds = _entropy_lower_bound(m1, m2, ent)
+    if bound is None:
+        return CheckResult("entropy_lower_bound", 0.0, 0.0, True, vacuous=True)
+    # orientation: ent >= bound
+    return CheckResult("entropy_lower_bound", bound, ent, holds)
 
 
 def falik_samorodnitsky_check(f: HypercubeFunction) -> CheckResult:
@@ -300,10 +310,11 @@ def _falik_samorodnitsky(var: float, moments) -> CheckResult:
     holds = lhs <= rhs + _tol(lhs if math.isfinite(lhs) else 0.0, rhs)
     inc_ok = True
     worst_inc = math.inf
-    for m in moments:
-        r = _entropy_lower_bound(*m)
-        inc_ok &= r.holds
-        worst_inc = min(worst_inc, r.margin)
+    for m1, m2, ent in moments:
+        bound, ok = _entropy_lower_bound(m1, m2, ent)
+        inc_ok &= ok
+        # a vacuous increment's margin is 0.0 - 0.0
+        worst_inc = min(worst_inc, 0.0 if bound is None else ent - bound)
     return CheckResult(
         "falik_samorodnitsky",
         lhs,
@@ -474,61 +485,109 @@ def _shift_sq_integral(breaks: list[int], levels: list[int], tau: int, one: int)
 
 @dataclass
 class RossignolResult:
-    lhs: Fraction
-    always_rhs: Fraction
-    always_holds: bool
-    case_small_a: Optional[tuple[Fraction, bool]]
+    """The integrals of one Rossignol instance as integer numerators: ``lhs``
+    and the always-case bound over ``unit`` = D L^2, the small-a bound 2 a
+    int f^2 (None unless a <= tau) over ``scale`` · unit, with D = ``scale``.
+    The Fractions are built on read."""
+
+    unit: int
+    scale: int
+    lhs_int: int
+    tail_int: int
+    small_a_int: Optional[int]
     margin: float  # the least right side minus lhs over the cases that apply
 
     vacuous = False
 
     @property
+    def lhs(self) -> Fraction:
+        return Fraction(self.lhs_int, self.unit)
+
+    @property
+    def always_rhs(self) -> Fraction:
+        return Fraction(self.tail_int, self.unit)
+
+    @property
+    def always_holds(self) -> bool:
+        return self.lhs_int <= self.tail_int
+
+    @property
+    def case_small_a(self) -> Optional[tuple[Fraction, bool]]:
+        if self.small_a_int is None:
+            return None
+        rhs = self.small_a_int
+        return Fraction(rhs, self.scale * self.unit), self.scale * self.lhs_int <= rhs
+
+    @property
     def holds(self) -> bool:
-        ok = self.always_holds
-        if self.case_small_a is not None:
-            ok &= self.case_small_a[1]
-        return ok
+        small = self.small_a_int
+        return self.lhs_int <= self.tail_int and (
+            small is None or self.scale * self.lhs_int <= small
+        )
 
     def to_json(self) -> dict:
-        return {"lhs": float(self.lhs), "margin": self.margin}
+        # int / int is correctly rounded, as float() of the reduced Fraction is
+        return {"lhs": self.lhs_int / self.unit, "margin": self.margin}
 
 
 def rossignol_check(f: StepFunction, a: Fraction, tau: Fraction) -> RossignolResult:
     """All applicable cases of the shifted-square integral bound, exactly.
 
-    Requires tau in (0, 1/2] and f constant on [a, 1]; integration is exact
-    (integer sums over a common denominator) so the verdicts carry no
+    Requires tau in (0, 1/2] and f constant on [a, 1].  The breaks, a and
+    tau are scaled to integers over their common denominator D and the
+    levels over theirs, L (``_common_scale``); the result is the integer
+    kernel ``_rossignol_rows`` on that one row, so the verdicts carry no
     tolerance at all.  The small-tau case (tau <= a <= 1/2, bound
     2·tau·int f^2) is not computed, because it never decides: there f is
     the constant c on [1 - tau, 1], so 2·tau·int f^2 >= 2·tau·(1 - a)·c^2 >=
     tau·c^2, the always-case bound.
     """
-    a = Fraction(a)
-    tau = Fraction(tau)
-    if not (0 < tau <= Fraction(1, 2)):
-        raise ValueError("tau must lie in (0, 1/2]")
-    if f.constant_from() > a:
-        raise ValueError(f"f is not constant on [{a}, 1]")
-    # x -> D x makes every integration point an integer, f -> L f every
-    # level, so each integral is an integer over D L^2.  Verdicts and margins
-    # compare the integers; int / int is correctly rounded, as float() of
-    # the reduced Fraction is, so each margin is that float exactly.
-    D, (t, *breaks) = _common_scale((tau, *f.breaks))
+    D, (t, a_int, *breaks) = _common_scale((Fraction(tau), Fraction(a), *f.breaks))
     L, levels = _common_scale(f.levels)
-    unit = D * L * L
-    lhs = _shift_sq_integral(breaks, levels, t, D)
-    tail = _sq_integral(breaks, levels, D - t, D)
-    margin = (tail - lhs) / unit
-    case_small_a = None
-    if a <= tau:
-        # 2 a int f^2 over the unit q D L^2, for a = p / q
-        q = a.denominator
-        rhs = 2 * a.numerator * _sq_integral(breaks, levels, 0, D)
-        case_small_a = (Fraction(rhs, q * unit), q * lhs <= rhs)
-        margin = min(margin, (rhs - q * lhs) / (q * unit))
-    return RossignolResult(
-        Fraction(lhs, unit), Fraction(tail, unit), lhs <= tail, case_small_a, margin
-    )
+    return _rossignol_rows([(D, L, breaks, levels, a_int, t)])[0]
+
+
+def _rossignol_rows(rows) -> list[RossignolResult]:
+    """The Rossignol verdicts of rows (D, L, breaks, levels, a, tau): breaks,
+    a and tau integers over D, levels integers over L.
+
+    Each row is validated in integers as ``StepFunction`` and
+    ``rossignol_check`` validate their rationals.  x -> D x makes every
+    integration point an integer, f -> L f every level, so each integral is
+    an integer over D L^2 (the small-a bound 2 a int f^2 over D · D L^2).
+    Verdicts compare the integers.  Each margin is an int / int quotient,
+    correctly rounded, so it is the float of the exact rational difference.
+    Neither depends on which common denominator D is used: a multiple s D
+    multiplies every integer of a comparison or a quotient by the same s,
+    which changes no comparison and no rational.  So the suite can use its
+    draw's denominator, and ``rossignol_check`` the reduced one.
+    """
+    out = []
+    for D, L, breaks, levels, a, tau in rows:
+        if len(levels) != len(breaks) + 1:
+            raise ValueError("need one more level than breaks")
+        if any(not (0 < b < D) for b in breaks):
+            raise ValueError("breaks must lie in (0, 1)")
+        if any(lo >= hi for lo, hi in zip(breaks, breaks[1:])):
+            raise ValueError("breaks must be strictly increasing")
+        if any(v < 0 for v in levels):
+            raise ValueError("f must be nonnegative")
+        if any(lo > hi for lo, hi in zip(levels, levels[1:])):
+            raise ValueError("f must be nondecreasing")
+        if not (0 < tau and 2 * tau <= D):
+            raise ValueError("tau must lie in (0, 1/2]")
+        if breaks and breaks[-1] > a:
+            raise ValueError(f"f is not constant on [{Fraction(a, D)}, 1]")
+        unit = D * L * L
+        lhs = _shift_sq_integral(breaks, levels, tau, D)
+        tail = _sq_integral(breaks, levels, D - tau, D)
+        margin = (tail - lhs) / unit
+        small_a = None
+        if a <= tau:
+            small_a = 2 * a * _sq_integral(breaks, levels, 0, D)
+            margin = min(margin, (small_a - D * lhs) / (D * unit))
+        out.append(RossignolResult(unit, D, lhs, tail, small_a, margin))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -616,17 +675,23 @@ def _random_function(rng, k_max=6, nonneg=False) -> np.ndarray:
     return vals
 
 
-def _random_step_function(rng) -> tuple[StepFunction, Fraction, Fraction]:
+def _random_step_ints(rng) -> tuple[int, list[int], list[int], int, int]:
+    """(denom, cuts, levels, a, tau): breaks cuts / denom, integer levels,
+    a / denom in [last break, 1] and tau / denom in (0, 1/2]."""
     m = int(rng.integers(0, 5))
     denom = int(rng.integers(8, 64))
     cuts = sorted(set(rng.integers(1, denom, size=m).tolist()))
-    breaks = tuple(Fraction(c, denom) for c in cuts)
-    levels = accumulate(rng.integers(0, 5, size=len(breaks) + 1).tolist())
-    f = StepFunction(breaks, tuple(map(Fraction, levels)))
-    # admissible a in [last break, 1]; tau in (0, 1/2]
-    a = Fraction(int(rng.integers(cuts[-1] if cuts else 0, denom + 1)), denom)
-    tau = Fraction(int(rng.integers(1, denom // 2 + 1)), denom)
-    return f, a, tau
+    levels = list(accumulate(rng.integers(0, 5, size=len(cuts) + 1).tolist()))
+    a = int(rng.integers(cuts[-1] if cuts else 0, denom + 1))
+    tau = int(rng.integers(1, denom // 2 + 1))
+    return denom, cuts, levels, a, tau
+
+
+def _random_step_function(rng) -> tuple[StepFunction, Fraction, Fraction]:
+    """The instance of ``_random_step_ints`` as a StepFunction, a and tau."""
+    denom, cuts, levels, a, tau = _random_step_ints(rng)
+    f = StepFunction(tuple(Fraction(c, denom) for c in cuts), tuple(map(Fraction, levels)))
+    return f, Fraction(a, denom), Fraction(tau, denom)
 
 
 @dataclass
@@ -685,9 +750,33 @@ def _entropy_variational_draws(X: np.ndarray) -> list[CheckResult]:
     return _entropy_variational_rows(X[:, 0], G - _per_row(shifts, G))
 
 
-def _draw_rossignol(rng) -> tuple[bytes, tuple[StepFunction, Fraction, Fraction]]:
-    f, a, tau = _random_step_function(rng)
-    return str((f.breaks, f.levels, a, tau)).encode(), (f, a, tau)
+def _fraction_repr(num: int, den: int) -> str:
+    """``repr(Fraction(num, den))`` for den > 0, without building the Fraction."""
+    g = math.gcd(num, den)
+    return f"Fraction({num // g}, {den // g})"
+
+
+def _tuple_str(items: list[str]) -> str:
+    """``str`` of a tuple whose elements have the reprs ``items``."""
+    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+
+
+def _step_text(denom: int, cuts, levels, a: int, tau: int) -> str:
+    """``str((breaks, levels, a, tau))`` of the Fractions cuts / denom, the
+    integer levels, a / denom and tau / denom, spelled from the integers."""
+    return "({}, {}, {}, {})".format(
+        _tuple_str([_fraction_repr(c, denom) for c in cuts]),
+        _tuple_str([f"Fraction({v}, 1)" for v in levels]),
+        _fraction_repr(a, denom),
+        _fraction_repr(tau, denom),
+    )
+
+
+def _draw_rossignol(rng) -> tuple[bytes, tuple]:
+    """One ``_random_step_ints`` instance as a ``_rossignol_rows`` row (D is
+    denom, L is 1), with its ``_step_text`` as the digest bytes."""
+    denom, cuts, levels, a, tau = _random_step_ints(rng)
+    return _step_text(denom, cuts, levels, a, tau).encode(), (denom, 1, cuts, levels, a, tau)
 
 
 def _by_size(kernel, inputs: list[np.ndarray]) -> list[CheckResult]:
@@ -722,7 +811,7 @@ _RANDOMIZED_CHECKS = (
         "entropy_variational", 5, _draw_entropy_variational,
         lambda xs: _by_size(_entropy_variational_draws, xs),
     ),
-    ("rossignol", 6, _draw_rossignol, lambda xs: [rossignol_check(*x) for x in xs]),
+    ("rossignol", 6, _draw_rossignol, lambda xs: _rossignol_rows(xs)),
 )
 CHECK_NAMES = tuple(name for name, *_ in _RANDOMIZED_CHECKS)
 

@@ -256,6 +256,28 @@ class TestCliCommands:
         want = json.dumps(json.loads(suite_to_json(reports)), indent=2, sort_keys=True) + "\n"
         assert capsys.readouterr().out == want
 
+    def test_parser_built_once_and_calls_keep_no_flags(self, capsys, monkeypatch):
+        # main builds the argparse tree on its first call and reuses it; the
+        # second call must see the defaults (seed 7, suite all), not the first
+        # call's flags
+        from fpplab import cli
+        from fpplab.ineqlab import run_randomized_suite
+
+        build = cli.build_parser
+        builds = []
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        assert main(["ineq", "verify", "--suite", "rossignol", "--seed", "3", "--instances", "5"]) == 0
+        first = json.loads(capsys.readouterr().out)
+        assert main(["ineq", "verify", "--instances", "5"]) == 0
+        second = json.loads(capsys.readouterr().out)
+        assert len(builds) == 1
+        assert [e["check"] for e in first] == ["rossignol"]
+        assert first[0]["inputs_digest"] == run_randomized_suite(3, 5, ["rossignol"])[0].digest
+        digests = {r.name: r.digest for r in run_randomized_suite(7, 5)}
+        assert {e["check"]: e["inputs_digest"] for e in second if "inputs_digest" in e} == digests
+        assert sum(e["check"].startswith("fpp_exhaustive_") for e in second) == 2
+
     def test_ineq_verify_unknown_check_is_a_config_error(self, capsys):
         # a misspelled check must not verify nothing and pass
         code = main(["ineq", "verify", "--suite", "efron_stien", "--instances", "5"])

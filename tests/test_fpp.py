@@ -291,6 +291,68 @@ class TestPassageTime:
             assert np.array_equal(criterion, in_dag)
 
 
+def reference_path_edges(region, path):
+    """Edge index of each path step by a walk over ``Region.neighbors``."""
+    out = []
+    for a, b in zip(path, path[1:]):
+        for nb, edge in region.neighbors(a):
+            if nb == b:
+                out.append(region.edge_index(edge))
+                break
+        else:
+            raise ValueError(f"sites {a} and {b} are not adjacent")
+    return out
+
+
+class TestPathEdges:
+    @pytest.mark.parametrize("law", ["uniform:0,1", "bernoulli:1,2,0.5", "bernoulli:0,1,0.3"])
+    def test_box_paths_match_neighbor_walk(self, law):
+        for seed in range(10):
+            field = random_field(point_window(12, 2, 6), parse_spec(law), seed)
+            res = passage_time(field, (0, 0), (12, 0))
+            assert res.path_edge_indices() == reference_path_edges(res.field.region, res.sample_path)
+
+    @pytest.mark.parametrize("law", ["bernoulli:1,2,0.5", "bernoulli:0,1,0.3"])
+    def test_torus_walks_match_neighbor_walk(self, law):
+        wrapped = revisits = 0
+        for torus in (Torus(3, 2), Torus(4, 2), Torus(8, 2), Torus(3, 3)):
+            for seed in range(15):
+                res = torus_passage(random_field(torus, parse_spec(law), seed))
+                path = res.sample_path
+                assert res.path_edge_indices() == reference_path_edges(torus, path)
+                wrapped += any(
+                    max(abs(x - y) for x, y in zip(a, b)) == torus.n - 1
+                    for a, b in zip(path, path[1:])
+                )
+                revisits += len(set(path[:-1])) < len(path) - 1
+        assert wrapped > 0
+        if law == "bernoulli:0,1,0.3":
+            assert revisits > 0
+
+    @pytest.mark.parametrize(
+        "region,path",
+        [
+            (BOX33, [(0, 0), (1, 0), (1, 2)]),
+            (BOX33, [(0, 0), (0, 0)]),
+            (BOX33, [(0, 0), (1, 0), (2, 0), (3, 0)]),
+            (BOX33, [(1, 0), (2, 0), (3, 0), (2, 0)]),
+            (BOX33, [(-1, 0), (0, 0), (1, 0)]),
+            (Torus(4, 2), [(0, 0), (3, 0), (1, 0)]),
+            (Torus(4, 2), [(0, 0), (2, 0)]),
+        ],
+    )
+    def test_non_adjacent_step_raises_like_neighbor_walk(self, region, path):
+        with pytest.raises(ValueError) as want:
+            reference_path_edges(region, path)
+        with pytest.raises(ValueError) as got:
+            fpp._path_edges(region, path)
+        assert str(got.value) == str(want.value)
+
+    def test_short_paths(self):
+        assert fpp._path_edges(BOX33, []) == []
+        assert fpp._path_edges(BOX33, [(1, 1)]) == []
+
+
 class TestLatticeGraph:
     @pytest.mark.parametrize(
         "law", ["uniform:0,1", "bernoulli:1,2,0.5", "bernoulli:0,1,0.3"]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from fpplab.ineqlab import (
     tensorization_check,
 )
 from fpplab import ineqlab
+from fpplab.cli import main as cli_main
 from fpplab.lattice import Box
 from fpplab.weights import Bernoulli, WeightField
 from fpplab.fpp import brute_force_passage, passage_time, simple_path_matrix
@@ -295,6 +297,68 @@ class TestRossignol:
         assert all(type(x) is Fraction for x in (r.lhs, r.always_rhs))
 
 
+    @pytest.mark.parametrize(
+        "denom,cuts,levels,a,tau",
+        [
+            (8, [], [3], 0, 1),  # m = 0, a = 0
+            (8, [], [0], 8, 4),  # m = 0, a = denom, tau = denom // 2
+            (9, [3], [1, 2], 3, 4),  # one reducible break, tau = denom // 2
+            (12, [2, 4, 6], [0, 1, 1, 4], 12, 3),  # reducible cuts, a = denom
+            (16, [4, 8, 12], [2, 2, 5, 9], 12, 8),  # a = 3/4 > tau = 1/2
+            (10, [5], [1, 3], 5, 5),  # a = tau = 1/2
+        ],
+    )
+    def test_integer_row_matches_public_check(self, denom, cuts, levels, a, tau):
+        # the suite's row at scale denom against rossignol_check at the reduced
+        # scale, and against midpoint integration
+        f = StepFunction(tuple(Fraction(c, denom) for c in cuts), tuple(map(Fraction, levels)))
+        a_q, tau_q = Fraction(a, denom), Fraction(tau, denom)
+        (row,) = ineqlab._rossignol_rows([(denom, 1, cuts, levels, a, tau)])
+        assert_same_rossignol(row, rossignol_check(f, a_q, tau_q))
+        want = reference_rossignol(f, a_q, tau_q)
+        assert (row.lhs, row.always_rhs, row.always_holds, row.case_small_a) == want[:4]
+
+    def test_fractional_levels_through_public_check(self):
+        # levels over L = 6 and breaks, a and tau over different denominators
+        f = StepFunction(
+            (Fraction(1, 5), Fraction(1, 3)), (Fraction(1, 2), Fraction(2, 3), Fraction(7, 6))
+        )
+        for a, tau in ((Fraction(1, 3), Fraction(3, 7)), (Fraction(5, 6), Fraction(1, 4))):
+            r = rossignol_check(f, a, tau)
+            want = reference_rossignol(f, a, tau)
+            assert (r.lhs, r.always_rhs, r.always_holds, r.case_small_a) == want[:4]
+            assert r.unit % 36 == 0  # L^2 divides the unit
+            rhs = [want[1]] + ([want[3][0]] if want[3] else [])
+            assert r.margin == min(float(x - want[0]) for x in rhs)
+
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ((8, 1, [2], [1], 8, 1), "need one more level than breaks"),
+            ((8, 1, [0], [0, 1], 8, 1), "breaks must lie in"),
+            ((8, 1, [8], [0, 1], 8, 1), "breaks must lie in"),
+            ((8, 1, [3, 3], [0, 1, 2], 8, 1), "strictly increasing"),
+            ((8, 1, [2], [-1, 1], 8, 1), "nonnegative"),
+            ((8, 1, [2], [2, 1], 8, 1), "nondecreasing"),
+            ((8, 1, [2], [0, 1], 8, 0), "tau must lie"),
+            ((8, 1, [2], [0, 1], 8, 5), "tau must lie"),
+            ((8, 1, [6], [0, 1], 4, 1), r"not constant on \[1/2, 1\]"),
+        ],
+    )
+    def test_integer_row_validates_like_the_fractions(self, row, message):
+        with pytest.raises(ValueError, match=message):
+            ineqlab._rossignol_rows([row])
+
+
+def assert_same_rossignol(got, want):
+    """Equal as exact Fractions, and margins equal to the last bit."""
+    assert got.lhs == want.lhs and got.always_rhs == want.always_rhs
+    assert got.always_holds == want.always_holds and got.holds == want.holds
+    assert got.case_small_a == want.case_small_a
+    assert float.hex(got.margin) == float.hex(want.margin)
+    assert got.to_json() == {"lhs": float(want.lhs), "margin": want.margin}
+
+
 def reference_integrate_sq(f: StepFunction, lo: Fraction, hi: Fraction) -> Fraction:
     """Integral of f^2 over [lo, hi], evaluating f at each piece's midpoint."""
     pts = sorted({lo, hi, *[b for b in f.breaks if lo < b < hi]})
@@ -489,11 +553,39 @@ PER_INSTANCE = {
 }
 
 
-# The suite JSON's digest is deliberately not pinned here: the last bits of
-# np.log depend on which SIMD loops numpy selects for the CPU (AVX-512 or
+# The full suite JSON's digest is deliberately not pinned here: the last bits
+# of np.log depend on which SIMD loops numpy selects for the CPU (AVX-512 or
 # not), so a pinned value could fail on another machine.  The suite is
-# compared with its own per-instance loops instead.
+# compared with its own per-instance loops instead.  The Rossignol row alone
+# is pinned: it is integer arithmetic and correctly rounded int / int
+# division, with no np.log, so its bytes are the same on every machine.
+ROSSIGNOL_SHA256 = {
+    7: "76d5e0681eb7190371865e9e654071c910265c92e0197565bbad9f5cceccc55c",
+    11: "278323fecf9565c54ce37c8860ab896dae311b77bdc9e133f747aee24e9c07b7",
+    271828: "4587848cef5fc52c3db5a29e3aeaabe02ca04a7e1f29b55d046f4e5b5cf553a3",
+}
+
+
 class TestSuite:
+    @pytest.mark.parametrize("seed", list(ROSSIGNOL_SHA256))
+    def test_rossignol_json_pinned(self, seed, capsys):
+        args = ["ineq", "verify", "--suite", "rossignol", "--seed", str(seed), "--instances", "2000"]
+        assert cli_main(args) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == ROSSIGNOL_SHA256[seed]
+
+    @pytest.mark.parametrize("seed", list(ROSSIGNOL_SHA256))
+    def test_rossignol_row_matches_public_check(self, seed):
+        # the integer draw and row against the Fraction instance of the same
+        # draw through rossignol_check, instance by instance
+        rows = ineqlab._rng(seed, 6)
+        fractions = ineqlab._rng(seed, 6)
+        for _ in range(2000):
+            text, row = ineqlab._draw_rossignol(rows)
+            f, a, tau = ineqlab._random_step_function(fractions)
+            assert text == str((f.breaks, f.levels, a, tau)).encode()
+            assert_same_rossignol(ineqlab._rossignol_rows([row])[0], rossignol_check(f, a, tau))
+
     def test_small_run_all_hold(self):
         reports = run_randomized_suite(seed=7, instances=200)
         assert len(reports) == 6
@@ -645,3 +737,39 @@ def test_tensorization_property(k, seed):
     rng = np.random.default_rng(seed)
     f = HypercubeFunction(k, np.abs(rng.normal(0, 1, size=2**k)))
     assert tensorization_check(f).holds
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_step_text_is_the_fraction_str(data):
+    denom = data.draw(st.integers(min_value=2, max_value=200))
+    cuts = sorted(data.draw(st.sets(st.integers(min_value=1, max_value=denom - 1), max_size=6)))
+    levels = data.draw(
+        st.lists(st.integers(min_value=0, max_value=10**6), min_size=len(cuts) + 1, max_size=len(cuts) + 1)
+    )
+    a = data.draw(st.integers(min_value=0, max_value=denom))
+    tau = data.draw(st.integers(min_value=1, max_value=max(1, denom // 2)))
+    assert_step_text(denom, cuts, levels, a, tau)
+
+
+def assert_step_text(denom, cuts, levels, a, tau):
+    want = str((
+        tuple(Fraction(c, denom) for c in cuts),
+        tuple(map(Fraction, levels)),
+        Fraction(a, denom),
+        Fraction(tau, denom),
+    ))
+    assert ineqlab._step_text(denom, cuts, levels, a, tau) == want
+
+
+@pytest.mark.parametrize(
+    "denom,cuts,levels,a,tau",
+    [
+        (8, [], [0], 0, 4),  # m = 0: (), a = 0, tau = denom // 2
+        (9, [3], [2, 2], 9, 4),  # one break: (x,), a = denom
+        (12, [2, 3, 4, 6], [0, 1, 2, 3, 4], 6, 6),  # reducible cuts
+        (63, [21, 42], [1, 1, 5], 42, 31),
+    ],
+)
+def test_step_text_edge_cases(denom, cuts, levels, a, tau):
+    assert_step_text(denom, cuts, levels, a, tau)
