@@ -521,9 +521,7 @@ class RossignolResult:
     @property
     def holds(self) -> bool:
         small = self.small_a_int
-        return self.lhs_int <= self.tail_int and (
-            small is None or self.scale * self.lhs_int <= small
-        )
+        return self.always_holds and (small is None or self.scale * self.lhs_int <= small)
 
     def to_json(self) -> dict:
         # int / int is correctly rounded, as float() of the reduced Fraction is

@@ -296,7 +296,6 @@ class TestRossignol:
         assert want[4] is None or want[4][0] >= want[1]
         assert all(type(x) is Fraction for x in (r.lhs, r.always_rhs))
 
-
     @pytest.mark.parametrize(
         "denom,cuts,levels,a,tau",
         [
