@@ -26,13 +26,27 @@ Searches
 A point passage runs one weighted shortest-path search, from the source; a
 torus passage one search from the far copy of the cut, which bounds every
 cut site's winding cost, and then one from each cut site that can still
-attain T (see :func:`torus_passage`).  A Box result's ``d_dst`` and its
-source's shortest-path tree come from one more search, from source and
-destination together, on first read; every single-edge answer is a formula
-over those rows.  The geodesic DAG comes from one backward search from the
-destination over the graph's CSR, so its cost scales with the DAG, not the
-window.  Everything after it, the hop counts that order zero-length arcs
-included, walks the DAG's arcs in pure Python.
+attain T (see :func:`torus_passage`).  The point search and the cut-site
+searches also return scipy's shortest-path tree, which costs them nothing
+measurable.  A Box result keeps its source's tree; its ``d_dst`` comes from
+one more search, from the destination alone, on first read, and every
+single-edge answer is a formula over those rows and that tree.
+
+The geodesic DAG grows from the tree's path into the destination.  That
+path is a geodesic made of tight arcs: the search stored each site's
+distance as exactly the binary64 sum over its tree arc that the tightness
+test forms again (proof at :func:`_geodesic_dag`).  One numpy gather tests
+the in-arcs of every path site, and a backward search over the graph's CSR
+runs, in pure Python, only from the tails of tight arcs that enter the path
+from off it, so its cost scales with the part of the DAG off the path, not
+with the window.  When the path's own arcs are the only tight ones into
+it, the DAG is the path: a DAG site off it would reach the destination
+along tight arcs and so enter it through one.  The path is then the only
+geodesic, the one the walk would take, and each of its arcs is a cut, so
+the passage takes the path and its edges and skips the walk; under a
+continuous law that is every DAG, with probability one.  Otherwise the
+walk runs, and everything in it, the hop counts that order zero-length
+arcs included, walks the DAG's arcs in pure Python.
 """
 
 from __future__ import annotations
@@ -87,12 +101,17 @@ class LatticeGraph:
         self._csr.data[:] = edge_weights[self._edge_of_pos]
         return self
 
-    def search(self, sources, limit: float = np.inf, min_only: bool = False) -> np.ndarray:
+    def search(
+        self, sources, limit: float = np.inf, min_only: bool = False, tree: bool = False
+    ):
         """Shortest-path distances over the loaded weights: one row per source,
         or with ``min_only`` one row of the distance to the nearest source;
-        sites farther than ``limit`` are inf (scipy's limit is inclusive)."""
+        sites farther than ``limit`` are inf (scipy's limit is inclusive).
+        With ``tree``, (distances, predecessors): each row's shortest-path
+        tree as scipy returns it, -9999 at the source and past the limit."""
         return _csgraph_dijkstra(
-            self._csr, directed=True, indices=sources, limit=limit, min_only=min_only
+            self._csr, directed=True, indices=sources, limit=limit, min_only=min_only,
+            return_predecessors=tree,
         )
 
     def distances(
@@ -121,6 +140,13 @@ def _sites(region: Region, idx) -> list[Site]:
     """The sites of row-major site indices ``idx``, as tuples of Python ints."""
     coords = np.stack(np.unravel_index(idx, region.shape), axis=-1) + region.lo
     return list(map(tuple, coords.tolist()))
+
+
+def _site_indices(region: Region, sites: list[Site]) -> np.ndarray:
+    """The row-major indices of ``sites``, all inside ``region``: the inverse
+    of :func:`_sites`."""
+    coords = np.array(sites, dtype=np.int64).reshape(len(sites), region.d) - region.lo
+    return coords @ np.array(region._strides, dtype=np.int64)
 
 
 def scaled_weights(
@@ -171,9 +197,10 @@ class PassageResult:
     cylinder, inf past the limit that cut site's search ran with (the least
     winding cost found before it), and all inf for a cut site that
     :func:`torus_passage` skipped because it cannot attain T.
-    A Box result's ``d_dst`` (and ``d_dst_eff``), source shortest-path tree
-    and ``T_without_eff`` (T with each edge deleted) come on first read from
-    one search from ``src`` and ``dst``, whose source row is ``d_src_eff``.
+    A Box result's ``src_tree`` is the predecessor row (scipy's) of the
+    search behind ``d_src_eff``; its ``d_dst`` (and ``d_dst_eff``) comes on
+    first read from one search from ``dst``, and ``T_without_eff`` (T with
+    each edge deleted) on first read from those rows and that tree.
     ``dag_edge_idx`` and ``gint_edge_idx`` hold region edge indices; the
     EdgeId views are built on demand.  ``window`` and ``field`` are those of
     the last search: after ``grows`` doublings of a Box window (``max_grows``
@@ -201,6 +228,7 @@ class PassageResult:
     scale: Optional[float]
     grows: int = 0
     boundary_flag: bool = False
+    src_tree: Optional[np.ndarray] = None
 
     def _time(self, x):
         return x / self.scale if self.scale else x
@@ -214,18 +242,11 @@ class PassageResult:
         return self._time(self.d_src_eff)
 
     @cached_property
-    def _two_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """(distance rows from src and dst, the src row's tree as predecessors)."""
+    def d_dst_eff(self) -> np.ndarray:
         if not isinstance(self.window, Box):
             raise ValueError("a torus passage result has no d_dst")
-        ends = [self.window.site_index(self.src), self.window.site_index(self.dst)]
-        csr = _graph(self.window).load(self.weff)._csr
-        dist, pred = _csgraph_dijkstra(csr, indices=ends, return_predecessors=True)
-        return dist, pred[0]
-
-    @cached_property
-    def d_dst_eff(self) -> np.ndarray:
-        return self._two_rows[0][1]
+        dst = self.window.site_index(self.dst)
+        return _graph(self.window).distances(self.weff, [dst])[0]
 
     @cached_property
     def d_dst(self) -> np.ndarray:
@@ -258,8 +279,8 @@ class PassageResult:
         out = np.full(self.weff.size, self.T_eff)
         if not self.gint_edge_idx.size:
             return out
-        graph, parent, gint = _graph(self.window), self._two_rows[1], self.gint_edge_idx
-        path = np.array([self.window.site_index(s) for s in self.sample_path])
+        graph, parent, gint = _graph(self.window), self.src_tree, self.gint_edge_idx
+        path = _site_indices(self.window, self.sample_path)
         label = np.full(parent.size, -1)
         label[path] = np.arange(path.size)
         on_path = label >= 0
@@ -324,28 +345,68 @@ def _path_edges(region: Region, path: list[Site]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _geodesic_dag(graph: LatticeGraph, weff, d_src, dst: int):
+def _tree_path(pred, dst: int) -> list[int]:
+    """The path into dst of a shortest-path tree (scipy predecessors), source
+    first; just [dst] when dst is the source or was not reached."""
+    up, path = memoryview(pred), [dst]
+    while (u := up[path[-1]]) >= 0:
+        path.append(u)
+    path.reverse()
+    return path
+
+
+def _geodesic_dag(graph: LatticeGraph, weff, d_src, seed):
     """Tight arcs into the sites that reach dst through tight arcs: (from, to, edge).
 
-    One backward search from dst over the graph's CSR; u -> v along edge e is
-    tight when d_src[u] + weff[e] == d_src[v], the binary64 sum the relaxation
-    produced.  Memoryviews hand out Python ints and floats, several times
-    cheaper per element than numpy scalars.
+    u -> v along edge e is tight when d_src[u] + weff[e] == d_src[v], the
+    binary64 sum the relaxation produced.  ``seed`` is a path of tight arcs
+    that ends at dst: ``[dst]``, or the path into dst of the search's own
+    shortest-path tree.  A tree arc pred[v] -> v is tight: the search relaxes
+    the arcs out of u only once u is popped, when d_src[u] is final, and each
+    time it lowers d_src[v] through u -> v it stores the rounded sum
+    d_src[u] + weff[e] and sets pred[v] = u.  The last such store stays, so
+    d_src[v] is exactly the sum this test forms for pred[v] -> v.  Every
+    seed site therefore reaches dst through tight arcs.
+
+    One numpy gather tests every CSR in-arc of the seed's sites.  A
+    backward search, in pure Python, then runs only from the tails of the
+    tight ones that lie off the seed, with the seed's sites already seen, so
+    each site that reaches dst has its in-arcs tested once and the arcs are
+    the same set whatever the seed.  When the seed's own len(seed) - 1 arcs
+    are the only tight ones found, the DAG is the seed: a DAG site off it
+    would reach dst along tight arcs and so enter the seed through one.
+    Memoryviews hand out Python ints and floats, several times cheaper per
+    element than numpy scalars.
     """
     csr = graph._csr
+    path = np.asarray(seed, dtype=np.int64)
+    first = csr.indptr[path]
+    count = csr.indptr[path + 1] - first
+    head = np.repeat(path, count)
+    pos = np.arange(head.size) + np.repeat(first - np.cumsum(count) + count, count)
+    tail, edge = csr.indices[pos], graph._edge_of_pos[pos]
+    tight = d_src[tail] + weff[edge] == d_src[head]
+    found = (tail[tight], head[tight], edge[tight])
+    if found[0].size == len(seed) - 1:
+        return found
     indptr, nbr, d, w = map(memoryview, (csr.indptr, csr.indices, d_src, weff))
-    edge = memoryview(graph._edge_of_pos)
-    arcs, seen, stack = [], {dst}, [dst]
+    edges = memoryview(graph._edge_of_pos)
+    arcs, seen, stack = [], set(seed), []
+    for u in found[0].tolist():
+        if u not in seen:
+            seen.add(u)
+            stack.append(u)
     while stack:
         v = stack.pop()
         for pos in range(indptr[v], indptr[v + 1]):
-            u, e = nbr[pos], edge[pos]
+            u, e = nbr[pos], edges[pos]
             if d[u] + w[e] == d[v]:
                 arcs.append((u, v, e))
                 if u not in seen:
                     seen.add(u)
                     stack.append(u)
-    return tuple(np.array(arcs, dtype=np.int64).reshape(-1, 3).T)
+    more = np.array(arcs, dtype=np.int64).reshape(-1, 3).T
+    return tuple(np.concatenate(pair) for pair in zip(found, more))
 
 
 def _bfs(out: dict, src: int, avoid: int = -1) -> dict:
@@ -426,6 +487,21 @@ def _geodesic_walk(dag_from, dag_to, dag_edge, d, src: int, dst: int, key_of=Non
     return path, sorted(cut)
 
 
+def _geodesics(arcs, path: list[int], d, key_of=None):
+    """(sample geodesic, sorted keys on every geodesic) of the DAG ``arcs``
+    that :func:`_geodesic_dag` grew from the tight path ``path``, src first.
+
+    When the DAG holds only the path's own arcs, the path is the only
+    geodesic, so the walk would take it, and each of its arcs is a cut, so
+    every key on it, each lift of a torus edge included, lies on every
+    geodesic; the walk runs only otherwise.
+    """
+    if arcs[0].size == len(path) - 1:
+        keys = arcs[2] if key_of is None else key_of[arcs[2]]
+        return path, np.unique(keys).tolist()
+    return _geodesic_walk(*arcs, d, path[0], path[-1], key_of)
+
+
 # ---------------------------------------------------------------------------
 # Point-to-point passage
 # ---------------------------------------------------------------------------
@@ -450,14 +526,16 @@ def _grow_box(box: Box) -> Box:
 
 def _search_inside(field: WeightField, pairs, max_grows: int):
     """One search from each (src, dst) pair's source and the geodesic DAG into
-    its destination, rerun on a doubled window while some DAG touches the
-    window's boundary, at most ``max_grows`` times; only a Box field with a
-    law grows.
+    its destination, grown from the search tree's path into it, rerun on a
+    doubled window while some DAG touches the window's boundary, at most
+    ``max_grows`` times; only a Box field with a law grows.
 
-    Returns ``(field, weff, scale, dists, dags, grows, touched)`` of the last
-    window; ``dags`` stops at the first DAG that touches.  A grown field draws
-    its new edges from the law and keeps the current weights on the edges
-    both windows share, so hand-edited weights survive the grow.
+    Returns ``(field, weff, scale, dists, preds, dags, grows, touched)`` of
+    the last window: distance and predecessor rows, one per pair, and per
+    DAG ``(tree path, arcs)``; ``dags`` stops at the first DAG that touches.
+    A grown field draws its new edges from the law and keeps the current
+    weights on the edges both windows share, so hand-edited weights survive
+    the grow.
     """
     growable = isinstance(field.region, Box) and field.spec is not None
     grows = 0
@@ -465,15 +543,19 @@ def _search_inside(field: WeightField, pairs, max_grows: int):
         region = field.region
         graph, boundary = _graph(region), _boundary_mask(region)
         weff, scale = _effective_weights(field)
-        dists = graph.distances(weff, [region.site_index(src) for src, _ in pairs])
+        dists, preds = graph.load(weff).search(
+            [region.site_index(src) for src, _ in pairs], tree=True
+        )
         dags, touched = [], False
-        for row, (_, dst) in zip(dists, pairs):
-            dags.append(_geodesic_dag(graph, weff, row, region.site_index(dst)))
-            touched = bool(np.any(boundary[dags[-1][0]]) or np.any(boundary[dags[-1][1]]))
+        for row, pred, (_, dst) in zip(dists, preds, pairs):
+            path = _tree_path(pred, region.site_index(dst))
+            arcs = _geodesic_dag(graph, weff, row, path)
+            dags.append((path, arcs))
+            touched = bool(np.any(boundary[arcs[0]]) or np.any(boundary[arcs[1]]))
             if touched:
                 break
         if not (touched and growable and grows < max_grows):
-            return field, weff, scale, dists, dags, grows, touched
+            return field, weff, scale, dists, preds, dags, grows, touched
         big = _grow_box(region)
         weights = sample_field(field.spec, big, field.seed, for_fpp=False).weights
         _, tails, axes, _ = _edge_tables(region)
@@ -505,23 +587,21 @@ def passage_time(
     coordinates, so those are the very weights a sample of the larger window
     holds: growing reveals more of the same environment.  The DAG and the
     test run with or without ``want_geometry``, so T, ``grows`` and the flag
-    do not depend on it; only the geodesic walk (``sample_path``,
-    ``gint_edge_idx``) is skipped.
+    do not depend on it; only the sample geodesic and the intersection
+    (``sample_path``, ``gint_edge_idx``) are skipped.
     """
-    field, weff, scale, dists, dags, grows, touched = _search_inside(
+    field, weff, scale, dists, preds, dags, grows, touched = _search_inside(
         field, [(src, dst)], max_grows
     )
     region = field.region
-    path, member = [], []
+    (tree_path, arcs), path, member = dags[0], [], []
     if want_geometry:
-        raw, member = _geodesic_walk(
-            *dags[0], dists[0], region.site_index(src), region.site_index(dst)
-        )
+        raw, member = _geodesics(arcs, tree_path, dists[0])
         path = _sites(region, raw)
     return PassageResult(
         float(dists[0, region.site_index(dst)]), src, dst, region, weff, dists[0],
-        np.unique(dags[0][2]), np.asarray(member, dtype=np.int64), path, field,
-        scale, grows, boundary_flag=touched,
+        np.unique(arcs[2]), np.asarray(member, dtype=np.int64), path, field,
+        scale, grows, boundary_flag=touched, src_tree=preds[0],
     )
 
 
@@ -704,12 +784,12 @@ def torus_passage(field: WeightField) -> PassageResult:
     slack = 1.0 + 4.0 * N * np.finfo(np.float64).eps
     far = n * K + np.arange(K)
     lower = graph.search(far, limit=U * slack, min_only=True)[:K]
-    dists = np.full((K, N), np.inf)
+    dists, trees = np.full((K, N), np.inf), {}
     best = U
     for y in np.argsort(lower, kind="stable").tolist():
         if lower[y] > best * slack:
             break
-        dists[y] = graph.search(y, limit=best)
+        dists[y], trees[y] = graph.search(y, limit=best, tree=True)
         best = min(best, float(dists[y, far[y]]))
     vals = dists[np.arange(K), far]
     T_eff = float(vals.min())
@@ -717,15 +797,11 @@ def torus_passage(field: WeightField) -> PassageResult:
     inter: Optional[set[int]] = None
     dag_union: set[int] = set()
     sample: list[Site] = []
-    for y in minimizers:
-        src_idx = int(y)
-        dst_idx = int(far[y])
-        d_src = dists[y]
-        dag_from, dag_to, dag_cyl = _geodesic_dag(graph, wcyl, d_src, dst_idx)
-        dag_union.update(np.unique(cyl.torus_edge[dag_cyl]).tolist())
-        raw, mem = _geodesic_walk(
-            dag_from, dag_to, dag_cyl, d_src, src_idx, dst_idx, cyl.torus_edge
-        )
+    for y in minimizers.tolist():
+        path = _tree_path(trees[y], int(far[y]))
+        arcs = _geodesic_dag(graph, wcyl, dists[y], path)
+        dag_union.update(np.unique(cyl.torus_edge[arcs[2]]).tolist())
+        raw, mem = _geodesics(arcs, path, dists[y], cyl.torus_edge)
         inter = set(mem) if inter is None else (inter & set(mem))
         if not sample:
             sample = _sites(region, np.asarray(raw) % region.n_sites())
@@ -829,7 +905,7 @@ def averaged_passage(
     for z, z2 in pairs:
         if not (field.region.contains(z) and field.region.contains(z2)):
             raise ValueError(f"window too small for translate {z}")
-    field, _, scale, dists, _, grows, touched = _search_inside(field, pairs, max_grows)
+    field, _, scale, dists, _, _, grows, touched = _search_inside(field, pairs, max_grows)
     terms = {}
     for (z, z2), row in zip(pairs, dists):
         val = float(row[field.region.site_index(z2)])

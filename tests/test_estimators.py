@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpplab.estimators import (
+    WINDOW_MS,
     ReplicaRecord,
     SweepConfig,
     by_n,
@@ -20,6 +22,7 @@ from fpplab.estimators import (
     run_sweep,
     sublinearity_profile,
     summarize,
+    _geometry_stats,
 )
 from fpplab.fpp import _grow_box, averaged_passage, passage_time, brute_force_passage, torus_passage
 from fpplab.lattice import Box, Torus, point_window, window_halfwidth
@@ -420,6 +423,53 @@ class TestGeometryStats:
         cfg = unit_config(spec=Bernoulli(1, 2, 0.5), n_list=(8,), replicas=5)
         records = run_sweep(cfg, threads=1)
         assert geodesic_speed_stats(records)[8] >= 1.0
+
+    @given(
+        d=st.integers(2, 3),
+        start=st.tuples(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5)),
+        steps=st.lists(st.tuples(st.integers(0, 2), st.sampled_from([-1, 1])), max_size=40),
+        picks=st.lists(st.integers(0, 49), max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_center_definition(self, d, start, steps, picks, seed):
+        # a random lattice path, revisits allowed, against the definitions
+        # written out per center and per edge
+        path = [start[:d]]
+        for axis, sign in steps:
+            site = list(path[-1])
+            site[axis % d] += sign
+            path.append(tuple(site))
+        weights = np.random.default_rng(seed).uniform(0.01, 1.0, 50)
+        res = SimpleNamespace(
+            sample_path=path, field=SimpleNamespace(weights=weights),
+            gint_edge_idx=np.array(picks, dtype=np.int64),
+            dag_edge_idx=np.arange(len(picks) + 3),
+        )
+        spec = Uniform(0, 1)
+        got = _geometry_stats(res, spec)
+
+        def dist(a, b):
+            return sum(abs(x - y) for x, y in zip(a, b))
+
+        Y = 0.0
+        for t in weights[picks]:
+            Y = Y + (1.0 - math.log(spec.cdf(float(t))))
+        assert got == {
+            "g_dag_size": len(picks) + 3,
+            "g_int_size": len(picks),
+            "geo_len": len(steps),
+            "geo_diam": max(dist(a, b) for a in path for b in path),
+            "transverse_dev": max(abs(x) for site in path for x in site[1:]),
+            "Y_n": Y,
+            "win_counts": {
+                m: max(
+                    sum(dist(a, c) <= m and dist(b, c) <= m for a, b in zip(path, path[1:]))
+                    for c in path
+                )
+                for m in WINDOW_MS
+            },
+        }
 
 
 class TestAnimalWeights:

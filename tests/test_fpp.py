@@ -4,6 +4,7 @@ import subprocess
 import sys
 from collections import defaultdict, deque
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -419,19 +420,56 @@ class TestIntersection:
         assert set(res.dag_edge_idx) == set(bottom) | set(top)
 
 
+def searched_dags(region, law, rng_seed):
+    """Per field of ``law`` on ``region``, for a random (src, dst) pair of the
+    searched graph: the search's distance row and tree path into dst, and the
+    DAG grown from that path (``seeded``) and from [dst] (``plain``)."""
+    rng = np.random.default_rng(rng_seed)
+    for seed in range(12):
+        field = random_field(region, parse_spec(law), seed)
+        graph, weff, _ = searched_graph(field)
+        src, dst = (int(i) for i in rng.choice(graph.n_sites, 2, replace=False))
+        d_src, pred = graph.load(weff).search(src, tree=True)
+        path = fpp._tree_path(pred, dst)
+        yield SimpleNamespace(
+            graph=graph, weff=weff, src=src, dst=dst, d_src=d_src, path=path,
+            key_of=(
+                fpp._cylinder(region.n, region.d).torus_edge
+                if isinstance(region, Torus) else None
+            ),
+            seeded=fpp._geodesic_dag(graph, weff, d_src, path),
+            plain=fpp._geodesic_dag(graph, weff, d_src, [dst]),
+        )
+
+
 class TestGeodesicDag:
     @pytest.mark.parametrize("region", DAG_REGIONS)
     @pytest.mark.parametrize("law", LAWS)
     def test_matches_reference_construction(self, law, region):
-        rng = np.random.default_rng(0)
-        for seed in range(12):
-            field = random_field(region, parse_spec(law), seed)
-            graph, weff, _ = searched_graph(field)
-            src, dst = (int(i) for i in rng.choice(graph.n_sites, 2, replace=False))
-            d_src = graph.distances(weff, [src])[0]
-            got = list(zip(*(a.tolist() for a in fpp._geodesic_dag(graph, weff, d_src, dst))))
-            assert len(got) == len(set(got))
-            assert set(got) == reference_dag(graph, weff, d_src, dst)
+        # the tree path runs src -> dst on tight arcs, and grown from it or
+        # from [dst] the DAG is the reference's arc set, each arc once
+        for c in searched_dags(region, law, 0):
+            want = reference_dag(c.graph, c.weff, c.d_src, c.dst)
+            assert c.path[0] == c.src and c.path[-1] == c.dst
+            assert set(zip(c.path, c.path[1:])) <= {(a, b) for a, b, _ in want}
+            for arcs in (c.seeded, c.plain):
+                got = list(zip(*(a.tolist() for a in arcs)))
+                assert len(got) == len(set(got))
+                assert set(got) == want
+
+    @pytest.mark.parametrize("region", DAG_REGIONS)
+    @pytest.mark.parametrize("law", LAWS)
+    def test_tree_path_shortcut_matches_walk(self, law, region):
+        # when the DAG is the tree path, the shortcut's path and members are
+        # the walk's; under a continuous law it always is
+        fired = 0
+        for c in searched_dags(region, law, 3):
+            got = fpp._geodesics(c.seeded, c.path, c.d_src, c.key_of)
+            want = fpp._geodesic_walk(*c.seeded, c.d_src, c.src, c.dst, c.key_of)
+            assert got == want
+            fired += c.seeded[0].size == len(c.path) - 1
+        if parse_spec(law).int_scale() is None:
+            assert fired == 12
 
     @pytest.mark.parametrize("region", DAG_REGIONS)
     @pytest.mark.parametrize("law", LAWS)
@@ -625,8 +663,9 @@ class TestSingleEdgeUpdate:
         assert out.stdout.split() == ["ValueError"] * 3
 
     def test_single_edge_answers_need_one_more_search(self, monkeypatch):
-        # updates on several edges and an Efron-Stein bound read the rows of
-        # one lazy search from src and dst; its source row is the passage's
+        # the passage's search keeps its shortest-path tree; updates on
+        # several edges and an Efron-Stein bound read one more row, from a
+        # lazy search from dst alone
         calls, rows = [], []
         real = fpp._csgraph_dijkstra
 
@@ -640,15 +679,18 @@ class TestSingleEdgeUpdate:
         spec = Uniform(0, 1)
         field = random_field(point_window(8, 2, 4), spec, 3)
         res = passage_time(field, (0, 0), (8, 0), max_grows=0)
-        assert len(calls) == 1 and not calls[0].get("return_predecessors")
+        assert len(calls) == 1 and calls[0]["return_predecessors"]
+        dist, pred = rows[0]
+        assert dist[0].tobytes() == res.d_src_eff.tobytes()
+        assert pred[0].tobytes() == res.src_tree.tobytes()
         for e in [*res.gint_edge_idx[:3].tolist(), 0, 7]:
             single_edge_update(res, e, 0.25)
             single_edge_update(res, e, 3.0)
         efron_stein_bound(res, resample_count=4)
-        assert len(calls) == 2 and calls[1]["return_predecessors"]
-        dist, _ = rows[1]
-        assert dist[0].tobytes() == res.d_src_eff.tobytes()
-        assert dist[1].tobytes() == res.d_dst_eff.tobytes()
+        assert len(calls) == 2 and not calls[1]["return_predecessors"]
+        assert calls[1]["indices"] == [res.window.site_index((8, 0))]
+        assert rows[1].shape == (1, res.window.n_sites())
+        assert rows[1][0].tobytes() == res.d_dst_eff.tobytes()
 
 
 def _run_capped(code: str) -> subprocess.CompletedProcess:
@@ -741,6 +783,50 @@ class TestWindowGrowth:
         assert np.array_equal(res.field.weights[at], edited.weights)
         assert res.T == passage_time(res.field, (0, 0), (6, 0), max_grows=0).T
         assert res.T == 3.8693566740085554
+
+    @pytest.mark.parametrize("law", BOUNDED_LAWS)
+    def test_seeded_passage_matches_unseeded(self, law, monkeypatch):
+        # the tree path only changes where the DAG search starts: T, growth,
+        # the flag and the geometry equal a run whose DAGs grow from [dst]
+        spec = parse_spec(law)
+        windows = [(point_window(8, 2, 1), (8, 0)), (point_window(16, 2, 3), (16, 0))]
+
+        def run():
+            passages, averages = [], []
+            for seed in range(6):
+                for win, dst in windows:
+                    res = passage_time(
+                        random_field(win, spec, seed), (0, 0), dst, max_grows=2
+                    )
+                    passages.append((
+                        res.T, res.grows, res.boundary_flag, res.dag_edge_idx.tolist(),
+                        res.gint_edge_idx.tolist(), res.sample_path,
+                    ))
+                field = random_field(point_window(8, 2, 2), spec, seed)
+                avg = averaged_passage(field, 8, max_grows=2)
+                averages.append((avg.F_n, avg.terms, avg.grows, avg.boundary_flag))
+            return passages, averages
+
+        seeded = run()
+        real = fpp._geodesic_dag
+        monkeypatch.setattr(
+            fpp, "_geodesic_dag", lambda graph, weff, d, seed: real(graph, weff, d, seed[-1:])
+        )
+        assert run() == seeded
+        assert any(grows for _, grows, *_ in seeded[0])
+        if law == "bernoulli:0,1,0.7":
+            assert all(flag for _, _, flag, *_ in seeded[0])
+
+    def test_path_site_indices_on_grown_windows(self):
+        # the replacement pass reads the path's indices as coords @ strides
+        grew = 0
+        for seed in range(10):
+            field = sample_field(Uniform(0, 1), point_window(6, 2, 1), seed)
+            res = passage_time(field, (0, 0), (6, 0))
+            grew += res.grows > 0
+            got = fpp._site_indices(res.window, res.sample_path)
+            assert got.tolist() == [res.window.site_index(s) for s in res.sample_path]
+        assert grew > 0
 
     def test_grown_window_shape(self):
         from fpplab.fpp import _grow_box
