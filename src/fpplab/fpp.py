@@ -23,9 +23,10 @@ breadth-first search that avoids all of its lifts decides it.
 
 Searches
 --------
-A point passage runs one weighted shortest-path search, from the source; a
-torus passage one search from the far copy of the cut, which bounds every
-cut site's winding cost, and then one from each cut site that can still
+A point passage runs one weighted shortest-path search, from the source.  A
+torus passage runs two one-way searches that bound every cut site's winding
+cost from below, one from the cut and one from the cut's second copy at the
+top of the cylinder, and then one search from each cut site that can still
 attain T (see :func:`torus_passage`).  The point search and the cut-site
 searches also return scipy's shortest-path tree, which costs them nothing
 measurable.  A Box result keeps its source's tree; its ``d_dst`` comes from
@@ -196,7 +197,8 @@ class PassageResult:
     ``window``; on the torus it holds one row per cut site over the winding
     cylinder, inf past the limit that cut site's search ran with (the least
     winding cost found before it), and all inf for a cut site that
-    :func:`torus_passage` skipped because it cannot attain T.
+    :func:`torus_passage` skipped because one of its two lower bounds shows
+    it cannot attain T.
     A Box result's ``src_tree`` is the predecessor row (scipy's) of the
     search behind ``d_src_eff``; its ``d_dst`` (and ``d_dst_eff``) comes on
     first read from one search from ``dst``, and ``T_without_eff`` (T with
@@ -731,6 +733,17 @@ def _cylinder(n: int, d: int) -> _Cylinder:
     return _Cylinder(n, d)
 
 
+def _winding_bounds(graph: LatticeGraph, n: int, K: int, limit: float):
+    """(cut bound, top bound) on each cut site's winding cost, over the loaded
+    cylinder weights: the distance to its far copy from the nearest site of
+    the cut, and from the nearest site of the cut's second copy, each inf
+    past ``limit`` (proofs at :func:`torus_passage`)."""
+    cut, far, top = np.arange(K), n * K + np.arange(K), 2 * n * K + np.arange(K)
+    return tuple(
+        graph.search(sources, limit=limit, min_only=True)[far] for sources in (cut, top)
+    )
+
+
 def torus_passage(field: WeightField) -> PassageResult:
     """Minimal weight over closed torus paths winding once around axis 0.
 
@@ -745,28 +758,44 @@ def torus_passage(field: WeightField) -> PassageResult:
 
     Only the cut sites that can still attain T are searched.  U, the
     cheapest straight winding row summed as the relaxation sums it, is at
-    least T.  One search from all of the cut's far copy (level n), stopped
-    at U·slack, gives ``lower[y]``, the distance from the nearest far site
-    to y, which is at most T(y) up to rounding: the far copy holds y's own
-    target.  The cut sites are then searched one at a time in stable order of
+    least T.  Two one-way ``min_only`` searches, both stopped at U·slack and
+    both read at each cut site's far copy far[y] = y + n·e_0, bound T(y)
+    from below (:func:`_winding_bounds`); ``lower[y]`` is the larger read.
+    A search's value at a site is at most the left-to-right rounded sum of
+    every path into it from one of its sources: it stores d[v] <= the
+    rounded d[u] + w for each arc u -> v, and binary64 addition is monotone.
+
+    - Cut bound, from the cut (level 0).  y is one of its sources, so it
+      sums y's own tree path to far[y] from y's side, and that sum is the
+      computed T(y): the bound is at most T(y) outright.
+    - Top bound, from the cut's second copy (level 2n).  Let P be the path
+      that gives T(y) and Q its prefix up to its first level-n site z.  Q
+      lies in levels 0..n, since the cylinder has no level below 0.  Levels
+      n..2n are an exact copy of levels 0..n, transverse edges at both end
+      levels included (cylinder site i covers torus site i mod n^d), so Q
+      shifted by n·e_0 runs from far[y] to the level-2n site z + n·e_0 over
+      the same weights.  Read backwards it starts at a source, so the bound
+      is at most Q's sum in reverse order, which is at most T(y) up to the
+      slack below.
+
+    The cut sites are then searched one at a time in stable order of
     ``lower``, each stopped at ``best``, the least T(y) found so far (U at
     first), until ``lower[y] > best·slack``; every later site then has
-    T(y) > best >= T too.  scipy's limit is inclusive, and a row stopped at
-    ``best`` equals the full row wherever it is at most ``best``.  T, the
-    minimizers, their DAGs (sites at distance at most T) and the walk
-    therefore match a full search from every cut site.  A skipped cut site's
-    ``d_src`` row is all inf.
+    T(y) > best >= T too.  A bound past U·slack reads inf, and then T(y) >
+    U·slack >= best·slack as well.  scipy's limit is inclusive, and a row
+    stopped at ``best`` equals the full row wherever it is at most
+    ``best``.  T, the minimizers, their DAGs (sites at distance at most T)
+    and the walk therefore match a full search from every cut site.  A
+    skipped cut site's ``d_src`` row is all inf.
 
-    Slack: the relaxation sums each path left to right from its source, and
-    binary64 addition is monotone, so a computed distance is at most the
-    left-to-right sum of every path to the site.  Let P be the path that
-    gives T(y), with m <= N_cyl arcs, and u = eps/2.  Recursive summation of
-    m nonnegative terms errs by at most g = (m - 1)u / (1 - (m - 1)u) of the
-    exact sum S, in either order, so lower[y] <= (reverse sum of P) <=
-    S(1 + g) <= T(y)(1 + g)/(1 - g) < T(y)(1 + 2·N_cyl·eps), while the
-    rounded best·slack with slack = 1 + 4·N_cyl·eps is at least
-    best(1 + 3·N_cyl·eps).  So lower[y] > best·slack implies T(y) > best.
-    In integer mode the sums are exact and lower[y] <= T(y) outright.
+    Slack: let P have m <= N_cyl arcs, exact sum S, and u = eps/2.
+    Recursive summation of at most m nonnegative terms errs by at most
+    g = (m - 1)u / (1 - (m - 1)u) of the exact sum, in either order, so the
+    top bound <= (reverse sum of Q) <= S(1 + g) <= T(y)(1 + g)/(1 - g) <
+    T(y)(1 + 2·N_cyl·eps), while the rounded best·slack with slack = 1 +
+    4·N_cyl·eps is at least best(1 + 3·N_cyl·eps).  So lower[y] >
+    best·slack implies T(y) > best.  In integer mode the sums are exact and
+    both bounds are at most T(y) outright.
     """
     region = field.region
     if not isinstance(region, Torus):
@@ -783,7 +812,7 @@ def torus_passage(field: WeightField) -> PassageResult:
     U = float(np.cumsum(weff[::d].reshape(n, K), axis=0)[-1].min())
     slack = 1.0 + 4.0 * N * np.finfo(np.float64).eps
     far = n * K + np.arange(K)
-    lower = graph.search(far, limit=U * slack, min_only=True)[:K]
+    lower = np.maximum(*_winding_bounds(graph, n, K, U * slack))
     dists, trees = np.full((K, N), np.inf), {}
     best = U
     for y in np.argsort(lower, kind="stable").tolist():

@@ -180,13 +180,18 @@ class TestPassageTime:
         assert len(calls) == 2
         assert res.d_dst.size == res.window.n_sites()
         assert len(calls) == 2
-        # a torus passage: one bound search from the cut's far copy, then one
-        # search per cut site that can still attain T, fewer than all K = 16
+        # a torus passage: two one-way bound searches, from the cut (level 0)
+        # and from its second copy (level 2n), then one search per cut site
+        # that can still attain T, fewer than all K = 16
         calls.clear()
         torus = torus_passage(random_field(Torus(16, 2), spec, 1))
         searched = np.flatnonzero(np.isfinite(torus.d_src).any(axis=1))
-        assert calls[0]["min_only"] and len(calls[0]["indices"]) == 16
-        assert sorted(c["indices"] for c in calls[1:]) == searched.tolist()
+        cut = np.arange(16)
+        for call, level in zip(calls[:2], (0, 32)):
+            assert call["min_only"]
+            assert np.array_equal(call["indices"], level * 16 + cut)
+        assert not any(c["min_only"] for c in calls[2:])
+        assert sorted(c["indices"] for c in calls[2:]) == searched.tolist()
         assert 0 < searched.size < 16
 
     def test_triangle_inequality(self):
@@ -967,6 +972,23 @@ class TestTorus:
                 graph, weff, _ = searched_graph(field)
                 full = graph.distances(weff, skipped.tolist())
                 assert np.all(full[np.arange(skipped.size), n * K + skipped] > res.T_eff)
+
+    @pytest.mark.parametrize("torus", TORI)
+    @pytest.mark.parametrize("law", BOUNDED_LAWS)
+    def test_screen_bounds_are_lower_bounds(self, law, torus):
+        # against one unbounded search per cut site: the cut bound sums from
+        # y's own side, so it is at most T(y) exactly; the top bound sums a
+        # shifted prefix of y's path in reverse, so it needs the slack
+        n, K = torus.n, torus.n ** (torus.d - 1)
+        far = n * K + np.arange(K)
+        for seed in range(8):
+            field = random_field(torus, parse_spec(law), seed)
+            graph, weff, _ = searched_graph(field)
+            slack = 1.0 + 4.0 * graph.n_sites * np.finfo(np.float64).eps
+            T = graph.distances(weff, list(range(K)))[np.arange(K), far]
+            cut, top = fpp._winding_bounds(graph, n, K, np.inf)
+            assert np.all(cut <= T)
+            assert np.all(top <= T * slack)
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_bound_sums_rows_left_to_right(self, n):
