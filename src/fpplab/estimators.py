@@ -18,7 +18,6 @@ from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .fpp import (
     GROW_LIMIT,
@@ -375,6 +374,10 @@ class InfluenceMap:
 
 def influence_map(records: Sequence[ReplicaRecord], d: int) -> dict[int, InfluenceMap]:
     """Per-edge membership frequencies P(e in G) with per-axis uniformity tests."""
+    # imported here, not at module level: only torus summaries need it, and
+    # it would add to every sweep's start-up
+    from scipy.special import chdtrc
+
     grouped = by_n(records)
     out = {}
     for n, recs in grouped.items():

@@ -11,11 +11,17 @@ used throughout.
 
 Each hypercube check is one row kernel over a stack X of shape (m, 2^k),
 one function table per row; the public ``<check>_check`` calls it with
-m = 1.  The randomized suite draws its instances one by one, in a fixed
-order from one generator per check, then runs the kernel once per k on the
-instances of that k stacked in draw order and puts the verdicts back in
-draw order.  A row's verdict does not depend on the rows stacked with it,
-bit for bit, by three rules:
+m = 1.  The randomized suite draws each check's instances in one batch from
+one generator per check, in a fixed number of Generator calls whatever the
+instance count.  A hypercube batch draws all the k, all the kinds, then each
+kind's values in one call, and cuts the tables from one buffer in draw
+order, so instance j depends on the instance count as well as the seed.
+Log-Sobolev draws its pairs in one uniform call, the same stream as pair by
+pair.  Only Rossignol draws instance by instance, in six calls each: its
+JSON is pinned, and batching would change its stream.  The suite then runs
+the kernel once per k on the instances of that k stacked in draw order and
+puts the verdicts back in draw order.  A row's verdict does not depend on
+the rows stacked with it, bit for bit, by three rules:
 
 - every sum is a per-row ``math.fsum``, which is correctly rounded, so it
   cannot depend on how rows are grouped;
@@ -658,19 +664,23 @@ def _rng(seed: int, salt: int) -> np.random.Generator:
     return np.random.default_rng(mix64(seed, salt))
 
 
-def _random_function(rng, k_max=6, nonneg=False) -> np.ndarray:
-    """The table of a random function of k <= k_max fair bits (finite by construction)."""
-    k = int(rng.integers(1, k_max + 1))
-    kind = rng.integers(0, 3)
-    if kind == 0:
-        vals = rng.uniform(0.0 if nonneg else -5.0, 10.0, size=2**k)
-    elif kind == 1:
-        vals = rng.normal(0, 3, size=2**k)
-        if nonneg:
-            vals = np.abs(vals)
-    else:
-        vals = rng.integers(0, 4, size=2**k).astype(float)
-    return vals
+def _random_tables(rng, m: int, k_max=6, nonneg=False) -> tuple[np.ndarray, np.ndarray]:
+    """m random function tables of k <= k_max fair bits (finite by construction)
+    as one buffer in draw order, with the m + 1 table offsets into it.
+
+    Five Generator calls at any m: the m values of k, the m kinds, then the
+    values of every table of each kind (uniform, normal, small integers) in
+    one call, handed out to that kind's tables in draw order."""
+    ks = rng.integers(1, k_max + 1, size=m)
+    kinds = np.repeat(rng.integers(0, 3, size=m), 1 << ks)
+    offsets = np.concatenate([[0], np.cumsum(1 << ks)])
+    buf = np.empty(offsets[-1])
+    at = [kinds == kind for kind in range(3)]
+    buf[at[0]] = rng.uniform(0.0 if nonneg else -5.0, 10.0, size=np.count_nonzero(at[0]))
+    normal = rng.normal(0, 3, size=np.count_nonzero(at[1]))
+    buf[at[1]] = np.abs(normal) if nonneg else normal
+    buf[at[2]] = rng.integers(0, 4, size=np.count_nonzero(at[2]))
+    return buf, offsets
 
 
 def _random_step_ints(rng) -> tuple[int, list[int], list[int], int, int]:
@@ -715,29 +725,35 @@ class SuiteReport:
         return out
 
 
-def _digest(chunks) -> str:
-    h = hashlib.sha256()
-    for c in chunks:
-        h.update(c)
-    return h.hexdigest()[:16]
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
-def _draw_function(rng, **kw) -> tuple[bytes, np.ndarray]:
-    values = _random_function(rng, **kw)
-    return values.tobytes(), values
+def _draw_functions(rng, m: int, **kw) -> tuple[bytes, list[np.ndarray]]:
+    """m ``_random_tables`` tables, one array (a view of the buffer) each."""
+    buf, offsets = _random_tables(rng, m, **kw)
+    return buf.tobytes(), np.split(buf, offsets[1:-1])
 
 
-def _draw_log_sobolev(rng) -> tuple[bytes, np.ndarray]:
-    pair = rng.uniform(0, 10, size=2)
-    return pair.tobytes(), pair
+def _draw_log_sobolev(rng, m: int) -> tuple[bytes, np.ndarray]:
+    """m pairs (f(0), f(1)), one row each."""
+    pairs = rng.uniform(0, 10, size=(m, 2))
+    return pairs.tobytes(), pairs
 
 
-def _draw_entropy_variational(rng) -> tuple[bytes, np.ndarray]:
-    """f in row 0, then four raw trials g."""
-    values = _random_function(rng, k_max=4, nonneg=True)
-    if fexp(values) == 0.0:
-        values = values + 1.0
-    return values.tobytes(), np.vstack([values, rng.normal(0, 1, size=(4, values.size))])
+def _draw_entropy_variational(rng, m: int) -> tuple[bytes, list[np.ndarray]]:
+    """Per instance f in row 0, then four raw trials g.  A nonnegative f has
+    E f = 0 only as a table of zeros, which becomes a table of ones.  One
+    normal call draws every trial: instance j's are the 4·2^k values from
+    4·offset_j on, one row of 2^k per trial.  Only the f are hashed."""
+    buf, offsets = _random_tables(rng, m, k_max=4, nonneg=True)
+    zeros = np.maximum.reduceat(buf, offsets[:-1]) == 0.0
+    buf[np.repeat(zeros, np.diff(offsets))] += 1.0
+    trials = rng.normal(0, 1, size=4 * buf.size)
+    return buf.tobytes(), [
+        np.concatenate((buf[lo:hi], trials[4 * lo : 4 * hi])).reshape(5, hi - lo)
+        for lo, hi in zip(offsets.tolist(), offsets[1:].tolist())
+    ]
 
 
 def _entropy_variational_draws(X: np.ndarray) -> list[CheckResult]:
@@ -777,6 +793,13 @@ def _draw_rossignol(rng) -> tuple[bytes, tuple]:
     return _step_text(denom, cuts, levels, a, tau).encode(), (denom, 1, cuts, levels, a, tau)
 
 
+def _draw_rossignols(rng, m: int) -> tuple[bytes, list[tuple]]:
+    """m ``_draw_rossignol`` instances, one after another: batching their six
+    integers calls would change the stream, and the Rossignol JSON is pinned."""
+    chunks, rows = zip(*(_draw_rossignol(rng) for _ in range(m)))
+    return b"".join(chunks), list(rows)
+
+
 def _by_size(kernel, inputs: list[np.ndarray]) -> list[CheckResult]:
     """``kernel`` once per input length 2^k, on the inputs of that length
     stacked in order; the verdicts come back in input order."""
@@ -790,26 +813,27 @@ def _by_size(kernel, inputs: list[np.ndarray]) -> list[CheckResult]:
     return out
 
 
-# (name, rng salt, draw, check): draw(rng) makes one random instance and
-# returns its input bytes for the digest and its input; check(inputs) returns
-# the verdicts in input order.  The checks look their row kernels up by module
-# name at call time, so wrapping a kernel takes effect.
+# (name, rng salt, draw, check): draw(rng, m) makes m random instances and
+# returns their input bytes for the digest (the instances' chunks, in draw
+# order) and their inputs; check(inputs) returns the verdicts in input order.
+# The checks look their row kernels up by module name at call time, so
+# wrapping a kernel takes effect.
 _RANDOMIZED_CHECKS = (
-    ("efron_stein", 1, _draw_function, lambda xs: _by_size(_efron_stein_rows, xs)),
+    ("efron_stein", 1, _draw_functions, lambda xs: _by_size(_efron_stein_rows, xs)),
     (
-        "falik_samorodnitsky", 2, _draw_function,
+        "falik_samorodnitsky", 2, _draw_functions,
         lambda xs: _by_size(_falik_samorodnitsky_rows, xs),
     ),
-    ("log_sobolev", 3, _draw_log_sobolev, lambda xs: _by_size(_log_sobolev_rows, xs)),
+    ("log_sobolev", 3, _draw_log_sobolev, lambda xs: _log_sobolev_rows(xs)),
     (
-        "tensorization", 4, lambda rng: _draw_function(rng, k_max=4, nonneg=True),
+        "tensorization", 4, lambda rng, m: _draw_functions(rng, m, k_max=4, nonneg=True),
         lambda xs: _by_size(_tensorization_rows, xs),
     ),
     (
         "entropy_variational", 5, _draw_entropy_variational,
         lambda xs: _by_size(_entropy_variational_draws, xs),
     ),
-    ("rossignol", 6, _draw_rossignol, lambda xs: _rossignol_rows(xs)),
+    ("rossignol", 6, _draw_rossignols, lambda xs: _rossignol_rows(xs)),
 )
 CHECK_NAMES = tuple(name for name, *_ in _RANDOMIZED_CHECKS)
 
@@ -819,6 +843,12 @@ def run_randomized_suite(
 ) -> list[SuiteReport]:
     """Run every inequality check (or those named in ``checks``) on
     ``instances`` random instances each.
+
+    Each check draws all its instances in one ``draw(rng, instances)`` from
+    its own generator and hashes their bytes once.  The hypercube and
+    log-Sobolev draws make a fixed number of Generator calls, so instance j
+    depends on ``instances``; Rossignol draws per instance, so its first j
+    instances are the same at any count.
 
     Any violation is a genuine failure: the inequalities are theorems for the
     generated inputs.  An unknown check name or ``instances < 1`` raises
@@ -834,13 +864,12 @@ def run_randomized_suite(
     reports = []
     for name, salt, draw, check in _RANDOMIZED_CHECKS:
         if not checks or name in checks:
-            rng = _rng(seed, salt)
-            chunks, inputs = zip(*(draw(rng) for _ in range(instances)))
-            reports.append(_summarize(name, check(list(inputs)), chunks))
+            data, inputs = draw(_rng(seed, salt), instances)
+            reports.append(_summarize(name, check(inputs), data))
     return reports
 
 
-def _summarize(name: str, results: list[CheckResult], chunks) -> SuiteReport:
+def _summarize(name: str, results: list[CheckResult], data: bytes) -> SuiteReport:
     violations = sum(not r.holds for r in results)
     margins = [r.margin for r in results if not r.vacuous and math.isfinite(r.margin)]
     worst_r = min(
@@ -851,7 +880,7 @@ def _summarize(name: str, results: list[CheckResult], chunks) -> SuiteReport:
         len(results),
         violations,
         min(margins) if margins else math.inf,
-        _digest(chunks),
+        _digest(data),
         worst_r.to_json() if worst_r else None,
     )
 

@@ -1,7 +1,8 @@
 """What importing fpplab loads, checked in a fresh interpreter.
 
 The test session itself imports scipy.stats (tests/test_lpp.py), so only a
-new process shows what the package pulls in on its own.
+new process shows what the package pulls in on its own.  scipy.special is
+imported by the torus summaries when they first need it, not at start-up.
 """
 
 import os
@@ -29,3 +30,10 @@ def test_import_does_not_load_scipy_stats(module):
     mods = _loaded_modules(f"import {module}")
     assert module in mods
     assert [m for m in mods if m == "scipy.stats" or m.startswith("scipy.stats.")] == []
+
+
+@pytest.mark.parametrize("module", ["fpplab", "fpplab.cli"])
+def test_import_does_not_load_scipy_special(module):
+    mods = _loaded_modules(f"import {module}")
+    assert module in mods
+    assert [m for m in mods if m == "scipy.special" or m.startswith("scipy.special.")] == []

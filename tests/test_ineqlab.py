@@ -508,48 +508,100 @@ class TestFppExhaustive:
             assert sorted(res.gint_edge_idx.tolist()) == np.flatnonzero(on_all).tolist(), mask
 
 
-def draw_hypercube(check, **kw):
-    """One suite instance of a hypercube row, checked by the public function."""
-
-    def instance(rng):
-        values = ineqlab._random_function(rng, **kw)
-        return values.tobytes(), check(HypercubeFunction(values.size.bit_length() - 1, values))
-
-    return instance
-
-
-def draw_log_sobolev(rng):
-    f0, f1 = rng.uniform(0, 10, size=2)
-    return np.array([f0, f1]).tobytes(), log_sobolev_check(float(f0), float(f1))
-
-
-def draw_entropy_variational(rng):
-    values = ineqlab._random_function(rng, k_max=4, nonneg=True)
-    if fexp(values) == 0.0:
-        values = values + 1.0
-    trials = []
-    for _ in range(4):
-        g = rng.normal(0, 1, size=values.size)
-        g -= math.log(max(fexp(np.exp(g)), 1e-300)) + 1e-9
-        trials.append(g)
-    f = HypercubeFunction(values.size.bit_length() - 1, values)
-    return values.tobytes(), entropy_variational_check(f, trials)
+def reference_tables(rng, m, k_max=6, nonneg=False):
+    """The suite's batch rule for m function tables, table by table: all m
+    values of k, all m kinds, then each kind's values in one call, which that
+    kind's tables take in draw order."""
+    ks = rng.integers(1, k_max + 1, size=m).tolist()
+    kinds = rng.integers(0, 3, size=m).tolist()
+    need = [sum(2**k for k, c in zip(ks, kinds) if c == kind) for kind in range(3)]
+    uniform = rng.uniform(0.0 if nonneg else -5.0, 10.0, size=need[0])
+    normal = rng.normal(0, 3, size=need[1])
+    pools = [uniform, np.abs(normal) if nonneg else normal, rng.integers(0, 4, size=need[2]).astype(float)]
+    taken = [0, 0, 0]
+    tables = []
+    for k, c in zip(ks, kinds):
+        tables.append(pools[c][taken[c] : taken[c] + 2**k])
+        taken[c] += 2**k
+    return tables
 
 
-def draw_rossignol(rng):
-    f, a, tau = ineqlab._random_step_function(rng)
-    return str((f.breaks, f.levels, a, tau)).encode(), rossignol_check(f, a, tau)
+def batch_hypercube(check, **kw):
+    """m suite instances of a hypercube row, each checked by the public function."""
+
+    def batch(rng, m):
+        tables = reference_tables(rng, m, **kw)
+        results = [check(HypercubeFunction(t.size.bit_length() - 1, t)) for t in tables]
+        return [t.tobytes() for t in tables], results
+
+    return batch
 
 
-# name: (rng salt, one instance drawn and checked on its own)
-PER_INSTANCE = {
-    "efron_stein": (1, draw_hypercube(efron_stein_check)),
-    "falik_samorodnitsky": (2, draw_hypercube(falik_samorodnitsky_check)),
-    "log_sobolev": (3, draw_log_sobolev),
-    "tensorization": (4, draw_hypercube(tensorization_check, k_max=4, nonneg=True)),
-    "entropy_variational": (5, draw_entropy_variational),
-    "rossignol": (6, draw_rossignol),
+def batch_log_sobolev(rng, m):
+    # one pair per call: the suite's single (m, 2) call is the same stream
+    pairs = [rng.uniform(0, 10, size=2) for _ in range(m)]
+    return [p.tobytes() for p in pairs], [log_sobolev_check(float(f0), float(f1)) for f0, f1 in pairs]
+
+
+def batch_entropy_variational(rng, m):
+    fs = [t + 1.0 if fexp(t) == 0.0 else t for t in reference_tables(rng, m, k_max=4, nonneg=True)]
+    # one normal call for every trial: four rows of 2^k per f, in draw order
+    trials = rng.normal(0, 1, size=4 * sum(f.size for f in fs))
+    taken = 0
+    results = []
+    for f in fs:
+        gs = []
+        for _ in range(4):
+            g = trials[taken : taken + f.size].copy()
+            taken += f.size
+            g -= math.log(max(fexp(np.exp(g)), 1e-300)) + 1e-9
+            gs.append(g)
+        results.append(entropy_variational_check(HypercubeFunction(f.size.bit_length() - 1, f), gs))
+    return [f.tobytes() for f in fs], results
+
+
+def batch_rossignol(rng, m):
+    # Rossignol still draws instance by instance
+    chunks, results = [], []
+    for _ in range(m):
+        f, a, tau = ineqlab._random_step_function(rng)
+        chunks.append(str((f.breaks, f.levels, a, tau)).encode())
+        results.append(rossignol_check(f, a, tau))
+    return chunks, results
+
+
+# name: (rng salt, m instances drawn by the reference rule and checked one by one)
+REFERENCE_DRAWS = {
+    "efron_stein": (1, batch_hypercube(efron_stein_check)),
+    "falik_samorodnitsky": (2, batch_hypercube(falik_samorodnitsky_check)),
+    "log_sobolev": (3, batch_log_sobolev),
+    "tensorization": (4, batch_hypercube(tensorization_check, k_max=4, nonneg=True)),
+    "entropy_variational": (5, batch_entropy_variational),
+    "rossignol": (6, batch_rossignol),
 }
+
+
+def suite_row(name):
+    """(salt, draw, check) of a row of the randomized suite."""
+    return next(row[1:] for row in ineqlab._RANDOMIZED_CHECKS if row[0] == name)
+
+
+class CountingRng:
+    """A Generator that records every call made on it, with its result."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def call(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.calls.append((name, out))
+            return out
+
+        return call
 
 
 # The full suite JSON's digest is deliberately not pinned here: the last bits
@@ -619,17 +671,16 @@ class TestSuite:
         got = report.to_json()
         assert got["violations"] == 300 - ok
         assert got["min_margin"] == min_margin
-        assert got["inputs_digest"] == ineqlab._digest(chunks)
+        assert got["inputs_digest"] == ineqlab._digest(b"".join(chunks))
         assert got["worst"] == worst
 
     @pytest.mark.parametrize("seed", [7, 271828])
-    @pytest.mark.parametrize("name", list(PER_INSTANCE))
+    @pytest.mark.parametrize("name", list(REFERENCE_DRAWS))
     def test_row_matches_a_per_instance_loop(self, name, seed):
-        # the batched row against one public check call per instance, drawn
-        # in the suite's order (trials one normal() call each)
-        salt, instance = PER_INSTANCE[name]
-        rng = ineqlab._rng(seed, salt)
-        chunks, results = zip(*(instance(rng) for _ in range(300)))
+        # the batched row against one public check call per instance, the
+        # instances drawn by the test's own statement of the draw rule
+        salt, batch = REFERENCE_DRAWS[name]
+        chunks, results = batch(ineqlab._rng(seed, salt), 300)
         worst = None
         for r in results:
             if not r.vacuous and (worst is None or r.margin < worst.margin):
@@ -639,19 +690,75 @@ class TestSuite:
         got = report.to_json()
         assert got["violations"] == sum(not r.holds for r in results)
         assert got["min_margin"] == min(margins)
-        assert got["inputs_digest"] == ineqlab._digest(chunks)
+        assert got["inputs_digest"] == ineqlab._digest(b"".join(chunks))
         assert got["worst"] == worst.to_json()
 
     @pytest.mark.parametrize("name", [n for n in ineqlab.CHECK_NAMES if n != "rossignol"])
     def test_suite_draw_stacked_equals_rows_alone(self, name):
         # a real draw mixes several k; the stacked verdicts equal each
         # instance checked on its own, bit for bit (repr round-trips floats)
-        salt, draw, check = next(row[1:] for row in ineqlab._RANDOMIZED_CHECKS if row[0] == name)
-        rng = ineqlab._rng(11, salt)
-        inputs = [draw(rng)[1] for _ in range(120)]
+        salt, draw, check = suite_row(name)
+        _, inputs = draw(ineqlab._rng(11, salt), 120)
         if name != "log_sobolev":
             assert len({x.shape[-1] for x in inputs}) > 1
-        assert [repr(r) for r in check(inputs)] == [repr(check([x])[0]) for x in inputs]
+        alone = [repr(check(inputs[j : j + 1])[0]) for j in range(len(inputs))]
+        assert [repr(r) for r in check(inputs)] == alone
+
+    @pytest.mark.parametrize("name", ineqlab.CHECK_NAMES)
+    def test_generator_calls_do_not_grow_with_instances(self, name, monkeypatch):
+        rngs = []
+        make = ineqlab._rng
+
+        def counting(seed, salt):
+            rngs.append(CountingRng(make(seed, salt)))
+            return rngs[-1]
+
+        monkeypatch.setattr(ineqlab, "_rng", counting)
+        for m in (1, 7, 300):
+            run_randomized_suite(7, m, checks=(name,))
+        counts = [len(rng.calls) for rng in rngs]
+        if name == "rossignol":
+            # six integers calls per instance, which keeps its pinned stream
+            assert counts == [6, 42, 1800]
+        else:
+            assert counts == [counts[0]] * 3
+
+    @pytest.mark.parametrize(
+        "name, k_max, nonneg",
+        [
+            ("efron_stein", 6, False),
+            ("falik_samorodnitsky", 6, False),
+            ("tensorization", 4, True),
+            ("entropy_variational", 4, True),
+        ],
+    )
+    def test_batch_draw_of_tables(self, name, k_max, nonneg):
+        salt, draw, _ = suite_row(name)
+        rng = CountingRng(ineqlab._rng(7, salt))
+        data, inputs = draw(rng, 300)
+        fs = [x[0] for x in inputs] if name == "entropy_variational" else inputs
+        assert len(fs) == 300
+        assert {f.size for f in fs} == {2**k for k in range(1, k_max + 1)}
+        # calls: the k, the kinds, then uniform, normal and integer values
+        assert set(rng.calls[1][1].tolist()) == {0, 1, 2}
+        assert [method for method, _ in rng.calls[2:5]] == ["uniform", "normal", "integers"]
+        assert all(out.size > 0 for _, out in rng.calls[2:5])
+        assert data == b"".join(f.tobytes() for f in fs)
+        if nonneg:
+            assert all(np.all(f >= 0) for f in fs)
+        if name == "entropy_variational":
+            assert all(fexp(f) > 0 for f in fs)
+            assert all(x.shape == (5, f.size) for x, f in zip(inputs, fs))
+
+    def test_batch_draw_bytes_of_pairs_and_step_functions(self):
+        data, pairs = suite_row("log_sobolev")[1](ineqlab._rng(7, 3), 300)
+        assert pairs.shape == (300, 2)
+        assert data == b"".join(p.tobytes() for p in pairs)
+        data, rows = suite_row("rossignol")[1](ineqlab._rng(7, 6), 300)
+        one = ineqlab._rng(7, 6)
+        chunks, want = zip(*(ineqlab._draw_rossignol(one) for _ in range(300)))
+        assert data == b"".join(chunks)
+        assert rows == list(want)
 
     def test_unknown_check_raises(self):
         with pytest.raises(ValueError, match="unknown check 'efron_stien'.*efron_stein"):
