@@ -67,6 +67,8 @@ class SweepConfig:
             raise ValueError(f"sizes must be >= 1, got {self.n_list[0]}")
         if self.replicas < 2:
             raise ValueError("need at least 2 replicas")
+        if self.bootstrap < 1:
+            raise ValueError(f"bootstrap must be at least 1, got {self.bootstrap}")
         if self.model.startswith("fpp"):
             validate_for_fpp(self.spec, self.d)
 

@@ -14,14 +14,15 @@ one function table per row; the public ``<check>_check`` calls it with
 m = 1.  The randomized suite draws each check's instances in one batch from
 one generator per check, in a fixed number of Generator calls whatever the
 instance count.  A hypercube batch draws all the k, all the kinds, then each
-kind's values in one call, and cuts the tables from one buffer in draw
-order, so instance j depends on the instance count as well as the seed.
-Log-Sobolev draws its pairs in one uniform call, the same stream as pair by
-pair.  Only Rossignol draws instance by instance, in six calls each: its
-JSON is pinned, and batching would change its stream.  The suite then runs
-the kernel once per k on the instances of that k stacked in draw order and
-puts the verdicts back in draw order.  A row's verdict does not depend on
-the rows stacked with it, bit for bit, by three rules:
+kind's values in one call into one buffer in draw order, so instance j
+depends on the instance count as well as the seed, and gathers the tables of
+each k from it as one stack.  Log-Sobolev draws its pairs in one uniform
+call, the same stream as pair by pair.  Only Rossignol draws instance by
+instance, in six calls each: its JSON is pinned, and batching would change
+its stream.  The suite runs the kernel once per k on the instances of that k
+stacked in draw order and puts the verdicts back in draw order.  A row's
+verdict does not depend on the rows stacked with it, bit for bit, by three
+rules:
 
 - every sum is a per-row ``math.fsum``, which is correctly rounded, so it
   cannot depend on how rows are grouped;
@@ -57,6 +58,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from typing import Optional, Sequence
 
@@ -664,23 +666,42 @@ def _rng(seed: int, salt: int) -> np.random.Generator:
     return np.random.default_rng(mix64(seed, salt))
 
 
-def _random_tables(rng, m: int, k_max=6, nonneg=False) -> tuple[np.ndarray, np.ndarray]:
+def _random_tables(rng, m: int, k_max=6, nonneg=False, trials=0) -> tuple[bytes, list]:
     """m random function tables of k <= k_max fair bits (finite by construction)
-    as one buffer in draw order, with the m + 1 table offsets into it.
+    in one buffer in draw order, handed out as one (count, 2^k) stack per k.
 
     Five Generator calls at any m: the m values of k, the m kinds, then the
     values of every table of each kind (uniform, normal, small integers) in
-    one call, handed out to that kind's tables in draw order."""
+    one call, handed out to that kind's tables in draw order.  With
+    ``trials`` (nonnegative tables only), a table of zeros, the only one
+    with E f = 0, becomes a table of ones, and one more normal call draws
+    every trial: table j's are the trials·2^k values from trials·start_j on,
+    one row of 2^k per trial.  Returns the tables' bytes in draw order and
+    per k (positions, (stack,)), with the (count, trials, 2^k) trial stack
+    after the tables when there are trials."""
     ks = rng.integers(1, k_max + 1, size=m)
-    kinds = np.repeat(rng.integers(0, 3, size=m), 1 << ks)
-    offsets = np.concatenate([[0], np.cumsum(1 << ks)])
-    buf = np.empty(offsets[-1])
+    sizes = 1 << ks
+    kinds = np.repeat(rng.integers(0, 3, size=m), sizes)
+    starts = np.cumsum(sizes) - sizes
+    buf = np.empty(kinds.size)
     at = [kinds == kind for kind in range(3)]
     buf[at[0]] = rng.uniform(0.0 if nonneg else -5.0, 10.0, size=np.count_nonzero(at[0]))
     normal = rng.normal(0, 3, size=np.count_nonzero(at[1]))
     buf[at[1]] = np.abs(normal) if nonneg else normal
     buf[at[2]] = rng.integers(0, 4, size=np.count_nonzero(at[2]))
-    return buf, offsets
+    if trials:
+        buf[np.repeat(np.maximum.reduceat(buf, starts) == 0.0, sizes)] += 1.0
+        draws = rng.normal(0, 1, size=trials * buf.size)
+    groups = []
+    for k in np.unique(ks).tolist():
+        positions = np.flatnonzero(ks == k)
+        first = starts[positions, None]
+        args = (buf[first + np.arange(1 << k)],)
+        if trials:
+            G = draws[trials * first + np.arange(trials << k)]
+            args += (G.reshape(positions.size, trials, 1 << k),)
+        groups.append((positions, args))
+    return buf.tobytes(), groups
 
 
 def _random_step_ints(rng) -> tuple[int, list[int], list[int], int, int]:
@@ -729,39 +750,18 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def _draw_functions(rng, m: int, **kw) -> tuple[bytes, list[np.ndarray]]:
-    """m ``_random_tables`` tables, one array (a view of the buffer) each."""
-    buf, offsets = _random_tables(rng, m, **kw)
-    return buf.tobytes(), np.split(buf, offsets[1:-1])
-
-
-def _draw_log_sobolev(rng, m: int) -> tuple[bytes, np.ndarray]:
-    """m pairs (f(0), f(1)), one row each."""
+def _draw_log_sobolev(rng, m: int) -> tuple[bytes, list]:
+    """m pairs (f(0), f(1)), one row each, in one group."""
     pairs = rng.uniform(0, 10, size=(m, 2))
-    return pairs.tobytes(), pairs
+    return pairs.tobytes(), [(np.arange(m), (pairs,))]
 
 
-def _draw_entropy_variational(rng, m: int) -> tuple[bytes, list[np.ndarray]]:
-    """Per instance f in row 0, then four raw trials g.  A nonnegative f has
-    E f = 0 only as a table of zeros, which becomes a table of ones.  One
-    normal call draws every trial: instance j's are the 4·2^k values from
-    4·offset_j on, one row of 2^k per trial.  Only the f are hashed."""
-    buf, offsets = _random_tables(rng, m, k_max=4, nonneg=True)
-    zeros = np.maximum.reduceat(buf, offsets[:-1]) == 0.0
-    buf[np.repeat(zeros, np.diff(offsets))] += 1.0
-    trials = rng.normal(0, 1, size=4 * buf.size)
-    return buf.tobytes(), [
-        np.concatenate((buf[lo:hi], trials[4 * lo : 4 * hi])).reshape(5, hi - lo)
-        for lo, hi in zip(offsets.tolist(), offsets[1:].tolist())
-    ]
-
-
-def _entropy_variational_draws(X: np.ndarray) -> list[CheckResult]:
-    """Stacked draws: each trial is shifted to E e^g slightly below 1, so
-    feasibility is robust, then checked against the f of its draw."""
-    G = X[:, 1:]
+def _entropy_variational_draws(X: np.ndarray, G: np.ndarray) -> list[CheckResult]:
+    """Stacked draws: each raw trial of G (m, t, n) is shifted to E e^g
+    slightly below 1, so feasibility is robust, then checked against the f
+    of its row of X (m, n)."""
     shifts = [math.log(max(mean, 1e-300)) + 1e-9 for mean in _row_means(np.exp(G))]
-    return _entropy_variational_rows(X[:, 0], G - _per_row(shifts, G))
+    return _entropy_variational_rows(X, G - _per_row(shifts, G))
 
 
 def _fraction_repr(num: int, den: int) -> str:
@@ -793,47 +793,30 @@ def _draw_rossignol(rng) -> tuple[bytes, tuple]:
     return _step_text(denom, cuts, levels, a, tau).encode(), (denom, 1, cuts, levels, a, tau)
 
 
-def _draw_rossignols(rng, m: int) -> tuple[bytes, list[tuple]]:
-    """m ``_draw_rossignol`` instances, one after another: batching their six
-    integers calls would change the stream, and the Rossignol JSON is pinned."""
+def _draw_rossignols(rng, m: int) -> tuple[bytes, list]:
+    """m ``_draw_rossignol`` instances, one after another, in one group:
+    batching their six integers calls would change the stream, and the
+    Rossignol JSON is pinned."""
     chunks, rows = zip(*(_draw_rossignol(rng) for _ in range(m)))
-    return b"".join(chunks), list(rows)
+    return b"".join(chunks), [(np.arange(m), (list(rows),))]
 
 
-def _by_size(kernel, inputs: list[np.ndarray]) -> list[CheckResult]:
-    """``kernel`` once per input length 2^k, on the inputs of that length
-    stacked in order; the verdicts come back in input order."""
-    groups: dict[int, list[int]] = {}
-    for j, x in enumerate(inputs):
-        groups.setdefault(x.shape[-1], []).append(j)
-    out = [None] * len(inputs)
-    for rows in groups.values():
-        for j, result in zip(rows, kernel(np.stack([inputs[j] for j in rows]))):
-            out[j] = result
-    return out
-
-
-# (name, rng salt, draw, check): draw(rng, m) makes m random instances and
-# returns their input bytes for the digest (the instances' chunks, in draw
-# order) and their inputs; check(inputs) returns the verdicts in input order.
-# The checks look their row kernels up by module name at call time, so
+# (name, rng salt, draw, kernel name): draw(rng, m) makes m random instances
+# and returns their input bytes for the digest (the instances' chunks, in
+# draw order) and their groups (draw positions, kernel args); the kernel
+# gives one verdict per position, in order.  A hypercube draw has a group per
+# k.  The suite looks each kernel up by module name at call time, so
 # wrapping a kernel takes effect.
 _RANDOMIZED_CHECKS = (
-    ("efron_stein", 1, _draw_functions, lambda xs: _by_size(_efron_stein_rows, xs)),
+    ("efron_stein", 1, _random_tables, "_efron_stein_rows"),
+    ("falik_samorodnitsky", 2, _random_tables, "_falik_samorodnitsky_rows"),
+    ("log_sobolev", 3, _draw_log_sobolev, "_log_sobolev_rows"),
+    ("tensorization", 4, partial(_random_tables, k_max=4, nonneg=True), "_tensorization_rows"),
     (
-        "falik_samorodnitsky", 2, _draw_functions,
-        lambda xs: _by_size(_falik_samorodnitsky_rows, xs),
+        "entropy_variational", 5, partial(_random_tables, k_max=4, nonneg=True, trials=4),
+        "_entropy_variational_draws",
     ),
-    ("log_sobolev", 3, _draw_log_sobolev, lambda xs: _log_sobolev_rows(xs)),
-    (
-        "tensorization", 4, lambda rng, m: _draw_functions(rng, m, k_max=4, nonneg=True),
-        lambda xs: _by_size(_tensorization_rows, xs),
-    ),
-    (
-        "entropy_variational", 5, _draw_entropy_variational,
-        lambda xs: _by_size(_entropy_variational_draws, xs),
-    ),
-    ("rossignol", 6, _draw_rossignols, lambda xs: _rossignol_rows(xs)),
+    ("rossignol", 6, _draw_rossignols, "_rossignol_rows"),
 )
 CHECK_NAMES = tuple(name for name, *_ in _RANDOMIZED_CHECKS)
 
@@ -845,9 +828,10 @@ def run_randomized_suite(
     ``instances`` random instances each.
 
     Each check draws all its instances in one ``draw(rng, instances)`` from
-    its own generator and hashes their bytes once.  The hypercube and
-    log-Sobolev draws make a fixed number of Generator calls, so instance j
-    depends on ``instances``; Rossignol draws per instance, so its first j
+    its own generator, hashes their bytes once and calls its kernel once per
+    group the draw returns (one per k for a hypercube check).  The hypercube
+    and log-Sobolev draws make a fixed number of Generator calls, so instance
+    j depends on ``instances``; Rossignol draws per instance, so its first j
     instances are the same at any count.
 
     Any violation is a genuine failure: the inequalities are theorems for the
@@ -862,10 +846,14 @@ def run_randomized_suite(
     if instances < 1:
         raise ValueError(f"instances must be at least 1, got {instances}")
     reports = []
-    for name, salt, draw, check in _RANDOMIZED_CHECKS:
+    for name, salt, draw, kernel in _RANDOMIZED_CHECKS:
         if not checks or name in checks:
-            data, inputs = draw(_rng(seed, salt), instances)
-            reports.append(_summarize(name, check(inputs), data))
+            data, groups = draw(_rng(seed, salt), instances)
+            results = [None] * instances
+            for positions, args in groups:
+                for j, result in zip(positions.tolist(), globals()[kernel](*args)):
+                    results[j] = result
+            reports.append(_summarize(name, results, data))
     return reports
 
 

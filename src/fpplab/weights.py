@@ -228,8 +228,8 @@ class Bernoulli(DistributionSpec):
     def __post_init__(self):
         if not (0.0 <= self.p <= 1.0):
             raise ValueError("p must lie in [0, 1]")
-        if self.a < 0 or self.b < self.a:
-            raise ValueError("need 0 <= a <= b")
+        if not (0 <= self.a <= self.b < math.inf):
+            raise ValueError("need 0 <= a <= b < inf")
 
     def cdf(self, x):
         if x < self.a:
@@ -265,8 +265,8 @@ class Bernoulli(DistributionSpec):
     def atoms(self):
         if self.p == 0:
             return [(self.b, 1.0)]
-        if self.p == 1 or self.a == self.b:
-            return [(self.a, 1.0)] if self.p == 1 else [(self.a, self.p), (self.b, 1 - self.p)]
+        if self.p == 1:
+            return [(self.a, 1.0)]
         return [(self.a, self.p), (self.b, 1.0 - self.p)]
 
     def params(self):
@@ -280,8 +280,8 @@ class Uniform(DistributionSpec):
     name = "uniform"
 
     def __post_init__(self):
-        if self.lo < 0 or self.hi <= self.lo:
-            raise ValueError("need 0 <= lo < hi")
+        if not (0 <= self.lo < self.hi < math.inf):
+            raise ValueError("need 0 <= lo < hi < inf")
 
     def cdf(self, x):
         if x < self.lo:
@@ -316,8 +316,8 @@ class Exponential(DistributionSpec):
     name = "exponential"
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
+        if not (0 < self.rate < math.inf):
+            raise ValueError("rate must be positive and finite")
 
     def cdf(self, x):
         return 0.0 if x < 0 else -math.expm1(-self.rate * x)
@@ -465,11 +465,11 @@ class TableCDF(DistributionSpec):
             raise ValueError("empty table")
         xs = [x for x, _ in tab]
         Fs = [F for _, F in tab]
-        if any(x < 0 for x in xs):
+        if not all(0 <= x < math.inf for x in xs):
             raise ValueError("support must lie in [0, inf)")
-        if sorted(xs) != xs or len(set(xs)) != len(xs):
+        if not all(a < b for a, b in zip(xs, xs[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        if any(b < a for a, b in zip(Fs, Fs[1:])) or Fs[-1] != 1.0 or Fs[0] <= 0.0:
+        if not (all(a <= b for a, b in zip(Fs, Fs[1:])) and Fs[-1] == 1.0 and Fs[0] > 0.0):
             raise ValueError("F values must be nondecreasing, end at 1, start > 0")
         object.__setattr__(self, "table", tab)
         object.__setattr__(self, "_xs", np.array(xs))
@@ -524,12 +524,13 @@ def _check_y(y: float) -> None:
         raise ValueError(f"quantile argument must lie in (0, 1), got {y}")
 
 
+# name -> (parameter count, constructor)
 _SPEC_PARSERS = {
-    "bernoulli": lambda p: Bernoulli(p[0], p[1], p[2]),
-    "uniform": lambda p: Uniform(p[0], p[1]),
-    "exponential": lambda p: Exponential(p[0]),
-    "geometric": lambda p: Geometric(p[0]),
-    "point": lambda p: TableCDF.point_mass(p[0]),
+    "bernoulli": (3, Bernoulli),
+    "uniform": (2, Uniform),
+    "exponential": (1, Exponential),
+    "geometric": (1, Geometric),
+    "point": (1, TableCDF.point_mass),
 }
 
 
@@ -545,10 +546,12 @@ def parse_spec(text: str) -> DistributionSpec:
         return TableCDF(pairs)
     if name not in _SPEC_PARSERS:
         raise ValueError(f"unknown distribution {name!r}")
-    try:
-        return _SPEC_PARSERS[name](params)
-    except IndexError:
-        raise ValueError(f"wrong parameter count for {name!r}") from None
+    count, make = _SPEC_PARSERS[name]
+    if len(params) != count:
+        raise ValueError(
+            f"wrong parameter count for {name!r}: expected {count}, got {len(params)}"
+        )
+    return make(*params)
 
 
 def validate_for_fpp(spec: DistributionSpec, d: int) -> None:

@@ -188,6 +188,30 @@ class TestCliCommands:
             parse_config(cfg_path.read_text())
         assert main(["fpp", "run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize(
+        "dist, message",
+        [("exponential:inf", "rate must be positive and finite"), ("uniform:0,1,7", "wrong parameter count")],
+    )
+    def test_bad_dist_is_a_config_error(self, tmp_path, capsys, dist, message):
+        out = tmp_path / "o"
+        code = main(
+            ["fpp", "run", "--d", "2", "--dist", dist, "--n", "4", "--replicas", "3",
+             "--seed", "1", "--threads", "1", "--out", str(out)]
+        )
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bootstrap", [0, -3])
+    def test_bootstrap_below_one_is_a_config_error(self, tmp_path, bootstrap):
+        cfg_path = tmp_path / "sweep.cfg"
+        cfg_path.write_text(MINIMAL + f"bootstrap = {bootstrap}\n")
+        with pytest.raises(ConfigError, match="bootstrap must be at least 1"):
+            parse_config(cfg_path.read_text())
+        out = tmp_path / "o"
+        assert main(["fpp", "run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_config_file_run(self, tmp_path):
         cfg_path = tmp_path / "sweep.cfg"
         cfg_path.write_text(MINIMAL + "threads = 1\n")

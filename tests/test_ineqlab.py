@@ -582,8 +582,22 @@ REFERENCE_DRAWS = {
 
 
 def suite_row(name):
-    """(salt, draw, check) of a row of the randomized suite."""
-    return next(row[1:] for row in ineqlab._RANDOMIZED_CHECKS if row[0] == name)
+    """(salt, draw, kernel) of a row of the randomized suite."""
+    salt, draw, kernel = next(row[1:] for row in ineqlab._RANDOMIZED_CHECKS if row[0] == name)
+    return salt, draw, getattr(ineqlab, kernel)
+
+
+def in_draw_order(groups, m):
+    """The per-instance rows of each group's first kernel argument, by position;
+    asserts that the groups' positions partition range(m)."""
+    rows = [None] * m
+    for positions, args in groups:
+        assert len(positions) == len(args[0])
+        for j, row in zip(positions.tolist(), args[0]):
+            assert rows[j] is None, j
+            rows[j] = row
+    assert all(row is not None for row in rows)
+    return rows
 
 
 class CountingRng:
@@ -695,14 +709,54 @@ class TestSuite:
 
     @pytest.mark.parametrize("name", [n for n in ineqlab.CHECK_NAMES if n != "rossignol"])
     def test_suite_draw_stacked_equals_rows_alone(self, name):
-        # a real draw mixes several k; the stacked verdicts equal each
-        # instance checked on its own, bit for bit (repr round-trips floats)
-        salt, draw, check = suite_row(name)
-        _, inputs = draw(ineqlab._rng(11, salt), 120)
+        # a real draw mixes several k; each group's stacked verdicts equal
+        # each of its instances checked on its own, bit for bit (repr
+        # round-trips floats)
+        salt, draw, kernel = suite_row(name)
+        _, groups = draw(ineqlab._rng(11, salt), 120)
+        in_draw_order(groups, 120)
         if name != "log_sobolev":
-            assert len({x.shape[-1] for x in inputs}) > 1
-        alone = [repr(check(inputs[j : j + 1])[0]) for j in range(len(inputs))]
-        assert [repr(r) for r in check(inputs)] == alone
+            assert len(groups) > 1
+        for positions, args in groups:
+            alone = [repr(kernel(*(a[j : j + 1] for a in args))[0]) for j in range(len(positions))]
+            assert [repr(r) for r in kernel(*args)] == alone
+
+    def test_suite_calls_the_kernel_it_names_once_per_size(self, monkeypatch):
+        # the suite finds its kernel by module name at call time: a wrapper
+        # put there sees one stack per distinct k, 300 rows in all
+        want = run_randomized_suite(7, 300, checks=("efron_stein",))[0].to_json()
+        kernel = ineqlab._efron_stein_rows
+        shapes = []
+
+        def counting(X):
+            shapes.append(X.shape)
+            return kernel(X)
+
+        monkeypatch.setattr(ineqlab, "_efron_stein_rows", counting)
+        (report,) = run_randomized_suite(7, 300, checks=("efron_stein",))
+        ks = set(ineqlab._rng(7, 1).integers(1, 7, size=300).tolist())
+        assert sorted(n for _, n in shapes) == sorted(2**k for k in ks)
+        assert sum(count for count, _ in shapes) == 300
+        assert report.to_json() == want
+
+    def test_suite_puts_the_verdicts_back_in_draw_order(self, monkeypatch):
+        # the suite's j-th verdict is instance j checked alone
+        salt, draw, kernel = suite_row("falik_samorodnitsky")
+        _, groups = draw(ineqlab._rng(11, salt), 120)
+        alone = [None] * 120
+        for positions, args in groups:
+            for i, j in enumerate(positions.tolist()):
+                alone[j] = repr(kernel(*(a[i : i + 1] for a in args))[0])
+        seen = []
+        summarize = ineqlab._summarize
+
+        def capturing(name, results, data):
+            seen.append(results)
+            return summarize(name, results, data)
+
+        monkeypatch.setattr(ineqlab, "_summarize", capturing)
+        run_randomized_suite(11, 120, checks=("falik_samorodnitsky",))
+        assert [repr(r) for r in seen[0]] == alone
 
     @pytest.mark.parametrize("name", ineqlab.CHECK_NAMES)
     def test_generator_calls_do_not_grow_with_instances(self, name, monkeypatch):
@@ -735,10 +789,18 @@ class TestSuite:
     def test_batch_draw_of_tables(self, name, k_max, nonneg):
         salt, draw, _ = suite_row(name)
         rng = CountingRng(ineqlab._rng(7, salt))
-        data, inputs = draw(rng, 300)
-        fs = [x[0] for x in inputs] if name == "entropy_variational" else inputs
-        assert len(fs) == 300
-        assert {f.size for f in fs} == {2**k for k in range(1, k_max + 1)}
+        data, groups = draw(rng, 300)
+        fs = in_draw_order(groups, 300)
+        # one (count, 2^k) stack per k, every k in 1..k_max
+        sizes = [args[0].shape[1] for _, args in groups]
+        assert sorted(sizes) == [2**k for k in range(1, k_max + 1)]
+        for positions, args in groups:
+            n = args[0].shape[1]
+            assert args[0].shape == (len(positions), n)
+            if name == "entropy_variational":
+                assert len(args) == 2 and args[1].shape == (len(positions), 4, n)
+            else:
+                assert len(args) == 1
         # calls: the k, the kinds, then uniform, normal and integer values
         assert set(rng.calls[1][1].tolist()) == {0, 1, 2}
         assert [method for method, _ in rng.calls[2:5]] == ["uniform", "normal", "integers"]
@@ -748,13 +810,20 @@ class TestSuite:
             assert all(np.all(f >= 0) for f in fs)
         if name == "entropy_variational":
             assert all(fexp(f) > 0 for f in fs)
-            assert all(x.shape == (5, f.size) for x, f in zip(inputs, fs))
+            # instance j's trials: the next 4 * 2^k values of the one trial call
+            method, trials = rng.calls[5]
+            assert method == "normal" and trials.size == 4 * sum(f.size for f in fs)
+            gs = in_draw_order([(pos, (args[1],)) for pos, args in groups], 300)
+            assert np.array_equal(np.concatenate([g.ravel() for g in gs]), trials)
 
     def test_batch_draw_bytes_of_pairs_and_step_functions(self):
-        data, pairs = suite_row("log_sobolev")[1](ineqlab._rng(7, 3), 300)
+        # one group each, covering every position in draw order
+        data, [(positions, (pairs,))] = suite_row("log_sobolev")[1](ineqlab._rng(7, 3), 300)
+        assert positions.tolist() == list(range(300))
         assert pairs.shape == (300, 2)
         assert data == b"".join(p.tobytes() for p in pairs)
-        data, rows = suite_row("rossignol")[1](ineqlab._rng(7, 6), 300)
+        data, [(positions, (rows,))] = suite_row("rossignol")[1](ineqlab._rng(7, 6), 300)
+        assert positions.tolist() == list(range(300))
         one = ineqlab._rng(7, 6)
         chunks, want = zip(*(ineqlab._draw_rossignol(one) for _ in range(300)))
         assert data == b"".join(chunks)
@@ -813,12 +882,11 @@ def test_signed_kernels_stacked_equal_rows_alone(X):
 def test_nonnegative_kernels_stacked_equal_rows_alone(X, seed):
     kernel = ineqlab._tensorization_rows
     assert_rows_alone(kernel(X), [kernel(X[j : j + 1])[0] for j in range(len(X))])
-    # entropy_variational draws: f with E f > 0 in row 0, then four raw trials
+    # entropy_variational draws: f with E f > 0, and four raw trials per f
     X = np.where(X.sum(axis=1, keepdims=True) > 0, X, X + 1.0)
     G = np.random.default_rng(seed).normal(0, 1, size=(len(X), 4, X.shape[1]))
     kernel = ineqlab._entropy_variational_draws
-    draws = np.concatenate([X[:, None], G], axis=1)
-    assert_rows_alone(kernel(draws), [kernel(draws[j : j + 1])[0] for j in range(len(X))])
+    assert_rows_alone(kernel(X, G), [kernel(X[j : j + 1], G[j : j + 1])[0] for j in range(len(X))])
 
 
 @given(st.lists(st.tuples(*[st.one_of(st.just(0.0), st.floats(0, 10))] * 2), min_size=1, max_size=8))

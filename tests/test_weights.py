@@ -343,6 +343,26 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_spec("cauchy:0,1")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["uniform:0,1,7", "uniform:0", "bernoulli:1,2,0.5,9", "bernoulli:1,2", "point:1,2",
+         "exponential:1,2", "exponential", "geometric:0.5,0.5"],
+    )
+    def test_wrong_parameter_count(self, text):
+        with pytest.raises(ValueError, match="wrong parameter count"):
+            parse_spec(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["exponential:inf", "exponential:nan", "uniform:0,nan", "uniform:nan,1", "uniform:0,inf",
+         "bernoulli:0,nan,0.5", "bernoulli:nan,1,0.5", "bernoulli:0,inf,0.5", "bernoulli:0,1,nan",
+         "table:nan,1", "table:inf,1", "table:0,nan", "table:0,nan,1,1", "point:inf", "point:nan",
+         "geometric:nan"],
+    )
+    def test_non_finite_parameter(self, text):
+        with pytest.raises(ValueError):
+            parse_spec(text)
+
 
 class TestIntScale:
     def test_integer_atoms(self):
