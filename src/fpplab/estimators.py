@@ -69,6 +69,8 @@ class SweepConfig:
             raise ValueError("need at least 2 replicas")
         if self.bootstrap < 1:
             raise ValueError(f"bootstrap must be at least 1, got {self.bootstrap}")
+        if not 0 < self.kappa < math.inf:
+            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
         if self.model.startswith("fpp"):
             validate_for_fpp(self.spec, self.d)
 

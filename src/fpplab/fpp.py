@@ -204,11 +204,11 @@ class PassageResult:
     first read from one search from ``dst``, and ``T_without_eff`` (T with
     each edge deleted) on first read from those rows and that tree.
     ``dag_edge_idx`` and ``gint_edge_idx`` hold region edge indices; the
-    EdgeId views are built on demand.  ``window`` and ``field`` are those of
-    the last search: after ``grows`` doublings of a Box window (``max_grows``
-    of :func:`passage_time` is the one setting for them), the larger box,
-    whose field holds the first window's weights on the first window's
-    edges, hand edits included.  ``boundary_flag`` says the geodesic DAG
+    EdgeId views are built on demand.  ``field`` is that of the last search,
+    and ``window`` its region: after ``grows`` doublings of a Box window
+    (``max_grows`` of :func:`passage_time` is the one setting for them), the
+    larger box, whose field holds the first window's weights on the first
+    window's edges, hand edits included.  ``boundary_flag`` says the geodesic DAG
     still touched that window's boundary.  A box result without geometry has
     the DAG but an empty ``sample_path`` and ``gint_edge_idx``.  In a box
     ``sample_path`` is a simple geodesic.  On the torus it is a closed walk
@@ -220,7 +220,6 @@ class PassageResult:
     T_eff: float
     src: Site
     dst: Site
-    window: Region
     weff: np.ndarray
     d_src_eff: np.ndarray
     dag_edge_idx: np.ndarray
@@ -231,6 +230,10 @@ class PassageResult:
     grows: int = 0
     boundary_flag: bool = False
     src_tree: Optional[np.ndarray] = None
+
+    @property
+    def window(self) -> Region:
+        return self.field.region
 
     def _time(self, x):
         return x / self.scale if self.scale else x
@@ -601,7 +604,7 @@ def passage_time(
         raw, member = _geodesics(arcs, tree_path, dists[0])
         path = _sites(region, raw)
     return PassageResult(
-        float(dists[0, region.site_index(dst)]), src, dst, region, weff, dists[0],
+        float(dists[0, region.site_index(dst)]), src, dst, weff, dists[0],
         np.unique(arcs[2]), np.asarray(member, dtype=np.int64), path, field,
         scale, grows, boundary_flag=touched, src_tree=preds[0],
     )
@@ -837,7 +840,7 @@ def torus_passage(field: WeightField) -> PassageResult:
     gint = np.asarray(sorted(inter or set()), dtype=np.int64)
     start = sample[0] if sample else (0,) * d
     return PassageResult(
-        T_eff, start, start, region, weff, dists,
+        T_eff, start, start, weff, dists,
         np.asarray(sorted(dag_union), dtype=np.int64), gint, sample, field,
         scale, 0,
     )

@@ -40,10 +40,16 @@ its region's keys; :mod:`fpplab.lpp` passes its grid's counters in
 anti-diagonal order.
 Every ``inv_cdf_array`` must return exactly ``inv_cdf`` of each input, bit for
 bit; the array form is only a faster way to the same numbers.
+
+The two-point law (:class:`Bernoulli`) and the tabulated one
+(:class:`TableCDF`) share one finite-atom implementation: each only states
+its table of values and cumulative masses, from which every scalar of the law
+(moments, support infimum, atom at zero, integer scale) is derived once.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -158,7 +164,7 @@ class DistributionSpec:
         """Right-continuous inverse F^{-1}(y) = inf{x : F(x) >= y}, 0 < y < 1."""
         raise NotImplementedError
 
-    def mean(self) -> float:
+    def inv_cdf_array(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def second_moment(self) -> float:
@@ -170,8 +176,9 @@ class DistributionSpec:
     def atom_at_zero(self) -> float:
         return 0.0
 
-    def atoms(self) -> list[tuple[float, float]] | None:
-        """(value, mass) pairs for purely atomic laws, else None."""
+    def int_scale(self) -> int | None:
+        """Scale S with S*x integral for every atom x, for exact tie detection
+        in shortest-path arithmetic; None if the law has no such scale."""
         return None
 
     def params(self) -> tuple:
@@ -179,26 +186,6 @@ class DistributionSpec:
 
     def serialize(self) -> str:
         return f"{self.name}:" + ",".join(_fmt_num(p) for p in self.params())
-
-    def inv_cdf_array(self, y: np.ndarray) -> np.ndarray:
-        # subclasses override with vectorized versions where it pays off
-        return np.array([self.inv_cdf(float(v)) for v in y])
-
-    # Integer scaling for exact tie detection in shortest-path arithmetic.
-    def int_scale(self) -> int | None:
-        """Scale S with S*atom integral for every atom, or None if unscalable."""
-        atoms = self.atoms()
-        if atoms is None:
-            return None
-        denom = 1
-        for value, _ in atoms:
-            frac = Fraction(value).limit_denominator(10**6)
-            if abs(float(frac) - value) > 1e-9 * max(1.0, abs(value)):
-                return None
-            denom = denom * frac.denominator // math.gcd(denom, frac.denominator)
-            if denom > 10**9:
-                return None
-        return denom
 
     def __eq__(self, other) -> bool:
         return type(self) is type(other) and self.params() == other.params()
@@ -216,8 +203,70 @@ def _fmt_num(x) -> str:
     return repr(float(x))
 
 
+class _Atomic(DistributionSpec):
+    """A law on finitely many atoms, from sorted values x_i and cumulative
+    masses F(x_i), the last 1.  Subclasses call :meth:`_set_table` once."""
+
+    def _set_table(self, xs: Sequence[float], Fs: Sequence[float]) -> None:
+        self._xs_list, self._Fs_list = [float(x) for x in xs], [float(F) for F in Fs]
+        self._xs = np.array(self._xs_list)
+        # F(x_i) < y for the last breakpoint never holds, as y < 1
+        self._inner = self._Fs_list[:-1]
+        masses = np.diff(self._Fs_list, prepend=0.0)
+        self._second_moment = float(np.sum(self._xs**2 * masses))
+        self._atom_at_zero = float(masses[self._xs == 0.0].sum())
+        self._atoms = [(float(x), float(m)) for x, m in zip(self._xs, masses) if m > 0]
+        self._support_inf = self._atoms[0][0]
+        self._int_scale = _common_denominator([x for x, _ in self._atoms])
+
+    def cdf(self, x):
+        i = bisect.bisect_right(self._xs_list, x)
+        return self._Fs_list[i - 1] if i else 0.0
+
+    def inv_cdf(self, y):
+        _check_y(y)
+        return self._xs_list[bisect.bisect_left(self._inner, y)]
+
+    def inv_cdf_array(self, y):
+        # x_i with i the count of inner breakpoints below y, as in inv_cdf;
+        # on two atoms one comparison is about 3x faster than searchsorted
+        inner = self._inner
+        i = y > inner[0] if len(inner) == 1 else np.searchsorted(inner, y)
+        return self._xs.take(i)
+
+    def second_moment(self):
+        return self._second_moment
+
+    def support_inf(self):
+        return self._support_inf
+
+    def atom_at_zero(self):
+        return self._atom_at_zero
+
+    def atoms(self) -> list[tuple[float, float]]:
+        """(value, mass) pairs of the atoms of positive mass."""
+        return list(self._atoms)
+
+    def int_scale(self):
+        return self._int_scale
+
+
+def _common_denominator(values: list[float]) -> int | None:
+    """Least S <= 10^9 with S*x integral (to 1e-9) for every x, each x having
+    a denominator of at most 10^6; None if there is none."""
+    denom = 1
+    for value in values:
+        frac = Fraction(value).limit_denominator(10**6)
+        if abs(float(frac) - value) > 1e-9 * max(1.0, abs(value)):
+            return None
+        denom = denom * frac.denominator // math.gcd(denom, frac.denominator)
+        if denom > 10**9:
+            return None
+    return denom
+
+
 @dataclass(eq=False, repr=False)
-class Bernoulli(DistributionSpec):
+class Bernoulli(_Atomic):
     """Two-point law: P(a) = p, P(b) = 1 - p, with 0 <= a <= b."""
 
     a: float
@@ -230,44 +279,7 @@ class Bernoulli(DistributionSpec):
             raise ValueError("p must lie in [0, 1]")
         if not (0 <= self.a <= self.b < math.inf):
             raise ValueError("need 0 <= a <= b < inf")
-
-    def cdf(self, x):
-        if x < self.a:
-            return 0.0
-        if x < self.b:
-            return self.p
-        return 1.0
-
-    def inv_cdf(self, y):
-        _check_y(y)
-        return self.a if y <= self.p else self.b
-
-    def inv_cdf_array(self, y):
-        return np.where(y <= self.p, self.a, self.b)
-
-    def mean(self):
-        return self.p * self.a + (1 - self.p) * self.b
-
-    def second_moment(self):
-        return self.p * self.a**2 + (1 - self.p) * self.b**2
-
-    def support_inf(self):
-        return self.a if self.p > 0 else self.b
-
-    def atom_at_zero(self):
-        mass = 0.0
-        if self.a == 0:
-            mass += self.p
-        if self.b == 0:
-            mass += 1 - self.p
-        return mass
-
-    def atoms(self):
-        if self.p == 0:
-            return [(self.b, 1.0)]
-        if self.p == 1:
-            return [(self.a, 1.0)]
-        return [(self.a, self.p), (self.b, 1.0 - self.p)]
+        self._set_table((self.a, self.b), (self.p, 1.0))
 
     def params(self):
         return (self.a, self.b, self.p)
@@ -296,9 +308,6 @@ class Uniform(DistributionSpec):
 
     def inv_cdf_array(self, y):
         return self.lo + y * (self.hi - self.lo)
-
-    def mean(self):
-        return 0.5 * (self.lo + self.hi)
 
     def second_moment(self):
         return (self.hi**3 - self.lo**3) / (3.0 * (self.hi - self.lo))
@@ -330,9 +339,6 @@ class Exponential(DistributionSpec):
 
     def inv_cdf_array(self, y):
         return -np.log1p(-y) / self.rate
-
-    def mean(self):
-        return 1.0 / self.rate
 
     def second_moment(self):
         return 2.0 / self.rate**2
@@ -420,9 +426,6 @@ class Geometric(DistributionSpec):
         k[near] = [self.inv_cdf(float(v)) for v in y[near]]
         return k
 
-    def mean(self):
-        return self.q / (1.0 - self.q)
-
     def second_moment(self):
         q = self.q
         return q * (1 + q) / (1 - q) ** 2
@@ -433,18 +436,6 @@ class Geometric(DistributionSpec):
     def atom_at_zero(self):
         return 1.0 - self.q
 
-    def atoms(self):
-        # truncated at mass 1 - 1e-15; exact enough for scaling and moments
-        out = []
-        k, mass = 0, 1.0 - self.q
-        acc = 0.0
-        while acc < 1.0 - 1e-15 and k < 4096:
-            out.append((float(k), mass))
-            acc += mass
-            mass *= self.q
-            k += 1
-        return out
-
     def int_scale(self):
         return 1
 
@@ -453,7 +444,7 @@ class Geometric(DistributionSpec):
 
 
 @dataclass(eq=False, repr=False)
-class TableCDF(DistributionSpec):
+class TableCDF(_Atomic):
     """Discrete law from sorted (x_i, F(x_i)) breakpoints; F right-continuous."""
 
     table: tuple[tuple[float, float], ...]
@@ -471,49 +462,12 @@ class TableCDF(DistributionSpec):
             raise ValueError("breakpoints must be strictly increasing")
         if not (all(a <= b for a, b in zip(Fs, Fs[1:])) and Fs[-1] == 1.0 and Fs[0] > 0.0):
             raise ValueError("F values must be nondecreasing, end at 1, start > 0")
-        object.__setattr__(self, "table", tab)
-        object.__setattr__(self, "_xs", np.array(xs))
-        object.__setattr__(self, "_Fs", np.array(Fs))
+        self.table = tab
+        self._set_table(xs, Fs)
 
     @classmethod
     def point_mass(cls, value: float) -> "TableCDF":
         return cls(((value, 1.0),))
-
-    def cdf(self, x):
-        i = int(np.searchsorted(self._xs, x, side="right")) - 1
-        return 0.0 if i < 0 else float(self._Fs[i])
-
-    def inv_cdf(self, y):
-        _check_y(y)
-        i = int(np.searchsorted(self._Fs, y, side="left"))
-        return float(self._xs[i])
-
-    def inv_cdf_array(self, y):
-        i = np.searchsorted(self._Fs, y, side="left")
-        return self._xs[np.minimum(i, len(self.table) - 1)]
-
-    def _masses(self):
-        prev = np.concatenate([[0.0], self._Fs[:-1]])
-        return self._Fs - prev
-
-    def mean(self):
-        return float(np.sum(self._xs * self._masses()))
-
-    def second_moment(self):
-        return float(np.sum(self._xs**2 * self._masses()))
-
-    def support_inf(self):
-        m = self._masses()
-        return float(self._xs[np.flatnonzero(m > 0)[0]])
-
-    def atom_at_zero(self):
-        m = self._masses()
-        hit = self._xs == 0.0
-        return float(m[hit].sum())
-
-    def atoms(self):
-        m = self._masses()
-        return [(float(x), float(p)) for x, p in zip(self._xs, m) if p > 0]
 
     def params(self):
         return tuple(v for pair in self.table for v in pair)

@@ -212,6 +212,27 @@ class TestCliCommands:
         assert main(["fpp", "run", "--config", str(cfg_path), "--out", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("kappa", ["nan", "inf", "-inf", "0", "-5"])
+    def test_bad_kappa_in_config_file(self, tmp_path, kappa):
+        cfg_path = tmp_path / "sweep.cfg"
+        cfg_path.write_text(MINIMAL + f"kappa = {kappa}\n")
+        with pytest.raises(ConfigError, match="kappa must be positive and finite"):
+            parse_config(cfg_path.read_text())
+        out = tmp_path / "o"
+        assert main(["fpp", "run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kappa", ["nan", "inf", "-inf", "0", "-5"])
+    def test_bad_kappa_flag(self, tmp_path, capsys, kappa):
+        out = tmp_path / "o"
+        code = main(
+            ["fpp", "run", "--d", "2", "--dist", "uniform:0,1", "--n", "4", "--replicas", "3",
+             "--seed", "1", "--threads", "1", f"--kappa={kappa}", "--out", str(out)]
+        )
+        assert code == 1
+        assert "config error: kappa must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_run(self, tmp_path):
         cfg_path = tmp_path / "sweep.cfg"
         cfg_path.write_text(MINIMAL + "threads = 1\n")

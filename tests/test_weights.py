@@ -1,5 +1,6 @@
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -376,3 +377,71 @@ class TestIntScale:
     def test_continuous_none(self):
         assert Uniform(0, 1).int_scale() is None
         assert Exponential(2.0).int_scale() is None
+
+
+class _TwoPointReference:
+    """The two-point law's formulas as written out before it became a table."""
+
+    def __init__(self, a, b, p):
+        self.a, self.b, self.p = a, b, p
+
+    def cdf(self, x):
+        return 0.0 if x < self.a else self.p if x < self.b else 1.0
+
+    def inv_cdf(self, y):
+        return self.a if y <= self.p else self.b
+
+    def inv_cdf_array(self, y):
+        return np.where(y <= self.p, self.a, self.b)
+
+    def atoms(self):
+        if self.p == 0:
+            return [(self.b, 1.0)]
+        if self.p == 1:
+            return [(self.a, 1.0)]
+        return [(self.a, self.p), (self.b, 1.0 - self.p)]
+
+    def support_inf(self):
+        return self.a if self.p > 0 else self.b
+
+    def atom_at_zero(self):
+        return (self.p if self.a == 0 else 0.0) + (1 - self.p if self.b == 0 else 0.0)
+
+    def int_scale(self):
+        denom = 1
+        for value, _ in self.atoms():
+            frac = Fraction(value).limit_denominator(10**6)
+            if abs(float(frac) - value) > 1e-9 * max(1.0, abs(value)):
+                return None
+            denom = denom * frac.denominator // math.gcd(denom, frac.denominator)
+        return denom
+
+    def second_moment(self):
+        return self.p * self.a**2 + (1 - self.p) * self.b**2
+
+
+class TestTwoPointLaw:
+    LAWS = [(a, b, p) for a, b in [(1.0, 2.0), (0.1, 0.3), (1.5, 1.5), (0.0, 1.0), (0.0, 0.0)]
+            for p in (0.0, 0.3, 1.0)]
+
+    @pytest.mark.parametrize("a, b, p", LAWS)
+    def test_matches_the_two_point_formulas(self, a, b, p):
+        law, ref = Bernoulli(a, b, p), _TwoPointReference(a, b, p)
+        ys = [p, np.nextafter(p, -1.0), np.nextafter(p, 2.0), 2.0**-53, 1 - 2.0**-53]
+        for y in ys:
+            if 0 < y < 1:
+                assert law.inv_cdf(float(y)) == ref.inv_cdf(y)
+        y = np.array(ys)
+        assert np.array_equal(law.inv_cdf_array(y), ref.inv_cdf_array(y))
+        for x in (-1.0, 0.0, a, b, np.nextafter(a, -1.0), np.nextafter(b, -1.0), 0.5 * (a + b), b + 1):
+            assert law.cdf(x) == ref.cdf(x)
+        assert law.atoms() == ref.atoms()
+        for method in ("support_inf", "atom_at_zero", "int_scale", "second_moment"):
+            assert getattr(law, method)() == getattr(ref, method)(), method
+
+    @pytest.mark.parametrize("a, b, p", [(1, 2, 0.5), (0, 1, 0.3), (0.1, 0.3, 0.5)])
+    def test_draws_equal_the_table_of_the_same_law(self, a, b, p):
+        table = TableCDF(((a, p), (b, 1)))
+        for count in (1, _STREAM_COUNT):
+            draws = sample_weights(Bernoulli(a, b, p), _STREAM_SEED, count)
+            assert draws.tobytes() == sample_weights(table, _STREAM_SEED, count).tobytes()
