@@ -440,7 +440,10 @@ def cmd_fit_chi(args) -> int:
         ]
     else:
         raise ConfigError("input JSON needs 'pairs' or 'per_n'")
-    fit = fit_chi(sorted(pairs))
+    try:
+        fit = fit_chi(sorted(pairs))
+    except ValueError as exc:  # fewer than 3 pairs, one size n, or a variance <= 0
+        raise ConfigError(str(exc)) from None
     print(f"chi_hat = {fit.chi_hat:.6f}")
     print(f"chi_stderr = {fit.chi_stderr:.6f}")
     return 0

@@ -264,6 +264,8 @@ def fit_chi(
         raise ValueError("need at least 3 (n, Var) pairs")
     ns = np.array([p[0] for p in pairs], dtype=np.float64)
     vs = np.array([p[1] for p in pairs], dtype=np.float64)
+    if np.unique(ns).size < 2:
+        raise ValueError("need at least 2 distinct sizes n")
     if np.any(vs <= 0):
         raise ValueError("variance estimates must be positive")
     x = np.log(ns)

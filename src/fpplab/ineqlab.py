@@ -17,12 +17,12 @@ instance count.  A hypercube batch draws all the k, all the kinds, then each
 kind's values in one call into one buffer in draw order, so instance j
 depends on the instance count as well as the seed, and gathers the tables of
 each k from it as one stack.  Log-Sobolev draws its pairs in one uniform
-call, the same stream as pair by pair.  Only Rossignol draws instance by
-instance, in six calls each: its JSON is pinned, and batching would change
-its stream.  The suite runs the kernel once per k on the instances of that k
-stacked in draw order and puts the verdicts back in draw order.  A row's
-verdict does not depend on the rows stacked with it, bit for bit, by three
-rules:
+call, the same stream as pair by pair.  Rossignol draws each of its six
+integer arrays (counts, denominators, cuts, level steps, a, tau) in one call
+for the whole batch.  The suite runs the kernel once per k on the instances
+of that k stacked in draw order and puts the verdicts back in draw order.  A
+row's verdict does not depend on the rows stacked with it, bit for bit, by
+three rules:
 
 - every sum is a per-row ``math.fsum``, which is correctly rounded, so it
   cannot depend on how rows are grouped;
@@ -59,7 +59,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -704,31 +703,12 @@ def _random_tables(rng, m: int, k_max=6, nonneg=False, trials=0) -> tuple[bytes,
     return buf.tobytes(), groups
 
 
-def _random_step_ints(rng) -> tuple[int, list[int], list[int], int, int]:
-    """(denom, cuts, levels, a, tau): breaks cuts / denom, integer levels,
-    a / denom in [last break, 1] and tau / denom in (0, 1/2]."""
-    m = int(rng.integers(0, 5))
-    denom = int(rng.integers(8, 64))
-    cuts = sorted(set(rng.integers(1, denom, size=m).tolist()))
-    levels = list(accumulate(rng.integers(0, 5, size=len(cuts) + 1).tolist()))
-    a = int(rng.integers(cuts[-1] if cuts else 0, denom + 1))
-    tau = int(rng.integers(1, denom // 2 + 1))
-    return denom, cuts, levels, a, tau
-
-
-def _random_step_function(rng) -> tuple[StepFunction, Fraction, Fraction]:
-    """The instance of ``_random_step_ints`` as a StepFunction, a and tau."""
-    denom, cuts, levels, a, tau = _random_step_ints(rng)
-    f = StepFunction(tuple(Fraction(c, denom) for c in cuts), tuple(map(Fraction, levels)))
-    return f, Fraction(a, denom), Fraction(tau, denom)
-
-
 @dataclass
 class SuiteReport:
     name: str
     instances: int
     violations: int
-    min_margin: float
+    min_margin: Optional[float]  # None when no instance has a finite margin
     digest: str
     worst: Optional[dict] = None
 
@@ -764,49 +744,47 @@ def _entropy_variational_draws(X: np.ndarray, G: np.ndarray) -> list[CheckResult
     return _entropy_variational_rows(X, G - _per_row(shifts, G))
 
 
-def _fraction_repr(num: int, den: int) -> str:
-    """``repr(Fraction(num, den))`` for den > 0, without building the Fraction."""
-    g = math.gcd(num, den)
-    return f"Fraction({num // g}, {den // g})"
-
-
-def _tuple_str(items: list[str]) -> str:
-    """``str`` of a tuple whose elements have the reprs ``items``."""
-    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
-
-
-def _step_text(denom: int, cuts, levels, a: int, tau: int) -> str:
-    """``str((breaks, levels, a, tau))`` of the Fractions cuts / denom, the
-    integer levels, a / denom and tau / denom, spelled from the integers."""
-    return "({}, {}, {}, {})".format(
-        _tuple_str([_fraction_repr(c, denom) for c in cuts]),
-        _tuple_str([f"Fraction({v}, 1)" for v in levels]),
-        _fraction_repr(a, denom),
-        _fraction_repr(tau, denom),
-    )
-
-
-def _draw_rossignol(rng) -> tuple[bytes, tuple]:
-    """One ``_random_step_ints`` instance as a ``_rossignol_rows`` row (D is
-    denom, L is 1), with its ``_step_text`` as the digest bytes."""
-    denom, cuts, levels, a, tau = _random_step_ints(rng)
-    return _step_text(denom, cuts, levels, a, tau).encode(), (denom, 1, cuts, levels, a, tau)
-
-
 def _draw_rossignols(rng, m: int) -> tuple[bytes, list]:
-    """m ``_draw_rossignol`` instances, one after another, in one group:
-    batching their six integers calls would change the stream, and the
-    Rossignol JSON is pinned."""
-    chunks, rows = zip(*(_draw_rossignol(rng) for _ in range(m)))
-    return b"".join(chunks), [(np.arange(m), (list(rows),))]
+    """m step-function instances as ``_rossignol_rows`` rows (D, 1, breaks,
+    levels, a, tau), in one group, in six Generator calls at any m.
+
+    One call per array: the candidate counts c ~ U{0..4}, the denominators
+    D ~ U{8..63}, four candidate cuts per instance ~ U{1..D-1} (the breaks
+    are the sorted distinct values among the first c), five level steps per
+    instance ~ U{0..4} (the levels are the first len(breaks) + 1 cumulative
+    sums), a ~ U{last break, or 0 if none, .. D} and tau ~ U{1..D // 2}.
+    The digest bytes are one little-endian int64 row per instance: D, a,
+    tau, the break count, then the breaks and the levels, each padded with
+    zeros."""
+    counts = rng.integers(0, 5, size=m)
+    denoms = rng.integers(8, 64, size=m)
+    cuts = rng.integers(1, denoms[:, None], size=(m, 4))
+    steps = rng.integers(0, 5, size=(m, 5))
+    # unused and repeated cuts become 64, past every D, and sort last
+    cuts = np.sort(np.where(np.arange(4) < counts[:, None], cuts, 64), axis=1)
+    cuts[:, 1:][cuts[:, 1:] == cuts[:, :-1]] = 64
+    cuts = np.sort(cuts, axis=1)
+    n_breaks = np.count_nonzero(cuts < 64, axis=1)
+    table = np.zeros((m, 13), dtype="<i8")
+    table[:, 0] = denoms
+    table[:, 3] = n_breaks
+    table[:, 4:8] = np.where(cuts < 64, cuts, 0)
+    table[:, 8:] = np.where(np.arange(5) <= n_breaks[:, None], np.cumsum(steps, axis=1), 0)
+    table[:, 1] = rng.integers(table[:, 4:8].max(axis=1), denoms + 1)
+    table[:, 2] = rng.integers(1, denoms // 2 + 1)
+    rows = [
+        (D, 1, rest[:nb], rest[4 : 5 + nb], a, tau) for D, a, tau, nb, *rest in table.tolist()
+    ]
+    return table.tobytes(), [(np.arange(m), (rows,))]
 
 
 # (name, rng salt, draw, kernel name): draw(rng, m) makes m random instances
-# and returns their input bytes for the digest (the instances' chunks, in
-# draw order) and their groups (draw positions, kernel args); the kernel
-# gives one verdict per position, in order.  A hypercube draw has a group per
-# k.  The suite looks each kernel up by module name at call time, so
-# wrapping a kernel takes effect.
+# in a fixed number of Generator calls and returns their input bytes for the
+# digest (the instances' chunks, in draw order) and their groups (draw
+# positions, kernel args); the kernel gives one verdict per position, in
+# order.  A hypercube draw has a group per k, the others one group.  The
+# suite looks each kernel up by module name at call time, so wrapping a
+# kernel takes effect.
 _RANDOMIZED_CHECKS = (
     ("efron_stein", 1, _random_tables, "_efron_stein_rows"),
     ("falik_samorodnitsky", 2, _random_tables, "_falik_samorodnitsky_rows"),
@@ -829,10 +807,9 @@ def run_randomized_suite(
 
     Each check draws all its instances in one ``draw(rng, instances)`` from
     its own generator, hashes their bytes once and calls its kernel once per
-    group the draw returns (one per k for a hypercube check).  The hypercube
-    and log-Sobolev draws make a fixed number of Generator calls, so instance
-    j depends on ``instances``; Rossignol draws per instance, so its first j
-    instances are the same at any count.
+    group the draw returns (one per k for a hypercube check).  Every draw
+    makes a fixed number of Generator calls, so instance j may depend on
+    ``instances`` as well as on ``seed``.
 
     Any violation is a genuine failure: the inequalities are theorems for the
     generated inputs.  An unknown check name or ``instances < 1`` raises
@@ -867,7 +844,7 @@ def _summarize(name: str, results: list[CheckResult], data: bytes) -> SuiteRepor
         name,
         len(results),
         violations,
-        min(margins) if margins else math.inf,
+        min(margins) if margins else None,
         _digest(data),
         worst_r.to_json() if worst_r else None,
     )

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -271,6 +272,27 @@ class TestCliCommands:
         assert main(["fit", "chi", "--input", str(path)]) == 0
         assert "chi_hat" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([[16, 1.0], [16, 2.0], [16, 3.0]], "need at least 2 distinct sizes"),
+            ([[8, 1.0], [16, 2.0]], "need at least 3"),
+            ([[8, 1.0], [16, 0.0], [32, 2.0]], "must be positive"),
+            ([[8, 1.0], [16, -2.0], [32, 2.0]], "must be positive"),
+        ],
+        ids=["one_size", "two_pairs", "zero_variance", "negative_variance"],
+    )
+    def test_fit_chi_degenerate_input_is_a_config_error(self, tmp_path, capsys, pairs, message):
+        # used to exit 2 (a ZeroDivisionError with a numpy warning for one size)
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps({"pairs": pairs}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", "chi", "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ") and message in captured.err
+
     def test_ineq_verify_small(self, tmp_path):
         out = tmp_path / "ineq.json"
         code = main(
@@ -341,6 +363,17 @@ class TestCliCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "config error: instances must be at least 1" in captured.err
+
+    def test_ineq_verify_prints_strict_json_for_a_vacuous_run(self, capsys):
+        # the one instance at seed 38 is vacuous (Var f = 0), so no margin is
+        # finite: min_margin is null, not the non-JSON token Infinity
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        args = ["ineq", "verify", "--suite", "falik_samorodnitsky", "--instances", "1", "--seed", "38"]
+        assert main(args) == 0
+        (entry,) = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert entry["min_margin"] is None and entry["holds"] and "worst" not in entry
 
     def test_torus_influence_command(self, tmp_path):
         out = tmp_path / "torus"

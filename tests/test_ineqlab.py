@@ -1,6 +1,7 @@
 import hashlib
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -268,12 +269,8 @@ class TestRossignol:
         assert r.holds
 
     def test_randomized_exact(self):
-        from fpplab.ineqlab import _random_step_function, _rng
-
-        rng = _rng(123, 6)
-        for _ in range(2000):
-            f, a, tau = _random_step_function(rng)
-            assert rossignol_check(f, a, tau).holds
+        for instance in reference_steps(ineqlab._rng(123, 6), 2000):
+            assert rossignol_check(*step_fractions(*instance)).holds
 
     def test_not_constant_rejected(self):
         f = StepFunction((Fraction(3, 4),), (Fraction(0), Fraction(1)))
@@ -560,14 +557,41 @@ def batch_entropy_variational(rng, m):
     return [f.tobytes() for f in fs], results
 
 
+def reference_steps(rng, m):
+    """The suite's batch rule for m step-function instances, instance by
+    instance: one call for every candidate count, every denominator D, every
+    instance's four candidate cuts and five level steps, every a and every
+    tau.  Returns (D, breaks, levels, a, tau) per instance: the breaks are
+    the sorted distinct values among the first count cuts, the levels the
+    first len(breaks) + 1 cumulative sums of the steps."""
+    counts = rng.integers(0, 5, size=m).tolist()
+    denoms = rng.integers(8, 64, size=m)
+    cuts = rng.integers(1, denoms[:, None], size=(m, 4)).tolist()
+    steps = rng.integers(0, 5, size=(m, 5)).tolist()
+    breaks = [sorted(set(row[:c])) for row, c in zip(cuts, counts)]
+    levels = [list(accumulate(row))[: len(b) + 1] for row, b in zip(steps, breaks)]
+    a = rng.integers([b[-1] if b else 0 for b in breaks], denoms + 1).tolist()
+    tau = rng.integers(1, denoms // 2 + 1).tolist()
+    return list(zip(denoms.tolist(), breaks, levels, a, tau))
+
+
+def step_bytes(D, breaks, levels, a, tau):
+    """An instance's digest chunk: D, a, tau, the break count, the breaks and
+    the levels, each list padded with zeros, as 13 little-endian int64."""
+    pad = [0] * (4 - len(breaks))
+    return np.array([D, a, tau, len(breaks), *breaks, *pad, *levels, *pad], dtype="<i8").tobytes()
+
+
+def step_fractions(D, breaks, levels, a, tau):
+    """An integer instance over D as (StepFunction, a, tau) in Fractions."""
+    f = StepFunction(tuple(Fraction(b, D) for b in breaks), tuple(map(Fraction, levels)))
+    return f, Fraction(a, D), Fraction(tau, D)
+
+
 def batch_rossignol(rng, m):
-    # Rossignol still draws instance by instance
-    chunks, results = [], []
-    for _ in range(m):
-        f, a, tau = ineqlab._random_step_function(rng)
-        chunks.append(str((f.breaks, f.levels, a, tau)).encode())
-        results.append(rossignol_check(f, a, tau))
-    return chunks, results
+    instances = reference_steps(rng, m)
+    results = [rossignol_check(*step_fractions(*i)) for i in instances]
+    return [step_bytes(*i) for i in instances], results
 
 
 # name: (rng salt, m instances drawn by the reference rule and checked one by one)
@@ -600,6 +624,33 @@ def in_draw_order(groups, m):
     return rows
 
 
+# Generator calls per draw at any instance count: a hypercube draw makes five
+# (the k, the kinds, then uniform, normal and integer values) and one more for
+# trials; log-Sobolev one; Rossignol one per integer array
+GENERATOR_CALLS = {
+    "efron_stein": 5,
+    "falik_samorodnitsky": 5,
+    "log_sobolev": 1,
+    "tensorization": 5,
+    "entropy_variational": 6,
+    "rossignol": 6,
+}
+
+
+def assert_valid_step_row(row):
+    """A drawn row (D, 1, breaks, levels, a, tau) is a valid Rossignol
+    instance over D, of Python ints, and its Fractions build a StepFunction."""
+    D, L, breaks, levels, a, tau = row
+    assert L == 1 and 8 <= D <= 63
+    assert all(0 < b < D for b in breaks) and all(x < y for x, y in zip(breaks, breaks[1:]))
+    assert len(levels) == len(breaks) + 1 and levels[0] >= 0
+    assert all(x <= y for x, y in zip(levels, levels[1:]))
+    assert (breaks[-1] if breaks else 0) <= a <= D
+    assert 1 <= tau and 2 * tau <= D
+    assert all(type(x) is int for x in (D, a, tau, *breaks, *levels))
+    step_fractions(D, breaks, levels, a, tau)
+
+
 class CountingRng:
     """A Generator that records every call made on it, with its result."""
 
@@ -622,12 +673,13 @@ class CountingRng:
 # of np.log depend on which SIMD loops numpy selects for the CPU (AVX-512 or
 # not), so a pinned value could fail on another machine.  The suite is
 # compared with its own per-instance loops instead.  The Rossignol row alone
-# is pinned: it is integer arithmetic and correctly rounded int / int
-# division, with no np.log, so its bytes are the same on every machine.
+# is pinned: its instances are integers, hashed as little-endian int64, and
+# its verdicts integer arithmetic and correctly rounded int / int division,
+# with no np.log, so its bytes are the same on every machine.
 ROSSIGNOL_SHA256 = {
-    7: "76d5e0681eb7190371865e9e654071c910265c92e0197565bbad9f5cceccc55c",
-    11: "278323fecf9565c54ce37c8860ab896dae311b77bdc9e133f747aee24e9c07b7",
-    271828: "4587848cef5fc52c3db5a29e3aeaabe02ca04a7e1f29b55d046f4e5b5cf553a3",
+    7: "703ae3d1e500123aab15aa65398c77cee16b00c5f6117d8634e7d63073fe2f9e",
+    11: "b7a9a17076fccf003a5cfba971102f8b555281492102391045f1c6ce66d23589",
+    271828: "913034aa8af1e74b853c6751f76498280d8ee6b7d74e73c85ea81460385b6e9b",
 }
 
 
@@ -641,15 +693,38 @@ class TestSuite:
 
     @pytest.mark.parametrize("seed", list(ROSSIGNOL_SHA256))
     def test_rossignol_row_matches_public_check(self, seed):
-        # the integer draw and row against the Fraction instance of the same
-        # draw through rossignol_check, instance by instance
-        rows = ineqlab._rng(seed, 6)
-        fractions = ineqlab._rng(seed, 6)
-        for _ in range(2000):
-            text, row = ineqlab._draw_rossignol(rows)
-            f, a, tau = ineqlab._random_step_function(fractions)
-            assert text == str((f.breaks, f.levels, a, tau)).encode()
-            assert_same_rossignol(ineqlab._rossignol_rows([row])[0], rossignol_check(f, a, tau))
+        # each integer row of the pinned batch against its Fraction form
+        # through rossignol_check, and the Fractions against midpoint
+        # integration
+        _, [(_, (rows,))] = ineqlab._draw_rossignols(ineqlab._rng(seed, 6), 2000)
+        for row, got in zip(rows, ineqlab._rossignol_rows(rows), strict=True):
+            D, L, breaks, levels, a, tau = row
+            assert L == 1
+            f, a_q, tau_q = step_fractions(D, breaks, levels, a, tau)
+            want = rossignol_check(f, a_q, tau_q)
+            assert_same_rossignol(got, want)
+            ref = reference_rossignol(f, a_q, tau_q)
+            assert (want.lhs, want.always_rhs, want.always_holds, want.case_small_a) == ref[:4]
+
+    @pytest.mark.parametrize("m", [1, 7, 300])
+    @pytest.mark.parametrize("seed", [1, 7, 38, 271828])
+    def test_rossignol_draw_is_valid_by_construction(self, seed, m):
+        _, [(positions, (rows,))] = ineqlab._draw_rossignols(ineqlab._rng(seed, 6), m)
+        assert positions.tolist() == list(range(m)) and len(rows) == m
+        for row in rows:
+            assert_valid_step_row(row)
+
+    def test_rossignol_draw_reaches_the_ends_of_its_ranges(self):
+        _, [(_, (rows,))] = ineqlab._draw_rossignols(ineqlab._rng(7, 6), 10_000)
+        for row in rows:
+            assert_valid_step_row(row)
+        assert {len(breaks) for _, _, breaks, _, _, _ in rows} == {0, 1, 2, 3, 4}
+        assert {D for D, *_ in rows} == set(range(8, 64))
+        assert any(tau == D // 2 for D, *_, tau in rows)
+        assert any(a == D for D, _, _, _, a, _ in rows)
+        assert any(breaks and a == breaks[-1] for _, _, breaks, _, a, _ in rows)
+        assert any(not breaks and a == 0 for _, _, breaks, _, a, _ in rows)
+        assert any(tau == 1 for *_, tau in rows)
 
     def test_small_run_all_hold(self):
         reports = run_randomized_suite(seed=7, instances=200)
@@ -661,11 +736,10 @@ class TestSuite:
     @pytest.mark.parametrize("seed", [7, 271828])
     def test_rossignol_row_matches_its_own_loop(self, seed):
         # a standalone Rossignol loop, field by field against the table-driven suite
-        rng = ineqlab._rng(seed, 6)
         ok, min_margin, worst, chunks = 0, math.inf, None, []
-        for _ in range(300):
-            f, a, tau = ineqlab._random_step_function(rng)
-            chunks.append(str((f.breaks, f.levels, a, tau)).encode())
+        for instance in reference_steps(ineqlab._rng(seed, 6), 300):
+            f, a, tau = step_fractions(*instance)
+            chunks.append(step_bytes(*instance))
             r = rossignol_check(f, a, tau)
             margins = [float(r.always_rhs - r.lhs)]
             holds = r.always_holds
@@ -707,15 +781,15 @@ class TestSuite:
         assert got["inputs_digest"] == ineqlab._digest(b"".join(chunks))
         assert got["worst"] == worst.to_json()
 
-    @pytest.mark.parametrize("name", [n for n in ineqlab.CHECK_NAMES if n != "rossignol"])
+    @pytest.mark.parametrize("name", ineqlab.CHECK_NAMES)
     def test_suite_draw_stacked_equals_rows_alone(self, name):
-        # a real draw mixes several k; each group's stacked verdicts equal
-        # each of its instances checked on its own, bit for bit (repr
+        # a real hypercube draw mixes several k; each group's stacked verdicts
+        # equal each of its instances checked on its own, bit for bit (repr
         # round-trips floats)
         salt, draw, kernel = suite_row(name)
         _, groups = draw(ineqlab._rng(11, salt), 120)
         in_draw_order(groups, 120)
-        if name != "log_sobolev":
+        if name not in ("log_sobolev", "rossignol"):
             assert len(groups) > 1
         for positions, args in groups:
             alone = [repr(kernel(*(a[j : j + 1] for a in args))[0]) for j in range(len(positions))]
@@ -770,12 +844,7 @@ class TestSuite:
         monkeypatch.setattr(ineqlab, "_rng", counting)
         for m in (1, 7, 300):
             run_randomized_suite(7, m, checks=(name,))
-        counts = [len(rng.calls) for rng in rngs]
-        if name == "rossignol":
-            # six integers calls per instance, which keeps its pinned stream
-            assert counts == [6, 42, 1800]
-        else:
-            assert counts == [counts[0]] * 3
+        assert [len(rng.calls) for rng in rngs] == [GENERATOR_CALLS[name]] * 3
 
     @pytest.mark.parametrize(
         "name, k_max, nonneg",
@@ -822,12 +891,15 @@ class TestSuite:
         assert positions.tolist() == list(range(300))
         assert pairs.shape == (300, 2)
         assert data == b"".join(p.tobytes() for p in pairs)
-        data, [(positions, (rows,))] = suite_row("rossignol")[1](ineqlab._rng(7, 6), 300)
+        rng = CountingRng(ineqlab._rng(7, 6))
+        data, [(positions, (rows,))] = suite_row("rossignol")[1](rng, 300)
         assert positions.tolist() == list(range(300))
-        one = ineqlab._rng(7, 6)
-        chunks, want = zip(*(ineqlab._draw_rossignol(one) for _ in range(300)))
-        assert data == b"".join(chunks)
-        assert rows == list(want)
+        want = reference_steps(ineqlab._rng(7, 6), 300)
+        assert data == b"".join(step_bytes(*i) for i in want)
+        assert rows == [(D, 1, breaks, levels, a, tau) for D, breaks, levels, a, tau in want]
+        # calls: counts, denominators, cuts, level steps, a, tau
+        shapes = [(300,), (300,), (300, 4), (300, 5), (300,), (300,)]
+        assert [out.shape for _, out in rng.calls] == shapes
 
     def test_unknown_check_raises(self):
         with pytest.raises(ValueError, match="unknown check 'efron_stien'.*efron_stein"):
@@ -911,39 +983,3 @@ def test_tensorization_property(k, seed):
     rng = np.random.default_rng(seed)
     f = HypercubeFunction(k, np.abs(rng.normal(0, 1, size=2**k)))
     assert tensorization_check(f).holds
-
-
-@given(st.data())
-@settings(max_examples=300, deadline=None)
-def test_step_text_is_the_fraction_str(data):
-    denom = data.draw(st.integers(min_value=2, max_value=200))
-    cuts = sorted(data.draw(st.sets(st.integers(min_value=1, max_value=denom - 1), max_size=6)))
-    levels = data.draw(
-        st.lists(st.integers(min_value=0, max_value=10**6), min_size=len(cuts) + 1, max_size=len(cuts) + 1)
-    )
-    a = data.draw(st.integers(min_value=0, max_value=denom))
-    tau = data.draw(st.integers(min_value=1, max_value=max(1, denom // 2)))
-    assert_step_text(denom, cuts, levels, a, tau)
-
-
-def assert_step_text(denom, cuts, levels, a, tau):
-    want = str((
-        tuple(Fraction(c, denom) for c in cuts),
-        tuple(map(Fraction, levels)),
-        Fraction(a, denom),
-        Fraction(tau, denom),
-    ))
-    assert ineqlab._step_text(denom, cuts, levels, a, tau) == want
-
-
-@pytest.mark.parametrize(
-    "denom,cuts,levels,a,tau",
-    [
-        (8, [], [0], 0, 4),  # m = 0: (), a = 0, tau = denom // 2
-        (9, [3], [2, 2], 9, 4),  # one break: (x,), a = denom
-        (12, [2, 3, 4, 6], [0, 1, 2, 3, 4], 6, 6),  # reducible cuts
-        (63, [21, 42], [1, 1, 5], 42, 31),
-    ],
-)
-def test_step_text_edge_cases(denom, cuts, levels, a, tau):
-    assert_step_text(denom, cuts, levels, a, tau)
