@@ -403,6 +403,8 @@ def cmd_sweep(args) -> int:
             )
         except (ValueError, KeyError) as exc:
             raise ConfigError(str(exc)) from None
+    if args.threads is not None and args.threads < 0:
+        raise ConfigError(f"threads must be at least 0, got {args.threads}")
     if args.record_fn:
         cfg = replace(cfg, record_fn=True)
     store = ResultStore(Path(args.out))

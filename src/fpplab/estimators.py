@@ -71,6 +71,8 @@ class SweepConfig:
             raise ValueError(f"bootstrap must be at least 1, got {self.bootstrap}")
         if not 0 < self.kappa < math.inf:
             raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
+        if self.threads < 0:
+            raise ValueError(f"threads must be at least 0, got {self.threads}")
         if self.model.startswith("fpp"):
             validate_for_fpp(self.spec, self.d)
 

@@ -73,7 +73,8 @@ class LatticeGraph:
 
     The sparsity structure depends only on the edges; per field we overwrite
     the data array through a precomputed edge-to-data-position map, avoiding a
-    COO sort per replica.
+    COO sort per replica.  A search is :meth:`load` of the field's edge
+    weights, then :meth:`search` on them: ``graph.load(w).search(sources)``.
     """
 
     def __init__(self, tails: np.ndarray, heads: np.ndarray, n_sites: int):
@@ -114,13 +115,6 @@ class LatticeGraph:
             self._csr, directed=True, indices=sources, limit=limit, min_only=min_only,
             return_predecessors=tree,
         )
-
-    def distances(
-        self, edge_weights: np.ndarray, sources: list[int], limit: float = np.inf
-    ) -> np.ndarray:
-        """Shortest-path distance rows from each source, shape (len(sources), N);
-        sites farther than ``limit`` are inf."""
-        return np.atleast_2d(self.load(edge_weights).search(sources, limit))
 
 
 @lru_cache(maxsize=128)
@@ -251,7 +245,7 @@ class PassageResult:
         if not isinstance(self.window, Box):
             raise ValueError("a torus passage result has no d_dst")
         dst = self.window.site_index(self.dst)
-        return _graph(self.window).distances(self.weff, [dst])[0]
+        return _graph(self.window).load(self.weff).search([dst])[0]
 
     @cached_property
     def d_dst(self) -> np.ndarray:
@@ -615,7 +609,7 @@ def _edge_removal_increases_T(
 ) -> bool:
     w2 = weff.copy()
     w2[edge] = np.inf
-    d = graph.distances(w2, [src])[0]
+    d = graph.load(w2).search([src])[0]
     return bool(d[dst] > T_eff)
 
 
@@ -625,7 +619,7 @@ def edge_removal_oracle(field: WeightField, src: Site, dst: Site) -> set[int]:
     graph = _graph(region)
     weff, _ = _effective_weights(field)
     si, di = region.site_index(src), region.site_index(dst)
-    T = float(graph.distances(weff, [si])[0][di])
+    T = float(graph.load(weff).search([si])[0][di])
     return {
         e
         for e in range(region.n_edges())

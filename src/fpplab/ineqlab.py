@@ -11,8 +11,14 @@ used throughout.
 
 Each hypercube check is one row kernel over a stack X of shape (m, 2^k),
 one function table per row; the public ``<check>_check`` calls it with
-m = 1.  The randomized suite draws each check's instances in one batch from
-one generator per check, in a fixed number of Generator calls whatever the
+m = 1.  The randomized suite calls its kernels directly.  Of the six public
+``<check>_check`` wrappers, one per suite row, ``efron_stein_check`` and
+``falik_samorodnitsky_check`` also serve ``fpp_exhaustive_check``; all six
+stay because the tests check each kernel against its wrapper one instance
+at a time, and ``bench/tracing.py`` spans each by name.
+
+The randomized suite draws each check's instances in one batch from one
+generator per check, in a fixed number of Generator calls whatever the
 instance count.  A hypercube batch draws all the k, all the kinds, then each
 kind's values in one call into one buffer in draw order, so instance j
 depends on the instance count as well as the seed, and gathers the tables of
@@ -53,7 +59,6 @@ value is read.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -168,48 +173,6 @@ class HypercubeFunction:
     def variance(self) -> float:
         return _variance_rows(self.values)[0]
 
-    def permuted(self, order: Sequence[int]) -> "HypercubeFunction":
-        """Relabel coordinates: new coordinate j+1 reads old coordinate order[j]."""
-        if sorted(order) != list(range(1, self.k + 1)):
-            raise ValueError("order must be a permutation of 1..k")
-        idx = np.arange(2**self.k)
-        new_idx = np.zeros_like(idx)
-        for new_pos, old_coord in enumerate(order):
-            bit = (idx >> (old_coord - 1)) & 1
-            new_idx |= bit << new_pos
-        out = np.empty_like(self.values)
-        out[new_idx] = self.values[idx]
-        return HypercubeFunction(self.k, out)
-
-
-@dataclass
-class MartingaleDecomposition:
-    """Doob increments Delta_i f under the filtration by bit order."""
-
-    func: HypercubeFunction
-    increments: list[np.ndarray] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.increments:
-            self.increments = [d[0] for d in _increments(self.func.values[None])]
-
-    def telescope_error(self) -> float:
-        total = sum(self.increments)
-        resid = self.func.values - self.func.mean() - total
-        return float(np.max(np.abs(resid)))
-
-    def max_cross_correlation(self) -> float:
-        worst = 0.0
-        for i in range(len(self.increments)):
-            for j in range(i + 1, len(self.increments)):
-                worst = max(worst, abs(fexp(self.increments[i] * self.increments[j])))
-        return worst
-
-    def parseval_error(self) -> float:
-        var = self.func.variance()
-        total = math.fsum(fexp(d**2) for d in self.increments)
-        return abs(var - total)
-
 
 @dataclass
 class CheckResult:
@@ -280,16 +243,6 @@ def _entropy_lower_bound(m1: float, m2: float, ent: float) -> tuple[Optional[flo
         return None, True
     bound = m2 * math.log(m2 / m1**2) if m1 > 0 else math.inf
     return bound, bound <= ent + _tol(bound, ent)
-
-
-def entropy_lower_bound_check(x: np.ndarray) -> CheckResult:
-    """Ent(X^2) >= E[X^2] log(E[X^2] / (E X)^2) for X >= 0 (uniform measure)."""
-    m1, m2, ent = (col[0] for col in _abs_moments(np.asarray(x, dtype=np.float64)))
-    bound, holds = _entropy_lower_bound(m1, m2, ent)
-    if bound is None:
-        return CheckResult("entropy_lower_bound", 0.0, 0.0, True, vacuous=True)
-    # orientation: ent >= bound
-    return CheckResult("entropy_lower_bound", bound, ent, holds)
 
 
 def falik_samorodnitsky_check(f: HypercubeFunction) -> CheckResult:
@@ -458,10 +411,6 @@ class StepFunction:
                 break
         return val
 
-    def constant_from(self) -> Fraction:
-        """Smallest a with f constant on [a, 1] (the last jump location)."""
-        return self.breaks[-1] if self.breaks else Fraction(0)
-
 
 def _common_scale(values) -> tuple[int, list[int]]:
     """(D, [D v for v in values]) with D the lcm of the rationals' denominators."""
@@ -495,7 +444,8 @@ class RossignolResult:
     """The integrals of one Rossignol instance as integer numerators: ``lhs``
     and the always-case bound over ``unit`` = D L^2, the small-a bound 2 a
     int f^2 (None unless a <= tau) over ``scale`` · unit, with D = ``scale``.
-    The Fractions are built on read."""
+    Only ``lhs`` is built as an exact Fraction, on read; the bounds stay
+    integers, which the verdicts compare."""
 
     unit: int
     scale: int
@@ -511,19 +461,8 @@ class RossignolResult:
         return Fraction(self.lhs_int, self.unit)
 
     @property
-    def always_rhs(self) -> Fraction:
-        return Fraction(self.tail_int, self.unit)
-
-    @property
     def always_holds(self) -> bool:
         return self.lhs_int <= self.tail_int
-
-    @property
-    def case_small_a(self) -> Optional[tuple[Fraction, bool]]:
-        if self.small_a_int is None:
-            return None
-        rhs = self.small_a_int
-        return Fraction(rhs, self.scale * self.unit), self.scale * self.lhs_int <= rhs
 
     @property
     def holds(self) -> bool:
@@ -848,7 +787,3 @@ def _summarize(name: str, results: list[CheckResult], data: bytes) -> SuiteRepor
         _digest(data),
         worst_r.to_json() if worst_r else None,
     )
-
-
-def suite_to_json(reports: list[SuiteReport]) -> str:
-    return json.dumps([r.to_json() for r in reports], indent=2)

@@ -34,10 +34,9 @@ There is one sampling walk.  It takes its counters as premultiplied keys
 draws, so the hash, uniform and inverse-CDF temporaries stay in cache; a
 block adds the seed term to a slice of the keys, one add per draw.  Draw
 ``j`` depends only on ``(seed, key j)``, so the block size never shows in
-the output.  A caller without keys (:func:`sample_weights` by count,
-:func:`sample_uniforms`) gets the dense counters 0, 1, 2, ...; a field gets
-its region's keys; :mod:`fpplab.lpp` passes its grid's counters in
-anti-diagonal order.
+the output.  A caller without keys (:func:`sample_weights` by count) gets
+the dense counters 0, 1, 2, ...; a field gets its region's keys;
+:mod:`fpplab.lpp` passes its grid's counters in anti-diagonal order.
 Every ``inv_cdf_array`` must return exactly ``inv_cdf`` of each input, bit for
 bit; the array form is only a faster way to the same numbers.
 
@@ -586,14 +585,6 @@ def _uniform_blocks(seed: int, keys: np.ndarray):
         np.right_shift(zb, np.uint64(11), out=zb)
         np.multiply(zb, 2.0**-53, out=ub)
         yield start, ub
-
-
-def sample_uniforms(seed: int, count: int) -> np.ndarray:
-    """The raw uniform53 stream of the dense counters, for direct checks."""
-    out = np.empty(count)
-    for start, u in _uniform_blocks(seed, _dense_keys(count)):
-        out[start : start + u.size] = u
-    return out
 
 
 def sample_weights(

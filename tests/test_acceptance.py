@@ -39,7 +39,7 @@ from fpplab.weights import (
     TableCDF,
     Uniform,
     sample_field,
-    sample_uniforms,
+    sample_weights,
 )
 
 BOX33 = Box((0, 0), (2, 2))
@@ -118,7 +118,7 @@ def test_criterion_02_intersection_oracle():
                 mismatches += 1
     elapsed = time.perf_counter() - t0
     _check(
-        2, "path-count intersection equals edge-removal oracle on 200 instances",
+        2, "DAG-cut intersection equals edge-removal oracle on 200 instances",
         mismatches == 0 and elapsed < 30.0,
         f"mismatches={mismatches}, {elapsed:.1f}s",
     )
@@ -255,7 +255,7 @@ def test_criterion_10_weight_tail():
     ok = True
     worst = -math.inf
     for k, spec in enumerate(specs):
-        u = np.maximum(sample_uniforms(50_000 + k, n), 2.0**-53)
+        u = np.maximum(sample_weights(Uniform(0, 1), 50_000 + k, n), 2.0**-53)
         t = np.atleast_1d(spec.inv_cdf_array(u))
         F = np.array([spec.cdf(float(v)) for v in t])
         w = 1.0 - np.log(F)

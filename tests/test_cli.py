@@ -234,6 +234,20 @@ class TestCliCommands:
         assert "config error: kappa must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["flag", "config_key"])
+    def test_negative_threads_is_a_config_error(self, tmp_path, capsys, where):
+        if where == "flag":
+            argv = ["--d", "2", "--dist", "uniform:0,1", "--n", "4", "--replicas", "4",
+                    "--seed", "1", "--threads", "-1"]
+        else:
+            cfg_path = tmp_path / "sweep.cfg"
+            cfg_path.write_text(MINIMAL + "threads = -1\n")
+            argv = ["--config", str(cfg_path)]
+        out = tmp_path / "o"
+        assert main(["fpp", "run", *argv, "--out", str(out)]) == 1
+        assert "config error: threads must be at least 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_run(self, tmp_path):
         cfg_path = tmp_path / "sweep.cfg"
         cfg_path.write_text(MINIMAL + "threads = 1\n")
@@ -313,14 +327,13 @@ class TestCliCommands:
             assert entry["margin"] == entry["rhs"] - entry["lhs"]
 
     def test_ineq_verify_writes_the_suite_json_round_trip(self, capsys):
-        # the payload is built from the report dicts; the bytes equal those of
-        # suite_to_json parsed back and written sorted
-        from fpplab.ineqlab import run_randomized_suite, suite_to_json
+        # the payload is built from the report dicts, written sorted
+        from fpplab.ineqlab import run_randomized_suite
 
         checks = "efron_stein,rossignol"
         assert main(["ineq", "verify", "--suite", checks, "--seed", "3", "--instances", "40"]) == 0
         reports = run_randomized_suite(3, 40, checks=checks.split(","))
-        want = json.dumps(json.loads(suite_to_json(reports)), indent=2, sort_keys=True) + "\n"
+        want = json.dumps([r.to_json() for r in reports], indent=2, sort_keys=True) + "\n"
         assert capsys.readouterr().out == want
 
     def test_parser_built_once_and_calls_keep_no_flags(self, capsys, monkeypatch):

@@ -371,10 +371,10 @@ class TestLatticeGraph:
         for seed in range(10):
             field = random_field(region, parse_spec(law), seed)
             weff, _ = fpp._effective_weights(field)
-            full = graph.distances(weff, sources)
+            full = graph.load(weff).search(sources)
             levels = np.unique(full)
             for L in levels[[0, 1, levels.size // 2, -2]]:
-                got = graph.distances(weff, sources, limit=L)
+                got = graph.load(weff).search(sources, limit=L)
                 assert (full == L).any()
                 assert np.array_equal(got[full <= L], full[full <= L])
                 assert np.isinf(got[full > L]).all()
@@ -486,13 +486,13 @@ class TestGeodesicDag:
             if isinstance(region, Torus):
                 # the path is taken from the first minimizing cut site
                 K = fpp._cylinder(region.n, region.d).K
-                dists = graph.distances(weff, list(range(K)))
+                dists = graph.load(weff).search(list(range(K)))
                 src = int(np.argmin(dists[np.arange(K), region.n * K + np.arange(K)]))
                 dst, d_src = region.n * K + src, dists[src]
                 res = torus_passage(field)
             else:
                 src, dst = (int(i) for i in rng.choice(graph.n_sites, 2, replace=False))
-                d_src = graph.distances(weff, [src])[0]
+                d_src = graph.load(weff).search([src])[0]
                 res = passage_time(field, site_of(src), site_of(dst), max_grows=0)
             arcs = reference_dag(graph, weff, d_src, dst)
             want = reference_walk(arcs, d_src, src, dst, site_of)
@@ -745,7 +745,7 @@ class TestReplacementPaths:
             for e in res.gint_edge_idx:
                 w = res.weff.copy()
                 w[e] = np.inf
-                want = graph.distances(w, [si])[0, di]
+                want = graph.load(w).search([si])[0, di]
                 if res.scale or np.isinf(want):
                     assert without[e] == want
                 else:
@@ -908,7 +908,7 @@ def reference_torus_passage(field):
     region = field.region
     cyl = fpp._cylinder(region.n, region.d)
     graph, weff, site_of = searched_graph(field)
-    dists = graph.distances(weff, list(range(cyl.K)))
+    dists = graph.load(weff).search(list(range(cyl.K)))
     vals = dists[np.arange(cyl.K), region.n * cyl.K + np.arange(cyl.K)]
     T_eff = vals.min()
     dag, inter, path = set(), None, None
@@ -970,7 +970,7 @@ class TestTorus:
             skipped = np.flatnonzero(np.isinf(res.d_src_eff).all(axis=1))
             if skipped.size:
                 graph, weff, _ = searched_graph(field)
-                full = graph.distances(weff, skipped.tolist())
+                full = graph.load(weff).search(skipped.tolist())
                 assert np.all(full[np.arange(skipped.size), n * K + skipped] > res.T_eff)
 
     @pytest.mark.parametrize("torus", TORI)
@@ -985,7 +985,7 @@ class TestTorus:
             field = random_field(torus, parse_spec(law), seed)
             graph, weff, _ = searched_graph(field)
             slack = 1.0 + 4.0 * graph.n_sites * np.finfo(np.float64).eps
-            T = graph.distances(weff, list(range(K)))[np.arange(K), far]
+            T = graph.load(weff).search(list(range(K)))[np.arange(K), far]
             cut, top = fpp._winding_bounds(graph, n, K, np.inf)
             assert np.all(cut <= T)
             assert np.all(top <= T * slack)
@@ -1000,7 +1000,7 @@ class TestTorus:
             w[::2] = np.random.default_rng(seed).random(n * n)
             field = WeightField(Torus(n, 2), w, 0, None)
             graph, weff, _ = searched_graph(field)
-            dists = graph.distances(weff, list(range(n)))
+            dists = graph.load(weff).search(list(range(n)))
             full = dists[np.arange(n), n * n + np.arange(n)]
             row_sums = np.zeros(n)
             for row in w[::2].reshape(n, n):

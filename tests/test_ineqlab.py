@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 
 from fpplab.ineqlab import (
     HypercubeFunction,
-    MartingaleDecomposition,
     StepFunction,
     efron_stein_check,
     entropy,
-    entropy_lower_bound_check,
     entropy_variational_check,
     exhaustive_passage_times,
     falik_samorodnitsky_check,
@@ -78,7 +76,8 @@ class TestEntropy:
         rng = np.random.default_rng(4)
         for _ in range(500):
             x = np.abs(rng.normal(0, 2, size=2 ** int(rng.integers(1, 5))))
-            assert entropy_lower_bound_check(x).holds
+            m1, m2, ent = (col[0] for col in ineqlab._abs_moments(x))
+            assert ineqlab._entropy_lower_bound(m1, m2, ent)[1]
 
 
 class TestMartingale:
@@ -87,19 +86,18 @@ class TestMartingale:
         rng = np.random.default_rng(seed)
         k = int(rng.integers(1, 7))
         f = HypercubeFunction(k, rng.normal(0, 2, size=2**k))
-        dec = MartingaleDecomposition(f)
-        assert dec.telescope_error() <= 1e-12
-        assert dec.max_cross_correlation() <= 1e-12
-        assert dec.parseval_error() <= 1e-12
+        incs = [d[0] for d in ineqlab._increments(f.values[None])]
+        assert np.max(np.abs(f.values - f.mean() - sum(incs))) <= 1e-12
+        assert all(abs(fexp(a * b)) <= 1e-12 for i, a in enumerate(incs) for b in incs[i + 1 :])
+        assert abs(f.variance() - math.fsum(fexp(d**2) for d in incs)) <= 1e-12
 
     def test_unused_coordinate_has_zero_increment(self):
         # f depends only on coordinate 2 of 3
         vals = np.array([float((m >> 1) & 1) for m in range(8)])
-        f = HypercubeFunction(3, vals)
-        dec = MartingaleDecomposition(f)
-        assert np.allclose(dec.increments[0], 0.0)
-        assert np.allclose(dec.increments[2], 0.0)
-        assert not np.allclose(dec.increments[1], 0.0)
+        incs = [d[0] for d in ineqlab._increments(vals[None])]
+        assert np.allclose(incs[0], 0.0)
+        assert np.allclose(incs[2], 0.0)
+        assert not np.allclose(incs[1], 0.0)
 
 
 class TestEfronStein:
@@ -162,13 +160,16 @@ class TestFalikSamorodnitsky:
         f = HypercubeFunction(4, rng.normal(0, 1, size=16))
         for _ in range(10):
             order = list(rng.permutation(np.arange(1, 5)))
-            assert falik_samorodnitsky_check(f.permuted(order)).holds
+            # new coordinate j+1 reads old coordinate order[j]; axis a of the
+            # (2,) * k table is coordinate k - a
+            table = np.transpose(f.values.reshape((2,) * 4), [4 - c for c in reversed(order)])
+            assert falik_samorodnitsky_check(HypercubeFunction(4, table.ravel())).holds
 
     @pytest.mark.parametrize("seed", range(20))
     def test_shared_moments_match_public_checks(self, seed):
         # the right side and the increment bounds reuse one set of moments per
-        # increment; they must equal entropy() and entropy_lower_bound_check()
-        # run on each increment, bit for bit, vacuous increments included
+        # increment; they must equal entropy() and the entropy lower bound
+        # run on each increment alone, bit for bit, vacuous increments included
         rng = np.random.default_rng(seed)
         k = int(rng.integers(2, 7))
         vals = rng.normal(0, 3, size=2**k)
@@ -178,11 +179,13 @@ class TestFalikSamorodnitsky:
             vals = np.repeat(rng.integers(-5, 6, size=2 ** (k - 1)), 2).astype(float)
         f = HypercubeFunction(k, vals)
         r = falik_samorodnitsky_check(f)
-        incs = MartingaleDecomposition(f).increments
+        incs = [d[0] for d in ineqlab._increments(f.values[None])]
         assert r.rhs == math.fsum(entropy(d**2, uniform_probs(k)) for d in incs)
-        bounds = [entropy_lower_bound_check(np.abs(d)) for d in incs]
-        assert r.details["increment_bound_min_margin"] == min(b.margin for b in bounds)
-        assert any(b.vacuous for b in bounds) == bool(seed % 2)
+        moments = [[col[0] for col in ineqlab._abs_moments(d)] for d in incs]
+        bounds = [ineqlab._entropy_lower_bound(*m)[0] for m in moments]
+        margins = [0.0 if b is None else ent - b for b, (_, _, ent) in zip(bounds, moments)]
+        assert r.details["increment_bound_min_margin"] == min(margins)
+        assert (None in bounds) == bool(seed % 2)
         assert r.details["sum_sq_mean_abs"] == math.fsum(fexp(np.abs(d)) ** 2 for d in incs)
 
 
@@ -263,8 +266,9 @@ class TestRossignol:
         f = StepFunction((Fraction(1, 4),), (Fraction(0), Fraction(1)))
         r = rossignol_check(f, Fraction(1, 4), Fraction(1, 2))
         assert r.lhs == Fraction(1, 4)
-        assert r.case_small_a is not None
-        rhs, ok = r.case_small_a
+        small_a = exact_rossignol(r)[3]
+        assert small_a is not None
+        rhs, ok = small_a
         assert rhs == Fraction(3, 8) and ok
         assert r.holds
 
@@ -284,14 +288,13 @@ class TestRossignol:
         f, a, tau = data.draw(step_instances())
         r = rossignol_check(f, a, tau)
         want = reference_rossignol(f, a, tau)
-        assert (r.lhs, r.always_rhs, r.always_holds) == want[:3]
-        assert r.case_small_a == want[3]
+        assert exact_rossignol(r) == want[:4]
         # the integer margin is float() of the exact Fraction difference
         rhs = [want[1]] + ([want[3][0]] if want[3] else [])
         assert r.margin == min(float(x - want[0]) for x in rhs)
         # the small-tau case is never tighter than the always case
         assert want[4] is None or want[4][0] >= want[1]
-        assert all(type(x) is Fraction for x in (r.lhs, r.always_rhs))
+        assert all(type(x) is Fraction for x in exact_rossignol(r)[:2])
 
     @pytest.mark.parametrize(
         "denom,cuts,levels,a,tau",
@@ -312,7 +315,7 @@ class TestRossignol:
         (row,) = ineqlab._rossignol_rows([(denom, 1, cuts, levels, a, tau)])
         assert_same_rossignol(row, rossignol_check(f, a_q, tau_q))
         want = reference_rossignol(f, a_q, tau_q)
-        assert (row.lhs, row.always_rhs, row.always_holds, row.case_small_a) == want[:4]
+        assert exact_rossignol(row) == want[:4]
 
     def test_fractional_levels_through_public_check(self):
         # levels over L = 6 and breaks, a and tau over different denominators
@@ -322,7 +325,7 @@ class TestRossignol:
         for a, tau in ((Fraction(1, 3), Fraction(3, 7)), (Fraction(5, 6), Fraction(1, 4))):
             r = rossignol_check(f, a, tau)
             want = reference_rossignol(f, a, tau)
-            assert (r.lhs, r.always_rhs, r.always_holds, r.case_small_a) == want[:4]
+            assert exact_rossignol(r) == want[:4]
             assert r.unit % 36 == 0  # L^2 divides the unit
             rhs = [want[1]] + ([want[3][0]] if want[3] else [])
             assert r.margin == min(float(x - want[0]) for x in rhs)
@@ -348,11 +351,18 @@ class TestRossignol:
 
 def assert_same_rossignol(got, want):
     """Equal as exact Fractions, and margins equal to the last bit."""
-    assert got.lhs == want.lhs and got.always_rhs == want.always_rhs
-    assert got.always_holds == want.always_holds and got.holds == want.holds
-    assert got.case_small_a == want.case_small_a
+    assert exact_rossignol(got) == exact_rossignol(want) and got.holds == want.holds
     assert float.hex(got.margin) == float.hex(want.margin)
     assert got.to_json() == {"lhs": float(want.lhs), "margin": want.margin}
+
+
+def exact_rossignol(r):
+    """(lhs, always_rhs, always_holds, case_small_a) of a RossignolResult in
+    Fractions, built from its integers, in the order of reference_rossignol."""
+    small_a = r.small_a_int
+    if small_a is not None:
+        small_a = Fraction(small_a, r.scale * r.unit), r.scale * r.lhs_int <= small_a
+    return r.lhs, Fraction(r.tail_int, r.unit), r.always_holds, small_a
 
 
 def reference_integrate_sq(f: StepFunction, lo: Fraction, hi: Fraction) -> Fraction:
@@ -406,7 +416,7 @@ def step_instances(draw):
     for _ in breaks:
         levels.append(levels[-1] + draw(steps))
     f = StepFunction(breaks, tuple(levels))
-    a_min = f.constant_from()
+    a_min = f.breaks[-1] if f.breaks else Fraction(0)
     d = draw(denominators)
     a = draw(
         st.one_of(
@@ -704,7 +714,7 @@ class TestSuite:
             want = rossignol_check(f, a_q, tau_q)
             assert_same_rossignol(got, want)
             ref = reference_rossignol(f, a_q, tau_q)
-            assert (want.lhs, want.always_rhs, want.always_holds, want.case_small_a) == ref[:4]
+            assert exact_rossignol(want) == ref[:4]
 
     @pytest.mark.parametrize("m", [1, 7, 300])
     @pytest.mark.parametrize("seed", [1, 7, 38, 271828])
@@ -741,19 +751,19 @@ class TestSuite:
             f, a, tau = step_fractions(*instance)
             chunks.append(step_bytes(*instance))
             r = rossignol_check(f, a, tau)
-            margins = [float(r.always_rhs - r.lhs)]
-            holds = r.always_holds
-            if r.case_small_a:
-                margins.append(float(r.case_small_a[0] - r.lhs))
-                holds &= r.case_small_a[1]
+            lhs, always_rhs, holds, small_a = exact_rossignol(r)
+            margins = [float(always_rhs - lhs)]
+            if small_a:
+                margins.append(float(small_a[0] - lhs))
+                holds &= small_a[1]
             small_tau = reference_rossignol(f, a, tau)[4]
             if small_tau:
-                assert small_tau[0] >= r.always_rhs
-                margins.append(float(small_tau[0] - r.lhs))
+                assert small_tau[0] >= always_rhs
+                margins.append(float(small_tau[0] - lhs))
                 holds &= small_tau[1]
             m = min(margins)
             if m < min_margin:
-                min_margin, worst = m, {"lhs": float(r.lhs), "margin": m}
+                min_margin, worst = m, {"lhs": float(lhs), "margin": m}
             ok += holds
         (report,) = run_randomized_suite(seed, 300, checks=("rossignol",))
         got = report.to_json()
@@ -910,13 +920,14 @@ class TestSuite:
         with pytest.raises(ValueError, match="instances must be at least 1"):
             run_randomized_suite(7, instances)
 
-    def test_json_shape(self):
+    def test_json_shape(self, capsys):
+        # the CLI prints the report dicts, sorted, with a trailing newline
         import json
 
-        from fpplab.ineqlab import suite_to_json
-
-        reports = run_randomized_suite(seed=1, instances=20)
-        data = json.loads(suite_to_json(reports))
+        suite = ",".join(ineqlab.CHECK_NAMES)
+        assert cli_main(["ineq", "verify", "--suite", suite, "--seed", "1", "--instances", "20"]) == 0
+        data = [r.to_json() for r in run_randomized_suite(seed=1, instances=20)]
+        assert capsys.readouterr().out == json.dumps(data, indent=2, sort_keys=True) + "\n"
         for entry in data:
             assert {"check", "instances", "violations", "min_margin", "inputs_digest", "holds"} <= set(entry)
 

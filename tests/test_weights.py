@@ -20,7 +20,6 @@ from fpplab.weights import (
     mix64,
     parse_spec,
     sample_field,
-    sample_uniforms,
     sample_weights,
     uniform53,
     validate_for_fpp,
@@ -72,7 +71,7 @@ class TestInverseCdf:
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
     def test_ks_distance(self, spec):
-        u = sample_uniforms(99, 10**5)
+        u = sample_weights(Uniform(0, 1), 99, 10**5)
         u = u[u > 0]
         x = np.sort(spec.inv_cdf_array(u))
         n = x.size
@@ -88,7 +87,8 @@ class TestInverseCdf:
     def test_array_matches_scalar(self, spec):
         # a stream, plus the 2000 smallest and largest uniform53 values
         tail = np.arange(1, 2001) * 2.0**-53
-        u = np.concatenate([np.maximum(sample_uniforms(5, 4000), 2.0**-53), tail, 1.0 - tail])
+        stream = sample_weights(Uniform(0, 1), 5, 4000)
+        u = np.concatenate([np.maximum(stream, 2.0**-53), tail, 1.0 - tail])
         vec = spec.inv_cdf_array(u)
         scal = np.array([spec.inv_cdf(float(v)) for v in u])
         assert np.array_equal(vec, scal)
@@ -158,7 +158,7 @@ class TestSampling:
         assert not np.array_equal(f1.weights, f3.weights)
 
     def test_uniform_mean_clt(self):
-        u = sample_uniforms(7, 10**6)
+        u = sample_weights(Uniform(0, 1), 7, 10**6)
         assert abs(u.mean() - 0.5) < 0.002  # 4 sigma of 1/sqrt(12 n)
 
     def test_bernoulli_fraction_clt(self):
@@ -260,7 +260,7 @@ class TestEdgeKey:
 
     def test_torus_field_keeps_the_dense_index(self):
         field = sample_field(Uniform(0, 1), Torus(4, 2), 5)
-        assert np.array_equal(field.weights, sample_uniforms(5, field.region.n_edges()))
+        assert np.array_equal(field.weights, sample_weights(Uniform(0, 1), 5, field.region.n_edges()))
 
 
 # 3 blocks of 2^14 draws and a partial block
@@ -301,7 +301,7 @@ class TestStream:
 
     @pytest.mark.parametrize("a", SEEDS)
     def test_uniforms_match_scalar_across_blocks(self, a):
-        u = sample_uniforms(a, _STREAM_COUNT)
+        u = sample_weights(Uniform(0, 1), a, _STREAM_COUNT)
         idx = [i for i in self.COUNTERS if i < _STREAM_COUNT]
         assert [float(u[i]) for i in idx] == [uniform53(mix64(a, i)) for i in idx]
 
@@ -320,7 +320,7 @@ class TestLogCdfWeight:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
     def test_exponential_tail_bound(self, spec):
         n = 10**5
-        u = np.maximum(sample_uniforms(3, n), 2.0**-53)
+        u = np.maximum(sample_weights(Uniform(0, 1), 3, n), 2.0**-53)
         t = spec.inv_cdf_array(u)
         F = np.array([spec.cdf(float(v)) for v in np.atleast_1d(t)])
         w = 1.0 - np.log(F)
