@@ -36,6 +36,7 @@ from .estimators import (
     run_sweep,
     sublinearity_profile,
     summarize,
+    worker_count,
 )
 from .ineqlab import CheckResult, fpp_exhaustive_check, run_randomized_suite
 from .lattice import Box, Torus
@@ -403,13 +404,15 @@ def cmd_sweep(args) -> int:
             )
         except (ValueError, KeyError) as exc:
             raise ConfigError(str(exc)) from None
-    if args.threads is not None and args.threads < 0:
-        raise ConfigError(f"threads must be at least 0, got {args.threads}")
+    try:
+        threads = worker_count(cfg, args.threads)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if args.record_fn:
         cfg = replace(cfg, record_fn=True)
     store = ResultStore(Path(args.out))
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    records = run_sweep(cfg, threads=args.threads)
+    records = run_sweep(cfg, threads=threads)
     paths = store.write_records(cfg.model, records)
     summary = build_summary(cfg, records)
     sp = store.write_summary(summary)

@@ -11,10 +11,10 @@ worker scheduling.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -155,10 +155,9 @@ def summarize(values: Sequence[float], bootstrap: int = 2000, seed: Optional[int
 
 
 def _geometry_stats(res: PassageResult, spec: DistributionSpec) -> dict:
-    path = res.sample_path
-    # one flat iterator is several times faster than np.asarray over tuples
-    L, d = len(path), len(path[0])
-    coords = np.fromiter(chain.from_iterable(path), np.int32, L * d).reshape(L, d)
+    region = res.window
+    coords = np.stack(np.unravel_index(res.path_idx, region.shape), axis=1) + region.lo
+    L, d = coords.shape
     # summed per axis: an (L, L, d) temporary reduced over its short last axis
     # costs several times more
     dmat = sum(np.abs(x[:, None] - x[None, :]) for x in coords.T)
@@ -230,12 +229,27 @@ def _replica_worker(args) -> ReplicaRecord:
     return run_replica(config, n, replica)
 
 
+def worker_count(config: SweepConfig, threads: Optional[int] = None) -> int:
+    """Worker processes for a sweep of ``config``: ``threads``, else
+    ``config.threads``, else the ``FPPLAB_THREADS`` environment variable,
+    else the CPU count, where a count of 0 passes on to the next source.  A
+    negative or non-integer count raises ValueError."""
+    name, count = "threads", config.threads if threads is None else threads
+    if count == 0:
+        name, count = "FPPLAB_THREADS", os.environ.get("FPPLAB_THREADS", "0")
+    try:
+        count = int(count) if isinstance(count, str) else operator.index(count)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be an integer, got {count!r}") from None
+    if count < 0:
+        raise ValueError(f"{name} must be at least 0, got {count}")
+    return count or os.cpu_count() or 1
+
+
 def run_sweep(config: SweepConfig, threads: Optional[int] = None) -> list[ReplicaRecord]:
-    """All replicas for all sizes, in deterministic (n, replica) order."""
-    if threads is None:
-        threads = config.threads
-    if threads == 0:
-        threads = int(os.environ.get("FPPLAB_THREADS", "0")) or (os.cpu_count() or 1)
+    """All replicas for all sizes, in deterministic (n, replica) order, on
+    :func:`worker_count` processes (in this one when that is 1)."""
+    threads = worker_count(config, threads)
     jobs = [(config, n, r) for n in config.n_list for r in range(config.replicas)]
     if threads > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:

@@ -48,6 +48,14 @@ the passage takes the path and its edges and skips the walk; under a
 continuous law that is every DAG, with probability one.  Otherwise the
 walk runs, and everything in it, the hop counts that order zero-length
 arcs included, walks the DAG's arcs in pure Python.
+
+Paths
+-----
+A result keeps its sample geodesic as the region's site indices and, per
+step, the region edge of the DAG arc the path took: the tree path's arcs
+in the shortcut, the arcs the walk chose otherwise.  Nothing on the way
+from the search to a record builds a site tuple; ``sample_path`` builds
+the tuples from the indices on first read.
 """
 
 from __future__ import annotations
@@ -137,13 +145,6 @@ def _sites(region: Region, idx) -> list[Site]:
     return list(map(tuple, coords.tolist()))
 
 
-def _site_indices(region: Region, sites: list[Site]) -> np.ndarray:
-    """The row-major indices of ``sites``, all inside ``region``: the inverse
-    of :func:`_sites`."""
-    coords = np.array(sites, dtype=np.int64).reshape(len(sites), region.d) - region.lo
-    return coords @ np.array(region._strides, dtype=np.int64)
-
-
 def scaled_weights(
     weights: np.ndarray, spec: Optional[DistributionSpec], n_sites: int
 ) -> tuple[np.ndarray, Optional[float]]:
@@ -197,18 +198,21 @@ class PassageResult:
     search behind ``d_src_eff``; its ``d_dst`` (and ``d_dst_eff``) comes on
     first read from one search from ``dst``, and ``T_without_eff`` (T with
     each edge deleted) on first read from those rows and that tree.
-    ``dag_edge_idx`` and ``gint_edge_idx`` hold region edge indices; the
-    EdgeId views are built on demand.  ``field`` is that of the last search,
-    and ``window`` its region: after ``grows`` doublings of a Box window
-    (``max_grows`` of :func:`passage_time` is the one setting for them), the
-    larger box, whose field holds the first window's weights on the first
-    window's edges, hand edits included.  ``boundary_flag`` says the geodesic DAG
-    still touched that window's boundary.  A box result without geometry has
-    the DAG but an empty ``sample_path`` and ``gint_edge_idx``.  In a box
-    ``sample_path`` is a simple geodesic.  On the torus it is a closed walk
-    of unit steps from a cut site back to itself, winding once around axis 0,
-    of weight T; it is a simple cycle unless the law has an atom at 0, when
-    it can revisit a site through a zero-weight loop.
+    ``dag_edge_idx`` and ``gint_edge_idx`` hold sorted region edge indices.
+    The sample geodesic is stored as indices too: ``path_idx`` its region
+    site indices, ``path_edge_idx`` the region edge of each step, in path
+    order; ``sample_path`` builds its site tuples from ``path_idx`` on first
+    read.  ``field`` is that of the last search, and ``window`` its region:
+    after ``grows`` doublings of a Box window (``max_grows`` of
+    :func:`passage_time` is the one setting for them), the larger box, whose
+    field holds the first window's weights on the first window's edges, hand
+    edits included.  ``boundary_flag`` says the geodesic DAG still touched
+    that window's boundary.  A box result without geometry has the DAG but
+    an empty path and ``gint_edge_idx``.  In a box the sample path is a
+    simple geodesic.  On the torus it is a closed walk of unit steps from a
+    cut site back to itself, winding once around axis 0, of weight T; it is
+    a simple cycle unless the law has an atom at 0, when it can revisit a
+    site through a zero-weight loop.
     """
 
     T_eff: float
@@ -218,7 +222,8 @@ class PassageResult:
     d_src_eff: np.ndarray
     dag_edge_idx: np.ndarray
     gint_edge_idx: np.ndarray
-    sample_path: list[Site]
+    path_idx: np.ndarray
+    path_edge_idx: np.ndarray
     field: WeightField
     scale: Optional[float]
     grows: int = 0
@@ -239,6 +244,14 @@ class PassageResult:
     @cached_property
     def d_src(self) -> np.ndarray:
         return self._time(self.d_src_eff)
+
+    @cached_property
+    def sample_path(self) -> list[Site]:
+        return _sites(self.window, self.path_idx)
+
+    def path_edge_indices(self) -> list[int]:
+        """Region edge indices of the sampled geodesic, in path order."""
+        return self.path_edge_idx.tolist()
 
     @cached_property
     def d_dst_eff(self) -> np.ndarray:
@@ -279,7 +292,7 @@ class PassageResult:
         if not self.gint_edge_idx.size:
             return out
         graph, parent, gint = _graph(self.window), self.src_tree, self.gint_edge_idx
-        path = _site_indices(self.window, self.sample_path)
+        path = self.path_idx
         label = np.full(parent.size, -1)
         label[path] = np.arange(path.size)
         on_path = label >= 0
@@ -298,45 +311,6 @@ class PassageResult:
         cover = _cover_min(label[x], label[y], terms, path.size - 1)
         out[gint] = cover[np.minimum(label[t[gint]], label[h[gint]])]
         return out
-
-    @cached_property
-    def g_intersection(self) -> frozenset:
-        reg = self.field.region
-        return frozenset(reg.edge_from_index(int(i)) for i in self.gint_edge_idx)
-
-    def path_edge_indices(self) -> list[int]:
-        """Region edge indices of the sampled geodesic, in path order."""
-        return _path_edges(self.field.region, self.sample_path)
-
-
-def _path_edges(region: Region, path: list[Site]) -> list[int]:
-    """The region edge index of each step of ``path``, from the edge table.
-
-    A step takes the first of its candidate edges in the order
-    ``Region.neighbors`` lists them: per axis, the edge up from the step's
-    tail, then the edge down.  The first step whose tail lies outside the
-    region, or whose ends are not adjacent, raises ValueError.
-    """
-    steps = len(path) - 1
-    if steps < 1:
-        return []
-    coords = np.array(path, dtype=np.int64).reshape(len(path), region.d) - region.lo
-    inside = np.all((coords >= 0) & (coords < region.shape), axis=1)
-    site = np.where(inside, coords @ np.array(region._strides, dtype=np.int64), 0)
-    idx_of_pair, _, _, heads = _edge_tables(region)
-    a, b = site[:-1, None], site[1:, None]
-    axes = np.arange(region.d)
-    # candidates (step, axis, up/down): the edge out of a to b, the edge out of b to a
-    edge = idx_of_pair[np.stack([a * region.d + axes, b * region.d + axes], axis=2)]
-    hit = ((edge >= 0) & (heads[edge] == np.stack([b, a], axis=2))).reshape(steps, -1)
-    hit &= (inside[:-1] & inside[1:])[:, None]
-    bad = np.flatnonzero(~hit.any(axis=1))
-    if bad.size:
-        j = int(bad[0])
-        if not inside[j]:
-            raise ValueError(f"site {path[j]} outside {region}")
-        raise ValueError(f"sites {path[j]} and {path[j + 1]} are not adjacent")
-    return edge.reshape(steps, -1)[np.arange(steps), hit.argmax(axis=1)].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +398,8 @@ def _bfs(out: dict, src: int, avoid: int = -1) -> dict:
 
 
 def _geodesic_walk(dag_from, dag_to, dag_edge, d, src: int, dst: int, key_of=None):
-    """(sample geodesic as site indices, sorted keys on every src -> dst path).
+    """(sample geodesic as site indices, the key of each of its arcs, sorted
+    keys on every src -> dst path).
 
     An arc's key is its own edge in a box; on the cylinder ``key_of`` maps it
     to the torus edge it covers.  The path walks back from dst through each
@@ -464,7 +439,7 @@ def _geodesic_walk(dag_from, dag_to, dag_edge, d, src: int, dst: int, key_of=Non
     at = {v: i for i, v in enumerate(path)}
     explored = set()
     reach = 0  # furthest path position reached by leaving the path by now
-    cut, not_cut = set(), set()
+    steps, cut, not_cut = [], set(), set()
     for i, (u, nxt) in enumerate(zip(path, path[1:])):
         stack = [u]
         while stack:
@@ -477,28 +452,33 @@ def _geodesic_walk(dag_from, dag_to, dag_edge, d, src: int, dst: int, key_of=Non
                 elif v not in explored:
                     explored.add(v)
                     stack.append(v)
+        steps.append(key)
         (cut if reach <= i else not_cut).add(key)
     if key_of is not None:
         lifts = Counter(k for k, _ in set(zip(keys, edges)))
         for k in not_cut - cut:
             if lifts[k] > 1 and dst not in _bfs(out, src, avoid=k):
                 cut.add(k)
-    return path, sorted(cut)
+    return path, steps, sorted(cut)
 
 
-def _geodesics(arcs, path: list[int], d, key_of=None):
-    """(sample geodesic, sorted keys on every geodesic) of the DAG ``arcs``
-    that :func:`_geodesic_dag` grew from the tight path ``path``, src first.
+def _geodesics(arcs, path: list[int], d, dag_keys: np.ndarray, key_of=None):
+    """(sample geodesic's site indices, the key of each of its arcs, sorted
+    keys on every geodesic) of the DAG ``arcs`` that :func:`_geodesic_dag`
+    grew from the tight path ``path``, src first, as int64 arrays;
+    ``dag_keys`` are the sorted keys of all of its arcs.
 
     When the DAG holds only the path's own arcs, the path is the only
     geodesic, so the walk would take it, and each of its arcs is a cut, so
-    every key on it, each lift of a torus edge included, lies on every
-    geodesic; the walk runs only otherwise.
+    every key in the DAG, each lift of a torus edge included, lies on every
+    geodesic; the walk runs only otherwise.  :func:`_geodesic_dag` then
+    returns those arcs in path order, one into each site after src.
     """
     if arcs[0].size == len(path) - 1:
         keys = arcs[2] if key_of is None else key_of[arcs[2]]
-        return path, np.unique(keys).tolist()
-    return _geodesic_walk(*arcs, d, path[0], path[-1], key_of)
+        return np.asarray(path, dtype=np.int64), keys, dag_keys
+    walk = _geodesic_walk(*arcs, d, path[0], path[-1], key_of)
+    return tuple(np.asarray(x, dtype=np.int64) for x in walk)
 
 
 # ---------------------------------------------------------------------------
@@ -587,20 +567,20 @@ def passage_time(
     holds: growing reveals more of the same environment.  The DAG and the
     test run with or without ``want_geometry``, so T, ``grows`` and the flag
     do not depend on it; only the sample geodesic and the intersection
-    (``sample_path``, ``gint_edge_idx``) are skipped.
+    (``path_idx``, ``path_edge_idx``, ``gint_edge_idx``) are skipped.
     """
     field, weff, scale, dists, preds, dags, grows, touched = _search_inside(
         field, [(src, dst)], max_grows
     )
-    region = field.region
-    (tree_path, arcs), path, member = dags[0], [], []
+    (tree_path, arcs), region = dags[0], field.region
+    dag = np.unique(arcs[2])
+    path = steps = member = np.empty(0, dtype=np.int64)
     if want_geometry:
-        raw, member = _geodesics(arcs, tree_path, dists[0])
-        path = _sites(region, raw)
+        path, steps, member = _geodesics(arcs, tree_path, dists[0], dag)
     return PassageResult(
-        float(dists[0, region.site_index(dst)]), src, dst, weff, dists[0],
-        np.unique(arcs[2]), np.asarray(member, dtype=np.int64), path, field,
-        scale, grows, boundary_flag=touched, src_tree=preds[0],
+        float(dists[0, region.site_index(dst)]), src, dst, weff, dists[0], dag,
+        member, path, steps, field, scale, grows, boundary_flag=touched,
+        src_tree=preds[0],
     )
 
 
@@ -635,7 +615,7 @@ def edge_removal_oracle(field: WeightField, src: Site, dst: Site) -> set[int]:
 def _require_box_geometry(result: PassageResult) -> None:
     if not isinstance(result.window, Box):
         raise ValueError("single-edge updates need a Box result, not a torus one")
-    if not result.sample_path:
+    if not result.path_idx.size:
         raise ValueError("single-edge updates need a passage result with geometry")
 
 
@@ -820,23 +800,19 @@ def torus_passage(field: WeightField) -> PassageResult:
     vals = dists[np.arange(K), far]
     T_eff = float(vals.min())
     minimizers = np.flatnonzero(vals == T_eff)
-    inter: Optional[set[int]] = None
-    dag_union: set[int] = set()
-    sample: list[Site] = []
+    dags, inter, sample = [], None, None
     for y in minimizers.tolist():
         path = _tree_path(trees[y], int(far[y]))
         arcs = _geodesic_dag(graph, wcyl, dists[y], path)
-        dag_union.update(np.unique(cyl.torus_edge[arcs[2]]).tolist())
-        raw, mem = _geodesics(arcs, path, dists[y], cyl.torus_edge)
-        inter = set(mem) if inter is None else (inter & set(mem))
-        if not sample:
-            sample = _sites(region, np.asarray(raw) % region.n_sites())
-    gint = np.asarray(sorted(inter or set()), dtype=np.int64)
-    start = sample[0] if sample else (0,) * d
+        dags.append(np.unique(cyl.torus_edge[arcs[2]]))
+        raw, steps, mem = _geodesics(arcs, path, dists[y], dags[-1], cyl.torus_edge)
+        inter = mem if inter is None else np.intersect1d(inter, mem)
+        if sample is None:
+            sample = (raw % region.n_sites(), steps)
+    start = region.site_from_index(int(sample[0][0]))
     return PassageResult(
-        T_eff, start, start, weff, dists,
-        np.asarray(sorted(dag_union), dtype=np.int64), gint, sample, field,
-        scale, 0,
+        T_eff, start, start, weff, dists, np.unique(np.concatenate(dags)), inter,
+        *sample, field, scale, 0,
     )
 
 

@@ -248,6 +248,20 @@ class TestCliCommands:
         assert "config error: threads must be at least 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "value,why",
+        [("-1", "must be at least 0, got -1"), ("two", "must be an integer, got 'two'")],
+        ids=["negative", "not_an_integer"],
+    )
+    def test_bad_thread_environment_is_a_config_error(self, tmp_path, capsys, monkeypatch, value, why):
+        # --threads unset and no threads key: the count comes from FPPLAB_THREADS
+        monkeypatch.setenv("FPPLAB_THREADS", value)
+        out = tmp_path / "o"
+        assert main(["fpp", "run", "--d", "2", "--dist", "uniform:0,1", "--n", "4",
+                     "--replicas", "4", "--seed", "1", "--out", str(out)]) == 1
+        assert f"config error: FPPLAB_THREADS {why}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_run(self, tmp_path):
         cfg_path = tmp_path / "sweep.cfg"
         cfg_path.write_text(MINIMAL + "threads = 1\n")

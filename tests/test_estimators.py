@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpplab import fpp
 from fpplab.estimators import (
     WINDOW_MS,
     ReplicaRecord,
@@ -82,6 +83,18 @@ class TestSweep:
     def test_rejects_sizes_below_one(self, model, n_list):
         with pytest.raises(ValueError, match="sizes must be >= 1"):
             unit_config(model=model, n_list=n_list)
+
+    def test_negative_or_non_integer_worker_count_raises(self, monkeypatch):
+        cfg = unit_config(n_list=(4,), replicas=2)
+        for threads in (-1, 1.5):
+            with pytest.raises(ValueError, match="threads must be"):
+                run_sweep(cfg, threads=threads)
+        for env in ("-1", "two"):
+            monkeypatch.setenv("FPPLAB_THREADS", env)
+            with pytest.raises(ValueError, match="FPPLAB_THREADS must be"):
+                run_sweep(cfg, threads=0)
+        monkeypatch.setenv("FPPLAB_THREADS", "1")
+        assert len(run_sweep(cfg, threads=0)) == 2
 
     def test_sweep_worker_pool_matches_serial(self):
         cfg = unit_config(spec=Uniform(0, 1), n_list=(4,), replicas=4)
@@ -408,6 +421,31 @@ class TestInfluence:
 
 
 class TestGeometryStats:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            # uniform weights take the tree-path shortcut, the atom at 0 the walk
+            unit_config(spec=Uniform(0, 1), n_list=(8,), record_fn=True),
+            unit_config(spec=Bernoulli(0, 1, 0.3), n_list=(8,), record_fn=True),
+            unit_config(model="fpp-torus", spec=Bernoulli(0, 1, 0.3), n_list=(8,)),
+        ],
+        ids=["point", "point0", "torus"],
+    )
+    def test_replicas_build_no_site_tuples(self, cfg, monkeypatch):
+        # records come from the path's indices: with the tuple builder
+        # broken, every replica returns the same record
+        want = [run_replica(cfg, 8, r) for r in range(6)]
+
+        def no_tuples(*args):
+            raise AssertionError("a replica built a tuple path")
+
+        monkeypatch.setattr(fpp, "_sites", no_tuples)
+        got = [run_replica(cfg, 8, r) for r in range(6)]
+        for a, b in zip(got, want):
+            assert dataclasses.replace(a, g_bitmap=None) == dataclasses.replace(b, g_bitmap=None)
+            if cfg.model == "fpp-torus":
+                assert np.array_equal(a.g_bitmap, b.g_bitmap)
+
     def test_window_ratio_unit_weights(self):
         records = run_sweep(unit_config(n_list=(16,), replicas=2), threads=1)
         stats = geodesic_window_stats(records)
@@ -441,8 +479,11 @@ class TestGeometryStats:
             site[axis % d] += sign
             path.append(tuple(site))
         weights = np.random.default_rng(seed).uniform(0.01, 1.0, 50)
+        # the smallest box around the path, whose lo is the path's per-axis minimum
+        box = Box(tuple(map(min, zip(*path))), tuple(map(max, zip(*path))))
         res = SimpleNamespace(
-            sample_path=path, field=SimpleNamespace(weights=weights),
+            path_idx=np.array([box.site_index(s) for s in path], dtype=np.int64),
+            window=box, field=SimpleNamespace(weights=weights),
             gint_edge_idx=np.array(picks, dtype=np.int64),
             dag_edge_idx=np.arange(len(picks) + 3),
         )
