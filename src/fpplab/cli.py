@@ -1,10 +1,11 @@
 """Command-line driver: sweep configuration, persistence, reporting.
 
 Config files are line-oriented ``key = value`` with ``#`` comments and a
-``name:param,param`` distribution mini-grammar.  Data CSVs are byte-stable
-(shortest round-trip float format, no timestamps); timestamps live only in
-the run manifest.  Exit codes: 0 success, 1 config error, 2 runtime failure,
-3 verification failure.
+``name:param,param`` distribution mini-grammar; a sweep's flags are the same
+config text and take the same path to a ``SweepConfig``.  Data CSVs are
+byte-stable (shortest round-trip float format, no timestamps); timestamps
+live only in the run manifest.  Exit codes: 0 success, 1 config error, 2
+runtime failure, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence, get_args, get_type_hints
@@ -57,7 +58,7 @@ _BOOL = {"true": True, "false": False, "1": True, "0": False}
 
 def _parse_bool(tok: str) -> bool:
     if tok.lower() not in _BOOL:
-        raise ConfigError(f"expected a boolean, got {tok!r}")
+        raise ValueError(f"expected a boolean, got {tok!r}")
     return _BOOL[tok.lower()]
 
 
@@ -96,7 +97,8 @@ _SWEEP_FIELDS = {f.name: f for f in fields(SweepConfig)}
 _REQUIRED = tuple(key for key in _CONFIG if _SWEEP_FIELDS[_field(key)].default is MISSING)
 
 
-def parse_config(text: str) -> SweepConfig:
+def _config_entries(text: str) -> dict[str, str]:
+    """Config key -> value text of a config file's ``key = value`` lines."""
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -111,19 +113,40 @@ def parse_config(text: str) -> SweepConfig:
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = value.strip()
-    for required in _REQUIRED:
-        if required not in raw:
-            raise ConfigError(f"missing required key {required!r}")
+    return raw
+
+
+def _sweep_config(entries: dict[str, str]) -> SweepConfig:
+    """The SweepConfig of config key -> value text, from a config file or from
+    a sweep's flags: the one path from text to a config.  A missing required
+    key, a value its ``_CONFIG`` parser rejects or a config SweepConfig
+    rejects is a ConfigError."""
+    missing = [key for key in _REQUIRED if key not in entries]
+    if missing:
+        raise ConfigError(f"missing required key {', '.join(map(repr, missing))}")
+    values = {}
+    for key, text in entries.items():
+        try:
+            values[_field(key)] = _CONFIG[key][0](text)
+        except (ValueError, KeyError) as exc:
+            raise ConfigError(f"{key}: {exc}") from None
     try:
-        return SweepConfig(
-            **{_field(key): parse(raw[key]) for key, (parse, _) in _CONFIG.items() if key in raw}
-        )
+        return SweepConfig(**values)
     except (ValueError, KeyError) as exc:
         raise ConfigError(str(exc)) from None
 
 
-def load_config(path: str | Path) -> SweepConfig:
-    return parse_config(Path(path).read_text())
+def parse_config(text: str) -> SweepConfig:
+    return _sweep_config(_config_entries(text))
+
+
+def _read_input(path: str | Path) -> str:
+    """The text of an input file named on the command line; a file that
+    cannot be read is a config error."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 def serialize_config(cfg: SweepConfig) -> str:
@@ -220,18 +243,21 @@ class ResultStore:
 
     def __post_init__(self):
         self.root = Path(self.root)
-        self.root.mkdir(parents=True, exist_ok=True)
 
     def records_path(self, model: str, n: int) -> Path:
         return self.root / f"records_{model}_n{n}.csv"
 
+    def _write(self, path: Path, text: str) -> Path:
+        """Write one store file, making the store's directory on first write."""
+        self.root.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+        return path
+
     def write_records(self, model: str, records: Sequence[ReplicaRecord]) -> list[Path]:
-        paths = []
-        for n, recs in by_n(records).items():
-            path = self.records_path(model, n)
-            path.write_text(records_to_csv(model, recs))
-            paths.append(path)
-        return paths
+        return [
+            self._write(self.records_path(model, n), records_to_csv(model, recs))
+            for n, recs in by_n(records).items()
+        ]
 
     def read_records(self, model: str, n_list: Sequence[int], d: int = 2) -> list[ReplicaRecord]:
         out = []
@@ -242,23 +268,20 @@ class ResultStore:
         return out
 
     def write_summary(self, summary: dict) -> Path:
-        path = self.root / "summary.json"
-        path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        return path
+        text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+        return self._write(self.root / "summary.json", text)
 
     def write_manifest(self, manifest: dict) -> Path:
-        path = self.root / "manifest.json"
-        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        return path
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        return self._write(self.root / "manifest.json", text)
 
     def read_manifest(self) -> dict:
-        return json.loads((self.root / "manifest.json").read_text())
+        """The run manifest; a store without one is a config error."""
+        return json.loads(_read_input(self.root / "manifest.json"))
 
     def write_plot_manifest(self, lines: Sequence[str]) -> Path:
-        path = self.root / "plots.manifest"
         body = "# csv_path,x_column,y_column,scale,reference_curve\n"
-        path.write_text(body + "\n".join(lines) + "\n")
-        return path
+        return self._write(self.root / "plots.manifest", body + "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -381,35 +404,27 @@ def plot_manifest_lines(cfg: SweepConfig, store: ResultStore) -> list[str]:
 
 
 def cmd_sweep(args) -> int:
-    """Run the sweep of one model subcommand and write its result store."""
+    """Run the sweep of one model subcommand and write its result store.
+
+    The config file's lines, or else the sweep flags, are config text, and
+    one path turns either into the SweepConfig; ``--threads`` stays outside
+    the config, so it moves no ``config_digest``."""
     if args.config:
-        cfg = load_config(args.config)
-        if cfg.model != args.model:
-            raise ConfigError(
-                f"config file model {cfg.model!r} does not match subcommand {args.model!r}"
-            )
+        entries = _config_entries(_read_input(args.config))
     else:
-        missing = [k for k in ("d", "dist", "n", "replicas", "seed") if getattr(args, k, None) is None]
-        if missing:
-            raise ConfigError(f"missing flags: {', '.join('--' + m for m in missing)}")
-        try:
-            cfg = SweepConfig(
-                model=args.model,
-                d=args.d,
-                n_list=tuple(int(t) for t in args.n.split(",")),
-                spec=parse_spec(args.dist),
-                replicas=args.replicas,
-                seed=args.seed,
-                **({} if args.kappa is None else {"kappa": args.kappa}),
-            )
-        except (ValueError, KeyError) as exc:
-            raise ConfigError(str(exc)) from None
+        flags = ((key, getattr(args, key)) for key, _ in _SWEEP_FLAGS.values())
+        entries = {"model": args.model, **{key: text for key, text in flags if text is not None}}
+    if args.record_fn:
+        entries["record_fn"] = "true"
+    cfg = _sweep_config(entries)
+    if cfg.model != args.model:
+        raise ConfigError(
+            f"config file model {cfg.model!r} does not match subcommand {args.model!r}"
+        )
     try:
         threads = worker_count(cfg, args.threads)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if args.record_fn:
-        cfg = replace(cfg, record_fn=True)
     store = ResultStore(Path(args.out))
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     records = run_sweep(cfg, threads=threads)
@@ -436,15 +451,18 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fit_chi(args) -> int:
-    data = json.loads(Path(args.input).read_text())
-    if "pairs" in data:
-        pairs = [(int(n), float(v)) for n, v in data["pairs"]]
-    elif "per_n" in data:
-        pairs = [
-            (int(n), float(entry["T"]["variance"])) for n, entry in data["per_n"].items()
-        ]
-    else:
-        raise ConfigError("input JSON needs 'pairs' or 'per_n'")
+    try:
+        data = json.loads(_read_input(args.input))
+        if "pairs" in data:
+            pairs = [(int(n), float(v)) for n, v in data["pairs"]]
+        elif "per_n" in data:
+            pairs = [
+                (int(n), float(entry["T"]["variance"])) for n, entry in data["per_n"].items()
+            ]
+        else:
+            raise ConfigError("input JSON needs 'pairs' or 'per_n'")
+    except (ValueError, TypeError, KeyError) as exc:  # not JSON, or not (n, Var) pairs
+        raise ConfigError(f"{args.input} holds no (n, Var) pairs: {exc!r}") from None
     try:
         fit = fit_chi(sorted(pairs))
     except ValueError as exc:  # fewer than 3 pairs, one size n, or a variance <= 0
@@ -509,6 +527,18 @@ _SWEEPS = (
 )
 
 
+# Sweep flag -> (config key, help).  A flag's value is the text of its config
+# key and parses through that key's _CONFIG parser, as a config file line does.
+_SWEEP_FLAGS = {
+    "--d": ("d", "lattice dimension"),
+    "--dist": ("dist", "distribution, e.g. uniform:0,1"),
+    "--n": ("n_list", "comma-separated sizes, e.g. 16,32,64"),
+    "--replicas": ("replicas", None),
+    "--seed": ("seed", None),
+    "--kappa": ("kappa", "first window half-width, in units of n^(2/3)"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fpplab",
@@ -523,12 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
             groups[command] = group.add_subparsers(dest="subcommand", required=True)
         p = groups[command].add_parser(subcommand, help=subcommand_help)
         p.add_argument("--config", help="config file (overrides individual flags)")
-        p.add_argument("--d", type=int, help="lattice dimension")
-        p.add_argument("--dist", help="distribution, e.g. uniform:0,1")
-        p.add_argument("--n", help="comma-separated sizes, e.g. 16,32,64")
-        p.add_argument("--replicas", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--kappa", type=float, help="first window half-width, in units of n^(2/3)")
+        for flag, (key, flag_help) in _SWEEP_FLAGS.items():
+            p.add_argument(flag, dest=key, help=flag_help)
         p.add_argument("--threads", type=int, default=None)
         p.add_argument("--out", required=True, help="output directory")
         p.set_defaults(func=cmd_sweep, model=model, record_fn=record_fn)

@@ -70,7 +70,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
-from .lattice import Box, Region, Site, Torus, _edge_tables, ball, point_window
+from .lattice import Box, Region, Site, Torus, _edge_tables, ball
 from .weights import DistributionSpec, WeightField, sample_field
 
 GROW_LIMIT = 6
@@ -203,7 +203,7 @@ class PassageResult:
     site indices, ``path_edge_idx`` the region edge of each step, in path
     order; ``sample_path`` builds its site tuples from ``path_idx`` on first
     read.  ``field`` is that of the last search, and ``window`` its region:
-    after ``grows`` doublings of a Box window (``max_grows`` of
+    after ``grows`` growth steps of a Box window (``max_grows`` of
     :func:`passage_time` is the one setting for them), the larger box, whose
     field holds the first window's weights on the first window's edges, hand
     edits included.  ``boundary_flag`` says the geodesic DAG still touched
@@ -487,27 +487,20 @@ def _geodesics(arcs, path: list[int], d, dag_keys: np.ndarray, key_of=None):
 
 
 def _grow_box(box: Box) -> Box:
-    w = -min(box.lo)
-    if (
-        w > 0
-        and all(l == -w for l in box.lo)
-        and all(h == w for h in box.hi[1:])
-        and box.hi[0] >= w
-    ):
-        n = box.hi[0] - w
-        return point_window(n, box.d, 2 * w)
-    spans = [h - l + 1 for l, h in zip(box.lo, box.hi)]
-    return Box(
-        tuple(l - s // 2 - 1 for l, s in zip(box.lo, spans)),
-        tuple(h + s // 2 + 1 for h, s in zip(box.hi, spans)),
-    )
+    """``box`` with every face moved out by half its shortest side (at least
+    1).  A point window's shortest side is 2w + 1, so ``point_window(n, d,
+    w)`` grows to ``point_window(n, d, 2w)`` for every d >= 2."""
+    g = max(1, min(box.shape) // 2)
+    return Box(tuple(l - g for l in box.lo), tuple(h + g for h in box.hi))
 
 
 def _search_inside(field: WeightField, pairs, max_grows: int):
     """One search from each (src, dst) pair's source and the geodesic DAG into
     its destination, grown from the search tree's path into it, rerun on a
-    doubled window while some DAG touches the window's boundary, at most
-    ``max_grows`` times; only a Box field with a law grows.
+    grown window while some DAG touches the window's boundary, at most
+    ``max_grows`` times; only a Box field with a law grows.  Each grow moves
+    every face out by half the window's shortest side (:func:`_grow_box`), so
+    a point window's half-width w doubles.
 
     Returns ``(field, weff, scale, dists, preds, dags, grows, touched)`` of
     the last window: distance and predecessor rows, one per pair, and per
@@ -558,16 +551,18 @@ def passage_time(
     """Exact minimum passage time over lattice paths from src to dst.
 
     ``max_grows`` is the one growth setting.  A Box field with a law (``spec``
-    set) reruns the search on a doubled window whenever a geodesic-DAG edge
+    set) reruns the search on a grown window whenever a geodesic-DAG edge
     touches the boundary, up to ``max_grows`` times, and ``max_grows=0``
-    never grows; past that the result is flagged (``boundary_flag``).  The
-    grown window keeps the field it grew from, edits included, and draws only
-    its new edges; a sampled Box field keys its weights by lattice
-    coordinates, so those are the very weights a sample of the larger window
-    holds: growing reveals more of the same environment.  The DAG and the
-    test run with or without ``want_geometry``, so T, ``grows`` and the flag
-    do not depend on it; only the sample geodesic and the intersection
-    (``path_idx``, ``path_edge_idx``, ``gint_edge_idx``) are skipped.
+    never grows; past that the result is flagged (``boundary_flag``).  Each
+    grow moves every face out by half the shortest side, so a point window's
+    half-width w doubles.  The grown window keeps the field it grew from,
+    edits included, and draws only its new edges; a sampled Box field keys
+    its weights by lattice coordinates, so those are the very weights a
+    sample of the larger window holds: growing reveals more of the same
+    environment.  The DAG and the test run with or without
+    ``want_geometry``, so T, ``grows`` and the flag do not depend on it; only
+    the sample geodesic and the intersection (``path_idx``,
+    ``path_edge_idx``, ``gint_edge_idx``) are skipped.
     """
     field, weff, scale, dists, preds, dags, grows, touched = _search_inside(
         field, [(src, dst)], max_grows
@@ -877,8 +872,8 @@ def torus_winding_oracle(field: WeightField, max_len: int) -> tuple[float, set[i
 @dataclass
 class AveragedPassage:
     """F_n, its terms T(z, z + n e_1) by source z, and the window growth behind
-    them: ``grows`` doublings, and ``boundary_flag`` when some term's geodesic
-    DAG still touched the final window's boundary."""
+    them: ``grows`` growth steps, and ``boundary_flag`` when some term's
+    geodesic DAG still touched the final window's boundary."""
 
     F_n: float
     terms: dict[Site, float]
@@ -897,7 +892,7 @@ def averaged_passage(
 
     m defaults to ceil(n^(1/4)).  One multi-source search gives every term;
     each term's geodesic DAG gets the boundary test of :func:`passage_time`,
-    and the window doubles for all terms at once when any DAG touches it.
+    and the window grows for all terms at once when any DAG touches it.
     """
     d = field.region.d
     if m is None:

@@ -53,7 +53,10 @@ integration, without Fraction arithmetic per piece.  One integer kernel,
 draws its instances as integers over the draw's denominator and feeds them
 to it directly, and ``rossignol_check`` calls it on one row after reducing
 its Fractions to integers.  No Fraction is built unless a result's exact
-value is read.
+value is read.  A Rossignol instance is validated once, where it enters:
+``StepFunction`` checks f and ``rossignol_check`` checks a and tau, both in
+Fractions; the kernel checks nothing, and the suite's draws are valid by
+construction.
 """
 
 from __future__ import annotations
@@ -402,15 +405,6 @@ class StepFunction:
         if any(b > a for a, b in zip(self.levels[1:], self.levels[:-1])):
             raise ValueError("f must be nondecreasing")
 
-    def __call__(self, x: Fraction) -> Fraction:
-        val = self.levels[0]
-        for b, lev in zip(self.breaks, self.levels[1:]):
-            if x >= b:
-                val = lev
-            else:
-                break
-        return val
-
 
 def _common_scale(values) -> tuple[int, list[int]]:
     """(D, [D v for v in values]) with D the lcm of the rationals' denominators."""
@@ -477,16 +471,21 @@ class RossignolResult:
 def rossignol_check(f: StepFunction, a: Fraction, tau: Fraction) -> RossignolResult:
     """All applicable cases of the shifted-square integral bound, exactly.
 
-    Requires tau in (0, 1/2] and f constant on [a, 1].  The breaks, a and
-    tau are scaled to integers over their common denominator D and the
-    levels over theirs, L (``_common_scale``); the result is the integer
-    kernel ``_rossignol_rows`` on that one row, so the verdicts carry no
-    tolerance at all.  The small-tau case (tau <= a <= 1/2, bound
-    2·tau·int f^2) is not computed, because it never decides: there f is
-    the constant c on [1 - tau, 1], so 2·tau·int f^2 >= 2·tau·(1 - a)·c^2 >=
-    tau·c^2, the always-case bound.
+    Requires tau in (0, 1/2] and f constant on [a, 1], checked here in
+    Fractions.  The breaks, a and tau are then scaled to integers over their
+    common denominator D and the levels over theirs, L (``_common_scale``);
+    the result is the integer kernel ``_rossignol_rows`` on that one row, so
+    the verdicts carry no tolerance at all.  The small-tau case
+    (tau <= a <= 1/2, bound 2·tau·int f^2) is not computed, because it never
+    decides: there f is the constant c on [1 - tau, 1], so 2·tau·int f^2 >=
+    2·tau·(1 - a)·c^2 >= tau·c^2, the always-case bound.
     """
-    D, (t, a_int, *breaks) = _common_scale((Fraction(tau), Fraction(a), *f.breaks))
+    a, tau = Fraction(a), Fraction(tau)
+    if not 0 < tau <= Fraction(1, 2):
+        raise ValueError("tau must lie in (0, 1/2]")
+    if f.breaks and f.breaks[-1] > a:
+        raise ValueError(f"f is not constant on [{a}, 1]")
+    D, (t, a_int, *breaks) = _common_scale((tau, a, *f.breaks))
     L, levels = _common_scale(f.levels)
     return _rossignol_rows([(D, L, breaks, levels, a_int, t)])[0]
 
@@ -495,8 +494,10 @@ def _rossignol_rows(rows) -> list[RossignolResult]:
     """The Rossignol verdicts of rows (D, L, breaks, levels, a, tau): breaks,
     a and tau integers over D, levels integers over L.
 
-    Each row is validated in integers as ``StepFunction`` and
-    ``rossignol_check`` validate their rationals.  x -> D x makes every
+    A row must be a valid instance, which this kernel does not check:
+    ``StepFunction`` and ``rossignol_check`` validate a public instance in
+    Fractions before it gets here, and the suite's draws are valid by
+    construction (``_draw_rossignols``).  x -> D x makes every
     integration point an integer, f -> L f every level, so each integral is
     an integer over D L^2 (the small-a bound 2 a int f^2 over D · D L^2).
     Verdicts compare the integers.  Each margin is an int / int quotient,
@@ -508,20 +509,6 @@ def _rossignol_rows(rows) -> list[RossignolResult]:
     """
     out = []
     for D, L, breaks, levels, a, tau in rows:
-        if len(levels) != len(breaks) + 1:
-            raise ValueError("need one more level than breaks")
-        if any(not (0 < b < D) for b in breaks):
-            raise ValueError("breaks must lie in (0, 1)")
-        if any(lo >= hi for lo, hi in zip(breaks, breaks[1:])):
-            raise ValueError("breaks must be strictly increasing")
-        if any(v < 0 for v in levels):
-            raise ValueError("f must be nonnegative")
-        if any(lo > hi for lo, hi in zip(levels, levels[1:])):
-            raise ValueError("f must be nondecreasing")
-        if not (0 < tau and 2 * tau <= D):
-            raise ValueError("tau must lie in (0, 1/2]")
-        if breaks and breaks[-1] > a:
-            raise ValueError(f"f is not constant on [{Fraction(a, D)}, 1]")
         unit = D * L * L
         lhs = _shift_sq_integral(breaks, levels, tau, D)
         tail = _sq_integral(breaks, levels, D - tau, D)

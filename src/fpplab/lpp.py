@@ -202,17 +202,17 @@ def brute_force_last_passage(grid: LppGrid) -> float:
     return best
 
 
-def rescaled_statistic(
-    T_n: float,
-    n: int,
-    center: float,
-    scale_power: float = 1.0 / 3.0,
-    scale_coeff: float = 2.0 ** (4.0 / 3.0),
-) -> float:
-    """Z = (T_n - center * n) / (scale_coeff * n^scale_power)."""
+# Z's scale SCALE_COEFF * n^SCALE_POWER: the n^(1/3) fluctuation scale, with
+# the coefficient 2^(4/3) of mean-one exponential weights
+SCALE_POWER = 1.0 / 3.0
+SCALE_COEFF = 2.0 ** (4.0 / 3.0)
+
+
+def rescaled_statistic(T_n: float, n: int, center: float) -> float:
+    """Z = (T_n - center * n) / (SCALE_COEFF * n^SCALE_POWER)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return (T_n - center * n) / (scale_coeff * n**scale_power)
+    return (T_n - center * n) / (SCALE_COEFF * n**SCALE_POWER)
 
 
 def fit_center(means: dict[int, float]) -> float:

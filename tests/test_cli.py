@@ -271,6 +271,101 @@ class TestCliCommands:
         assert summary["model"] == "fpp-point"
         assert set(summary["per_n"]) == {"4", "6"}
 
+    @pytest.mark.parametrize(
+        "command, flags, keys",
+        [
+            (["fpp", "run"], ["--kappa", "0.5"], "model = fpp-point\nkappa = 0.5\n"),
+            (["fpp", "fn"], [], "model = fpp-point\nrecord_fn = true\n"),
+            (["lpp", "run"], [], "model = lpp\n"),
+        ],
+        ids=["fpp_run", "fpp_fn", "lpp_run"],
+    )
+    def test_flags_and_config_file_give_the_same_store(self, tmp_path, command, flags, keys):
+        # the flags are config text on the one path a config file takes: the
+        # same config text and digest, and byte-identical store files
+        dist = "geometric:0.5" if command[0] == "lpp" else "uniform:0,1"
+        cfg_path = tmp_path / "sweep.cfg"
+        cfg_path.write_text(keys + f"d = 2\nn_list = 4,6\ndist = {dist}\nreplicas = 3\nseed = 5\n")
+        by_flags, by_file = tmp_path / "flags", tmp_path / "file"
+        assert main([*command, "--d", "2", "--dist", dist, "--n", "4,6", "--replicas", "3",
+                     "--seed", "5", *flags, "--threads", "1", "--out", str(by_flags)]) == 0
+        assert main([*command, "--config", str(cfg_path), "--threads", "1",
+                     "--out", str(by_file)]) == 0
+        manifests = [json.loads((out / "manifest.json").read_text()) for out in (by_flags, by_file)]
+        assert manifests[0]["config_text"] == manifests[1]["config_text"]
+        assert manifests[0]["config_text"] == serialize_config(parse_config(cfg_path.read_text()))
+        assert manifests[0]["config_digest"] == manifests[1]["config_digest"]
+        assert manifests[0]["files"] == manifests[1]["files"]
+        for name in manifests[0]["files"]:
+            assert (by_flags / name).read_bytes() == (by_file / name).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--dist", "uniform:0,1", "--n", "4", "--replicas", "3", "--seed", "1"],
+             "missing required key 'd'"),
+            (["--d", "2", "--dist", "uniform:0,1", "--replicas", "3"],
+             "missing required key 'n_list', 'seed'"),
+            (["--d", "2.5", "--dist", "uniform:0,1", "--n", "4", "--replicas", "3", "--seed", "1"],
+             "d: invalid literal for int()"),
+            (["--d", "2", "--dist", "uniform:0,1", "--n", "4", "--replicas", "3", "--seed", "1",
+              "--kappa", "abc"],
+             "kappa: could not convert string to float: 'abc'"),
+        ],
+        ids=["missing_d", "missing_n_and_seed", "d_not_an_integer", "kappa_not_a_number"],
+    )
+    def test_bad_sweep_flag_is_a_config_error(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "o"
+        assert main(["fpp", "run", *flags, "--threads", "1", "--out", str(out)]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_model_must_match_the_subcommand(self, tmp_path, capsys):
+        cfg_path = tmp_path / "sweep.cfg"
+        lpp = MINIMAL.replace("fpp-point", "lpp").replace("uniform:0,1", "geometric:0.5")
+        cfg_path.write_text(lpp)
+        out = tmp_path / "o"
+        assert main(["fpp", "run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error: config file model 'lpp' does not match subcommand 'fpp-point'" in err
+        assert not out.exists()
+
+    def test_missing_config_file_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["fpp", "run", "--config", str(tmp_path / "nosuch.cfg"), "--out", str(out)])
+        assert code == 1
+        assert "config error: cannot read" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_runtime_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        from fpplab import cli
+
+        def fail(cfg, threads):
+            raise RuntimeError("replica blew up")
+
+        monkeypatch.setattr(cli, "run_sweep", fail)
+        out = tmp_path / "o"
+        assert main(["fpp", "run", "--d", "2", "--dist", "uniform:0,1", "--n", "4",
+                     "--replicas", "3", "--seed", "1", "--threads", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: RuntimeError: replica blew up\n"
+        # the store is made on its first write, so a failed sweep leaves none
+        assert not out.exists()
+
+    def test_report_on_a_missing_store_is_a_config_error(self, tmp_path, capsys):
+        store = tmp_path / "nosuch"
+        assert main(["report", "--store", str(store)]) == 1
+        assert "config error: cannot read" in capsys.readouterr().err
+        assert not store.exists()
+
+    def test_report_on_a_wrong_csv_header_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "lpp"
+        assert main(["lpp", "run", "--d", "2", "--dist", "geometric:0.5", "--n", "4", "--replicas",
+                     "3", "--seed", "1", "--threads", "1", "--out", str(out)]) == 0
+        records = out / "records_lpp_n4.csv"
+        records.write_text(records.read_text().replace("n,replica,T", "n,replica,T_n", 1))
+        assert main(["report", "--store", str(out)]) == 1
+        assert "config error: unexpected CSV header for model lpp" in capsys.readouterr().err
+
     def test_report_regenerates_identically(self, tmp_path):
         out = tmp_path / "sweep"
         args = [
@@ -320,6 +415,47 @@ class TestCliCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("config error: ") and message in captured.err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "cannot read"),
+            ("{'pairs': []}", "JSONDecodeError"),
+            ("", "JSONDecodeError"),
+            ("42", "TypeError"),
+            ('{"pairs": [["a", 1.0], [16, 2.0], [32, 3.0]]}', "ValueError"),
+            ('{"pairs": [[8, 1.0, 2.0]]}', "ValueError"),
+            ('{"per_n": {"8": {"mean": 1.0}}}', "KeyError"),
+        ],
+        ids=["missing", "not_json", "empty", "number", "bad_n", "triple", "no_variance"],
+    )
+    def test_fit_chi_unreadable_input_is_a_config_error(self, tmp_path, capsys, content, message):
+        # used to exit 2 with a traceback-like runtime error
+        path = tmp_path / "pairs.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["fit", "chi", "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ") and message in captured.err
+
+    def test_ineq_verify_violation_exits_3_with_its_json(self, tmp_path, capsys, monkeypatch):
+        # a kernel that reports every instance violated: the JSON is still
+        # written, with the violations, and the run exits 3
+        from fpplab import ineqlab
+
+        def violated(X):
+            return [ineqlab.CheckResult("log_sobolev", 1.0, 0.5, False) for _ in X]
+
+        monkeypatch.setattr(ineqlab, "_log_sobolev_rows", violated)
+        out = tmp_path / "ineq.json"
+        code = main(["ineq", "verify", "--suite", "log_sobolev", "--instances", "4",
+                     "--out", str(out)])
+        assert code == 3
+        assert "VERIFICATION FAILURE: 4 violations" in capsys.readouterr().err
+        (entry,) = json.loads(out.read_text())
+        assert entry["check"] == "log_sobolev" and entry["violations"] == 4
+        assert not entry["holds"] and entry["min_margin"] == -0.5
 
     def test_ineq_verify_small(self, tmp_path):
         out = tmp_path / "ineq.json"

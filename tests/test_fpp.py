@@ -820,10 +820,51 @@ class TestWindowGrowth:
         assert grew > 0
 
     def test_grown_window_shape(self):
-        from fpplab.fpp import _grow_box
+        # a point window's shortest side is 2w + 1, so each grow doubles w
+        for d in (2, 3, 4):
+            for n in range(0, 40, 3):
+                for w in range(1, 20):
+                    box = point_window(n, d, w)
+                    for grow in range(1, 4):
+                        box = fpp._grow_box(box)
+                        assert box == point_window(n, d, w << grow), (n, d, w, grow)
 
-        assert _grow_box(point_window(6, 2, 1)) == point_window(6, 2, 2)
-        assert _grow_box(point_window(8, 3, 4)) == point_window(8, 3, 8)
+    @pytest.mark.parametrize(
+        "box, grown",
+        [
+            pytest.param(Box((0, 0), (9, 3)), Box((-2, -2), (11, 5)), id="10x4"),
+            pytest.param(Box((2, -1, 0), (4, 5, 8)), Box((1, -2, -1), (5, 6, 9)), id="3x7x9"),
+            pytest.param(Box((0, 0), (7, 0)), Box((-1, -1), (8, 1)), id="8x1"),
+            pytest.param(Box((-3, -3), (3, 3)), Box((-6, -6), (6, 6)), id="7x7"),
+        ],
+    )
+    def test_hand_box_grows_by_half_its_shortest_side(self, box, grown):
+        # every face moves out by the same half shortest side, at least 1
+        assert fpp._grow_box(box) == grown
+
+    @pytest.mark.parametrize("law", ["uniform:0,1", "bernoulli:0,1,0.3"])
+    def test_tight_hand_box_grows_to_a_field_sampled_on_its_final_window(self, law):
+        # a hand box, no point window: the passage grows it by _grow_box, and
+        # its result is that of a field sampled on the final window
+        spec, box, src, dst = parse_spec(law), Box((0, 0), (7, 2)), (1, 1), (6, 1)
+        grew = 0
+        for seed in range(6):
+            res = passage_time(random_field(box, spec, seed), src, dst)
+            window = box
+            for _ in range(res.grows):
+                window = fpp._grow_box(window)
+            assert res.window == window
+            again = passage_time(random_field(window, spec, seed), src, dst, max_grows=0)
+            assert np.array_equal(res.field.weights, again.field.weights)
+            assert (
+                res.T, res.boundary_flag, res.dag_edge_idx.tolist(),
+                res.gint_edge_idx.tolist(), res.sample_path,
+            ) == (
+                again.T, again.boundary_flag, again.dag_edge_idx.tolist(),
+                again.gint_edge_idx.tolist(), again.sample_path,
+            )
+            grew += res.grows
+        assert grew > 0
 
     @given(law=GROWTH_LAWS, seed=st.integers(0, 2**64 - 1))
     @settings(max_examples=20, deadline=None)

@@ -131,6 +131,18 @@ class TestFalikSamorodnitsky:
         assert r.rhs == pytest.approx(0.0, abs=1e-15)
         assert r.holds
 
+    def test_constant_is_vacuous_and_says_so_in_json(self):
+        # Var f = 0 leaves nothing to bound: the result is vacuous, and its
+        # JSON carries the flag, which a non-vacuous result's JSON omits
+        r = falik_samorodnitsky_check(HypercubeFunction(2, np.full(4, 3.0)))
+        assert r.vacuous and r.holds
+        assert r.to_json() == {
+            "check": "falik_samorodnitsky", "lhs": 0.0, "rhs": 0.0, "margin": 0.0,
+            "holds": True, "vacuous": True,
+        }
+        dictator = falik_samorodnitsky_check(HypercubeFunction(1, np.array([0.0, 1.0])))
+        assert not dictator.vacuous and "vacuous" not in dictator.to_json()
+
     def test_majority_of_three(self):
         vals = np.array([float(bin(m).count("1") >= 2) for m in range(8)])
         r = falik_samorodnitsky_check(HypercubeFunction(3, vals))
@@ -233,6 +245,15 @@ class TestEntropyVariational:
         r = entropy_variational_check(f, [np.zeros(4)])
         assert r.holds
         assert r.details["infeasible_trials"] == 0
+
+    def test_infeasible_trial_is_counted_and_skipped(self):
+        # g = 1 everywhere has E e^g = e > 1: it is counted, not compared,
+        # even though its E[f g] = E f = 2.5 is far above Ent(f)
+        f = HypercubeFunction(2, np.array([1.0, 2.0, 3.0, 4.0]))
+        r = entropy_variational_check(f, [np.ones(4), np.zeros(4), np.ones(4)])
+        assert r.details["infeasible_trials"] == 2
+        assert r.lhs == 0.0 and r.holds
+        assert r.to_json()["details"]["infeasible_trials"] == 2
 
     def test_optimizer_attains(self):
         f = HypercubeFunction(1, np.array([2.0, 0.0]))
@@ -345,8 +366,14 @@ class TestRossignol:
         ],
     )
     def test_integer_row_validates_like_the_fractions(self, row, message):
+        # an invalid instance is rejected where it enters, in Fractions: f by
+        # StepFunction, a and tau by rossignol_check; the kernel checks nothing
+        D, L, breaks, levels, a, tau = row
         with pytest.raises(ValueError, match=message):
-            ineqlab._rossignol_rows([row])
+            f = StepFunction(
+                tuple(Fraction(b, D) for b in breaks), tuple(Fraction(v, L) for v in levels)
+            )
+            rossignol_check(f, Fraction(a, D), Fraction(tau, D))
 
 
 def assert_same_rossignol(got, want):
@@ -365,12 +392,23 @@ def exact_rossignol(r):
     return r.lhs, Fraction(r.tail_int, r.unit), r.always_holds, small_a
 
 
+def step_value(f: StepFunction, x: Fraction) -> Fraction:
+    """f(x): levels[j] for the last break b_j <= x, levels[0] below them all."""
+    val = f.levels[0]
+    for b, lev in zip(f.breaks, f.levels[1:]):
+        if x >= b:
+            val = lev
+        else:
+            break
+    return val
+
+
 def reference_integrate_sq(f: StepFunction, lo: Fraction, hi: Fraction) -> Fraction:
     """Integral of f^2 over [lo, hi], evaluating f at each piece's midpoint."""
     pts = sorted({lo, hi, *[b for b in f.breaks if lo < b < hi]})
     total = Fraction(0)
     for a, b in zip(pts, pts[1:]):
-        total += f((a + b) / 2) ** 2 * (b - a)
+        total += step_value(f, (a + b) / 2) ** 2 * (b - a)
     return total
 
 
@@ -385,7 +423,7 @@ def reference_integrate_shift_sq(f: StepFunction, tau: Fraction) -> Fraction:
     total = Fraction(0)
     for a, b in zip(pts, pts[1:]):
         mid = (a + b) / 2
-        total += (f(mid) - f(mid - tau)) ** 2 * (b - a)
+        total += (step_value(f, mid) - step_value(f, mid - tau)) ** 2 * (b - a)
     return total
 
 
