@@ -142,11 +142,13 @@ def parse_config(text: str) -> SweepConfig:
 
 def _read_input(path: str | Path) -> str:
     """The text of an input file named on the command line; a file that
-    cannot be read is a config error."""
+    cannot be read, or is not text, is a config error."""
     try:
         return Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {path}: not text ({exc.reason})") from None
 
 
 def serialize_config(cfg: SweepConfig) -> str:
@@ -214,7 +216,7 @@ def records_to_csv(model: str, records: Sequence[ReplicaRecord]) -> str:
 
 
 def records_from_csv(model: str, text: str, n_edges: Optional[int] = None) -> list[ReplicaRecord]:
-    lines = text.strip().splitlines()
+    lines = text.strip().splitlines() or [""]
     header = tuple(lines[0].split(","))
     if header != _COLUMNS[model]:
         raise ConfigError(f"unexpected CSV header for model {model}")
@@ -223,14 +225,18 @@ def records_from_csv(model: str, text: str, n_edges: Optional[int] = None) -> li
         for col in header if col not in _WIN_COLS and col != "g_bitmap"
     }
     out = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         cells = dict(zip(header, line.split(",")))
-        values = {col: parse(cells[col]) for col, parse in parsers.items()}
-        if any(cells.get(col) for col in _WIN_COLS):
-            values["win_counts"] = {m: int(cells[col]) for col, m in _WIN_COLS.items()}
-        if cells.get("g_bitmap"):
-            bits = np.unpackbits(np.frombuffer(bytes.fromhex(cells["g_bitmap"]), dtype=np.uint8))
-            values["g_bitmap"] = (bits[:n_edges] if n_edges else bits).astype(bool)
+        try:
+            values = {col: parse(cells[col]) for col, parse in parsers.items()}
+            if any(cells.get(col) for col in _WIN_COLS):
+                values["win_counts"] = {m: int(cells[col]) for col, m in _WIN_COLS.items()}
+            if cells.get("g_bitmap"):
+                raw = bytes.fromhex(cells["g_bitmap"])
+                bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
+                values["g_bitmap"] = (bits[:n_edges] if n_edges else bits).astype(bool)
+        except (KeyError, ValueError) as exc:  # a missing or unparsable cell
+            raise ConfigError(f"line {lineno} of the {model} records: {exc!r}") from None
         out.append(ReplicaRecord(**values))
     return out
 
@@ -263,7 +269,7 @@ class ResultStore:
         out = []
         for n in n_list:
             n_edges = Torus(n, d).n_edges() if model == "fpp-torus" else None
-            text = self.records_path(model, n).read_text()
+            text = _read_input(self.records_path(model, n))
             out.extend(records_from_csv(model, text, n_edges))
         return out
 
@@ -276,8 +282,16 @@ class ResultStore:
         return self._write(self.root / "manifest.json", text)
 
     def read_manifest(self) -> dict:
-        """The run manifest; a store without one is a config error."""
-        return json.loads(_read_input(self.root / "manifest.json"))
+        """The run manifest; a store without one, or with one that is not a
+        JSON object holding its ``config_text``, is a config error."""
+        path = self.root / "manifest.json"
+        try:
+            manifest = json.loads(_read_input(path))
+        except ValueError as exc:
+            raise ConfigError(f"{path} is not JSON: {exc}") from None
+        if not isinstance(manifest, dict) or not isinstance(manifest.get("config_text"), str):
+            raise ConfigError(f"{path} holds no config_text")
+        return manifest
 
     def write_plot_manifest(self, lines: Sequence[str]) -> Path:
         body = "# csv_path,x_column,y_column,scale,reference_curve\n"

@@ -42,6 +42,27 @@ three rules:
   the last bit on some inputs, so the Falik-Samorodnitsky left side keeps
   ``math.log``, and the log-Sobolev right side keeps Python ``**``.
 
+The Efron-Stein and Falik-Samorodnitsky kernels tabulate each quantity on its
+distinct values, not on all 2^k points.  The Doob increment Delta_i reads
+only the low i bits of the index, so ``_increments`` gives it as 2^i values,
+each standing for 2^(k-i) points, and the Falik-Samorodnitsky kernel puts a
+k-group's increments side by side in one (m, 2^(k+1) - 2) array, so its numpy
+and ``tolist`` calls do not grow with k.  (f - f o flip_i)^2 takes each of
+its n/2 values at two points, so Efron-Stein squares only half 0 minus half 1
+of coordinate i's (m, 2^(k-i), 2, 2^(i-1)) reshape.  A mean over the distinct
+values is the mean over all 2^k points, bit for bit.  Say w = 2^i distinct
+values of exact sum S each appear c = 2^(k-i) times.  ``math.fsum`` is
+correctly rounded, and scaling by a power of two is exact and commutes with
+round-to-nearest, so the fsum over all points is round(c S) = c round(S), and
+dividing it by 2^k gives round(S) / w: the distinct fsum divided by w.  In
+the same way ``_entropy_rows``' products X 2^-k are exact, their fsum over
+all points is round(S) / w, so the mean in Ent(X^2) is E X^2, and Ent(X^2) is
+the distinct fsum of its terms divided by w.  Every elementwise value, so
+every ``np.log`` input, is the one it was at each of its points.  The caveat
+is the subnormal range: where a sum, a mean or a product X 2^-k is nonzero
+and below 2^-1022 in magnitude, rounding is not scale-free and the two forms
+may differ in the last bits; so may they where c S overflows.
+
 The exhaustive pipeline enumerates the simple source-destination paths of the
 box once, as a 0/1 path-by-edge matrix P; T of a block of configurations is
 then the column minimum of P @ W, in the scaled integers passage_time uses.
@@ -67,6 +88,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -127,24 +149,19 @@ def _variance_rows(X: np.ndarray) -> list[float]:
     return _row_means((X - _per_row(_row_means(X), X)) ** 2)
 
 
-def _flip(X: np.ndarray, i: int) -> np.ndarray:
-    """Rows of X (m, 2^k) with coordinate i (1-based) flipped: bit i-1 of the index."""
-    m, n = X.shape
-    low = 1 << (i - 1)
-    return X.reshape(m, n // (2 * low), 2, low)[:, :, ::-1].reshape(m, n)
-
-
 def _increments(X: np.ndarray) -> list[np.ndarray]:
-    """Doob increments Delta_1 .. Delta_k of every row of X (m, 2^k), one (m, 2^k)
-    array per coordinate.  E[f | coordinates 1..i] averages the high k - i bits:
-    a reshape to (m, 2^(k-i), 2^i) and a mean over axis 1, broadcast back."""
+    """Doob increments Delta_1 .. Delta_k of every row of X (m, 2^k) on their
+    distinct values: one (m, 2^i) array per coordinate i, whose entry j is
+    Delta_i at every index congruent to j mod 2^i (Delta_i reads only the low
+    i bits).  E[f | coordinates 1..i] averages the high k - i bits: a reshape
+    to (m, 2^(k-i), 2^i) and a mean over axis 1."""
     m, n = X.shape
     prev = _per_row(_row_means(X), X)
     out = []
     for i in range(1, n.bit_length()):
-        shape = (m, n >> i, 1 << i)
-        cur = np.broadcast_to(X.reshape(shape).mean(axis=1, keepdims=True), shape).reshape(m, n)
-        out.append(cur - prev)
+        cur = X.reshape(m, n >> i, 1 << i).mean(axis=1)
+        # entry j of cur less entry j mod 2^(i-1) of prev, for both halves of cur
+        out.append((cur.reshape(m, 2, -1) - prev[:, None]).reshape(m, -1))
         prev = cur
     return out
 
@@ -223,8 +240,12 @@ def efron_stein_check(f: HypercubeFunction) -> CheckResult:
 
 
 def _efron_stein_rows(X: np.ndarray) -> list[CheckResult]:
-    k = X.shape[1].bit_length() - 1
-    flips = [_row_means((X - _flip(X, i)) ** 2) for i in range(1, k + 1)]
+    # flipping coordinate i swaps the two halves of the (m, n/2^i, 2, 2^(i-1))
+    # reshape and (a - b)^2 == (b - a)^2, so (f - f o flip_i)^2 holds each
+    # square of half 0 minus half 1 twice: its mean is the mean of those n/2
+    m, n = X.shape
+    halves = [X.reshape(m, n >> i, 2, 1 << (i - 1)) for i in range(1, n.bit_length())]
+    flips = [_row_means((h[:, :, 0] - h[:, :, 1]).reshape(m, n // 2) ** 2) for h in halves]
     out = []
     for var, terms in zip(_variance_rows(X), zip(*flips)):
         bound = 0.25 * math.fsum(terms)
@@ -232,11 +253,28 @@ def _efron_stein_rows(X: np.ndarray) -> list[CheckResult]:
     return out
 
 
-def _abs_moments(D: np.ndarray) -> tuple[list[float], list[float], list[float]]:
-    """(E X, E X^2, Ent(X^2)) for X = |d|, d each row of D, under the uniform measure."""
-    x = np.abs(D)
+def _abs_moments(segments: Sequence[np.ndarray]) -> list[list[tuple[float, ...]]]:
+    """(E X, E X^2, Ent(X^2)) for X = |d|, for each row of each array d of
+    ``segments``, (m, w) arrays of power-of-two widths w, under the uniform
+    measure on the row's w entries; one list of tuples per row, in segment
+    order.  The segments sit side by side in one array; each mean is an fsum
+    over a slice of one ``tolist`` per quantity, divided by w.  Ent(X^2) is
+    ``_entropy_rows`` of the segment with probs 1/w, whose mean is E X^2 by
+    the distinct-value rule of the module docstring."""
+    widths = [d.shape[1] for d in segments]
+    spans = [(end - w, end) for w, end in zip(widths, accumulate(widths))]
+
+    def means(A: np.ndarray) -> list[list[float]]:
+        return [[math.fsum(row[a:b]) / (b - a) for a, b in spans] for row in A.tolist()]
+
+    x = np.abs(np.concatenate(segments, axis=1))
     sq = x**2
-    return _row_means(x), _row_means(sq), _entropy_rows(sq, 1.0 / D.shape[-1])
+    m2 = means(sq)
+    mean = np.repeat(m2, widths, axis=1)
+    # 0 log 0 = 0, and a segment of mean 0 has entropy 0, as in _entropy_rows
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where((sq > 0) & (mean > 0), sq * np.log(sq / mean), 0.0)
+    return [list(zip(*row)) for row in zip(means(x), m2, means(terms))]
 
 
 def _entropy_lower_bound(m1: float, m2: float, ent: float) -> tuple[Optional[float], bool]:
@@ -259,7 +297,7 @@ def falik_samorodnitsky_check(f: HypercubeFunction) -> CheckResult:
 
 def _falik_samorodnitsky_rows(X: np.ndarray) -> list[CheckResult]:
     # moments[r] holds (E|d|, E d^2, Ent(d^2)) of each increment d of row r
-    moments = zip(*(zip(*_abs_moments(d)) for d in _increments(X)))
+    moments = _abs_moments(_increments(X))
     return [_falik_samorodnitsky(var, m) for var, m in zip(_variance_rows(X), moments)]
 
 
@@ -575,11 +613,10 @@ def fpp_exhaustive_check(
         raise ValueError("exhaustive check assumes fair two-point weights")
     values = exhaustive_passage_times(box, spec, src, dst)
     f = HypercubeFunction(box.n_edges(), values)
-    var = f.variance()
-    # exact resampling bound: (1/4) sum_e E[(f - f o flip_e)^2]
+    # Var(T) and the exact resampling bound (1/4) sum_e E[(f - f o flip_e)^2]
     es = efron_stein_check(f)
     fs = falik_samorodnitsky_check(f)
-    return FppExhaustiveResult(f.k, var, es.rhs, es.holds, fs)
+    return FppExhaustiveResult(f.k, es.lhs, es.rhs, es.holds, fs)
 
 
 # ---------------------------------------------------------------------------

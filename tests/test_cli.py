@@ -18,6 +18,7 @@ from fpplab.cli import (
 from fpplab.estimators import ReplicaRecord, SweepConfig, run_sweep
 from fpplab.weights import Bernoulli, Uniform
 
+TORUS_N4 = "records_fpp-torus_n4.csv"
 MINIMAL = """
 # minimal sweep
 model = fpp-point
@@ -365,6 +366,36 @@ class TestCliCommands:
         records.write_text(records.read_text().replace("n,replica,T", "n,replica,T_n", 1))
         assert main(["report", "--store", str(out)]) == 1
         assert "config error: unexpected CSV header for model lpp" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, content, message",
+        [
+            pytest.param(TORUS_N4, None, "cannot read", id="deleted_records"),
+            pytest.param(TORUS_N4, b"\xff\xfe\x00", "cannot read", id="binary_records"),
+            pytest.param(TORUS_N4, b"", "unexpected CSV header for model fpp-torus",
+                         id="empty_records"),
+            pytest.param(TORUS_N4, records_to_csv("fpp-torus", []).encode() + b"not,a,record\n",
+                         "line 2 of the fpp-torus records", id="unparsable_row"),
+            pytest.param("manifest.json", b"{}", "manifest.json holds no config_text",
+                         id="empty_manifest"),
+            pytest.param("manifest.json", b"not json", "manifest.json is not JSON",
+                         id="manifest_not_json"),
+        ],
+    )
+    def test_report_on_a_damaged_store_is_a_config_error(self, tmp_path, capsys, name, content,
+                                                         message):
+        # content None deletes the store file
+        out = tmp_path / "torus"
+        assert main(["torus", "influence", "--d", "2", "--dist", "bernoulli:1,2,0.5", "--n", "4",
+                     "--replicas", "2", "--seed", "1", "--threads", "1", "--out", str(out)]) == 0
+        if content is None:
+            (out / name).unlink()
+        else:
+            (out / name).write_bytes(content)
+        capsys.readouterr()
+        assert main(["report", "--store", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
 
     def test_report_regenerates_identically(self, tmp_path):
         out = tmp_path / "sweep"

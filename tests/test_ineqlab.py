@@ -34,6 +34,12 @@ def uniform_probs(k):
     return np.full(2**k, 0.5**k)
 
 
+def tiled_increments(X):
+    """The increments of the rows of X (m, 2^k), each tiled back from its
+    distinct values to all 2^k points."""
+    return [np.tile(d, X.shape[1] // d.shape[1]) for d in ineqlab._increments(X)]
+
+
 BOX4 = Box((0, 0), (1, 1))  # 2x2 sites
 BOX7 = Box((0, 0), (2, 1))  # 3x2 sites
 BOX12 = Box((0, 0), (2, 2))  # 3x3 sites
@@ -76,7 +82,7 @@ class TestEntropy:
         rng = np.random.default_rng(4)
         for _ in range(500):
             x = np.abs(rng.normal(0, 2, size=2 ** int(rng.integers(1, 5))))
-            m1, m2, ent = (col[0] for col in ineqlab._abs_moments(x))
+            m1, m2, ent = ineqlab._abs_moments([x[None]])[0][0]
             assert ineqlab._entropy_lower_bound(m1, m2, ent)[1]
 
 
@@ -86,7 +92,7 @@ class TestMartingale:
         rng = np.random.default_rng(seed)
         k = int(rng.integers(1, 7))
         f = HypercubeFunction(k, rng.normal(0, 2, size=2**k))
-        incs = [d[0] for d in ineqlab._increments(f.values[None])]
+        incs = [d[0] for d in tiled_increments(f.values[None])]
         assert np.max(np.abs(f.values - f.mean() - sum(incs))) <= 1e-12
         assert all(abs(fexp(a * b)) <= 1e-12 for i, a in enumerate(incs) for b in incs[i + 1 :])
         assert abs(f.variance() - math.fsum(fexp(d**2) for d in incs)) <= 1e-12
@@ -94,7 +100,7 @@ class TestMartingale:
     def test_unused_coordinate_has_zero_increment(self):
         # f depends only on coordinate 2 of 3
         vals = np.array([float((m >> 1) & 1) for m in range(8)])
-        incs = [d[0] for d in ineqlab._increments(vals[None])]
+        incs = [d[0] for d in tiled_increments(vals[None])]
         assert np.allclose(incs[0], 0.0)
         assert np.allclose(incs[2], 0.0)
         assert not np.allclose(incs[1], 0.0)
@@ -191,9 +197,9 @@ class TestFalikSamorodnitsky:
             vals = np.repeat(rng.integers(-5, 6, size=2 ** (k - 1)), 2).astype(float)
         f = HypercubeFunction(k, vals)
         r = falik_samorodnitsky_check(f)
-        incs = [d[0] for d in ineqlab._increments(f.values[None])]
+        incs = [d[0] for d in tiled_increments(f.values[None])]
         assert r.rhs == math.fsum(entropy(d**2, uniform_probs(k)) for d in incs)
-        moments = [[col[0] for col in ineqlab._abs_moments(d)] for d in incs]
+        moments = [ineqlab._abs_moments([d[None]])[0][0] for d in incs]
         bounds = [ineqlab._entropy_lower_bound(*m)[0] for m in moments]
         margins = [0.0 if b is None else ent - b for b, (_, _, ent) in zip(bounds, moments)]
         assert r.details["increment_bound_min_margin"] == min(margins)
@@ -720,24 +726,39 @@ class CountingRng:
 # The full suite JSON's digest is deliberately not pinned here: the last bits
 # of np.log depend on which SIMD loops numpy selects for the CPU (AVX-512 or
 # not), so a pinned value could fail on another machine.  The suite is
-# compared with its own per-instance loops instead.  The Rossignol row alone
-# is pinned: its instances are integers, hashed as little-endian int64, and
-# its verdicts integer arithmetic and correctly rounded int / int division,
-# with no np.log, so its bytes are the same on every machine.
+# compared with its own per-instance loops instead.  Only the two rows that
+# call no np.log are pinned, so their bytes are the same on every machine.
+# Rossignol's instances are integers, hashed as little-endian int64, and its
+# verdicts integer arithmetic and correctly rounded int / int division.
+# Efron-Stein's verdicts are per-row fsum means of elementwise IEEE
+# arithmetic (subtract, square, multiply) on the Generator's draws.
 ROSSIGNOL_SHA256 = {
     7: "703ae3d1e500123aab15aa65398c77cee16b00c5f6117d8634e7d63073fe2f9e",
     11: "b7a9a17076fccf003a5cfba971102f8b555281492102391045f1c6ce66d23589",
     271828: "913034aa8af1e74b853c6751f76498280d8ee6b7d74e73c85ea81460385b6e9b",
 }
+EFRON_STEIN_SHA256 = {
+    7: "12d65e4afae8870d6c0f5bcb1669171999034e7a65b2acdc7871e0829677af47",
+    11: "7bd0d6ce7a107d18a8a331a017de2d5405673c1a72468d9aaf0a5e0fe48f8917",
+    271828: "1d7189e76993fe759c8306339d7b50ac7bc7ceaacde172757f98cd7354065e47",
+}
+
+
+def suite_json_sha256(check, seed, capsys):
+    """sha256 of the stdout of ``ineq verify`` on one check, 2,000 instances."""
+    args = ["ineq", "verify", "--suite", check, "--seed", str(seed), "--instances", "2000"]
+    assert cli_main(args) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
 
 class TestSuite:
     @pytest.mark.parametrize("seed", list(ROSSIGNOL_SHA256))
     def test_rossignol_json_pinned(self, seed, capsys):
-        args = ["ineq", "verify", "--suite", "rossignol", "--seed", str(seed), "--instances", "2000"]
-        assert cli_main(args) == 0
-        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        assert digest == ROSSIGNOL_SHA256[seed]
+        assert suite_json_sha256("rossignol", seed, capsys) == ROSSIGNOL_SHA256[seed]
+
+    @pytest.mark.parametrize("seed", list(EFRON_STEIN_SHA256))
+    def test_efron_stein_json_pinned(self, seed, capsys):
+        assert suite_json_sha256("efron_stein", seed, capsys) == EFRON_STEIN_SHA256[seed]
 
     @pytest.mark.parametrize("seed", list(ROSSIGNOL_SHA256))
     def test_rossignol_row_matches_public_check(self, seed):
@@ -1016,6 +1037,68 @@ def test_log_sobolev_stacked_equals_rows_alone(pairs):
     X = np.array(pairs, dtype=np.float64)
     kernel = ineqlab._log_sobolev_rows
     assert_rows_alone(kernel(X), [kernel(X[j : j + 1])[0] for j in range(len(X))])
+
+
+@st.composite
+def kernel_tables(draw):
+    """(m, 2^k) tables at k = 1..8 of the suite's three kinds (uniform, normal,
+    small integers) at one scale, each row full, constant, or ignoring a
+    coordinate (whose increment is vacuous when the values are integers)."""
+    k = draw(st.integers(min_value=1, max_value=8))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    scale = draw(st.sampled_from([1e-30, 1e-6, 1.0, 1e6, 1e30]))
+    n = 2**k
+    kinds = st.sampled_from(["uniform", "normal", "integers"])
+    shapes = st.sampled_from(["full", "constant", "ignores"])
+    rows = []
+    for kind, shape in draw(st.lists(st.tuples(kinds, shapes), min_size=1, max_size=4)):
+        if kind == "uniform":
+            row = rng.uniform(-5.0, 10.0, size=n)
+        elif kind == "normal":
+            row = rng.normal(0, 3, size=n)
+        else:
+            row = rng.integers(0, 4, size=n).astype(float)
+        if shape == "constant":
+            row = np.full(n, row[0])
+        elif shape == "ignores":
+            bit = 1 << draw(st.integers(min_value=0, max_value=k - 1))
+            row = row[np.arange(n) & ~bit]
+        rows.append(scale * row)
+    return np.array(rows)
+
+
+@given(kernel_tables())
+@settings(max_examples=150, deadline=None)
+def test_distinct_value_kernels_equal_their_expanded_forms(X):
+    # the kernels tabulate each increment and each flip difference on its
+    # distinct values; written out over all 2^k points, every moment, bound
+    # and verdict is the same, bit for bit
+    m, n = X.shape
+    k = n.bit_length() - 1
+    # E[f | coordinates 1..i] at all 2^k points; E f is an fsum
+    conditional = [np.tile([[fexp(row)] for row in X], n)]
+    for i in range(1, k + 1):
+        conditional.append(np.tile(X.reshape(m, n >> i, 1 << i).mean(axis=1), n >> i))
+    expanded = [conditional[i] - conditional[i - 1] for i in range(1, k + 1)]
+    assert all(np.array_equal(t, e) for t, e in zip(tiled_increments(X), expanded, strict=True))
+    increments = ineqlab._increments(X)
+    assert [d.shape for d in increments] == [(m, 2**i) for i in range(1, k + 1)]
+    moments = ineqlab._abs_moments(increments)
+    fs = ineqlab._falik_samorodnitsky_rows(X)
+    es = ineqlab._efron_stein_rows(X)
+    for r, row in enumerate(X):
+        want = [
+            (fexp(np.abs(d[r])), fexp(d[r] ** 2), entropy(d[r] ** 2, uniform_probs(k)))
+            for d in expanded
+        ]
+        assert repr(moments[r]) == repr(want)
+        var = HypercubeFunction(k, row).variance()
+        assert repr(fs[r]) == repr(ineqlab._falik_samorodnitsky(var, want))
+        flips = [fexp((row - row[np.arange(n) ^ (1 << i)]) ** 2) for i in range(k)]
+        bound = 0.25 * math.fsum(flips)
+        assert repr(es[r]) == repr(
+            ineqlab.CheckResult("efron_stein", var, bound, var <= bound + ineqlab._tol(var, bound))
+        )
 
 
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2**16))
