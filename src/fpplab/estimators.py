@@ -156,20 +156,34 @@ def summarize(values: Sequence[float], bootstrap: int = 2000, seed: Optional[int
 
 def _geometry_stats(res: PassageResult, spec: DistributionSpec) -> dict:
     region = res.window
-    coords = np.stack(np.unravel_index(res.path_idx, region.shape), axis=1) + region.lo
-    L, d = coords.shape
-    # summed per axis: an (L, L, d) temporary reduced over its short last axis
-    # costs several times more
-    dmat = sum(np.abs(x[:, None] - x[None, :]) for x in coords.T)
-    geo_diam = int(dmat.max())
-    transverse = int(np.abs(coords[:, 1:]).max()) if d > 1 else 0
+    # (d, L) path coordinates relative to the window's low corner, one
+    # contiguous row per axis
+    rel = np.array(np.unravel_index(res.path_idx, region.shape))
+    d, L = rel.shape
+    transverse = int(np.abs(rel[1:] + np.array(region.lo[1:])[:, None]).max()) if d > 1 else 0
+    # |a - b|_1 is the largest s·(a - b) over sign vectors s = (1, ±1, ...),
+    # so the diameter is the largest max - min of the 2^(d-1) projections
+    # x0 ± x1 ± ...: O(L) work, exact in integers, where the pairwise
+    # matrix below would give it in O(L^2)
+    proj = rel[:1]
+    for x in rel[1:]:
+        proj = np.concatenate([proj + x, proj - x])
+    geo_diam = int((proj.max(axis=1) - proj.min(axis=1)).max())
+    # every entry of the L x L distance matrix is at most the window's
+    # sum(shape - 1), so it is built in int16 whenever that fits: its
+    # temporaries move a quarter of int64's bytes
+    span = sum(region.shape) - d
+    coords = rel.astype(np.int16 if span <= np.iinfo(np.int16).max else np.int64)
+    dmat = sum(np.abs(x[:, None] - x) for x in coords)
     # path edge i lies in the ball around site j iff its farther end does
     far = np.maximum(dmat[:-1], dmat[1:])
     win_counts = {m: int((far <= m).sum(axis=0, dtype=np.int32).max()) for m in WINDOW_MS}
-    # in sequence, not sum(), which compensates from Python 3.12 on
+    # in sequence, not sum(), which compensates from Python 3.12 on; one
+    # math.log per edge, as an array log could differ in the last bit
+    cdf, log = spec.cdf, math.log
     Y = 0.0
     for t in res.field.weights[res.gint_edge_idx].tolist():
-        Y += 1.0 - math.log(spec.cdf(t))
+        Y += 1.0 - log(cdf(t))
     return {
         "g_dag_size": int(res.dag_edge_idx.size),
         "g_int_size": int(res.gint_edge_idx.size),

@@ -318,6 +318,17 @@ class PassageResult:
 # ---------------------------------------------------------------------------
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-d array, its distinct values in ascending order,
+    by one sort and a mask of the entries that differ from their
+    predecessor: several times cheaper on the path-sized edge arrays here."""
+    s = np.sort(a)
+    keep = np.empty(s.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
+
+
 def _tree_path(pred, dst: int) -> list[int]:
     """The path into dst of a shortest-path tree (scipy predecessors), source
     first; just [dst] when dst is the source or was not reached."""
@@ -568,7 +579,7 @@ def passage_time(
         field, [(src, dst)], max_grows
     )
     (tree_path, arcs), region = dags[0], field.region
-    dag = np.unique(arcs[2])
+    dag = _distinct(arcs[2])
     path = steps = member = np.empty(0, dtype=np.int64)
     if want_geometry:
         path, steps, member = _geodesics(arcs, tree_path, dists[0], dag)
@@ -799,14 +810,15 @@ def torus_passage(field: WeightField) -> PassageResult:
     for y in minimizers.tolist():
         path = _tree_path(trees[y], int(far[y]))
         arcs = _geodesic_dag(graph, wcyl, dists[y], path)
-        dags.append(np.unique(cyl.torus_edge[arcs[2]]))
+        dags.append(_distinct(cyl.torus_edge[arcs[2]]))
         raw, steps, mem = _geodesics(arcs, path, dists[y], dags[-1], cyl.torus_edge)
-        inter = mem if inter is None else np.intersect1d(inter, mem)
+        # both sorted and unique, so intersect1d skips its np.unique of each
+        inter = mem if inter is None else np.intersect1d(inter, mem, assume_unique=True)
         if sample is None:
             sample = (raw % region.n_sites(), steps)
     start = region.site_from_index(int(sample[0][0]))
     return PassageResult(
-        T_eff, start, start, weff, dists, np.unique(np.concatenate(dags)), inter,
+        T_eff, start, start, weff, dists, _distinct(np.concatenate(dags)), inter,
         *sample, field, scale, 0,
     )
 

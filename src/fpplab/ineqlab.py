@@ -145,18 +145,23 @@ def _entropy_rows(X: np.ndarray, probs) -> list[float]:
     return [math.fsum(row) if mean != 0.0 else 0.0 for mean, row in zip(means, rows)]
 
 
-def _variance_rows(X: np.ndarray) -> list[float]:
-    return _row_means((X - _per_row(_row_means(X), X)) ** 2)
+def _variance_rows(X: np.ndarray, means: Optional[Sequence[float]] = None) -> list[float]:
+    """Variance of every row of X about its ``_row_means``, or ``means``
+    when the caller has them."""
+    if means is None:
+        means = _row_means(X)
+    return _row_means((X - _per_row(means, X)) ** 2)
 
 
-def _increments(X: np.ndarray) -> list[np.ndarray]:
+def _increments(X: np.ndarray, means: Sequence[float]) -> list[np.ndarray]:
     """Doob increments Delta_1 .. Delta_k of every row of X (m, 2^k) on their
-    distinct values: one (m, 2^i) array per coordinate i, whose entry j is
-    Delta_i at every index congruent to j mod 2^i (Delta_i reads only the low
-    i bits).  E[f | coordinates 1..i] averages the high k - i bits: a reshape
-    to (m, 2^(k-i), 2^i) and a mean over axis 1."""
+    distinct values, given the rows' ``_row_means``: one (m, 2^i) array per
+    coordinate i, whose entry j is Delta_i at every index congruent to j mod
+    2^i (Delta_i reads only the low i bits).  E[f | coordinates 1..i]
+    averages the high k - i bits: a reshape to (m, 2^(k-i), 2^i) and a mean
+    over axis 1."""
     m, n = X.shape
-    prev = _per_row(_row_means(X), X)
+    prev = _per_row(means, X)
     out = []
     for i in range(1, n.bit_length()):
         cur = X.reshape(m, n >> i, 1 << i).mean(axis=1)
@@ -297,8 +302,11 @@ def falik_samorodnitsky_check(f: HypercubeFunction) -> CheckResult:
 
 def _falik_samorodnitsky_rows(X: np.ndarray) -> list[CheckResult]:
     # moments[r] holds (E|d|, E d^2, Ent(d^2)) of each increment d of row r
-    moments = _abs_moments(_increments(X))
-    return [_falik_samorodnitsky(var, m) for var, m in zip(_variance_rows(X), moments)]
+    # one fsum mean per row serves the increments and the variance
+    means = _row_means(X)
+    moments = _abs_moments(_increments(X, means))
+    variances = _variance_rows(X, means)
+    return [_falik_samorodnitsky(var, m) for var, m in zip(variances, moments)]
 
 
 def _falik_samorodnitsky(var: float, moments) -> CheckResult:
@@ -352,16 +360,16 @@ def _tensorization_rows(X: np.ndarray) -> list[CheckResult]:
         raise ValueError("tensorization requires nonnegative f")
     m, n = X.shape
     per_coordinate = []
-    for i in range(1, n.bit_length()):
-        # x0, x1: the rows with coordinate i set to 0 and to 1
-        halves = X.reshape(m, n >> i, 2, 1 << (i - 1))
-        x0 = halves[:, :, 0].reshape(m, -1)
-        x1 = halves[:, :, 1].reshape(m, -1)
-        mid = 0.5 * (x0 + x1)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(1, n.bit_length()):
+            # x0, x1: the rows with coordinate i set to 0 and to 1
+            halves = X.reshape(m, n >> i, 2, 1 << (i - 1))
+            x0 = halves[:, :, 0].reshape(m, -1)
+            x1 = halves[:, :, 1].reshape(m, -1)
+            mid = 0.5 * (x0 + x1)
             e0 = np.where(x0 > 0, x0 * np.log(x0 / mid), 0.0)
             e1 = np.where(x1 > 0, x1 * np.log(x1 / mid), 0.0)
-        per_coordinate.append(_row_means(np.where(mid > 0, 0.5 * (e0 + e1), 0.0)))
+            per_coordinate.append(_row_means(np.where(mid > 0, 0.5 * (e0 + e1), 0.0)))
     out = []
     for lhs, ents in zip(_entropy_rows(X, 1.0 / n), zip(*per_coordinate)):
         total = 0.0
@@ -655,7 +663,8 @@ def _random_tables(rng, m: int, k_max=6, nonneg=False, trials=0) -> tuple[bytes,
         buf[np.repeat(np.maximum.reduceat(buf, starts) == 0.0, sizes)] += 1.0
         draws = rng.normal(0, 1, size=trials * buf.size)
     groups = []
-    for k in np.unique(ks).tolist():
+    # each drawn k once, without np.unique, which costs several times more
+    for k in np.flatnonzero(np.bincount(ks)).tolist():
         positions = np.flatnonzero(ks == k)
         first = starts[positions, None]
         args = (buf[first + np.arange(1 << k)],)

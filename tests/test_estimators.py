@@ -420,6 +420,28 @@ class TestInfluence:
         assert inf[6].axis_pvalues == {0: 1.0, 1: 1.0}
 
 
+def reference_geometry_stats(res, spec):
+    """``_geometry_stats`` by its earlier formulas: absolute int64 coordinates,
+    the diameter as the largest entry of the int64 L x L distance matrix."""
+    region = res.window
+    coords = np.stack(np.unravel_index(res.path_idx, region.shape), axis=1) + region.lo
+    L, d = coords.shape
+    dmat = sum(np.abs(x[:, None] - x[None, :]) for x in coords.T)
+    far = np.maximum(dmat[:-1], dmat[1:])
+    Y = 0.0
+    for t in res.field.weights[res.gint_edge_idx].tolist():
+        Y += 1.0 - math.log(spec.cdf(t))
+    return {
+        "g_dag_size": int(res.dag_edge_idx.size),
+        "g_int_size": int(res.gint_edge_idx.size),
+        "geo_len": L - 1,
+        "geo_diam": int(dmat.max()),
+        "transverse_dev": int(np.abs(coords[:, 1:]).max()) if d > 1 else 0,
+        "Y_n": Y,
+        "win_counts": {m: int((far <= m).sum(axis=0, dtype=np.int32).max()) for m in WINDOW_MS},
+    }
+
+
 class TestGeometryStats:
     @pytest.mark.parametrize(
         "cfg",
@@ -511,6 +533,41 @@ class TestGeometryStats:
                 for m in WINDOW_MS
             },
         }
+
+    @pytest.mark.parametrize("law", ["uniform:0,1", "bernoulli:0,1,0.3"])
+    @pytest.mark.parametrize("d, n", [(2, 24), (3, 10), (4, 6)])
+    def test_passages_match_int64_formulas(self, law, d, n):
+        # the int16 distance matrix and the projected diameter on real
+        # geodesics, against the int64 pairwise matrix; the atom at 0 is
+        # supercritical for d >= 3, so the field skips the law check and
+        # the window does not grow
+        spec = parse_spec(law)
+        window = point_window(n, d, window_halfwidth(n, 0, 1.25))
+        for seed in range(4):
+            field = sample_field(spec, window, mix64(d, seed), for_fpp=False)
+            res = passage_time(field, (0,) * d, (n,) + (0,) * (d - 1), max_grows=0)
+            assert _geometry_stats(res, spec) == reference_geometry_stats(res, spec)
+
+    @pytest.mark.parametrize("span", [32767, 32769, 65540])
+    def test_wide_window_matches_int64_formulas(self, span):
+        # a window whose sum(shape - 1) is at, or past, int16's largest
+        # value, and a path whose last edge is span - 1 and span from its
+        # first site: in int16 those two distances would wrap to values a
+        # ball of radius m holds
+        lo = (-5, -1)
+        box = Box(lo, (span - 7, 1))
+        rel = [(0, 0), (1, 0), (1, 1), (span - 3, 1), (span - 2, 1), (span - 2, 2)]
+        path = [(x + lo[0], y + lo[1]) for x, y in rel]
+        res = SimpleNamespace(
+            path_idx=np.array([box.site_index(s) for s in path], dtype=np.int64),
+            window=box, field=SimpleNamespace(weights=np.linspace(0.1, 0.9, 5)),
+            gint_edge_idx=np.array([0, 3, 4], dtype=np.int64), dag_edge_idx=np.arange(6),
+        )
+        spec = Uniform(0, 1)
+        got = _geometry_stats(res, spec)
+        assert got == reference_geometry_stats(res, spec)
+        assert got["geo_diam"] == span
+        assert got["win_counts"] == {2: 2, 4: 2, 8: 2}
 
 
 class TestAnimalWeights:

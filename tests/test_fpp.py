@@ -359,6 +359,28 @@ class TestLatticeGraph:
                 assert np.isinf(got[full > L]).all()
 
 
+class TestDistinct:
+    @pytest.mark.parametrize(
+        "values",
+        [[], [7], [3] * 9, [-2, 5, -2, 0, 5, 5, 2**40]],
+        ids=["empty", "one", "all_equal", "mixed"],
+    )
+    def test_equals_np_unique(self, values):
+        a = np.array(values, dtype=np.int64)
+        got = fpp._distinct(a)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.unique(a))
+
+    @pytest.mark.parametrize("size", [2, 50, 400, 5000])
+    def test_equals_np_unique_random(self, size):
+        rng = np.random.default_rng(size)
+        for high in (3, size, 2**62):
+            a = rng.integers(-high, high, size=size, dtype=np.int64)
+            got = fpp._distinct(a)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, np.unique(a))
+
+
 class TestIntersection:
     @pytest.mark.parametrize(
         "spec,region,dst",

@@ -37,7 +37,8 @@ def uniform_probs(k):
 def tiled_increments(X):
     """The increments of the rows of X (m, 2^k), each tiled back from its
     distinct values to all 2^k points."""
-    return [np.tile(d, X.shape[1] // d.shape[1]) for d in ineqlab._increments(X)]
+    increments = ineqlab._increments(X, ineqlab._row_means(X))
+    return [np.tile(d, X.shape[1] // d.shape[1]) for d in increments]
 
 
 BOX4 = Box((0, 0), (1, 1))  # 2x2 sites
@@ -1081,7 +1082,7 @@ def test_distinct_value_kernels_equal_their_expanded_forms(X):
         conditional.append(np.tile(X.reshape(m, n >> i, 1 << i).mean(axis=1), n >> i))
     expanded = [conditional[i] - conditional[i - 1] for i in range(1, k + 1)]
     assert all(np.array_equal(t, e) for t, e in zip(tiled_increments(X), expanded, strict=True))
-    increments = ineqlab._increments(X)
+    increments = ineqlab._increments(X, ineqlab._row_means(X))
     assert [d.shape for d in increments] == [(m, 2**i) for i in range(1, k + 1)]
     moments = ineqlab._abs_moments(increments)
     fs = ineqlab._falik_samorodnitsky_rows(X)
