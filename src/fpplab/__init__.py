@@ -16,10 +16,8 @@ from .weights import (
 )
 from .fpp import (
     AveragedPassage,
-    CriticalityValue,
     PassageResult,
     averaged_passage,
-    edge_criticality,
     passage_time,
     single_edge_update,
     torus_passage,
@@ -45,10 +43,8 @@ __all__ = [
     "parse_spec",
     "sample_field",
     "AveragedPassage",
-    "CriticalityValue",
     "PassageResult",
     "averaged_passage",
-    "edge_criticality",
     "passage_time",
     "single_edge_update",
     "torus_passage",

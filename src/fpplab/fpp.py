@@ -1,5 +1,5 @@
-"""Passage times, geodesic DAGs, the intersection of all geodesics, edge
-criticality, torus winding geodesics, and the averaged passage time.
+"""Passage times, geodesic DAGs, the intersection of all geodesics, the
+single-edge law, torus winding geodesics, and the averaged passage time.
 
 Arithmetic policy
 -----------------
@@ -175,13 +175,6 @@ def _effective_weights(field: WeightField) -> tuple[np.ndarray, Optional[float]]
 
 
 @dataclass
-class CriticalityValue:
-    """Largest weight at which the edge still lies on some geodesic."""
-
-    D: float
-
-
-@dataclass
 class PassageResult:
     """Passage time with distance fields and geodesic structure.
 
@@ -196,8 +189,9 @@ class PassageResult:
     it cannot attain T.
     A Box result's ``src_tree`` is the predecessor row (scipy's) of the
     search behind ``d_src_eff``; its ``d_dst`` (and ``d_dst_eff``) comes on
-    first read from one search from ``dst``, and ``T_without_eff`` (T with
-    each edge deleted) on first read from those rows and that tree.
+    first read from one search from ``dst``, and ``edge_law`` (T as a
+    function of each edge's weight) on first read from those rows and that
+    tree.
     ``dag_edge_idx`` and ``gint_edge_idx`` hold sorted region edge indices.
     The sample geodesic is stored as indices too: ``path_idx`` its region
     site indices, ``path_edge_idx`` the region edge of each step, in path
@@ -265,18 +259,27 @@ class PassageResult:
         return self._time(self.d_dst_eff)
 
     @cached_property
-    def T_without_eff(self) -> np.ndarray:
-        """T with each edge deleted, in scaled units (inf for a bridge): T
-        itself off the intersection, where a geodesic avoids the edge, and on
-        it one exact replacement-path pass along the sample path p_0 = src,
-        ..., p_m = dst.
+    def edge_law(self) -> tuple[np.ndarray, np.ndarray]:
+        """(C, a) per region edge e = {u, v}, in scaled units: T as a function
+        of e's weight s alone is T(s) = min(C[e], a[e] + s).  C is T with e
+        deleted (inf for a bridge) and a = min(d_src[u] + d_dst[v], d_src[v]
+        + d_dst[u]) is the cheapest approach through e, exactly, although the
+        intact rows may route through e: a row that does adds a term such as
+        d_src[v] + w + s + d_dst[v], a walk that avoids e or uses it twice,
+        which costs at least C or the other orientation's term.  Edge
+        criticality, the largest weight at which e still lies on some
+        geodesic, is D = C - min(C, a) in time units.  Needs a Box result
+        with geometry, and reads ``d_dst`` (one search on first read).
 
-        Give each p_i the parent p_(i-1) in the source's shortest-path tree
-        (it stays tight and acyclic) and let label(x) be the index of the
-        first path site on x's tree path, found by pointer doubling.  T
-        without e_i = {p_i, p_(i+1)} is the least d_src[x] + w + d_dst[y] over
-        the arcs x -> y off the path with label(x) <= i < label(y); no step
-        compares distances, so ties and zero weights need no case.
+        C is T itself off the intersection, where a geodesic avoids the
+        edge, and on it one exact replacement-path pass along the sample
+        path p_0 = src, ..., p_m = dst.  Give each p_i the parent p_(i-1) in
+        the source's shortest-path tree (it stays tight and acyclic) and let
+        label(x) be the index of the first path site on x's tree path, found
+        by pointer doubling.  C at e_i = {p_i, p_(i+1)} is the least
+        d_src[x] + w + d_dst[y] over the arcs x -> y off the path with
+        label(x) <= i < label(y); no step compares distances, so ties and
+        zero weights need no case.
         - A route avoiding e_i goes from label 0 to label m, so it uses such
           an arc (the only such path arc is e_i) and costs at least its term.
         - For label(x) <= i the tree path to x avoids e_i and costs d_src[x].
@@ -288,11 +291,13 @@ class PassageResult:
         source side is exact; the rest differs from a search by rounding.
         """
         _require_box_geometry(self)
-        out = np.full(self.weff.size, self.T_eff)
+        graph, d_src, d_dst = _graph(self.window), self.d_src_eff, self.d_dst_eff
+        t, h = graph.tails, graph.heads
+        a = np.minimum(d_src[t] + d_dst[h], d_src[h] + d_dst[t])
+        C = np.full(self.weff.size, self.T_eff)
         if not self.gint_edge_idx.size:
-            return out
-        graph, parent, gint = _graph(self.window), self.src_tree, self.gint_edge_idx
-        path = self.path_idx
+            return C, a
+        parent, gint, path = self.src_tree, self.gint_edge_idx, self.path_idx
         label = np.full(parent.size, -1)
         label[path] = np.arange(path.size)
         on_path = label >= 0
@@ -302,15 +307,14 @@ class PassageResult:
             up = nxt
         label = label[up]
         # an edge can cross only from its lower-labelled end; path arcs never count
-        t, h = graph.tails, graph.heads
         x, y = np.where(label[t] <= label[h], t, h), np.where(label[t] <= label[h], h, t)
         path_arc = on_path[x] & on_path[y] & (label[y] - label[x] == 1)
         cross = np.flatnonzero((label[x] >= 0) & (label[x] < label[y]) & ~path_arc)
         x, y = x[cross], y[cross]
-        terms = self.d_src_eff[x] + self.weff[cross] + self.d_dst_eff[y]
+        terms = d_src[x] + self.weff[cross] + d_dst[y]
         cover = _cover_min(label[x], label[y], terms, path.size - 1)
-        out[gint] = cover[np.minimum(label[t[gint]], label[h[gint]])]
-        return out
+        C[gint] = cover[np.minimum(label[t[gint]], label[h[gint]])]
+        return C, a
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +618,7 @@ def edge_removal_oracle(field: WeightField, src: Site, dst: Site) -> set[int]:
 
 
 # ---------------------------------------------------------------------------
-# Single-edge update and criticality
+# Single-edge law
 # ---------------------------------------------------------------------------
 
 
@@ -645,16 +649,12 @@ def single_edge_update(result: PassageResult, edge_idx, new_t):
 
     ``edge_idx`` and ``new_t`` may be arrays, each entry changing its edge
     alone; the answer has their broadcast shape (a float for scalars).  For
-    e = {u, v} set to t', with T_-e = ``result.T_without_eff[e]``,
-
-        T'(t') = min(T_-e, d_src[u] + t' + d_dst[v], d_src[v] + t' + d_dst[u]),
-
-    exactly, although the intact rows may route through e: a row that does
-    adds a term such as d_src[v] + w + t' + d_dst[v], a walk that avoids e or
-    uses it twice, which costs at least T_-e or the other orientation's term.
+    edge e set to t' it is min(C[e], a[e] + t') under ``result.edge_law``.
     The law runs in scaled units; a value off the integer grid enters
-    unrounded.  An edge index outside [0, E) or a negative or NaN weight
-    raises ValueError.
+    unrounded.  Integer mode is exact on the grid; in float mode a[e] + t'
+    can differ by an ulp from the left-to-right sum d_src[u] + t' + d_dst[v]
+    of the same path.  An edge index outside [0, E) or a negative or NaN
+    weight raises ValueError.
     """
     edges, E = np.asarray(edge_idx), result.weff.size
     if edges.dtype.kind not in "iu" or np.any((edges < 0) | (edges >= E)):
@@ -665,26 +665,9 @@ def single_edge_update(result: PassageResult, edge_idx, new_t):
     if result.scale:
         t = t * result.scale
         t = np.where(np.abs(t - np.rint(t)) <= 1e-6, np.rint(t), t)
-    without, graph = result.T_without_eff[edges], _graph(result.window)
-    u, v, d_src, d_dst = graph.tails[edges], graph.heads[edges], result.d_src_eff, result.d_dst_eff
-    through = np.minimum(d_src[u] + t + d_dst[v], d_src[v] + t + d_dst[u])
-    T_new = result._time(np.minimum(without, through))
+    C, a = result.edge_law
+    T_new = result._time(np.minimum(C[edges], a[edges] + t))
     return float(T_new) if T_new.ndim == 0 else T_new
-
-
-def edge_criticality(
-    field: WeightField, edge_idx: int, src: Site, dst: Site
-) -> CriticalityValue:
-    """D = T_without_e - best approach cost through e, clamped at zero.
-
-    For t < D the edge lies on every configuration's geodesic DAG, and
-    T(t') - T(t) = min(t' - t, (D - t)_+) for t' >= t.  On a finite window D
-    is the in-window detour value.  It is T_-e - T'(0) under the law of
-    :func:`single_edge_update`, after one passage on the Box field, not grown.
-    """
-    result = passage_time(field, src, dst, max_grows=0)
-    at_zero = single_edge_update(result, edge_idx, 0.0)
-    return CriticalityValue(result._time(float(result.T_without_eff[edge_idx])) - at_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -706,9 +689,8 @@ class _Cylinder(Region):
             (0,) * d, (2 * n + 1,) + (n,) * (d - 1), (False,) + (True,) * (d - 1)
         )
         self.n, self.K = n, n ** (d - 1)
-        _, tails, axes, heads = _edge_tables(self)
+        _, tails, axes, _ = _edge_tables(self)
         self.torus_edge = tails % n**d * d + axes
-        self.graph = LatticeGraph(tails, heads, self.n_sites())
 
 
 @lru_cache(maxsize=32)
@@ -786,7 +768,7 @@ def torus_passage(field: WeightField) -> PassageResult:
     n, d = region.n, region.d
     cyl = _cylinder(n, d)
     K, N = cyl.K, cyl.n_sites()
-    graph = cyl.graph
+    graph = _graph(cyl)
     weff, scale = _effective_weights(field)
     wcyl = weff[cyl.torus_edge]
     graph.load(wcyl)

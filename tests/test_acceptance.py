@@ -25,7 +25,6 @@ from fpplab.estimators import (
 )
 from fpplab.fpp import (
     brute_force_passage,
-    edge_criticality,
     edge_removal_oracle,
     passage_time,
 )
@@ -132,7 +131,9 @@ def test_criterion_03_criticality_law():
         field = sample_field(Uniform(0, 1), win, 30_000 + trial, for_fpp=False)
         e = int(rng.integers(0, win.n_edges()))
         s, t = np.sort(rng.uniform(0.0, 2.0, size=2))
-        D = edge_criticality(field, e, (0, 0), (4, 3)).D
+        res = passage_time(field, (0, 0), (4, 3), max_grows=0)
+        C, a = res.edge_law
+        D = float(res._time(C[e]) - res._time(min(C[e], a[e])))
         Ts = passage_time(
             field.with_weight(e, float(s)), (0, 0), (4, 3),
             max_grows=0, want_geometry=False,

@@ -16,7 +16,6 @@ from fpplab.estimators import efron_stein_bound
 from fpplab.fpp import (
     averaged_passage,
     brute_force_passage,
-    edge_criticality,
     edge_removal_oracle,
     passage_time,
     single_edge_update,
@@ -68,8 +67,16 @@ def searched_graph(field):
     weff, _ = fpp._effective_weights(field)
     if isinstance(field.region, Torus):
         cyl = fpp._cylinder(field.region.n, field.region.d)
-        return cyl.graph, weff[cyl.torus_edge], cyl.site_from_index
+        return fpp._graph(cyl), weff[cyl.torus_edge], cyl.site_from_index
     return fpp._graph(field.region), weff, field.region.site_from_index
+
+
+def criticality(field, e, src, dst):
+    """D = C - min(C, a) of edge e under the single-edge law, in time units,
+    after one passage on the Box field, not grown."""
+    res = passage_time(field, src, dst, max_grows=0)
+    C, a = res.edge_law
+    return float(res._time(C[e]) - res._time(min(C[e], a[e])))
 
 
 def reference_dag(graph, weff, d_src, dst):
@@ -512,7 +519,7 @@ class TestCriticality:
         win = point_window(5, 2, 3)
         field = unit_field(win)
         e = win.edge_index(EdgeId((0, 0), 0))
-        D = edge_criticality(field, e, (0, 0), (5, 0)).D
+        D = criticality(field, e, (0, 0), (5, 0))
         Ts = {}
         for t in [0.0, 1.0, 2.0, 2.5, 3.0, 3.5, 4.0, 8.0]:
             f2 = WeightField(win, field.weights.copy(), 0, None).with_weight(e, t)
@@ -530,17 +537,8 @@ class TestCriticality:
         # make the top row useless even for free
         field = WeightField(box, w, 0, None)
         e_top = box.edge_index(EdgeId((0, 1), 0))
-        D = edge_criticality(field, e_top, (0, 0), (2, 0)).D
+        D = criticality(field, e_top, (0, 0), (2, 0))
         assert D == 0.0
-
-    def test_rejects_edge_outside_window_and_torus_field(self):
-        field = random_field(BOX33, Uniform(0, 1), 9)
-        for e in (-1, BOX33.n_edges()):
-            with pytest.raises(ValueError, match="edge index"):
-                edge_criticality(field, e, (0, 0), (2, 2))
-        torus = random_field(Torus(4, 2), Bernoulli(1, 2, 0.5), 9)
-        with pytest.raises(ValueError, match="Box"):
-            edge_criticality(torus, 0, (0, 0), (2, 0))
 
     def test_update_law_random(self):
         rng = np.random.default_rng(42)
@@ -550,7 +548,7 @@ class TestCriticality:
             field = random_field(win, Uniform(0, 1), 500 + trial)
             e = int(rng.integers(0, win.n_edges()))
             s, t = np.sort(rng.uniform(0, 2, size=2))
-            D = edge_criticality(field, e, (0, 0), (4, 3)).D
+            D = criticality(field, e, (0, 0), (4, 3))
             fs = field.with_weight(e, s)
             ft = field.with_weight(e, t)
             Ts = passage_time(fs, (0, 0), (4, 3), max_grows=0, want_geometry=False).T
@@ -606,9 +604,11 @@ class TestSingleEdgeUpdate:
         field = random_field(BOX33, Uniform(0, 1), 9)
         bare = passage_time(field, (0, 0), (2, 2), max_grows=0, want_geometry=False)
         torus = torus_passage(random_field(Torus(4, 2), Bernoulli(1, 2, 0.5), 9))
-        for res in (bare, torus):
+        for res, why in ((bare, "geometry"), (torus, "Box")):
             with pytest.raises(ValueError):
                 single_edge_update(res, 0, 0.5)
+            with pytest.raises(ValueError, match=why):
+                res.edge_law
 
     def test_off_grid_value_matches_float_recompute(self):
         # Bernoulli(1, 2, 1/2) runs in integer mode; a value off its grid
@@ -671,11 +671,12 @@ class TestSingleEdgeUpdate:
         assert out.stdout.split() == ["ValueError"] * 3
 
     def test_single_edge_answers_need_one_more_search(self, monkeypatch):
-        # the passage's search keeps its shortest-path tree; updates on
-        # several edges and an Efron-Stein bound read one more row, from a
-        # lazy search from dst alone
-        calls, rows = [], []
-        real = fpp._csgraph_dijkstra
+        # the passage's search keeps its shortest-path tree; the edge law,
+        # updates on several edges and an Efron-Stein bound read one more
+        # row, from a lazy search from dst alone, and one replacement-path
+        # pass builds the law once
+        calls, rows, covers = [], [], []
+        real, real_cover = fpp._csgraph_dijkstra, fpp._cover_min
 
         def counting(*args, **kwargs):
             calls.append(kwargs)
@@ -683,7 +684,12 @@ class TestSingleEdgeUpdate:
             rows.append(out)
             return out
 
+        def counting_cover(*args):
+            covers.append(args)
+            return real_cover(*args)
+
         monkeypatch.setattr(fpp, "_csgraph_dijkstra", counting)
+        monkeypatch.setattr(fpp, "_cover_min", counting_cover)
         spec = Uniform(0, 1)
         field = random_field(point_window(8, 2, 4), spec, 3)
         res = passage_time(field, (0, 0), (8, 0), max_grows=0)
@@ -691,11 +697,13 @@ class TestSingleEdgeUpdate:
         dist, pred = rows[0]
         assert dist[0].tobytes() == res.d_src_eff.tobytes()
         assert pred[0].tobytes() == res.src_tree.tobytes()
+        assert res.gint_edge_idx.size and res.edge_law is res.edge_law
         for e in [*res.gint_edge_idx[:3].tolist(), 0, 7]:
             single_edge_update(res, e, 0.25)
             single_edge_update(res, e, 3.0)
         efron_stein_bound(res, resample_count=4)
         assert len(calls) == 2 and not calls[1]["return_predecessors"]
+        assert len(covers) == 1
         assert calls[1]["indices"] == [res.window.site_index((8, 0))]
         assert rows[1].shape == (1, res.window.n_sites())
         assert rows[1][0].tobytes() == res.d_dst_eff.tobytes()
@@ -741,7 +749,7 @@ class TestReplacementPaths:
         for seed in range(12):
             field = random_field(region, parse_spec(law), seed)
             res = passage_time(field, (0, 0), dst, max_grows=0)
-            without = res.T_without_eff
+            without = res.edge_law[0]
             off = np.ones(region.n_edges(), dtype=bool)
             off[res.gint_edge_idx] = False
             assert np.all(without[off] == res.T_eff)
@@ -755,6 +763,29 @@ class TestReplacementPaths:
                     assert without[e] == pytest.approx(want, abs=1e-12)
                 checked += 1
         assert checked > 0
+
+    @pytest.mark.parametrize("region,dst", REPLACEMENT_CASES)
+    @pytest.mark.parametrize("law", BOUNDED_LAWS)
+    def test_update_law_matches_recompute(self, law, region, dst):
+        # on every intersection edge and a few off it: exact at each atom in
+        # integer mode, to 1e-12 off the grid and under a continuous law
+        spec, rng = parse_spec(law), np.random.default_rng(17)
+        for seed in range(12):
+            field = random_field(region, spec, seed)
+            res = passage_time(field, (0, 0), dst, max_grows=0)
+            off = np.setdiff1d(np.arange(region.n_edges()), res.gint_edge_idx)
+            atoms = [float(v) for v, _ in spec.atoms()] if res.scale else []
+            for e in [*res.gint_edge_idx.tolist(), *rng.choice(off, 3, replace=False).tolist()]:
+                for t in [*atoms, *rng.uniform(0, 3, 2).tolist()]:
+                    want = passage_time(
+                        field.with_weight(e, t), (0, 0), dst,
+                        max_grows=0, want_geometry=False,
+                    ).T
+                    got = single_edge_update(res, e, t)
+                    if t in atoms:
+                        assert got == want
+                    else:
+                        assert got == pytest.approx(want, abs=1e-12)
 
 
 GROWTH_LAWS = st.sampled_from(["uniform:0,1", "bernoulli:0,1,0.3"])

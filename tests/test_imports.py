@@ -37,3 +37,13 @@ def test_import_does_not_load_scipy_special(module):
     mods = _loaded_modules(f"import {module}")
     assert module in mods
     assert [m for m in mods if m == "scipy.special" or m.startswith("scipy.special.")] == []
+
+
+def test_star_import_resolves_every_public_name():
+    # a name deleted from the package but left in __all__ fails here
+    mods = _loaded_modules(
+        "from fpplab import *\nimport fpplab\n"
+        "missing = [n for n in fpplab.__all__ if n not in globals()]\n"
+        "assert not missing, missing"
+    )
+    assert "fpplab" in mods
