@@ -1,7 +1,7 @@
 """Monte Carlo sweep engine and statistical reductions: variance summaries
 with bootstrap confidence intervals, fluctuation-exponent fits, sublinearity
-profiles, empirical Efron-Stein bounds, per-edge influence maps on the torus,
-geodesic geometry statistics and geodesic weight sums.
+profiles, exact per-field Efron-Stein sums, per-edge influence maps on the
+torus, geodesic geometry statistics and geodesic weight sums.
 
 Replica r of a sweep with master seed s draws its field from mix64(s, r), so
 record streams are bit-identical for identical configurations regardless of
@@ -24,7 +24,6 @@ from .fpp import (
     PassageResult,
     averaged_passage,
     passage_time,
-    single_edge_update,
     torus_passage,
 )
 from .lattice import Torus, point_window, window_halfwidth
@@ -33,7 +32,6 @@ from .weights import (
     DistributionSpec,
     mix64,
     sample_field,
-    sample_weights,
     validate_for_fpp,
 )
 
@@ -369,29 +367,24 @@ def sublinearity_profile(
 # ---------------------------------------------------------------------------
 
 
-def efron_stein_bound(
-    result: PassageResult, resample_count: int = 1, seed: int = 0
-) -> tuple[float, float]:
-    """(Monte Carlo estimate of the resampling bound, analytic relaxation).
+def efron_stein_bound(result: PassageResult) -> tuple[float, float]:
+    """(Exact Efron-Stein sum, analytic relaxation) of one passage.
 
-    The estimate is (1/2) sum_e avg_k (T - T with edge e resampled)^2 over
-    the edges of ``result.field``, the window after any growth.  Resample k
-    redraws every edge from the field's law with seed mix64(seed, k); one
-    vectorized :func:`single_edge_update` answers all its edges, with no
-    search.  The relaxation is E[(t'_e)^2] #G_n.  Needs a Box result with
-    geometry whose field has a law.
+    The sum is sum_e Var_e T over the edges of ``result.field``, the window
+    after any growth, with Var_e the variance over edge e's weight s alone.
+    Under ``result.edge_law`` T = a + min(s, x) with x = C - a, so Var_e T
+    is Var min(s, x) from the law's clipped moments, and 0 where x <= 0.
+    Its mean over fields is the Efron-Stein bound on Var T.  The relaxation
+    is E[(t'_e)^2] #G_n.  Needs a Box result with geometry whose field has a
+    law.
     """
     spec = result.field.spec
     if spec is None:
         raise ValueError("efron_stein_bound needs a field drawn from a law (spec)")
-    if resample_count < 1:
-        raise ValueError(f"resample_count must be at least 1, got {resample_count}")
-    E = result.field.region.n_edges()
-    total = 0.0
-    for k in range(resample_count):
-        T_new = single_edge_update(result, np.arange(E), sample_weights(spec, mix64(seed, k), E))
-        total += float(np.sum((result.T - T_new) ** 2))
-    return 0.5 * total / resample_count, spec.second_moment() * float(result.gint_edge_idx.size)
+    C, a = result.edge_law
+    x = result._time(C - a)
+    m1, m2 = spec.clipped_moments(x[x > 0])
+    return float(np.sum(m2 - m1 * m1)), spec.second_moment() * float(result.gint_edge_idx.size)
 
 
 # ---------------------------------------------------------------------------

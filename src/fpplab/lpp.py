@@ -122,7 +122,7 @@ def sample_grid(n: int, seed: int, spec: Optional[DistributionSpec] = None) -> L
     if spec is None:
         spec = default_spec()
     keys = _layout(n).keys
-    return LppGrid._from_diagonals(n, sample_weights(spec, seed, keys.size, keys), spec)
+    return LppGrid._from_diagonals(n, sample_weights(spec, seed, keys), spec)
 
 
 def last_passage_value(grid: LppGrid) -> float:

@@ -34,9 +34,8 @@ There is one sampling walk.  It takes its counters as premultiplied keys
 draws, so the hash, uniform and inverse-CDF temporaries stay in cache; a
 block adds the seed term to a slice of the keys, one add per draw.  Draw
 ``j`` depends only on ``(seed, key j)``, so the block size never shows in
-the output.  A caller without keys (:func:`sample_weights` by count) gets
-the dense counters 0, 1, 2, ...; a field gets its region's keys;
-:mod:`fpplab.lpp` passes its grid's counters in anti-diagonal order.
+the output.  Every caller passes keys: a field its region's keys, and
+:mod:`fpplab.lpp` its grid's counters in anti-diagonal order.
 Every ``inv_cdf_array`` must return exactly ``inv_cdf`` of each input, bit for
 bit; the array form is only a faster way to the same numbers.
 
@@ -44,6 +43,11 @@ The two-point law (:class:`Bernoulli`) and the tabulated one
 (:class:`TableCDF`) share one finite-atom implementation: each only states
 its table of values and cumulative masses, from which every scalar of the law
 (moments, support infimum, atom at zero, integer scale) is derived once.
+
+Every law states its clipped moments (E min(s, x), E min(s, x)^2) at x >= 0,
+x = inf included (:meth:`DistributionSpec.clipped_moments`); the second
+moment is their value at inf.  A passage time as a function of one edge's
+weight s is a + min(s, x), so these give its variance over that weight.
 """
 
 from __future__ import annotations
@@ -80,7 +84,7 @@ def mix64(a: int, b: int) -> int:
 
 
 def counter_keys(counters: np.ndarray) -> np.ndarray:
-    """Keys ``c * C2 mod 2^64`` of counters ``c``, for ``sample_weights(keys=...)``."""
+    """Keys ``c * C2 mod 2^64`` of counters ``c``, for :func:`sample_weights`."""
     return np.multiply(counters, np.uint64(_C2), dtype=np.uint64, casting="unsafe")
 
 
@@ -115,11 +119,6 @@ def edge_key(base: Sequence[int], axis: int) -> int:
             raise ValueError(f"coordinate {x} outside the key range [-{h}, {h})")
         key = (key << b) | (x + h)
     return (key << a) | axis
-
-
-def _dense_keys(count: int) -> np.ndarray:
-    """Premultiplied keys of the counters 0, 1, ..., count - 1."""
-    return counter_keys(np.arange(count, dtype=np.uint64))
 
 
 @lru_cache(maxsize=32)
@@ -166,8 +165,13 @@ class DistributionSpec:
     def inv_cdf_array(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def second_moment(self) -> float:
+    def clipped_moments(self, x):
+        """(E min(s, x), E min(s, x)^2) for s of this law, elementwise over
+        x >= 0, which may be inf (where they are E s and E s^2)."""
         raise NotImplementedError
+
+    def second_moment(self) -> float:
+        return float(self.clipped_moments(np.inf)[1])
 
     def support_inf(self) -> float:
         raise NotImplementedError
@@ -211,8 +215,7 @@ class _Atomic(DistributionSpec):
         self._xs = np.array(self._xs_list)
         # F(x_i) < y for the last breakpoint never holds, as y < 1
         self._inner = self._Fs_list[:-1]
-        masses = np.diff(self._Fs_list, prepend=0.0)
-        self._second_moment = float(np.sum(self._xs**2 * masses))
+        masses = self._masses = np.diff(self._Fs_list, prepend=0.0)
         self._atom_at_zero = float(masses[self._xs == 0.0].sum())
         self._atoms = [(float(x), float(m)) for x, m in zip(self._xs, masses) if m > 0]
         self._support_inf = self._atoms[0][0]
@@ -233,8 +236,9 @@ class _Atomic(DistributionSpec):
         i = y > inner[0] if len(inner) == 1 else np.searchsorted(inner, y)
         return self._xs.take(i)
 
-    def second_moment(self):
-        return self._second_moment
+    def clipped_moments(self, x):
+        clipped = np.minimum(np.asarray(x, dtype=np.float64)[..., None], self._xs)
+        return clipped @ self._masses, (clipped * clipped) @ self._masses
 
     def support_inf(self):
         return self._support_inf
@@ -308,8 +312,16 @@ class Uniform(DistributionSpec):
     def inv_cdf_array(self, y):
         return self.lo + y * (self.hi - self.lo)
 
-    def second_moment(self):
-        return (self.hi**3 - self.lo**3) / (3.0 * (self.hi - self.lo))
+    def clipped_moments(self, x):
+        lo, hi = self.lo, self.hi
+        # E s minus E(s - y)+ and E s^2 minus E(s^2 - y^2)+ with y = x on
+        # the support; below it min(s, x) is x itself
+        y = np.clip(x, lo, hi)
+        gap = (hi - y) ** 2 / (hi - lo)
+        m1 = (lo + hi) / 2 - gap / 2
+        m2 = (hi**3 - lo**3) / (3.0 * (hi - lo)) - gap * (hi + 2 * y) / 3
+        below, low = np.less(x, lo), np.minimum(x, lo)
+        return np.where(below, low, m1), np.where(below, low * low, m2)
 
     def support_inf(self):
         return self.lo
@@ -339,8 +351,13 @@ class Exponential(DistributionSpec):
     def inv_cdf_array(self, y):
         return -np.log1p(-y) / self.rate
 
-    def second_moment(self):
-        return 2.0 / self.rate**2
+    def clipped_moments(self, x):
+        # E min(s, x) = (1 - e^-z) / rate and E min(s, x)^2 = 2 (1 - e^-z
+        # (1 + z)) / rate^2 with z = rate x; past z = 800, e^-z and z e^-z
+        # are 0 in binary64, as at x = inf
+        z = np.minimum(np.multiply(self.rate, x), 800.0)
+        head = -np.expm1(-z)
+        return head / self.rate, 2.0 / self.rate**2 * (head - z * np.exp(-z))
 
     def support_inf(self):
         return 0.0
@@ -425,9 +442,19 @@ class Geometric(DistributionSpec):
         k[near] = [self.inv_cdf(float(v)) for v in y[near]]
         return k
 
-    def second_moment(self):
+    def clipped_moments(self, x):
+        # E min(s, x)^k = sum_(j < m) P(s > j) ((j+1)^k - j^k) + P(s > m)
+        # (x^k - m^k) with m = floor(x) and P(s > j) = q^(j+1); the sums are
+        # E s^k less their tails from m on, each a multiple of q^m, which is
+        # 0 in binary64 past m = 800 / |log q|, as at x = inf
         q = self.q
-        return q * (1 + q) / (1 - q) ** 2
+        r = q / (1 - q)
+        x = np.minimum(x, 1 + 800 / -math.log(q))
+        m = np.floor(x)
+        qm = q**m
+        m1 = r * (1 - qm) + (x - m) * q * qm
+        m2 = q * (1 + q) / (1 - q) ** 2 * (1 - qm) - 2 * m * r * qm + (x * x - m * m) * q * qm
+        return m1, m2
 
     def support_inf(self):
         return 0.0
@@ -558,8 +585,7 @@ def sample_field(
     """
     if for_fpp:
         validate_for_fpp(spec, region.d)
-    keys = _edge_keys(region)
-    return WeightField(region, sample_weights(spec, seed, keys.size, keys), seed, spec)
+    return WeightField(region, sample_weights(spec, seed, _edge_keys(region)), seed, spec)
 
 
 # Draws per block: 2^14 draws keep the 128 KiB hash, uniform and inverse-CDF
@@ -587,19 +613,11 @@ def _uniform_blocks(seed: int, keys: np.ndarray):
         yield start, ub
 
 
-def sample_weights(
-    spec: DistributionSpec, seed: int, count: int, keys: np.ndarray | None = None
-) -> np.ndarray:
-    """``count`` i.i.d. float64 draws from spec; draw i inverts the uniform from mix64(seed, i).
-
-    With ``keys`` (``count`` of them, from :func:`counter_keys`), draw i uses
-    the counter behind ``keys[i]`` in place of i.
+def sample_weights(spec: DistributionSpec, seed: int, keys: np.ndarray) -> np.ndarray:
+    """One i.i.d. float64 draw from spec per key; draw i inverts the uniform
+    from mix64(seed, c), c the counter behind ``keys[i]`` (:func:`counter_keys`).
     """
-    if keys is None:
-        keys = _dense_keys(count)
-    elif keys.size != count:
-        raise ValueError(f"{keys.size} keys for {count} draws")
-    out = np.empty(count)
+    out = np.empty(keys.size)
     for start, u in _uniform_blocks(seed, keys):
         # u = 0 has probability 2^-53 per draw; F^{-1}(0) is the support infimum
         zero = np.flatnonzero(u == 0.0)

@@ -37,6 +37,7 @@ from fpplab.weights import (
     Geometric,
     TableCDF,
     Uniform,
+    counter_keys,
     sample_field,
     sample_weights,
 )
@@ -253,10 +254,11 @@ def test_criterion_10_weight_tail():
         TableCDF(((0.5, 0.25), (1.0, 0.75), (2.5, 1.0))),
     ]
     n = 10**5
+    dense_keys = counter_keys(np.arange(n, dtype=np.uint64))
     ok = True
     worst = -math.inf
     for k, spec in enumerate(specs):
-        u = np.maximum(sample_weights(Uniform(0, 1), 50_000 + k, n), 2.0**-53)
+        u = np.maximum(sample_weights(Uniform(0, 1), 50_000 + k, dense_keys), 2.0**-53)
         t = np.atleast_1d(spec.inv_cdf_array(u))
         F = np.array([spec.cdf(float(v)) for v in t])
         w = 1.0 - np.log(F)

@@ -27,9 +27,18 @@ from fpplab.estimators import (
 )
 from fpplab.fpp import _grow_box, averaged_passage, passage_time, brute_force_passage, torus_passage
 from fpplab.lattice import Box, Torus, point_window, window_halfwidth
+from fpplab.ineqlab import fpp_exhaustive_check
 from fpplab.weights import (
-    Bernoulli, TableCDF, Uniform, WeightField, mix64, parse_spec, sample_field, sample_weights,
+    Bernoulli, Exponential, Geometric, TableCDF, Uniform, WeightField, mix64, parse_spec,
+    sample_field,
 )
+
+# the bounded laws of the single-edge-law tests, and a geometric law, whose
+# atoms have no largest
+ES_LAWS = [
+    "uniform:0,1", "exponential:1", "bernoulli:1,2,0.5", "bernoulli:0,1,0.3", "bernoulli:0,1,0.7",
+    "geometric:0.7",
+]
 
 
 def unit_config(**kw):
@@ -247,7 +256,7 @@ class TestEfronStein:
         win = point_window(4, 2, 2)
         field = sample_field(TableCDF.point_mass(1.0), win, 0)
         res = passage_time(field, (0, 0), (4, 0), max_grows=0)
-        est, analytic = efron_stein_bound(res, resample_count=2, seed=3)
+        est, analytic = efron_stein_bound(res)
         assert est == 0.0
         assert analytic == res.gint_edge_idx.size  # second moment is 1
 
@@ -269,54 +278,73 @@ class TestEfronStein:
         with pytest.raises(ValueError, match="law"):
             efron_stein_bound(res)
 
-    @pytest.mark.parametrize("law", ["uniform:0,1", "bernoulli:1,2,0.5", "bernoulli:0,1,0.3"])
+    @pytest.mark.parametrize("law", ES_LAWS)
     def test_matches_per_edge_recompute(self, law):
-        # the vectorized single-edge law against one full search per edge and
-        # resample, on the same redrawn weights
-        spec, box = parse_spec(law), Box((0, 0), (3, 2))
-        for seed in range(5):
+        # each edge's Var_e T, from the law's clipped moments at x = C - a,
+        # against one full search per value of the edge's weight: the atoms
+        # or the first 120 values of a geometric law (mass 2e-19 left), to
+        # 1e-12; for a continuous law the quantiles at the midpoints of 1,000
+        # equal-mass cells, a midpoint rule whose error is about 1e-5
+        spec = parse_spec(law)
+        continuous = isinstance(spec, (Uniform, Exponential))
+        box = Box((0, 0), (2, 1)) if continuous else Box((0, 0), (3, 2))
+        if continuous:
+            values, probs = spec.inv_cdf_array((np.arange(1000) + 0.5) / 1000), np.full(1000, 1e-3)
+        elif isinstance(spec, Geometric):
+            values = np.arange(120.0)
+            probs = (1 - spec.q) * spec.q**values
+        else:
+            values, probs = map(np.array, zip(*spec.atoms()))
+        for seed in range(1 if continuous else 3):
             field = sample_field(spec, box, seed, for_fpp=False)
-            res = passage_time(field, (0, 0), (3, 2), max_grows=0)
+            res = passage_time(field, (0, 0), box.hi, max_grows=0)
+            C, a = res.edge_law
+            x = res._time(C - a)
             total = 0.0
-            for k in range(2):
-                redrawn = sample_weights(spec, mix64(seed + 7, k), box.n_edges())
-                for e, t in enumerate(redrawn):
-                    f = field.with_weight(e, t)
-                    T = passage_time(f, (0, 0), (3, 2), max_grows=0, want_geometry=False).T
-                    total += (res.T - T) ** 2
-            est, _ = efron_stein_bound(res, resample_count=2, seed=seed + 7)
-            assert est == pytest.approx(0.25 * total, rel=1e-12, abs=1e-12)
+            for e in range(box.n_edges()):
+                T = np.array([
+                    passage_time(field.with_weight(e, t), (0, 0), box.hi, max_grows=0,
+                                 want_geometry=False).T
+                    for t in values
+                ])
+                want = math.fsum(probs * (T - math.fsum(probs * T)) ** 2)
+                m1, m2 = spec.clipped_moments(max(x[e], 0.0))
+                got = m2 - m1 * m1 if x[e] > 0 else 0.0
+                tol = dict(rel=1e-4, abs=1e-6) if continuous else dict(rel=1e-12, abs=1e-12)
+                assert got == pytest.approx(want, **tol), (seed, e)
+                total += got
+            assert efron_stein_bound(res)[0] == pytest.approx(total, rel=1e-12, abs=1e-15)
 
-    @pytest.mark.parametrize("count", [0, -3])
-    def test_needs_a_resample(self, count):
-        field = sample_field(Uniform(0, 1), point_window(4, 2, 2), 0)
-        res = passage_time(field, (0, 0), (4, 0), max_grows=0)
-        with pytest.raises(ValueError, match="resample_count"):
-            efron_stein_bound(res, resample_count=count)
+    @pytest.mark.parametrize("law, var", [
+        ("uniform:0,1", 1 / 12), ("exponential:1", 1.0), ("bernoulli:1,2,0.5", 0.25),
+        ("bernoulli:0,1,0.3", 0.21), ("bernoulli:0,1,0.7", 0.21), ("geometric:0.7", 0.7 / 0.09),
+    ])
+    def test_bridges_carry_the_whole_variance(self, law, var):
+        # on a one-site-wide box every edge is a bridge (C = inf), so T is
+        # the sum of the weights and Var_e T = Var(s) on every edge
+        box = Box((0, 0), (5, 0))
+        for seed in range(3):
+            field = sample_field(parse_spec(law), box, seed, for_fpp=False)
+            res = passage_time(field, (0, 0), (5, 0), max_grows=0)
+            assert np.all(np.isinf(res.edge_law[0]))
+            assert efron_stein_bound(res)[0] == pytest.approx(box.n_edges() * var, rel=1e-12)
 
-    def test_exhaustive_small_box_limit(self):
-        # 2x2-site box: exact bound by enumeration vs the estimator's limit
-        box = Box((0, 0), (1, 1))
-        Ts = {}
-        for mask in range(16):
-            w = np.array([2.0 if (mask >> e) & 1 else 1.0 for e in range(4)])
-            Ts[mask] = brute_force_passage(WeightField(box, w, 0, None), (0, 0), (1, 1))
-        exact = 0.0
-        for mask in range(16):
-            for e in range(4):
-                for bit in (0, 1):
-                    other = (mask & ~(1 << e)) | (bit << e)
-                    exact += (1 / 16) * 0.5 * (Ts[mask] - Ts[other]) ** 2
-        exact *= 0.5
-        spec = Bernoulli(1, 2, 0.5)
-        acc = 0.0
-        reps = 300
-        for seed in range(reps):
-            field = sample_field(spec, box, seed, for_fpp=False)
-            res = passage_time(field, (0, 0), (1, 1), max_grows=0)
-            est, _ = efron_stein_bound(res, resample_count=4, seed=seed + 999)
-            acc += est
-        assert acc / reps == pytest.approx(exact, rel=0.15)
+    @pytest.mark.parametrize("box", [Box((0, 0), (1, 1)), Box((0, 0), (2, 1)), Box((0, 0), (2, 2))],
+                             ids=["4_edges", "7_edges", "12_edges"])
+    @pytest.mark.parametrize("spec", [Bernoulli(1, 2, 0.5), Bernoulli(0.25, 1.5, 0.5)], ids=repr)
+    def test_mean_over_every_configuration_is_the_efron_stein_bound(self, box, spec):
+        # for fair bits, the mean of sum_e Var_e T over all 2^E weight
+        # configurations is (1/4) sum_e E[(T - T o flip_e)^2], the exact
+        # resampling bound that the exhaustive check enumerates
+        E = box.n_edges()
+        total = 0.0
+        for mask in range(2**E):
+            bits = (mask >> np.arange(E)) & 1
+            field = WeightField(box, np.where(bits, spec.b, spec.a), 0, spec)
+            total += efron_stein_bound(passage_time(field, (0, 0), box.hi, max_grows=0))[0]
+        rhs = fpp_exhaustive_check(box, spec, (0, 0), box.hi).es_bound
+        assert rhs > 0
+        assert total / 2**E == pytest.approx(rhs, rel=1e-12)
 
     def test_bound_exceeds_variance(self):
         win = point_window(8, 2, 4)
@@ -326,7 +354,7 @@ class TestEfronStein:
             field = sample_field(spec, win, seed)
             res = passage_time(field, (0, 0), (8, 0), max_grows=0)
             ts.append(res.T)
-            est, _ = efron_stein_bound(res, resample_count=1, seed=seed)
+            est, _ = efron_stein_bound(res)
             bounds.append(est)
         assert np.mean(bounds) >= np.var(ts, ddof=1) * 0.5
 
@@ -344,7 +372,7 @@ class TestEfronStein:
 
             field = sample_field(cfg.spec, point_window(16, 2, 8), mix64(cfg.seed, r.replica))
             res = passage_time(field, (0, 0), (16, 0))
-            est, _ = efron_stein_bound(res, resample_count=1, seed=r.replica)
+            est, _ = efron_stein_bound(res)
             ests.append(est)
         bound = summarize(ests, bootstrap=500)
         slack = 2 * (s.var_ci_half + bound.mean_ci_half)

@@ -701,7 +701,7 @@ class TestSingleEdgeUpdate:
         for e in [*res.gint_edge_idx[:3].tolist(), 0, 7]:
             single_edge_update(res, e, 0.25)
             single_edge_update(res, e, 3.0)
-        efron_stein_bound(res, resample_count=4)
+        efron_stein_bound(res)
         assert len(calls) == 2 and not calls[1]["return_predecessors"]
         assert len(covers) == 1
         assert calls[1]["indices"] == [res.window.site_index((8, 0))]

@@ -21,6 +21,7 @@ from fpplab.weights import (
     Geometric,
     TableCDF,
     Uniform,
+    counter_keys,
     parse_spec,
     sample_weights,
 )
@@ -167,7 +168,8 @@ class TestLastPassage:
         # cell (i, j) draws counter i*(n+1)+j whatever order the grid is drawn
         # in; n = 128 has 16,641 cells, past one 2^14-draw block
         grid = sample_grid(n, 31 + n, spec)
-        want = sample_weights(spec, 31 + n, (n + 1) ** 2)
+        counters = np.arange((n + 1) ** 2, dtype=np.uint64)
+        want = sample_weights(spec, 31 + n, counter_keys(counters))
         got = grid.vertex_weights
         assert got.shape == (n + 1, n + 1)
         assert got.reshape(-1).tobytes() == want.tobytes()

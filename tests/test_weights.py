@@ -25,6 +25,12 @@ from fpplab.weights import (
     validate_for_fpp,
 )
 
+def dense_keys(count):
+    """Keys of the counters 0, 1, ..., count - 1: the draws a field with a
+    dense edge index (a Torus) makes."""
+    return counter_keys(np.arange(count, dtype=np.uint64))
+
+
 ALL_SPECS = [
     Bernoulli(1.0, 2.0, 0.5),
     Uniform(0.0, 1.0),
@@ -71,7 +77,7 @@ class TestInverseCdf:
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
     def test_ks_distance(self, spec):
-        u = sample_weights(Uniform(0, 1), 99, 10**5)
+        u = sample_weights(Uniform(0, 1), 99, dense_keys(10**5))
         u = u[u > 0]
         x = np.sort(spec.inv_cdf_array(u))
         n = x.size
@@ -87,7 +93,7 @@ class TestInverseCdf:
     def test_array_matches_scalar(self, spec):
         # a stream, plus the 2000 smallest and largest uniform53 values
         tail = np.arange(1, 2001) * 2.0**-53
-        stream = sample_weights(Uniform(0, 1), 5, 4000)
+        stream = sample_weights(Uniform(0, 1), 5, dense_keys(4000))
         u = np.concatenate([np.maximum(stream, 2.0**-53), tail, 1.0 - tail])
         vec = spec.inv_cdf_array(u)
         scal = np.array([spec.inv_cdf(float(v)) for v in u])
@@ -158,7 +164,7 @@ class TestSampling:
         assert not np.array_equal(f1.weights, f3.weights)
 
     def test_uniform_mean_clt(self):
-        u = sample_weights(Uniform(0, 1), 7, 10**6)
+        u = sample_weights(Uniform(0, 1), 7, dense_keys(10**6))
         assert abs(u.mean() - 0.5) < 0.002  # 4 sigma of 1/sqrt(12 n)
 
     def test_bernoulli_fraction_clt(self):
@@ -256,18 +262,19 @@ class TestEdgeKey:
         counters = [edge_key(e.base, e.axis) for e in enumerate_edges(box)]
         assert list(field.weights) == [uniform53(mix64(5, c)) for c in counters]
         keyed = counter_keys(np.array(counters, dtype=np.uint64))
-        assert np.array_equal(field.weights, sample_weights(Uniform(0, 1), 5, len(counters), keyed))
+        assert np.array_equal(field.weights, sample_weights(Uniform(0, 1), 5, keyed))
 
     def test_torus_field_keeps_the_dense_index(self):
         field = sample_field(Uniform(0, 1), Torus(4, 2), 5)
-        assert np.array_equal(field.weights, sample_weights(Uniform(0, 1), 5, field.region.n_edges()))
+        dense = sample_weights(Uniform(0, 1), 5, dense_keys(field.region.n_edges()))
+        assert np.array_equal(field.weights, dense)
 
 
 # 3 blocks of 2^14 draws and a partial block
 _STREAM_COUNT = 3 * 2**14 + 7
 _STREAM_SEED = 20180101
-# sha256 of sample_weights(spec, _STREAM_SEED, count).tobytes(), recorded from
-# the unblocked sampler; the bytes of every field hang on these
+# sha256 of sample_weights(spec, _STREAM_SEED, dense_keys(count)).tobytes(),
+# recorded from the unblocked sampler; the bytes of every field hang on these
 _STREAM_DIGESTS = {
     ("bernoulli", 1): "3f710ac088db33363087de2b9a657541fe5447821debaa9fe5cbd538eb1a5f29",
     ("bernoulli", _STREAM_COUNT): "584cb51038f43508d7ed9d60f0e31632572055a4336ee200f44c333e0d06a938",
@@ -291,24 +298,19 @@ class TestStream:
     @pytest.mark.parametrize("a", SEEDS)
     def test_keyed_walk_matches_scalar(self, a):
         keys = counter_keys(np.array(self.COUNTERS, dtype=np.uint64))
-        w = sample_weights(Uniform(0, 1), a, len(self.COUNTERS), keys)
+        w = sample_weights(Uniform(0, 1), a, keys)
         assert list(w) == [uniform53(mix64(a, c)) for c in self.COUNTERS]
-
-    @pytest.mark.parametrize("count", [2, 4])
-    def test_key_count_must_match(self, count):
-        with pytest.raises(ValueError, match="keys for"):
-            sample_weights(Uniform(0, 1), 1, count, counter_keys(np.arange(3, dtype=np.uint64)))
 
     @pytest.mark.parametrize("a", SEEDS)
     def test_uniforms_match_scalar_across_blocks(self, a):
-        u = sample_weights(Uniform(0, 1), a, _STREAM_COUNT)
+        u = sample_weights(Uniform(0, 1), a, dense_keys(_STREAM_COUNT))
         idx = [i for i in self.COUNTERS if i < _STREAM_COUNT]
         assert [float(u[i]) for i in idx] == [uniform53(mix64(a, i)) for i in idx]
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
     @pytest.mark.parametrize("count", [0, 1, _STREAM_COUNT])
     def test_golden_weight_stream(self, spec, count):
-        w = sample_weights(spec, _STREAM_SEED, count)
+        w = sample_weights(spec, _STREAM_SEED, dense_keys(count))
         assert w.dtype == np.float64 and w.shape == (count,)
         digest = hashlib.sha256(w.tobytes()).hexdigest()
         empty = hashlib.sha256(b"").hexdigest()  # count 0
@@ -320,7 +322,7 @@ class TestLogCdfWeight:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
     def test_exponential_tail_bound(self, spec):
         n = 10**5
-        u = np.maximum(sample_weights(Uniform(0, 1), 3, n), 2.0**-53)
+        u = np.maximum(sample_weights(Uniform(0, 1), 3, dense_keys(n)), 2.0**-53)
         t = spec.inv_cdf_array(u)
         F = np.array([spec.cdf(float(v)) for v in np.atleast_1d(t)])
         w = 1.0 - np.log(F)
@@ -363,6 +365,83 @@ class TestParsing:
     def test_non_finite_parameter(self, text):
         with pytest.raises(ValueError):
             parse_spec(text)
+
+
+MOMENT_SPECS = [
+    *ALL_SPECS,
+    Bernoulli(0.0, 1.0, 0.3),
+    Uniform(0.3, 1.7),
+    Exponential(2.5),
+    Geometric(0.7),
+    Geometric(0.1),
+]
+
+
+def brute_clipped_moments(spec, x):
+    """(E min(s, x), E min(s, x)^2) by brute force: a sum over the atoms, a
+    series over k < 5000 for Geometric, and otherwise quadrature of
+    E min(s, x)^j = integral over 0 < t < x of j t^(j-1) P(s > t)."""
+    from scipy.integrate import quad
+
+    if isinstance(spec, Geometric):
+        k = np.arange(5000.0)
+        vals, probs = np.minimum(k, x), (1 - spec.q) * spec.q**k
+        return math.fsum(probs * vals), math.fsum(probs * vals**2)
+    if hasattr(spec, "atoms"):
+        vals, probs = map(np.array, zip(*spec.atoms()))
+        vals = np.minimum(vals, x)
+        return math.fsum(probs * vals), math.fsum(probs * vals**2)
+    if isinstance(spec, Uniform):
+        top, points = min(x, spec.hi), [spec.lo] if spec.lo < min(x, spec.hi) else None
+    else:
+        top, points = x, None
+    return tuple(
+        quad(lambda t: j * t ** (j - 1) * (1.0 - spec.cdf(t)), 0.0, top, points=points,
+             epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+        for j in (1, 2)
+    )
+
+
+def moment_points(spec):
+    """x = 0, two points inside the support, one past it (far in the tail
+    of an unbounded law) and inf."""
+    if isinstance(spec, Exponential):
+        past = 60.0 / spec.rate
+    elif isinstance(spec, Geometric):
+        past = 200.0
+    else:
+        past = spec.inv_cdf(1 - 2.0**-53) + 1.0
+    return [0.0, spec.inv_cdf(0.3) + 0.25, spec.inv_cdf(0.8) + 0.125, past, math.inf]
+
+
+class TestClippedMoments:
+    @pytest.mark.parametrize("spec", MOMENT_SPECS, ids=repr)
+    def test_matches_brute_force(self, spec):
+        for x in moment_points(spec):
+            got = tuple(map(float, spec.clipped_moments(x)))
+            assert got == pytest.approx(brute_clipped_moments(spec, x), rel=1e-12, abs=1e-14), x
+
+    @pytest.mark.parametrize("spec", MOMENT_SPECS, ids=repr)
+    def test_elementwise_over_arrays(self, spec):
+        xs = np.array(moment_points(spec) * 2).reshape(2, -1)
+        m1, m2 = spec.clipped_moments(xs)
+        assert m1.shape == m2.shape == xs.shape
+        for x, a, b in zip(xs.ravel(), m1.ravel(), m2.ravel()):
+            assert (a, b) == tuple(spec.clipped_moments(x)), x
+
+    @pytest.mark.parametrize("spec", MOMENT_SPECS, ids=repr)
+    def test_second_moment_is_the_old_closed_form(self, spec):
+        # the closed forms each law stated before the clipped moments
+        if isinstance(spec, Uniform):
+            old = (spec.hi**3 - spec.lo**3) / (3.0 * (spec.hi - spec.lo))
+        elif isinstance(spec, Exponential):
+            old = 2.0 / spec.rate**2
+        elif isinstance(spec, Geometric):
+            old = spec.q * (1 + spec.q) / (1 - spec.q) ** 2
+        else:
+            old = float(np.sum(np.array([x * x * m for x, m in spec.atoms()])))
+        assert isinstance(spec.second_moment(), float)
+        assert spec.second_moment() == pytest.approx(old, rel=2.0**-52, abs=0)
 
 
 class TestIntScale:
@@ -419,6 +498,10 @@ class _TwoPointReference:
     def second_moment(self):
         return self.p * self.a**2 + (1 - self.p) * self.b**2
 
+    def clipped_moments(self, x):
+        lo, hi = min(self.a, x), min(self.b, x)
+        return self.p * lo + (1 - self.p) * hi, self.p * lo**2 + (1 - self.p) * hi**2
+
 
 class TestTwoPointLaw:
     LAWS = [(a, b, p) for a, b in [(1.0, 2.0), (0.1, 0.3), (1.5, 1.5), (0.0, 1.0), (0.0, 0.0)]
@@ -436,12 +519,18 @@ class TestTwoPointLaw:
         for x in (-1.0, 0.0, a, b, np.nextafter(a, -1.0), np.nextafter(b, -1.0), 0.5 * (a + b), b + 1):
             assert law.cdf(x) == ref.cdf(x)
         assert law.atoms() == ref.atoms()
-        for method in ("support_inf", "atom_at_zero", "int_scale", "second_moment"):
+        for method in ("support_inf", "atom_at_zero", "int_scale"):
             assert getattr(law, method)() == getattr(ref, method)(), method
+        # a sum over the table, which may round apart from the two-term formula
+        assert law.second_moment() == pytest.approx(ref.second_moment(), rel=2.0**-52, abs=0)
+        for x in (0.0, a, b, 0.5 * (a + b), b + 1, math.inf):
+            got = tuple(map(float, law.clipped_moments(x)))
+            assert got == pytest.approx(ref.clipped_moments(x), rel=1e-15, abs=0), x
 
     @pytest.mark.parametrize("a, b, p", [(1, 2, 0.5), (0, 1, 0.3), (0.1, 0.3, 0.5)])
     def test_draws_equal_the_table_of_the_same_law(self, a, b, p):
         table = TableCDF(((a, p), (b, 1)))
         for count in (1, _STREAM_COUNT):
-            draws = sample_weights(Bernoulli(a, b, p), _STREAM_SEED, count)
-            assert draws.tobytes() == sample_weights(table, _STREAM_SEED, count).tobytes()
+            keys = dense_keys(count)
+            draws = sample_weights(Bernoulli(a, b, p), _STREAM_SEED, keys)
+            assert draws.tobytes() == sample_weights(table, _STREAM_SEED, keys).tobytes()
