@@ -9,13 +9,20 @@ compensated summation and inequality verdicts allow a 1e-12 relative slack to
 absorb binary64 rounding at equality cases.  The convention 0*log(0) = 0 is
 used throughout.
 
-Each hypercube check is one row kernel over a stack X of shape (m, 2^k),
-one function table per row; the public ``<check>_check`` calls it with
-m = 1.  The randomized suite calls its kernels directly.  Of the six public
-``<check>_check`` wrappers, one per suite row, ``efron_stein_check`` and
-``falik_samorodnitsky_check`` also serve ``fpp_exhaustive_check``; all six
-stay because the tests check each kernel against its wrapper one instance
-at a time, and ``bench/tracing.py`` spans each by name.
+A function of k fair bits is a table of its 2^k values.  Bit j (0-based,
+least significant) of the table index is the value of coordinate j+1, so the
+filtration order coincides with bit order.
+
+Each hypercube check is one function ``<check>_check`` over a stack X of
+shape (m, 2^k), one function table per row (for log-Sobolev the pair
+(f(0), f(1))), returning one ``CheckResult`` per row, in row order.  It
+validates X once at entry: two axes, a width 2^k with 1 <= k <= K_MAX, and
+finite values (log-Sobolev also needs width 2, and the entropy-variational
+trials G must be finite and shaped (m, t, 2^k)); the checks that need f >= 0
+check that in their arithmetic.  The randomized suite calls each check once
+per group of stacked instances, looked up by module name at call time, and
+``fpp_exhaustive_check`` calls the Efron-Stein and Falik-Samorodnitsky
+checks on a stack of one.
 
 The randomized suite draws each check's instances in one batch from one
 generator per check, in a fixed number of Generator calls whatever the
@@ -25,7 +32,7 @@ depends on the instance count as well as the seed, and gathers the tables of
 each k from it as one stack.  Log-Sobolev draws its pairs in one uniform
 call, the same stream as pair by pair.  Rossignol draws each of its six
 integer arrays (counts, denominators, cuts, level steps, a, tau) in one call
-for the whole batch.  The suite runs the kernel once per k on the instances
+for the whole batch.  The suite runs the check once per k on the instances
 of that k stacked in draw order and puts the verdicts back in draw order.  A
 row's verdict does not depend on the rows stacked with it, bit for bit, by
 three rules:
@@ -118,25 +125,10 @@ def _per_row(vals: Sequence[float], X: np.ndarray) -> np.ndarray:
     return np.reshape(vals, X.shape[:-1] + (1,))
 
 
-def fexp(values: np.ndarray) -> float:
-    """Compensated expectation under the uniform measure."""
-    return _row_means(np.ravel(values))[0]
-
-
-def entropy(values: np.ndarray, probs: np.ndarray) -> float:
-    """Ent(X) = E[X log(X / EX)] for X >= 0, with 0 log 0 = 0."""
-    values = np.asarray(values, dtype=np.float64)
-    probs = np.asarray(probs, dtype=np.float64)
-    if np.any(values < 0):
-        raise ValueError("entropy requires nonnegative values")
-    if abs(probs.sum() - 1.0) > 1e-9 or np.any(probs < 0):
-        raise ValueError("probs must form a distribution")
-    return _entropy_rows(values, probs)[0]
-
-
 def _entropy_rows(X: np.ndarray, probs) -> list[float]:
-    """``entropy`` of every row of X without input checks; probs broadcasts
-    against X and may be one scalar weight.  A row of mean 0 has entropy 0."""
+    """Ent(X) = E[X log(X / EX)] of every row of X >= 0, with 0 log 0 = 0,
+    without input checks; probs broadcasts against X and may be one scalar
+    weight.  A row of mean 0 has entropy 0."""
     n = X.shape[-1]
     means = [math.fsum(row) for row in (X * probs).reshape(-1, n).tolist()]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -171,32 +163,18 @@ def _increments(X: np.ndarray, means: Sequence[float]) -> list[np.ndarray]:
     return out
 
 
-@dataclass
-class HypercubeFunction:
-    """A function of k independent fair bits, tabulated over all 2^k points.
-
-    Index convention: bit j (0-based, least significant) of the table index
-    is the value of coordinate j+1, so the filtration order coincides with
-    bit order.
-    """
-
-    k: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        if not (1 <= self.k <= K_MAX):
-            raise ValueError(f"k must lie in [1, {K_MAX}]")
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (2**self.k,):
-            raise ValueError("values must have length 2^k")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("values must be finite")
-
-    def mean(self) -> float:
-        return fexp(self.values)
-
-    def variance(self) -> float:
-        return _variance_rows(self.values)[0]
+def _tables(X) -> np.ndarray:
+    """X as a float64 stack of function tables, checked: two axes, a width
+    2^k with 1 <= k <= K_MAX, and finite values."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError("X must be a stack of function tables, shape (m, 2^k)")
+    n = X.shape[1]
+    if n < 2 or n > 2**K_MAX or n & (n - 1):
+        raise ValueError(f"table width must be 2^k with k in [1, {K_MAX}], got {n}")
+    if not np.isfinite(X).all():
+        raise ValueError("values must be finite")
+    return X
 
 
 @dataclass
@@ -229,22 +207,14 @@ class CheckResult:
         return out
 
 
-# Each hypercube check below is a row kernel ``_<check>_rows`` over a stack X,
-# one instance per row (a table of 2^k values; for log-Sobolev the pair
-# (f(0), f(1))), returning the m verdicts in row order; the public
-# ``<check>_check`` runs it on a stack of one.
-
-
-def efron_stein_check(f: HypercubeFunction) -> CheckResult:
-    """Var(f) <= (1/2) sum_i E[(f(X) - f(X with bit i resampled))^2].
+def efron_stein_check(X) -> list[CheckResult]:
+    """Var(f) <= (1/2) sum_i E[(f(x) - f(x with bit i resampled))^2] for
+    each row f of X.
 
     Resampling a fair bit flips it with probability 1/2, so the bound equals
     (1/4) sum_i E[(f - f o flip_i)^2]; both sides are enumerated exactly.
     """
-    return _efron_stein_rows(f.values[None])[0]
-
-
-def _efron_stein_rows(X: np.ndarray) -> list[CheckResult]:
+    X = _tables(X)
     # flipping coordinate i swaps the two halves of the (m, n/2^i, 2, 2^(i-1))
     # reshape and (a - b)^2 == (b - a)^2, so (f - f o flip_i)^2 holds each
     # square of half 0 minus half 1 twice: its mean is the mean of those n/2
@@ -291,16 +261,14 @@ def _entropy_lower_bound(m1: float, m2: float, ent: float) -> tuple[Optional[flo
     return bound, bound <= ent + _tol(bound, ent)
 
 
-def falik_samorodnitsky_check(f: HypercubeFunction) -> CheckResult:
-    """Var(f) log(Var(f) / sum_i (E|Delta_i f|)^2) <= sum_i Ent((Delta_i f)^2).
+def falik_samorodnitsky_check(X) -> list[CheckResult]:
+    """Var(f) log(Var(f) / sum_i (E|Delta_i f|)^2) <= sum_i Ent((Delta_i f)^2)
+    for each row f of X.
 
     Also verifies the entropy lower bound for each increment.  Each
     increment's E|d|, E d^2 and Ent(d^2) are computed once and serve both.
     """
-    return _falik_samorodnitsky_rows(f.values[None])[0]
-
-
-def _falik_samorodnitsky_rows(X: np.ndarray) -> list[CheckResult]:
+    X = _tables(X)
     # moments[r] holds (E|d|, E d^2, Ent(d^2)) of each increment d of row r
     # one fsum mean per row serves the increments and the variance
     means = _row_means(X)
@@ -333,13 +301,13 @@ def _falik_samorodnitsky(var: float, moments) -> CheckResult:
     )
 
 
-def log_sobolev_check(f0: float, f1: float) -> CheckResult:
-    """Two-point Bonami-Gross inequality: Ent(f^2) <= (1/2) (f(0) - f(1))^2."""
-    return _log_sobolev_rows(np.array([[f0, f1]], dtype=np.float64))[0]
-
-
-def _log_sobolev_rows(X: np.ndarray) -> list[CheckResult]:
-    """Rows (f(0), f(1)); the right side stays Python float arithmetic."""
+def log_sobolev_check(X) -> list[CheckResult]:
+    """Two-point Bonami-Gross inequality Ent(f^2) <= (1/2) (f(0) - f(1))^2
+    for each row (f(0), f(1)) of X; the right side stays Python float
+    arithmetic."""
+    X = _tables(X)
+    if X.shape[1] != 2:
+        raise ValueError(f"log-Sobolev rows are pairs (f(0), f(1)), got width {X.shape[1]}")
     out = []
     for (f0, f1), lhs in zip(X.tolist(), _entropy_rows(X**2, 0.5)):
         rhs = 0.5 * (f0 - f1) ** 2
@@ -350,12 +318,9 @@ def _log_sobolev_rows(X: np.ndarray) -> list[CheckResult]:
     return out
 
 
-def tensorization_check(f: HypercubeFunction) -> CheckResult:
-    """Ent(f) <= sum_i E[Ent_i(f)] for nonnegative f on the hypercube."""
-    return _tensorization_rows(f.values[None])[0]
-
-
-def _tensorization_rows(X: np.ndarray) -> list[CheckResult]:
+def tensorization_check(X) -> list[CheckResult]:
+    """Ent(f) <= sum_i E[Ent_i(f)] for each row f >= 0 of X."""
+    X = _tables(X)
     if np.any(X < 0):
         raise ValueError("tensorization requires nonnegative f")
     m, n = X.shape
@@ -379,17 +344,16 @@ def _tensorization_rows(X: np.ndarray) -> list[CheckResult]:
     return out
 
 
-def entropy_variational_check(
-    f: HypercubeFunction, trials: Sequence[np.ndarray]
-) -> CheckResult:
-    """sup{E[f g] : E[e^g] <= 1} = Ent(f): every feasible trial g stays below,
-    and the optimizer g* = log(f / Ef) attains the supremum."""
-    G = np.asarray(trials, dtype=np.float64).reshape(1, len(trials), f.values.size)
-    return _entropy_variational_rows(f.values[None], G)[0]
-
-
-def _entropy_variational_rows(X: np.ndarray, G: np.ndarray) -> list[CheckResult]:
-    """Rows f of X (m, n) against the trials G (m, t, n) of the same row."""
+def entropy_variational_check(X, G) -> list[CheckResult]:
+    """sup{E[f g] : E[e^g] <= 1} = Ent(f) for each row f of X (m, n), against
+    the t trials G (m, t, n) of the same row: every feasible trial g stays
+    below, and the optimizer g* = log(f / Ef) attains the supremum."""
+    X = _tables(X)
+    G = np.asarray(G, dtype=np.float64)
+    if G.ndim != 3 or G.shape[0] != X.shape[0] or G.shape[2] != X.shape[1]:
+        raise ValueError(f"trials must have shape (m, t, 2^k) = ({X.shape[0]}, t, {X.shape[1]})")
+    if not np.isfinite(G).all():
+        raise ValueError("trials must be finite")
     if np.any(X < 0):
         raise ValueError("needs f >= 0")
     n = X.shape[1]
@@ -619,12 +583,11 @@ def fpp_exhaustive_check(
     in edge order."""
     if spec.p != 0.5:
         raise ValueError("exhaustive check assumes fair two-point weights")
-    values = exhaustive_passage_times(box, spec, src, dst)
-    f = HypercubeFunction(box.n_edges(), values)
+    X = exhaustive_passage_times(box, spec, src, dst)[None]
     # Var(T) and the exact resampling bound (1/4) sum_e E[(f - f o flip_e)^2]
-    es = efron_stein_check(f)
-    fs = falik_samorodnitsky_check(f)
-    return FppExhaustiveResult(f.k, es.lhs, es.rhs, es.holds, fs)
+    (es,) = efron_stein_check(X)
+    (fs,) = falik_samorodnitsky_check(X)
+    return FppExhaustiveResult(box.n_edges(), es.lhs, es.rhs, es.holds, fs)
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +676,7 @@ def _entropy_variational_draws(X: np.ndarray, G: np.ndarray) -> list[CheckResult
     slightly below 1, so feasibility is robust, then checked against the f
     of its row of X (m, n)."""
     shifts = [math.log(max(mean, 1e-300)) + 1e-9 for mean in _row_means(np.exp(G))]
-    return _entropy_variational_rows(X, G - _per_row(shifts, G))
+    return entropy_variational_check(X, G - _per_row(shifts, G))
 
 
 def _draw_rossignols(rng, m: int) -> tuple[bytes, list]:
@@ -750,18 +713,18 @@ def _draw_rossignols(rng, m: int) -> tuple[bytes, list]:
     return table.tobytes(), [(np.arange(m), (rows,))]
 
 
-# (name, rng salt, draw, kernel name): draw(rng, m) makes m random instances
+# (name, rng salt, draw, check name): draw(rng, m) makes m random instances
 # in a fixed number of Generator calls and returns their input bytes for the
 # digest (the instances' chunks, in draw order) and their groups (draw
-# positions, kernel args); the kernel gives one verdict per position, in
+# positions, check args); the check gives one verdict per position, in
 # order.  A hypercube draw has a group per k, the others one group.  The
-# suite looks each kernel up by module name at call time, so wrapping a
-# kernel takes effect.
+# suite looks each check up by module name at call time, so wrapping a
+# check takes effect; the entropy-variational row shifts its trials first.
 _RANDOMIZED_CHECKS = (
-    ("efron_stein", 1, _random_tables, "_efron_stein_rows"),
-    ("falik_samorodnitsky", 2, _random_tables, "_falik_samorodnitsky_rows"),
-    ("log_sobolev", 3, _draw_log_sobolev, "_log_sobolev_rows"),
-    ("tensorization", 4, partial(_random_tables, k_max=4, nonneg=True), "_tensorization_rows"),
+    ("efron_stein", 1, _random_tables, "efron_stein_check"),
+    ("falik_samorodnitsky", 2, _random_tables, "falik_samorodnitsky_check"),
+    ("log_sobolev", 3, _draw_log_sobolev, "log_sobolev_check"),
+    ("tensorization", 4, partial(_random_tables, k_max=4, nonneg=True), "tensorization_check"),
     (
         "entropy_variational", 5, partial(_random_tables, k_max=4, nonneg=True, trials=4),
         "_entropy_variational_draws",
@@ -778,7 +741,7 @@ def run_randomized_suite(
     ``instances`` random instances each.
 
     Each check draws all its instances in one ``draw(rng, instances)`` from
-    its own generator, hashes their bytes once and calls its kernel once per
+    its own generator, hashes their bytes once and calls its check once per
     group the draw returns (one per k for a hypercube check).  Every draw
     makes a fixed number of Generator calls, so instance j may depend on
     ``instances`` as well as on ``seed``.
@@ -795,12 +758,12 @@ def run_randomized_suite(
     if instances < 1:
         raise ValueError(f"instances must be at least 1, got {instances}")
     reports = []
-    for name, salt, draw, kernel in _RANDOMIZED_CHECKS:
+    for name, salt, draw, check in _RANDOMIZED_CHECKS:
         if not checks or name in checks:
             data, groups = draw(_rng(seed, salt), instances)
             results = [None] * instances
             for positions, args in groups:
-                for j, result in zip(positions.tolist(), globals()[kernel](*args)):
+                for j, result in zip(positions.tolist(), globals()[check](*args)):
                     results[j] = result
             reports.append(_summarize(name, results, data))
     return reports

@@ -471,14 +471,14 @@ class TestCliCommands:
         assert captured.err.startswith("config error: ") and message in captured.err
 
     def test_ineq_verify_violation_exits_3_with_its_json(self, tmp_path, capsys, monkeypatch):
-        # a kernel that reports every instance violated: the JSON is still
+        # a check that reports every instance violated: the JSON is still
         # written, with the violations, and the run exits 3
         from fpplab import ineqlab
 
         def violated(X):
             return [ineqlab.CheckResult("log_sobolev", 1.0, 0.5, False) for _ in X]
 
-        monkeypatch.setattr(ineqlab, "_log_sobolev_rows", violated)
+        monkeypatch.setattr(ineqlab, "log_sobolev_check", violated)
         out = tmp_path / "ineq.json"
         code = main(["ineq", "verify", "--suite", "log_sobolev", "--instances", "4",
                      "--out", str(out)])

@@ -9,14 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpplab.ineqlab import (
-    HypercubeFunction,
+    K_MAX,
     StepFunction,
     efron_stein_check,
-    entropy,
     entropy_variational_check,
     exhaustive_passage_times,
     falik_samorodnitsky_check,
-    fexp,
     fpp_exhaustive_check,
     log_sobolev_check,
     rossignol_check,
@@ -34,11 +32,39 @@ def uniform_probs(k):
     return np.full(2**k, 0.5**k)
 
 
+def one(check, values, trials=None):
+    """The verdict of one function table (or log-Sobolev pair), checked as a
+    stack of one row; ``trials`` are that row's trial functions."""
+    X = np.asarray(values, dtype=np.float64)[None]
+    if trials is None:
+        return check(X)[0]
+    G = np.asarray(trials, dtype=np.float64).reshape(1, len(trials), X.shape[1])
+    return check(X, G)[0]
+
+
+def mean(values):
+    """Compensated uniform mean of all the values: one fsum."""
+    return ineqlab._row_means(np.ravel(values))[0]
+
+
+def variance(values):
+    return ineqlab._variance_rows(np.asarray(values)[None])[0]
+
+
+def ent(values, probs):
+    """Ent(X) = E[X log(X / EX)] of one nonnegative X under probs."""
+    return ineqlab._entropy_rows(np.asarray(values, dtype=np.float64)[None], probs)[0]
+
+
 def tiled_increments(X):
     """The increments of the rows of X (m, 2^k), each tiled back from its
     distinct values to all 2^k points."""
     increments = ineqlab._increments(X, ineqlab._row_means(X))
     return [np.tile(d, X.shape[1] // d.shape[1]) for d in increments]
+
+
+# the randomized suite's rows whose check is a public function of function tables
+HYPERCUBE_CHECKS = [name for name in ineqlab.CHECK_NAMES if name != "rossignol"]
 
 
 BOX4 = Box((0, 0), (1, 1))  # 2x2 sites
@@ -55,28 +81,25 @@ def configuration(box: Box, spec: Bernoulli, mask: int) -> WeightField:
 
 class TestEntropy:
     def test_constant_is_zero(self):
-        assert entropy(np.full(8, 3.0), uniform_probs(3)) == 0.0
+        assert ent(np.full(8, 3.0), uniform_probs(3)) == 0.0
 
     def test_two_point_hand_value(self):
         # X = (2, 0) under (1/2, 1/2): EX = 1, Ent = (1/2) * 2 * log 2
-        ent = entropy(np.array([2.0, 0.0]), np.array([0.5, 0.5]))
-        assert ent == pytest.approx(math.log(2.0), abs=1e-15)
+        assert ent(np.array([2.0, 0.0]), np.array([0.5, 0.5])) == pytest.approx(
+            math.log(2.0), abs=1e-15
+        )
 
     def test_homogeneity(self):
         x = np.array([1.0, 2.0, 0.0, 5.0])
         p = np.full(4, 0.25)
         for c in (0.5, 2.0, 7.0):
-            assert entropy(c * x, p) == pytest.approx(c * entropy(x, p), rel=1e-12)
+            assert ent(c * x, p) == pytest.approx(c * ent(x, p), rel=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             x = np.abs(rng.normal(0, 2, size=8))
-            assert entropy(x, uniform_probs(3)) >= -1e-15
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            entropy(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
+            assert ent(x, uniform_probs(3)) >= -1e-15
 
     def test_square_lower_bound(self):
         # Ent(X^2) >= E X^2 log(E X^2 / (E X)^2) on random nonnegative inputs
@@ -92,11 +115,11 @@ class TestMartingale:
     def test_telescoping_orthogonality_parseval(self, seed):
         rng = np.random.default_rng(seed)
         k = int(rng.integers(1, 7))
-        f = HypercubeFunction(k, rng.normal(0, 2, size=2**k))
-        incs = [d[0] for d in tiled_increments(f.values[None])]
-        assert np.max(np.abs(f.values - f.mean() - sum(incs))) <= 1e-12
-        assert all(abs(fexp(a * b)) <= 1e-12 for i, a in enumerate(incs) for b in incs[i + 1 :])
-        assert abs(f.variance() - math.fsum(fexp(d**2) for d in incs)) <= 1e-12
+        f = rng.normal(0, 2, size=2**k)
+        incs = [d[0] for d in tiled_increments(f[None])]
+        assert np.max(np.abs(f - mean(f) - sum(incs))) <= 1e-12
+        assert all(abs(mean(a * b)) <= 1e-12 for i, a in enumerate(incs) for b in incs[i + 1 :])
+        assert abs(variance(f) - math.fsum(mean(d**2) for d in incs)) <= 1e-12
 
     def test_unused_coordinate_has_zero_increment(self):
         # f depends only on coordinate 2 of 3
@@ -110,28 +133,26 @@ class TestMartingale:
 class TestEfronStein:
     def test_dictator(self):
         vals = np.array([float(m & 1) for m in range(2)])
-        r = efron_stein_check(HypercubeFunction(1, vals))
+        r = one(efron_stein_check, vals)
         assert r.lhs == pytest.approx(0.25, abs=1e-15)  # Var
         assert r.rhs == pytest.approx(0.25, abs=1e-15)  # equality case
         assert r.holds
 
     def test_parity_two_bits(self):
         vals = np.array([float(bin(m).count("1") % 2) for m in range(4)])
-        r = efron_stein_check(HypercubeFunction(2, vals))
+        r = one(efron_stein_check, vals)
         assert r.lhs == pytest.approx(0.25, abs=1e-15)
         assert r.rhs == pytest.approx(0.5, abs=1e-15)
         assert r.holds
 
     def test_constant(self):
-        r = efron_stein_check(HypercubeFunction(3, np.full(8, 2.5)))
+        r = one(efron_stein_check, np.full(8, 2.5))
         assert r.lhs == 0.0 and r.rhs == 0.0 and r.holds
 
 
 class TestFalikSamorodnitsky:
     def test_dictator_exact_values(self):
-        vals = np.array([0.0, 1.0])
-        f = HypercubeFunction(1, vals)
-        r = falik_samorodnitsky_check(f)
+        r = one(falik_samorodnitsky_check, [0.0, 1.0])
         # Delta_1 = f - 1/2 = (+-1/2); Var = 1/4; (E|Delta|)^2 = 1/4
         # LHS = (1/4) log 1 = 0; RHS = Ent(const 1/4) = 0: equality case
         assert r.lhs == pytest.approx(0.0, abs=1e-15)
@@ -141,18 +162,18 @@ class TestFalikSamorodnitsky:
     def test_constant_is_vacuous_and_says_so_in_json(self):
         # Var f = 0 leaves nothing to bound: the result is vacuous, and its
         # JSON carries the flag, which a non-vacuous result's JSON omits
-        r = falik_samorodnitsky_check(HypercubeFunction(2, np.full(4, 3.0)))
+        r = one(falik_samorodnitsky_check, np.full(4, 3.0))
         assert r.vacuous and r.holds
         assert r.to_json() == {
             "check": "falik_samorodnitsky", "lhs": 0.0, "rhs": 0.0, "margin": 0.0,
             "holds": True, "vacuous": True,
         }
-        dictator = falik_samorodnitsky_check(HypercubeFunction(1, np.array([0.0, 1.0])))
+        dictator = one(falik_samorodnitsky_check, [0.0, 1.0])
         assert not dictator.vacuous and "vacuous" not in dictator.to_json()
 
     def test_majority_of_three(self):
         vals = np.array([float(bin(m).count("1") >= 2) for m in range(8)])
-        r = falik_samorodnitsky_check(HypercubeFunction(3, vals))
+        r = one(falik_samorodnitsky_check, vals)
         assert r.holds
         # hand computation: Var = 1/4 and E|Delta_i| = 1/4 for each of the
         # three increments, so LHS = (1/4) log((1/4) / (3/16))
@@ -163,31 +184,29 @@ class TestFalikSamorodnitsky:
     def test_noise_bits_reduce_to_dictator(self):
         k = 10
         vals = np.array([float(m & 1) for m in range(2**k)])
-        r = falik_samorodnitsky_check(HypercubeFunction(k, vals))
-        r1 = falik_samorodnitsky_check(
-            HypercubeFunction(1, np.array([0.0, 1.0]))
-        )
+        r = one(falik_samorodnitsky_check, vals)
+        r1 = one(falik_samorodnitsky_check, [0.0, 1.0])
         assert r.lhs == pytest.approx(r1.lhs, abs=1e-12)
         assert r.rhs == pytest.approx(r1.rhs, abs=1e-12)
 
     def test_degenerate_vacuous(self):
-        r = falik_samorodnitsky_check(HypercubeFunction(2, np.full(4, 1.0)))
+        r = one(falik_samorodnitsky_check, np.full(4, 1.0))
         assert r.vacuous and r.holds
 
     def test_order_invariance_of_validity(self):
         rng = np.random.default_rng(3)
-        f = HypercubeFunction(4, rng.normal(0, 1, size=16))
+        f = rng.normal(0, 1, size=16)
         for _ in range(10):
             order = list(rng.permutation(np.arange(1, 5)))
             # new coordinate j+1 reads old coordinate order[j]; axis a of the
             # (2,) * k table is coordinate k - a
-            table = np.transpose(f.values.reshape((2,) * 4), [4 - c for c in reversed(order)])
-            assert falik_samorodnitsky_check(HypercubeFunction(4, table.ravel())).holds
+            table = np.transpose(f.reshape((2,) * 4), [4 - c for c in reversed(order)])
+            assert one(falik_samorodnitsky_check, table.ravel()).holds
 
     @pytest.mark.parametrize("seed", range(20))
     def test_shared_moments_match_public_checks(self, seed):
         # the right side and the increment bounds reuse one set of moments per
-        # increment; they must equal entropy() and the entropy lower bound
+        # increment; they must equal the entropy and the entropy lower bound
         # run on each increment alone, bit for bit, vacuous increments included
         rng = np.random.default_rng(seed)
         k = int(rng.integers(2, 7))
@@ -196,34 +215,32 @@ class TestFalikSamorodnitsky:
             # integer values that ignore coordinate 1: the means are exact in
             # binary64, so its increment is exactly 0 and its bound vacuous
             vals = np.repeat(rng.integers(-5, 6, size=2 ** (k - 1)), 2).astype(float)
-        f = HypercubeFunction(k, vals)
-        r = falik_samorodnitsky_check(f)
-        incs = [d[0] for d in tiled_increments(f.values[None])]
-        assert r.rhs == math.fsum(entropy(d**2, uniform_probs(k)) for d in incs)
+        r = one(falik_samorodnitsky_check, vals)
+        incs = [d[0] for d in tiled_increments(vals[None])]
+        assert r.rhs == math.fsum(ent(d**2, uniform_probs(k)) for d in incs)
         moments = [ineqlab._abs_moments([d[None]])[0][0] for d in incs]
         bounds = [ineqlab._entropy_lower_bound(*m)[0] for m in moments]
         margins = [0.0 if b is None else ent - b for b, (_, _, ent) in zip(bounds, moments)]
         assert r.details["increment_bound_min_margin"] == min(margins)
         assert (None in bounds) == bool(seed % 2)
-        assert r.details["sum_sq_mean_abs"] == math.fsum(fexp(np.abs(d)) ** 2 for d in incs)
+        assert r.details["sum_sq_mean_abs"] == math.fsum(mean(np.abs(d)) ** 2 for d in incs)
 
 
 class TestLogSobolev:
     def test_unit_step(self):
-        r = log_sobolev_check(0.0, 1.0)
+        r = one(log_sobolev_check, [0.0, 1.0])
         assert r.lhs == pytest.approx(0.5 * math.log(2.0), abs=1e-15)
         assert r.rhs == 0.5
         assert r.holds
 
     def test_constant(self):
-        r = log_sobolev_check(2.0, 2.0)
+        r = one(log_sobolev_check, [2.0, 2.0])
         assert r.lhs == 0.0 and r.rhs == 0.0 and r.holds
 
     def test_randomized(self):
         rng = np.random.default_rng(1)
-        for _ in range(10**4):
-            f0, f1 = rng.uniform(0, 10, size=2)
-            assert log_sobolev_check(float(f0), float(f1)).holds
+        # one stack of 10^4 pairs: the same stream as pair by pair
+        assert all(r.holds for r in log_sobolev_check(rng.uniform(0, 10, size=(10**4, 2))))
 
 
 class TestTensorization:
@@ -232,53 +249,131 @@ class TestTensorization:
         g1 = np.array([1.0, 3.0])
         g2 = np.array([2.0, 0.5])
         vals = np.array([g1[m & 1] * g2[(m >> 1) & 1] for m in range(4)])
-        r = tensorization_check(HypercubeFunction(2, vals))
+        r = one(tensorization_check, vals)
         assert r.holds
 
     def test_constant(self):
-        r = tensorization_check(HypercubeFunction(2, np.full(4, 3.0)))
+        r = one(tensorization_check, np.full(4, 3.0))
         assert r.lhs == 0.0 and r.rhs == pytest.approx(0.0, abs=1e-15)
 
     def test_random_nonneg(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             vals = np.abs(rng.normal(0, 2, size=16))
-            assert tensorization_check(HypercubeFunction(4, vals)).holds
+            assert one(tensorization_check, vals).holds
 
 
 class TestEntropyVariational:
     def test_zero_trial_feasible(self):
-        f = HypercubeFunction(2, np.array([1.0, 2.0, 3.0, 4.0]))
-        r = entropy_variational_check(f, [np.zeros(4)])
+        f = [1.0, 2.0, 3.0, 4.0]
+        r = one(entropy_variational_check, f, [np.zeros(4)])
         assert r.holds
         assert r.details["infeasible_trials"] == 0
 
     def test_infeasible_trial_is_counted_and_skipped(self):
         # g = 1 everywhere has E e^g = e > 1: it is counted, not compared,
         # even though its E[f g] = E f = 2.5 is far above Ent(f)
-        f = HypercubeFunction(2, np.array([1.0, 2.0, 3.0, 4.0]))
-        r = entropy_variational_check(f, [np.ones(4), np.zeros(4), np.ones(4)])
+        f = [1.0, 2.0, 3.0, 4.0]
+        r = one(entropy_variational_check, f, [np.ones(4), np.zeros(4), np.ones(4)])
         assert r.details["infeasible_trials"] == 2
         assert r.lhs == 0.0 and r.holds
         assert r.to_json()["details"]["infeasible_trials"] == 2
 
     def test_optimizer_attains(self):
-        f = HypercubeFunction(1, np.array([2.0, 0.0]))
-        r = entropy_variational_check(f, [])
+        r = one(entropy_variational_check, [2.0, 0.0], [])
         assert r.rhs == pytest.approx(math.log(2.0), abs=1e-12)
         assert r.details["optimizer_value"] == pytest.approx(math.log(2.0), abs=1e-10)
         assert r.holds
 
     def test_random_feasible_trials(self):
         rng = np.random.default_rng(5)
-        f = HypercubeFunction(3, np.abs(rng.normal(1, 1, size=8)) + 0.1)
+        f = np.abs(rng.normal(1, 1, size=8)) + 0.1
         trials = []
         for _ in range(1000):
             g = rng.normal(0, 1, size=8)
-            g -= math.log(fexp(np.exp(g))) + 1e-9
+            g -= math.log(mean(np.exp(g))) + 1e-9
             trials.append(g)
-        r = entropy_variational_check(f, trials)
+        r = one(entropy_variational_check, f, trials)
         assert r.holds
+
+
+def check_stack(name, X):
+    """Run the public hypercube check ``name`` on the stack X; the
+    entropy-variational check gets one valid (zero) trial per row."""
+    X = np.asarray(X)
+    if name != "entropy_variational":
+        return getattr(ineqlab, f"{name}_check")(X)
+    return entropy_variational_check(X, np.zeros((X.shape[0], 1, X.shape[-1])))
+
+
+class TestValidation:
+    # each public hypercube check validates its whole stack once, at entry;
+    # the messages are matched, so each case fails without its own check,
+    # also for log-Sobolev, whose pair check rejects any other width later
+    @pytest.mark.parametrize("name", HYPERCUBE_CHECKS)
+    def test_rejects_a_one_dimensional_input(self, name):
+        with pytest.raises(ValueError, match=r"shape \(m, 2\^k\)"):
+            check_stack(name, np.ones(2))
+
+    @pytest.mark.parametrize("width", [1, 3, 6])
+    @pytest.mark.parametrize("name", HYPERCUBE_CHECKS)
+    def test_rejects_a_width_that_is_not_a_power_of_two(self, name, width):
+        with pytest.raises(ValueError, match=r"width must be 2\^k"):
+            check_stack(name, np.ones((2, width)))
+
+    @pytest.mark.parametrize("name", HYPERCUBE_CHECKS)
+    def test_rejects_a_width_above_the_cap(self, name):
+        # an empty stack, so nothing of 2^(K_MAX + 1) values is allocated
+        with pytest.raises(ValueError, match=r"width must be 2\^k"):
+            check_stack(name, np.empty((0, 2 ** (K_MAX + 1))))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", HYPERCUBE_CHECKS)
+    def test_rejects_values_that_are_not_finite(self, name, bad):
+        X = np.ones((3, 2))
+        X[1, 0] = bad
+        with pytest.raises(ValueError, match="values must be finite"):
+            check_stack(name, X)
+
+    @pytest.mark.parametrize("width", [4, 8])
+    def test_log_sobolev_rejects_a_width_other_than_two(self, width):
+        with pytest.raises(ValueError, match="pairs"):
+            log_sobolev_check(np.ones((2, width)))
+
+    @pytest.mark.parametrize(
+        "shape", [(2, 4), (2, 1, 2, 4), (1, 1, 4), (3, 1, 4), (2, 1, 2), (2, 1, 8)]
+    )
+    def test_entropy_variational_rejects_trials_of_the_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match=r"trials must have shape"):
+            entropy_variational_check(np.ones((2, 4)), np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_entropy_variational_rejects_trials_that_are_not_finite(self, bad):
+        G = np.zeros((2, 3, 4))
+        G[1, 2, 0] = bad
+        with pytest.raises(ValueError, match="trials must be finite"):
+            entropy_variational_check(np.ones((2, 4)), G)
+
+    @pytest.mark.parametrize(
+        "name, message", [("tensorization", "nonnegative f"), ("entropy_variational", "f >= 0")]
+    )
+    def test_entropy_checks_reject_negative_values(self, name, message):
+        X = np.ones((3, 4))
+        X[2, 1] = -0.5
+        with pytest.raises(ValueError, match=message):
+            check_stack(name, X)
+
+    def test_entropy_variational_rejects_a_row_of_mean_zero(self):
+        with pytest.raises(ValueError, match=r"E f > 0"):
+            check_stack("entropy_variational", [[1.0, 2.0], [0.0, 0.0]])
+
+    def test_the_width_cap_is_inclusive(self):
+        # 2^K_MAX passes the check; an empty stack allocates nothing
+        assert efron_stein_check(np.empty((0, 2**K_MAX))) == []
+
+    @pytest.mark.parametrize("name", HYPERCUBE_CHECKS)
+    def test_accepts_nested_lists(self, name):
+        assert len(check_stack(name, [[1.0, 2.0], [3.0, 3.0]])) == 2
 
 
 class TestRossignol:
@@ -579,11 +674,11 @@ def reference_tables(rng, m, k_max=6, nonneg=False):
 
 
 def batch_hypercube(check, **kw):
-    """m suite instances of a hypercube row, each checked by the public function."""
+    """m suite instances of a hypercube row, each checked alone."""
 
     def batch(rng, m):
         tables = reference_tables(rng, m, **kw)
-        results = [check(HypercubeFunction(t.size.bit_length() - 1, t)) for t in tables]
+        results = [one(check, t) for t in tables]
         return [t.tobytes() for t in tables], results
 
     return batch
@@ -592,11 +687,11 @@ def batch_hypercube(check, **kw):
 def batch_log_sobolev(rng, m):
     # one pair per call: the suite's single (m, 2) call is the same stream
     pairs = [rng.uniform(0, 10, size=2) for _ in range(m)]
-    return [p.tobytes() for p in pairs], [log_sobolev_check(float(f0), float(f1)) for f0, f1 in pairs]
+    return [p.tobytes() for p in pairs], [one(log_sobolev_check, p) for p in pairs]
 
 
 def batch_entropy_variational(rng, m):
-    fs = [t + 1.0 if fexp(t) == 0.0 else t for t in reference_tables(rng, m, k_max=4, nonneg=True)]
+    fs = [t + 1.0 if mean(t) == 0.0 else t for t in reference_tables(rng, m, k_max=4, nonneg=True)]
     # one normal call for every trial: four rows of 2^k per f, in draw order
     trials = rng.normal(0, 1, size=4 * sum(f.size for f in fs))
     taken = 0
@@ -606,9 +701,9 @@ def batch_entropy_variational(rng, m):
         for _ in range(4):
             g = trials[taken : taken + f.size].copy()
             taken += f.size
-            g -= math.log(max(fexp(np.exp(g)), 1e-300)) + 1e-9
+            g -= math.log(max(mean(np.exp(g)), 1e-300)) + 1e-9
             gs.append(g)
-        results.append(entropy_variational_check(HypercubeFunction(f.size.bit_length() - 1, f), gs))
+        results.append(one(entropy_variational_check, f, gs))
     return [f.tobytes() for f in fs], results
 
 
@@ -661,13 +756,13 @@ REFERENCE_DRAWS = {
 
 
 def suite_row(name):
-    """(salt, draw, kernel) of a row of the randomized suite."""
-    salt, draw, kernel = next(row[1:] for row in ineqlab._RANDOMIZED_CHECKS if row[0] == name)
-    return salt, draw, getattr(ineqlab, kernel)
+    """(salt, draw, check) of a row of the randomized suite."""
+    salt, draw, check = next(row[1:] for row in ineqlab._RANDOMIZED_CHECKS if row[0] == name)
+    return salt, draw, getattr(ineqlab, check)
 
 
 def in_draw_order(groups, m):
-    """The per-instance rows of each group's first kernel argument, by position;
+    """The per-instance rows of each group's first check argument, by position;
     asserts that the groups' positions partition range(m)."""
     rows = [None] * m
     for positions, args in groups:
@@ -856,41 +951,66 @@ class TestSuite:
         # a real hypercube draw mixes several k; each group's stacked verdicts
         # equal each of its instances checked on its own, bit for bit (repr
         # round-trips floats)
-        salt, draw, kernel = suite_row(name)
+        salt, draw, check = suite_row(name)
         _, groups = draw(ineqlab._rng(11, salt), 120)
         in_draw_order(groups, 120)
         if name not in ("log_sobolev", "rossignol"):
             assert len(groups) > 1
         for positions, args in groups:
-            alone = [repr(kernel(*(a[j : j + 1] for a in args))[0]) for j in range(len(positions))]
-            assert [repr(r) for r in kernel(*args)] == alone
+            alone = [repr(check(*(a[j : j + 1] for a in args))[0]) for j in range(len(positions))]
+            assert [repr(r) for r in check(*args)] == alone
 
     def test_suite_calls_the_kernel_it_names_once_per_size(self, monkeypatch):
-        # the suite finds its kernel by module name at call time: a wrapper
+        # the suite finds its check by module name at call time: a wrapper
         # put there sees one stack per distinct k, 300 rows in all
         want = run_randomized_suite(7, 300, checks=("efron_stein",))[0].to_json()
-        kernel = ineqlab._efron_stein_rows
+        check = ineqlab.efron_stein_check
         shapes = []
 
         def counting(X):
             shapes.append(X.shape)
-            return kernel(X)
+            return check(X)
 
-        monkeypatch.setattr(ineqlab, "_efron_stein_rows", counting)
+        monkeypatch.setattr(ineqlab, "efron_stein_check", counting)
         (report,) = run_randomized_suite(7, 300, checks=("efron_stein",))
         ks = set(ineqlab._rng(7, 1).integers(1, 7, size=300).tolist())
         assert sorted(n for _, n in shapes) == sorted(2**k for k in ks)
         assert sum(count for count, _ in shapes) == 300
         assert report.to_json() == want
 
+    @pytest.mark.parametrize("name", HYPERCUBE_CHECKS)
+    def test_suite_calls_each_public_check_once_per_size(self, name, monkeypatch):
+        # bench/tracing.py spans ineqlab.<check>_check by name, so the suite
+        # must reach each hypercube check through the module: a counting
+        # wrapper put there is called once per drawn k, on every row
+        want = run_randomized_suite(7, 300, checks=(name,))[0].to_json()
+        check = getattr(ineqlab, f"{name}_check")
+        widths = []
+
+        def counting(X, *trials):
+            widths.append((len(X), X.shape[1]))
+            return check(X, *trials)
+
+        monkeypatch.setattr(ineqlab, f"{name}_check", counting)
+        (report,) = run_randomized_suite(7, 300, checks=(name,))
+        if name == "log_sobolev":
+            drawn = {1}
+        else:
+            k_max = 6 if name in ("efron_stein", "falik_samorodnitsky") else 4
+            salt = suite_row(name)[0]
+            drawn = set(ineqlab._rng(7, salt).integers(1, k_max + 1, size=300).tolist())
+        assert sorted(n for _, n in widths) == sorted(2**k for k in drawn)
+        assert sum(count for count, _ in widths) == 300
+        assert report.to_json() == want
+
     def test_suite_puts_the_verdicts_back_in_draw_order(self, monkeypatch):
         # the suite's j-th verdict is instance j checked alone
-        salt, draw, kernel = suite_row("falik_samorodnitsky")
+        salt, draw, check = suite_row("falik_samorodnitsky")
         _, groups = draw(ineqlab._rng(11, salt), 120)
         alone = [None] * 120
         for positions, args in groups:
             for i, j in enumerate(positions.tolist()):
-                alone[j] = repr(kernel(*(a[i : i + 1] for a in args))[0])
+                alone[j] = repr(check(*(a[i : i + 1] for a in args))[0])
         seen = []
         summarize = ineqlab._summarize
 
@@ -948,7 +1068,7 @@ class TestSuite:
         if nonneg:
             assert all(np.all(f >= 0) for f in fs)
         if name == "entropy_variational":
-            assert all(fexp(f) > 0 for f in fs)
+            assert all(mean(f) > 0 for f in fs)
             # instance j's trials: the next 4 * 2^k values of the one trial call
             method, trials = rng.calls[5]
             assert method == "normal" and trials.size == 4 * sum(f.size for f in fs)
@@ -1016,28 +1136,28 @@ def assert_rows_alone(stacked, alone):
 @given(stacked_tables())
 @settings(max_examples=80, deadline=None)
 def test_signed_kernels_stacked_equal_rows_alone(X):
-    for kernel in (ineqlab._efron_stein_rows, ineqlab._falik_samorodnitsky_rows):
-        assert_rows_alone(kernel(X), [kernel(X[j : j + 1])[0] for j in range(len(X))])
+    for check in (efron_stein_check, falik_samorodnitsky_check):
+        assert_rows_alone(check(X), [check(X[j : j + 1])[0] for j in range(len(X))])
 
 
 @given(stacked_tables(nonneg=True), st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=80, deadline=None)
 def test_nonnegative_kernels_stacked_equal_rows_alone(X, seed):
-    kernel = ineqlab._tensorization_rows
-    assert_rows_alone(kernel(X), [kernel(X[j : j + 1])[0] for j in range(len(X))])
+    check = tensorization_check
+    assert_rows_alone(check(X), [check(X[j : j + 1])[0] for j in range(len(X))])
     # entropy_variational draws: f with E f > 0, and four raw trials per f
     X = np.where(X.sum(axis=1, keepdims=True) > 0, X, X + 1.0)
     G = np.random.default_rng(seed).normal(0, 1, size=(len(X), 4, X.shape[1]))
-    kernel = ineqlab._entropy_variational_draws
-    assert_rows_alone(kernel(X, G), [kernel(X[j : j + 1], G[j : j + 1])[0] for j in range(len(X))])
+    check = ineqlab._entropy_variational_draws
+    assert_rows_alone(check(X, G), [check(X[j : j + 1], G[j : j + 1])[0] for j in range(len(X))])
 
 
 @given(st.lists(st.tuples(*[st.one_of(st.just(0.0), st.floats(0, 10))] * 2), min_size=1, max_size=8))
 @settings(max_examples=80, deadline=None)
 def test_log_sobolev_stacked_equals_rows_alone(pairs):
     X = np.array(pairs, dtype=np.float64)
-    kernel = ineqlab._log_sobolev_rows
-    assert_rows_alone(kernel(X), [kernel(X[j : j + 1])[0] for j in range(len(X))])
+    check = log_sobolev_check
+    assert_rows_alone(check(X), [check(X[j : j + 1])[0] for j in range(len(X))])
 
 
 @st.composite
@@ -1077,7 +1197,7 @@ def test_distinct_value_kernels_equal_their_expanded_forms(X):
     m, n = X.shape
     k = n.bit_length() - 1
     # E[f | coordinates 1..i] at all 2^k points; E f is an fsum
-    conditional = [np.tile([[fexp(row)] for row in X], n)]
+    conditional = [np.tile([[mean(row)] for row in X], n)]
     for i in range(1, k + 1):
         conditional.append(np.tile(X.reshape(m, n >> i, 1 << i).mean(axis=1), n >> i))
     expanded = [conditional[i] - conditional[i - 1] for i in range(1, k + 1)]
@@ -1085,17 +1205,17 @@ def test_distinct_value_kernels_equal_their_expanded_forms(X):
     increments = ineqlab._increments(X, ineqlab._row_means(X))
     assert [d.shape for d in increments] == [(m, 2**i) for i in range(1, k + 1)]
     moments = ineqlab._abs_moments(increments)
-    fs = ineqlab._falik_samorodnitsky_rows(X)
-    es = ineqlab._efron_stein_rows(X)
+    fs = falik_samorodnitsky_check(X)
+    es = efron_stein_check(X)
     for r, row in enumerate(X):
         want = [
-            (fexp(np.abs(d[r])), fexp(d[r] ** 2), entropy(d[r] ** 2, uniform_probs(k)))
+            (mean(np.abs(d[r])), mean(d[r] ** 2), ent(d[r] ** 2, uniform_probs(k)))
             for d in expanded
         ]
         assert repr(moments[r]) == repr(want)
-        var = HypercubeFunction(k, row).variance()
+        var = variance(row)
         assert repr(fs[r]) == repr(ineqlab._falik_samorodnitsky(var, want))
-        flips = [fexp((row - row[np.arange(n) ^ (1 << i)]) ** 2) for i in range(k)]
+        flips = [mean((row - row[np.arange(n) ^ (1 << i)]) ** 2) for i in range(k)]
         bound = 0.25 * math.fsum(flips)
         assert repr(es[r]) == repr(
             ineqlab.CheckResult("efron_stein", var, bound, var <= bound + ineqlab._tol(var, bound))
@@ -1106,13 +1226,11 @@ def test_distinct_value_kernels_equal_their_expanded_forms(X):
 @settings(max_examples=60, deadline=None)
 def test_efron_stein_property(k, seed):
     rng = np.random.default_rng(seed)
-    f = HypercubeFunction(k, rng.normal(0, 1, size=2**k))
-    assert efron_stein_check(f).holds
+    assert one(efron_stein_check, rng.normal(0, 1, size=2**k)).holds
 
 
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**16))
 @settings(max_examples=60, deadline=None)
 def test_tensorization_property(k, seed):
     rng = np.random.default_rng(seed)
-    f = HypercubeFunction(k, np.abs(rng.normal(0, 1, size=2**k)))
-    assert tensorization_check(f).holds
+    assert one(tensorization_check, np.abs(rng.normal(0, 1, size=2**k))).holds
