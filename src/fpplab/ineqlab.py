@@ -158,7 +158,7 @@ def _increments(X: np.ndarray, means: Sequence[float]) -> list[np.ndarray]:
     for i in range(1, n.bit_length()):
         cur = X.reshape(m, n >> i, 1 << i).mean(axis=1)
         # entry j of cur less entry j mod 2^(i-1) of prev, for both halves of cur
-        out.append((cur.reshape(m, 2, -1) - prev[:, None]).reshape(m, -1))
+        out.append((cur.reshape(m, 2, 1 << (i - 1)) - prev[:, None]).reshape(m, 1 << i))
         prev = cur
     return out
 
@@ -245,7 +245,8 @@ def _abs_moments(segments: Sequence[np.ndarray]) -> list[list[tuple[float, ...]]
     x = np.abs(np.concatenate(segments, axis=1))
     sq = x**2
     m2 = means(sq)
-    mean = np.repeat(m2, widths, axis=1)
+    # shaped (m, k) also at m = 0, where m2 is [] and would read as 1-d
+    mean = np.repeat(np.reshape(m2, (len(x), len(widths))), widths, axis=1)
     # 0 log 0 = 0, and a segment of mean 0 has entropy 0, as in _entropy_rows
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where((sq > 0) & (mean > 0), sq * np.log(sq / mean), 0.0)
@@ -329,8 +330,8 @@ def tensorization_check(X) -> list[CheckResult]:
         for i in range(1, n.bit_length()):
             # x0, x1: the rows with coordinate i set to 0 and to 1
             halves = X.reshape(m, n >> i, 2, 1 << (i - 1))
-            x0 = halves[:, :, 0].reshape(m, -1)
-            x1 = halves[:, :, 1].reshape(m, -1)
+            x0 = halves[:, :, 0].reshape(m, n // 2)
+            x1 = halves[:, :, 1].reshape(m, n // 2)
             mid = 0.5 * (x0 + x1)
             e0 = np.where(x0 > 0, x0 * np.log(x0 / mid), 0.0)
             e1 = np.where(x1 > 0, x1 * np.log(x1 / mid), 0.0)

@@ -29,15 +29,20 @@ bits, so the key is injective on the bases with ``-h <= x_i < h``: h = 2^30
 in d = 2, 2^19 in d = 3 and 2^14 in d = 4.  A coordinate outside that range
 raises ``ValueError`` (:func:`edge_key`, :func:`sample_field`).
 
-There is one sampling walk.  It takes its counters as premultiplied keys
-``c * C2 mod 2^64`` (:func:`counter_keys`) and runs in blocks of ``_BLOCK``
-draws, so the hash, uniform and inverse-CDF temporaries stay in cache; a
-block adds the seed term to a slice of the keys, one add per draw.  Draw
-``j`` depends only on ``(seed, key j)``, so the block size never shows in
-the output.  Every caller passes keys: a field its region's keys, and
+There is one sampling walk (:func:`sample_weights`).  It takes its counters
+as premultiplied keys ``c * C2 mod 2^64`` (:func:`counter_keys`) and runs in
+blocks of ``_BLOCK`` draws, so the hash scratch and the block's slice of the
+output stay in cache.  A block adds the seed term to a slice of the keys, one
+add per draw, and runs the finalizer in place.  It writes the uniforms
+straight into its slice of the output, converting ``z >> 11`` through an
+int64 view (exact below 2^53), and inverts them there.  Only a block that
+holds a uniform 0 patches it (see :func:`sample_weights`).  Draw ``j``
+depends only on ``(seed, key j)``, so the block size never shows in the
+output.  Every caller passes keys: a field its region's keys, and
 :mod:`fpplab.lpp` its grid's counters in anti-diagonal order.
 Every ``inv_cdf_array`` must return exactly ``inv_cdf`` of each input, bit for
-bit; the array form is only a faster way to the same numbers.
+bit; the array form is only a faster way to the same numbers.  Given
+``out``, it writes there, and ``out`` may be its input.
 
 The two-point law (:class:`Bernoulli`) and the tabulated one
 (:class:`TableCDF`) share one finite-atom implementation: each only states
@@ -67,6 +72,11 @@ _M64 = (1 << 64) - 1
 _C1 = 0xBF58476D1CE4E5B9
 _C2 = 0x94D049BB133111EB
 _C3 = 0x9E3779B97F4A7C15
+# the sampling walk's uint64 operands, built once: a Python int or a fresh
+# np.uint64 costs up to 1 us of conversion in every ufunc call it is passed to
+_U11, _U27, _U30, _U31, _U52 = (np.uint64(k) for k in (11, 27, 30, 31, 52))
+_UC1, _UC2 = np.uint64(_C1), np.uint64(_C2)
+_BITS_2P52 = np.uint64(0x4330000000000000)  # the bits of the double 2^52
 
 # Bond percolation thresholds.  d=2 is exact; d=3,4 are accepted numerical
 # values, so the atom-at-zero check is approximate there.
@@ -85,18 +95,18 @@ def mix64(a: int, b: int) -> int:
 
 def counter_keys(counters: np.ndarray) -> np.ndarray:
     """Keys ``c * C2 mod 2^64`` of counters ``c``, for :func:`sample_weights`."""
-    return np.multiply(counters, np.uint64(_C2), dtype=np.uint64, casting="unsafe")
+    return np.multiply(counters, _UC2, dtype=np.uint64, casting="unsafe")
 
 
 def _finalize64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """The xorshift-multiply rounds of mix64, in place on z; tmp is scratch."""
-    np.right_shift(z, np.uint64(30), out=tmp)
+    np.right_shift(z, _U30, out=tmp)
     z ^= tmp
-    z *= np.uint64(_C1)
-    np.right_shift(z, np.uint64(27), out=tmp)
+    z *= _UC1
+    np.right_shift(z, _U27, out=tmp)
     z ^= tmp
-    z *= np.uint64(_C2)
-    np.right_shift(z, np.uint64(31), out=tmp)
+    z *= _UC2
+    np.right_shift(z, _U31, out=tmp)
     z ^= tmp
     return z
 
@@ -162,7 +172,9 @@ class DistributionSpec:
         """Right-continuous inverse F^{-1}(y) = inf{x : F(x) >= y}, 0 < y < 1."""
         raise NotImplementedError
 
-    def inv_cdf_array(self, y: np.ndarray) -> np.ndarray:
+    def inv_cdf_array(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """F^{-1} of each y, written into and returned as ``out`` when it is
+        given; ``out`` may be y itself."""
         raise NotImplementedError
 
     def clipped_moments(self, x):
@@ -229,12 +241,14 @@ class _Atomic(DistributionSpec):
         _check_y(y)
         return self._xs_list[bisect.bisect_left(self._inner, y)]
 
-    def inv_cdf_array(self, y):
+    def inv_cdf_array(self, y, out=None):
         # x_i with i the count of inner breakpoints below y, as in inv_cdf;
-        # on two atoms one comparison is about 3x faster than searchsorted
+        # on two atoms one comparison is about 3x faster than searchsorted.
+        # i never leaves the table, so mode="clip" changes no index; it only
+        # spares take the buffered copy that mode="raise" makes of ``out``
         inner = self._inner
         i = y > inner[0] if len(inner) == 1 else np.searchsorted(inner, y)
-        return self._xs.take(i)
+        return self._xs.take(i, out=out, mode="clip")
 
     def clipped_moments(self, x):
         clipped = np.minimum(np.asarray(x, dtype=np.float64)[..., None], self._xs)
@@ -309,8 +323,11 @@ class Uniform(DistributionSpec):
         _check_y(y)
         return self.lo + y * (self.hi - self.lo)
 
-    def inv_cdf_array(self, y):
-        return self.lo + y * (self.hi - self.lo)
+    def inv_cdf_array(self, y, out=None):
+        # lo + y * (hi - lo), as inv_cdf
+        out = np.multiply(y, self.hi - self.lo, out=out)
+        out += self.lo
+        return out
 
     def clipped_moments(self, x):
         lo, hi = self.lo, self.hi
@@ -348,8 +365,13 @@ class Exponential(DistributionSpec):
         # inputs, and inv_cdf_array must return these very numbers
         return float(-np.log1p(-y) / self.rate)
 
-    def inv_cdf_array(self, y):
-        return -np.log1p(-y) / self.rate
+    def inv_cdf_array(self, y, out=None):
+        # -log1p(-y) / rate, as inv_cdf: a division rounds symmetrically in
+        # sign, so dividing by -rate gives the same bits
+        out = np.negative(y, out=out)
+        np.log1p(out, out=out)
+        np.divide(out, -self.rate, out=out)
+        return out
 
     def clipped_moments(self, x):
         # E min(s, x) = (1 - e^-z) / rate and E min(s, x)^2 = 2 (1 - e^-z
@@ -393,9 +415,9 @@ class Geometric(DistributionSpec):
             k += 1
         return float(k)
 
-    def inv_cdf_array(self, y):
+    def inv_cdf_array(self, y, out=None):
         if self.q == 0.5:
-            # k = max(0, -e) with s = 1 - y = m * 2^e, 1/2 <= m < 1 (frexp).
+            # k = max(0, -e) with s = 1 - y = m * 2^e, 1/2 <= m < 1.
             # * F^(k) = 1 - 2^-(k+1) is exact in binary64 for k <= 52, and
             #   inv_cdf answers the least k >= 0 with y <= F^(k).
             # * For y >= 1/2, 1 - y is exact (Sterbenz), so y <= F^(k) iff
@@ -403,10 +425,17 @@ class Geometric(DistributionSpec):
             #   s >= 2^-53, so -e <= 52.
             # * For y < 1/2 the answer is 0, and s rounds into [1/2, 1], so
             #   e is 0 or 1.
-            # 0.0 - e is +0.0 at e = 0, so no -0.0 reaches the output.
-            s = np.subtract(1.0, y)
-            e = np.frexp(s, out=(s, None))[1]
-            np.subtract(0.0, e, out=s)
+            # s lies in [2^-53, 1] and is normal, so -e = 1022 - E with E its
+            # biased exponent, the bits above the 52-bit mantissa.  E ORed
+            # into the bits of 2^52 reads as the double 2^52 + E, and
+            # (2^52 + 1022) - (2^52 + E) is exact; at E = 1022 it is +0.0,
+            # so no -0.0 reaches the output.  s = 1 (y = 0, or y <= 2^-54,
+            # where 1 - y rounds to 1) has E = 1023, and the clamp gives 0.
+            s = np.subtract(1.0, y, out=out)
+            bits = s.view(np.uint64)
+            bits >>= _U52
+            bits |= _BITS_2P52
+            np.subtract(2.0**52 + 1022, s, out=s)
             np.maximum(s, 0.0, out=s)
             return s
         # In real arithmetic k = ceil(r) - 1 with r = log(1-y)/log(q); inv_cdf
@@ -440,7 +469,10 @@ class Geometric(DistributionSpec):
         np.abs(r, out=r)
         near = np.flatnonzero(r >= 0.5 - 2.0**-28 / -log_q)
         k[near] = [self.inv_cdf(float(v)) for v in y[near]]
-        return k
+        if out is None:
+            return k
+        out[...] = k
+        return out
 
     def clipped_moments(self, x):
         # E min(s, x)^k = sum_(j < m) P(s > j) ((j+1)^k - j^k) + P(s > m)
@@ -588,29 +620,10 @@ def sample_field(
     return WeightField(region, sample_weights(spec, seed, _edge_keys(region)), seed, spec)
 
 
-# Draws per block: 2^14 draws keep the 128 KiB hash, uniform and inverse-CDF
-# arrays of a block in L2 cache.
-_BLOCK = 1 << 14
-
-
-def _uniform_blocks(seed: int, keys: np.ndarray):
-    """Yield ``(start, u)`` with u[j] = uniform53(mix64(seed, c)), block by block.
-
-    ``c`` is the counter whose key (:func:`counter_keys`) is ``keys[start + j]``.
-    ``u`` is one buffer, overwritten by the next block.
-    """
-    m = min(keys.size, _BLOCK)
-    z, tmp, u = np.empty(m, np.uint64), np.empty(m, np.uint64), np.empty(m)
-    seed_term = np.uint64((seed * _C1 + _C3) & _M64)
-    for start in range(0, keys.size, _BLOCK):
-        size = min(_BLOCK, keys.size - start)
-        zb, ub = z[:size], u[:size]
-        # a*C1 + c*C2 + C3  mod 2^64
-        np.add(keys[start : start + size], seed_term, out=zb)
-        _finalize64(zb, tmp[:size])
-        np.right_shift(zb, np.uint64(11), out=zb)
-        np.multiply(zb, 2.0**-53, out=ub)
-        yield start, ub
+# Draws per block: 2^15 draws keep the 256 KiB hash and scratch arrays and
+# the block's 256 KiB slice of the output in L2 cache, in half the ufunc calls
+# of 2^14 (ROADMAP, negative results: sampler block size).
+_BLOCK = 1 << 15
 
 
 def sample_weights(spec: DistributionSpec, seed: int, keys: np.ndarray) -> np.ndarray:
@@ -618,10 +631,24 @@ def sample_weights(spec: DistributionSpec, seed: int, keys: np.ndarray) -> np.nd
     from mix64(seed, c), c the counter behind ``keys[i]`` (:func:`counter_keys`).
     """
     out = np.empty(keys.size)
-    for start, u in _uniform_blocks(seed, keys):
+    m = min(keys.size, _BLOCK)
+    z, tmp = np.empty(m, np.uint64), np.empty(m, np.uint64)
+    seed_term = np.uint64((seed * _C1 + _C3) & _M64)
+    for start in range(0, keys.size, _BLOCK):
+        size = min(_BLOCK, keys.size - start)
+        zb, ub = z[:size], out[start : start + size]
+        # a*C1 + c*C2 + C3  mod 2^64
+        np.add(keys[start : start + size], seed_term, out=zb)
+        _finalize64(zb, tmp[:size])
+        zb >>= _U11
+        # below 2^53 the int64 view converts exactly, and faster than uint64
+        np.multiply(zb.view(np.int64), 2.0**-53, out=ub)
+        if ub.min() > 0.0:
+            spec.inv_cdf_array(ub, out=ub)
+            continue
         # u = 0 has probability 2^-53 per draw; F^{-1}(0) is the support infimum
-        zero = np.flatnonzero(u == 0.0)
-        u[zero] = 2.0**-53
-        out[start : start + u.size] = spec.inv_cdf_array(u)
-        out[start + zero] = spec.support_inf()
+        zero = np.flatnonzero(ub == 0.0)
+        ub[zero] = 2.0**-53
+        spec.inv_cdf_array(ub, out=ub)
+        ub[zero] = spec.support_inf()
     return out

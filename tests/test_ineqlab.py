@@ -371,6 +371,15 @@ class TestValidation:
         # 2^K_MAX passes the check; an empty stack allocates nothing
         assert efron_stein_check(np.empty((0, 2**K_MAX))) == []
 
+    # log-Sobolev takes pairs only, so it is checked at k = 1
+    @pytest.mark.parametrize(
+        "name, k",
+        [(name, k) for name in HYPERCUBE_CHECKS for k in (1, 2, 3) if name != "log_sobolev" or k == 1],
+    )
+    def test_an_empty_stack_gives_no_verdicts(self, name, k):
+        # entropy-variational gets trials of shape (0, 1, 2^k)
+        assert check_stack(name, np.empty((0, 2**k))) == []
+
     @pytest.mark.parametrize("name", HYPERCUBE_CHECKS)
     def test_accepts_nested_lists(self, name):
         assert len(check_stack(name, [[1.0, 2.0], [3.0, 3.0]])) == 2

@@ -99,6 +99,21 @@ class TestInverseCdf:
         scal = np.array([spec.inv_cdf(float(v)) for v in u])
         assert np.array_equal(vec, scal)
 
+    @pytest.mark.parametrize("spec", [*ALL_SPECS, Geometric(0.3)], ids=repr)
+    def test_writes_into_out(self, spec):
+        # the sampler inverts each block in place, so out, y itself included,
+        # must hold the very bytes of a fresh result
+        tail = np.arange(1, 2001) * 2.0**-53
+        stream = sample_weights(Uniform(0, 1), 5, dense_keys(4000))
+        y = np.concatenate([np.maximum(stream, 2.0**-53), tail, 1.0 - tail])
+        want = spec.inv_cdf_array(y).tobytes()
+        buf = np.empty_like(y)
+        assert spec.inv_cdf_array(y, out=buf) is buf
+        assert buf.tobytes() == want
+        same = y.copy()
+        assert spec.inv_cdf_array(same, out=same) is same
+        assert same.tobytes() == want
+
     @pytest.mark.parametrize("q", [0.1, 0.5, 0.9, 0.99])
     def test_geometric_matches_scalar_at_breakpoints(self, q):
         # every breakpoint F(k) = 1 - q**(k+1) below 1.0, and 4 ulps each
@@ -270,7 +285,8 @@ class TestEdgeKey:
         assert np.array_equal(field.weights, dense)
 
 
-# 3 blocks of 2^14 draws and a partial block
+# more than one sampling block, the last one partial: one full block and a
+# partial one at 2^15 draws a block, three and a partial one at 2^14
 _STREAM_COUNT = 3 * 2**14 + 7
 _STREAM_SEED = 20180101
 # sha256 of sample_weights(spec, _STREAM_SEED, dense_keys(count)).tobytes(),
@@ -287,6 +303,10 @@ _STREAM_DIGESTS = {
     ("table", 1): "5caaabe50da77f59f448b3edf650d68fbca7b858390664c251c52b3f458a881c",
     ("table", _STREAM_COUNT): "3ed3422b610d0e0ef42c4b4b3515ae4ae0c017f14991abf12dc30bc91a983453",
 }
+
+
+# mix64(_ZERO_SEED, 0) == 0, so counter 0 draws the uniform 0 exactly
+_ZERO_SEED = 0x31355EC292F2C8C3
 
 
 class TestStream:
@@ -306,6 +326,29 @@ class TestStream:
         u = sample_weights(Uniform(0, 1), a, dense_keys(_STREAM_COUNT))
         idx = [i for i in self.COUNTERS if i < _STREAM_COUNT]
         assert [float(u[i]) for i in idx] == [uniform53(mix64(a, i)) for i in idx]
+
+    def test_the_zero_seed_draws_zero(self):
+        assert mix64(_ZERO_SEED, 0) == 0
+
+    # geometric:0.3 sends y = 0 to its scalar walk, which raises on it
+    @pytest.mark.parametrize("spec", [*ALL_SPECS, Geometric(0.3)], ids=repr)
+    def test_a_zero_uniform_draws_the_support_infimum(self, spec):
+        w = sample_weights(spec, _ZERO_SEED, counter_keys(np.array([0, 1, 2], dtype=np.uint64)))
+        assert w[0] == spec.support_inf()
+        assert list(w[1:]) == [spec.inv_cdf(uniform53(mix64(_ZERO_SEED, c))) for c in (1, 2)]
+
+    def test_a_zero_uniform_in_a_later_block(self, monkeypatch):
+        # counter 0 at offset 3 of the second of three blocks, the last one
+        # partial: the patch is block-relative (geometric:0.3 raises on an
+        # unpatched 0)
+        monkeypatch.setattr("fpplab.weights._BLOCK", 8)
+        counters = np.arange(1, 21, dtype=np.uint64)
+        counters[11] = 0
+        spec = Geometric(0.3)
+        w = sample_weights(spec, _ZERO_SEED, counter_keys(counters))
+        assert list(w) == [
+            spec.inv_cdf(uniform53(mix64(_ZERO_SEED, int(c)))) if c else 0.0 for c in counters
+        ]
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
     @pytest.mark.parametrize("count", [0, 1, _STREAM_COUNT])
