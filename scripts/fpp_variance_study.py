@@ -13,15 +13,7 @@ import sys
 import numpy as np
 
 from fpplab.cli import ResultStore, build_summary
-from fpplab.estimators import (
-    SweepConfig,
-    by_n,
-    efron_stein_bound,
-    fit_chi,
-    run_sweep,
-    sublinearity_profile,
-    summarize,
-)
+from fpplab.estimators import SweepConfig, efron_stein_bound, run_sweep
 from fpplab.fpp import passage_time
 from fpplab.lattice import point_window, window_halfwidth
 from fpplab.weights import mix64, parse_spec, sample_field
@@ -38,33 +30,32 @@ def main() -> int:
     args = ap.parse_args()
 
     n_list = (8, 16, 32) if args.quick else tuple(int(t) for t in args.n.split(","))
+    if len(n_list) < 3:
+        ap.error("--n needs at least 3 sizes for the sublinearity table and the chi fit")
     replicas = 100 if args.quick else args.replicas
     cfg = SweepConfig(
         model="fpp-point", d=2, n_list=n_list, spec=parse_spec(args.dist),
         replicas=replicas, seed=args.seed,
     )
     records = run_sweep(cfg)
-    grouped = by_n(records)
-    summaries = {n: summarize([r.T for r in recs], cfg.bootstrap) for n, recs in grouped.items()}
+    summary = build_summary(cfg, records)
+    prof, fit = summary["sublinearity"], summary["fits"]["chi"]
 
     print(f"{'n':>6} {'mean T':>10} {'Var':>10} {'Var/n':>10} {'Var*ln(n)/n':>12} {'#G/n':>8}")
-    for n in sorted(summaries):
-        s = summaries[n]
-        g = np.mean([r.g_int_size for r in grouped[n]])
+    for row in prof["rows"]:
+        n, entry = row["n"], summary["per_n"][str(row["n"])]
         print(
-            f"{n:>6} {s.mean:>10.3f} {s.variance:>10.4f} {s.variance / n:>10.5f}"
-            f" {s.variance * np.log(n) / n:>12.5f} {g / n:>8.3f}"
+            f"{n:>6} {entry['T']['mean']:>10.3f} {row['var']:>10.4f} {row['var_over_n']:>10.5f}"
+            f" {row['var_logn_over_n']:>12.5f} {entry['mean_g_int_over_n']:>8.3f}"
         )
-    prof = sublinearity_profile(summaries)
-    print(f"Var/n nonincreasing (within CI): {prof.var_over_n_nonincreasing}")
-    fit = fit_chi([(n, summaries[n].variance) for n in sorted(summaries)])
-    print(f"chi_hat = {fit.chi_hat:.4f} +- {fit.chi_stderr:.4f}   (Kesten bound: 1/2)")
+    print(f"Var/n nonincreasing (within CI): {prof['var_over_n_nonincreasing']}")
+    print(f"chi_hat = {fit['chi_hat']:.4f} +- {fit['chi_stderr']:.4f}   (Kesten bound: 1/2)")
 
     # the sweep's own fields and windows: replica r of size n, as run_replica draws it
     fields = min(50, replicas)
     print(f"Efron-Stein sum over the first {fields} fields per n:")
     print(f"{'n':>6} {'Var T':>10} {'ES sum':>10} {'+- se':>8} {'ES/Var':>8}")
-    for n in sorted(summaries):
+    for n in cfg.n_list:
         window = point_window(n, 2, window_halfwidth(n, 0, cfg.kappa))
         sums = [
             efron_stein_bound(
@@ -75,14 +66,14 @@ def main() -> int:
             )[0]
             for r in range(fields)
         ]
-        es, var = np.mean(sums), summaries[n].variance
+        es, var = np.mean(sums), summary["per_n"][str(n)]["T"]["variance"]
         se = np.std(sums, ddof=1) / np.sqrt(fields)  # a sweep has at least 2 replicas
         print(f"{n:>6} {var:>10.4f} {es:>10.4f} {se:>8.4f} {es / var:>8.3f}")
 
     if args.out:
         store = ResultStore(args.out)
         store.write_records(cfg.model, records)
-        store.write_summary(build_summary(cfg, records))
+        store.write_summary(summary)
         print(f"records written to {store.root}")
     return 0
 

@@ -9,7 +9,8 @@ maximum should fall as the torus grows.
 import argparse
 import sys
 
-from fpplab.estimators import SweepConfig, influence_map, run_sweep
+from fpplab.cli import build_summary
+from fpplab.estimators import SweepConfig, run_sweep
 from fpplab.weights import parse_spec
 
 
@@ -29,16 +30,16 @@ def main() -> int:
         replicas=replicas, seed=args.seed,
     )
     records = run_sweep(cfg)
-    maps = influence_map(records, cfg.d)
+    maps = build_summary(cfg, records)["influence"]
 
     print(f"{'n':>6} {'E#G':>8} {'max P(e in G)':>14} {'p (axis 0)':>11} {'p (axis 1)':>11}")
-    for n in sorted(maps):
-        im = maps[n]
+    for n in cfg.n_list:
+        im = maps[str(n)]
         print(
-            f"{n:>6} {im.mean_g_size:>8.2f} {im.max_frequency:>14.5f}"
-            f" {im.axis_pvalues[0]:>11.3f} {im.axis_pvalues[1]:>11.3f}"
+            f"{n:>6} {im['mean_g_size']:>8.2f} {im['max_frequency']:>14.5f}"
+            f" {im['axis_pvalues']['0']:>11.3f} {im['axis_pvalues']['1']:>11.3f}"
         )
-    maxima = [maps[n].max_frequency for n in sorted(maps)]
+    maxima = [maps[str(n)]["max_frequency"] for n in cfg.n_list]
     print(f"max influence decreasing across n: {all(b < a for a, b in zip(maxima, maxima[1:]))}")
     return 0
 

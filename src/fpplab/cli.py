@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, fields
@@ -29,13 +30,8 @@ from .estimators import (
     ReplicaRecord,
     SweepConfig,
     by_n,
-    compare_fn_variance,
     fit_chi,
-    geodesic_speed_stats,
-    geodesic_window_stats,
-    influence_map,
     run_sweep,
-    sublinearity_profile,
     summarize,
     worker_count,
 )
@@ -308,22 +304,33 @@ def _summary_dict(s: EstimatorSummary) -> dict:
 
 
 def build_summary(cfg: SweepConfig, records: Sequence[ReplicaRecord]) -> dict:
-    """Aggregate a record stream into the summary JSON structure.
+    """Reduce a record stream to the summary JSON structure; every reported
+    statistic of a sweep is computed here.
 
-    Pure function of (config, records): regenerating from the stored CSVs
-    reproduces the summary byte for byte.
+    One pass over the sizes fills each size's ``per_n`` entry and its rows of
+    ``influence`` (torus), ``window_ratios`` and ``min_speed`` (point
+    geometry) and ``fn_comparison`` (records with F_n).  The cross-size
+    sections read the T summaries that pass holds: the chi fit and the
+    ``sublinearity`` table over the sizes with Var T > 0, the LPP center fit,
+    and the F_n growth trend, given when two or more sizes have F_n.  The
+    sublinearity entries are flags, never assertions, as the comparison
+    constants are existential.  Pure function of (config, records):
+    regenerating from the stored CSVs reproduces the summary byte for byte.
     """
-    grouped = by_n(records)
-    per_n = {}
-    var_pairs = []
-    means = {}
-    t_summaries = {}
-    for n, recs in grouped.items():
+    per_n, t_summaries, fn_rows = {}, {}, []
+    influence, window_ratios, min_speed = {}, {}, {}
+    for n, recs in by_n(records).items():
         t_summaries[n] = summarize([r.T for r in recs], cfg.bootstrap)
         entry = {"T": _summary_dict(t_summaries[n])}
         fs = [r.F_n for r in recs if r.F_n is not None]
         if fs:
             entry["F_n"] = _summary_dict(summarize(fs, cfg.bootstrap))
+            # Var T over the same records as Var F_n
+            vt = float(np.var([r.T for r in recs if r.F_n is not None], ddof=1))
+            vf = float(np.var(fs, ddof=1))
+            diff = abs(vt - vf)
+            fn_rows.append({"n": n, "var_T": vt, "var_F": vf, "abs_diff": diff,
+                            "diff_over_n34": diff / n**0.75})
         gs = [r.g_int_size for r in recs if r.g_int_size is not None]
         if gs:
             entry["mean_g_int"] = float(np.mean(gs))
@@ -338,9 +345,41 @@ def build_summary(cfg: SweepConfig, records: Sequence[ReplicaRecord]) -> dict:
         entry["mean_window_grows"] = float(np.mean(grows))
         entry["flagged"] = int(sum(r.flagged for r in recs))
         per_n[str(n)] = entry
-        if entry["T"]["variance"] > 0:
-            var_pairs.append((n, entry["T"]["variance"]))
-        means[n] = entry["T"]["mean"]
+        if cfg.model == "fpp-torus":
+            # imported here, not at module level: only torus summaries need
+            # it, and it would add to every sweep's start-up.  chdtrc is the
+            # chi-square survival function itself: scipy.stats.chi2.sf calls
+            # it, and importing scipy.stats would double start-up
+            from scipy.special import chdtrc
+
+            bitmaps = [r.g_bitmap for r in recs if r.g_bitmap is not None]
+            if not bitmaps:  # a store whose records CSV lost its bitmaps
+                raise ValueError(f"no membership bitmaps recorded at n={n}")
+            counts = np.sum(bitmaps, axis=0).astype(np.float64)
+            pvalues = {}
+            for axis in range(cfg.d):
+                c = counts[axis::cfg.d]
+                expected = c.mean()
+                if expected == 0:
+                    pvalues[str(axis)] = 1.0
+                    continue
+                stat = float(np.sum((c - expected) ** 2 / expected))
+                pvalues[str(axis)] = float(chdtrc(c.size - 1, stat))
+            influence[str(n)] = {
+                "axis_pvalues": pvalues,
+                "max_frequency": float((counts / len(bitmaps)).max()),
+                "mean_g_size": float(counts.sum() / len(bitmaps)),
+            }
+        # mean over replicas of max_z #(geodesic edges in z + B_m) / diam(B_m)
+        wins = [r.win_counts for r in recs if r.win_counts is not None]
+        if wins:
+            window_ratios[str(n)] = {
+                str(m): float(np.mean([w[m] / (2.0 * m) for w in wins])) for m in WINDOW_MS
+            }
+        # the empirical lower envelope of T per geodesic edge
+        speeds = [r.T / r.geo_len for r in recs if r.geo_len]
+        if speeds:
+            min_speed[str(n)] = float(min(speeds))
 
     out = {
         "schema": "fpplab-summary-v1",
@@ -354,49 +393,42 @@ def build_summary(cfg: SweepConfig, records: Sequence[ReplicaRecord]) -> dict:
         "config_digest": config_digest(cfg),
         "per_n": per_n,
     }
+    means = {n: s.mean for n, s in t_summaries.items()}
+    positive = [(n, s) for n, s in t_summaries.items() if s.variance > 0]
     fits = {}
-    if len(var_pairs) >= 3:
-        fits["chi"] = asdict(fit_chi(var_pairs, means))
-        prof = sublinearity_profile({n: t_summaries[n] for n, _ in var_pairs})
+    if len(positive) >= 3:
+        fits["chi"] = asdict(fit_chi([(n, s.variance) for n, s in positive], means))
+        # Var/n is nonincreasing up to CI overlap unless some size has a
+        # larger Var/n and a CI wholly above its predecessor's
+        scaled = [(s.var_ci[0] / n, s.var_ci[1] / n, s.variance / n) for n, s in positive]
         out["sublinearity"] = {
             "rows": [
-                {"n": r.n, "var": r.var, "var_over_n": r.var_over_n,
-                 "var_logn_over_n": r.var_logn_over_n}
-                for r in prof.rows
+                {"n": n, "var": s.variance, "var_over_n": s.variance / n,
+                 "var_logn_over_n": s.variance * math.log(n) / n}
+                for n, s in positive
             ],
-            "var_over_n_nonincreasing": prof.var_over_n_nonincreasing,
-            "log_lower_c": prof.log_lower_c,
+            "var_over_n_nonincreasing": not any(
+                b[2] > a[2] and b[0] > a[1] for a, b in zip(scaled, scaled[1:])
+            ),
+            # the largest c with Var >= c log n across the grid
+            "log_lower_c": min(s.variance / math.log(n) for n, s in positive if n > 1),
         }
     if cfg.model == "lpp" and len(means) >= 2:
         fits["center"] = fit_center(means)
     if fits:
         out["fits"] = fits
     if cfg.model == "fpp-torus":
-        inf = influence_map(records, cfg.d)
-        out["influence"] = {
-            str(n): {
-                "axis_pvalues": {str(a): p for a, p in im.axis_pvalues.items()},
-                "max_frequency": im.max_frequency,
-                "mean_g_size": im.mean_g_size,
-            }
-            for n, im in inf.items()
-        }
-    if any(r.F_n is not None for r in records) and len(grouped) >= 2:
-        cmp_rows = compare_fn_variance(records)
+        out["influence"] = influence
+    if len(fn_rows) >= 2:
+        ratios = [row["diff_over_n34"] for row in fn_rows]
         out["fn_comparison"] = {
-            "rows": [
-                {"n": n, "var_T": vt, "var_F": vf, "abs_diff": df, "diff_over_n34": rr}
-                for n, vt, vf, df, rr in cmp_rows.rows
-            ],
-            "growth_trend": cmp_rows.growth_trend,
+            "rows": fn_rows,
+            "growth_trend": all(b > a for a, b in zip(ratios, ratios[1:])),
         }
-    if any(r.win_counts for r in records):
-        out["window_ratios"] = {
-            str(n): {str(m): v for m, v in row.items()}
-            for n, row in geodesic_window_stats(records).items()
-        }
-    if any(r.geo_len for r in records):
-        out["min_speed"] = {str(n): v for n, v in geodesic_speed_stats(records).items()}
+    if window_ratios:
+        out["window_ratios"] = window_ratios
+    if min_speed:
+        out["min_speed"] = min_speed
     return out
 
 
@@ -447,7 +479,7 @@ def cmd_sweep(args) -> int:
     sp = store.write_summary(summary)
     pm = store.write_plot_manifest(plot_manifest_lines(cfg, store))
     finished = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    counts = {str(n): len(v) for n, v in by_n(records).items()}
+    counts = {n: entry["T"]["count"] for n, entry in summary["per_n"].items()}
     store.write_manifest(
         {
             "config_digest": config_digest(cfg),

@@ -1,7 +1,8 @@
-"""Monte Carlo sweep engine and statistical reductions: variance summaries
-with bootstrap confidence intervals, fluctuation-exponent fits, sublinearity
-profiles, exact per-field Efron-Stein sums, per-edge influence maps on the
-torus, geodesic geometry statistics and geodesic weight sums.
+"""Monte Carlo sweep engine and its statistical building blocks: per-replica
+records with geodesic geometry statistics and geodesic weight sums, variance
+summaries with bootstrap confidence intervals, fluctuation-exponent fits and
+exact per-field Efron-Stein sums.  ``cli.build_summary`` reduces a sweep's
+records to its reported statistics with these.
 
 Replica r of a sweep with master seed s draws its field from mix64(s, r), so
 record streams are bit-identical for identical configurations regardless of
@@ -280,7 +281,7 @@ def by_n(records: Sequence[ReplicaRecord]) -> dict[int, list[ReplicaRecord]]:
 
 
 # ---------------------------------------------------------------------------
-# Fits and profiles
+# Fits
 # ---------------------------------------------------------------------------
 
 
@@ -318,50 +319,6 @@ def fit_chi(
     return FitResult(chi, stderr / 2.0, nu, sigma, tuple(resid), tuple(int(v) for v in ns))
 
 
-@dataclass
-class SublinearityRow:
-    n: int
-    var: float
-    var_over_n: float
-    var_logn_over_n: float
-
-
-@dataclass
-class SublinearityProfile:
-    rows: list[SublinearityRow]
-    var_over_n_nonincreasing: bool
-    log_lower_c: float
-
-
-def sublinearity_profile(
-    summaries: dict[int, EstimatorSummary],
-) -> SublinearityProfile:
-    """Trend table for Var against n, n/log n, and log n comparators.
-
-    Monotonicity of Var/n is judged within CI overlap; the log lower bound is
-    the largest c with Var >= c log n across the grid.  Flags only, never
-    assertions: the comparison constants are existential.
-    """
-    if len(summaries) < 3:
-        raise ValueError("need at least 3 sizes")
-    rows = []
-    noninc = True
-    prev = None
-    for n in sorted(summaries):
-        s = summaries[n]
-        rows.append(
-            SublinearityRow(n, s.variance, s.variance / n, s.variance * math.log(n) / n)
-        )
-        cur = (s.var_ci[0] / n, s.var_ci[1] / n, s.variance / n)
-        if prev is not None:
-            # nonincreasing up to CI overlap
-            if cur[2] > prev[2] and cur[0] > prev[1]:
-                noninc = False
-        prev = cur
-    c = min(s.variance / math.log(n) for n, s in summaries.items() if n > 1)
-    return SublinearityProfile(rows, noninc, c)
-
-
 # ---------------------------------------------------------------------------
 # Efron-Stein empirical bound
 # ---------------------------------------------------------------------------
@@ -385,109 +342,3 @@ def efron_stein_bound(result: PassageResult) -> tuple[float, float]:
     x = result._time(C - a)
     m1, m2 = spec.clipped_moments(x[x > 0])
     return float(np.sum(m2 - m1 * m1)), spec.second_moment() * float(result.gint_edge_idx.size)
-
-
-# ---------------------------------------------------------------------------
-# Torus influence map
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class InfluenceMap:
-    n: int
-    frequencies: np.ndarray
-    axis_pvalues: dict[int, float]
-    max_frequency: float
-    mean_g_size: float
-
-
-def influence_map(records: Sequence[ReplicaRecord], d: int) -> dict[int, InfluenceMap]:
-    """Per-edge membership frequencies P(e in G) with per-axis uniformity tests."""
-    # imported here, not at module level: only torus summaries need it, and
-    # it would add to every sweep's start-up
-    from scipy.special import chdtrc
-
-    grouped = by_n(records)
-    out = {}
-    for n, recs in grouped.items():
-        bitmaps = [r.g_bitmap for r in recs if r.g_bitmap is not None]
-        if not bitmaps:
-            raise ValueError(f"no membership bitmaps recorded at n={n}")
-        counts = np.sum(bitmaps, axis=0).astype(np.float64)
-        reps = len(bitmaps)
-        freq = counts / reps
-        pvals = {}
-        for axis in range(d):
-            c = counts[axis::d]
-            expected = c.mean()
-            if expected == 0:
-                pvals[axis] = 1.0
-                continue
-            stat = float(np.sum((c - expected) ** 2 / expected))
-            # the chi-square survival function itself: scipy.stats.chi2.sf
-            # calls chdtrc, and importing scipy.stats would double start-up
-            pvals[axis] = float(chdtrc(c.size - 1, stat))
-        out[n] = InfluenceMap(
-            n, freq, pvals, float(freq.max()), float(counts.sum() / reps)
-        )
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Geodesic geometry statistics
-# ---------------------------------------------------------------------------
-
-
-def geodesic_window_stats(
-    records: Sequence[ReplicaRecord],
-) -> dict[int, dict[int, float]]:
-    """Mean of max_z #(geodesic edges in z + B_m) / diam(B_m), per n and m."""
-    out: dict[int, dict[int, float]] = {}
-    for n, recs in by_n(records).items():
-        counts = {m: [] for m in WINDOW_MS}
-        for r in recs:
-            if r.win_counts is None:
-                continue
-            for m in WINDOW_MS:
-                counts[m].append(r.win_counts[m] / (2.0 * m))
-        if any(counts[m] for m in WINDOW_MS):
-            out[n] = {m: float(np.mean(counts[m])) for m in WINDOW_MS if counts[m]}
-    if not out:
-        raise ValueError("no window counts recorded")
-    return out
-
-
-@dataclass
-class FnComparison:
-    rows: list[tuple[int, float, float, float, float]]  # n, VarT, VarF, |diff|, diff/n^{3/4}
-    growth_trend: bool
-
-
-def compare_fn_variance(records: Sequence[ReplicaRecord]) -> FnComparison:
-    rows = []
-    for n, recs in by_n(records).items():
-        fs = np.array([r.F_n for r in recs if r.F_n is not None])
-        if fs.size == 0:
-            continue
-        ts = np.array([r.T for r in recs if r.F_n is not None])
-        vt = float(ts.var(ddof=1))
-        vf = float(fs.var(ddof=1))
-        diff = abs(vt - vf)
-        rows.append((n, vt, vf, diff, diff / n**0.75))
-    if len(rows) < 2:
-        raise ValueError("need F_n records at two or more sizes")
-    ratios = [r[4] for r in rows]
-    growth = all(b > a for a, b in zip(ratios, ratios[1:]))
-    return FnComparison(rows, growth)
-
-
-def geodesic_speed_stats(records: Sequence[ReplicaRecord]) -> dict[int, float]:
-    """Empirical lower envelope min over replicas of T / (geodesic edge count)."""
-    out = {}
-    for n, recs in by_n(records).items():
-        ratios = [r.T / r.geo_len for r in recs if r.geo_len]
-        if ratios:
-            out[n] = float(min(ratios))
-    if not out:
-        raise ValueError("no geodesic lengths recorded")
-    return out

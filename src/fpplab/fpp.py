@@ -544,7 +544,7 @@ def _search_inside(field: WeightField, pairs, max_grows: int):
         if not (touched and growable and grows < max_grows):
             return field, weff, scale, dists, preds, dags, grows, touched
         big = _grow_box(region)
-        weights = sample_field(field.spec, big, field.seed, for_fpp=False).weights
+        weights = sample_field(field.spec, big, field.seed).weights
         _, tails, axes, _ = _edge_tables(region)
         coords = np.unravel_index(tails, region.shape)
         at = np.ravel_multi_index(

@@ -70,35 +70,24 @@ class LppGrid:
 
     ``diagonals`` holds the weights in the anti-diagonal order of
     :func:`_layout`.  ``vertex_weights`` rebuilds the (n+1) x (n+1) array, as a
-    fresh read-only copy, each time it is read.
+    fresh read-only copy, each time it is read.  A grid built from an array is
+    checked for negative or NaN weights; :func:`sample_grid` draws from a
+    validated law and stores its draws unchecked.
     """
 
     n: int
     diagonals: np.ndarray
-    spec: Optional[DistributionSpec]
 
-    def __init__(self, n: int, vertex_weights, spec: Optional[DistributionSpec] = None):
+    def __init__(self, n: int, vertex_weights):
         w = np.asarray(vertex_weights, dtype=np.float64)
         if w.shape != (n + 1, n + 1):
             raise ValueError("vertex weight array must be (n+1) x (n+1)")
-        flat = w.reshape(-1)
-        diagonals = np.empty(flat.size)
-        for cells, strided in _layout(n).plan:
-            diagonals[cells] = flat[strided]
-        self._store(n, diagonals, spec)
-
-    @classmethod
-    def _from_diagonals(
-        cls, n: int, diagonals: np.ndarray, spec: Optional[DistributionSpec]
-    ) -> "LppGrid":
-        grid = cls.__new__(cls)
-        grid._store(n, diagonals, spec)
-        return grid
-
-    def _store(self, n, diagonals, spec):
-        if not diagonals.min(initial=0.0) >= 0:  # NaN fails too
+        if not w.min(initial=0.0) >= 0:  # NaN fails too
             raise ValueError("negative or NaN vertex weight")
-        self.n, self.diagonals, self.spec = n, diagonals, spec
+        flat = w.reshape(-1)
+        self.n, self.diagonals = n, np.empty(flat.size)
+        for cells, strided in _layout(n).plan:
+            self.diagonals[cells] = flat[strided]
 
     @property
     def vertex_weights(self) -> np.ndarray:
@@ -121,8 +110,9 @@ def sample_grid(n: int, seed: int, spec: Optional[DistributionSpec] = None) -> L
     """
     if spec is None:
         spec = default_spec()
-    keys = _layout(n).keys
-    return LppGrid._from_diagonals(n, sample_weights(spec, seed, keys), spec)
+    grid = LppGrid.__new__(LppGrid)
+    grid.n, grid.diagonals = n, sample_weights(spec, seed, _layout(n).keys)
+    return grid
 
 
 def last_passage_value(grid: LppGrid) -> float:

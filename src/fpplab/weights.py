@@ -606,17 +606,15 @@ class WeightField:
         return WeightField(self.region, w, self.seed, self.spec)
 
 
-def sample_field(
-    spec: DistributionSpec, region: Region, seed: int, for_fpp: bool = True
-) -> WeightField:
+def sample_field(spec: DistributionSpec, region: Region, seed: int) -> WeightField:
     """Draw an i.i.d. field; edge e's weight comes from mix64(seed, counter of e).
 
     On an open region (a Box) the counter is :func:`edge_key` of the edge's
     lattice coordinates, so boxes that share an edge give it the same weight;
     on a region with a wrapping axis (a Torus) it is the dense edge index.
+    Any law is drawn; a sweep rejects one that :func:`validate_for_fpp` does
+    when its config is built.
     """
-    if for_fpp:
-        validate_for_fpp(spec, region.d)
     return WeightField(region, sample_weights(spec, seed, _edge_keys(region)), seed, spec)
 
 

@@ -12,17 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from fpplab.cli import ResultStore, records_to_csv
-from fpplab.estimators import (
-    SweepConfig,
-    by_n,
-    compare_fn_variance,
-    fit_chi,
-    geodesic_window_stats,
-    influence_map,
-    run_sweep,
-    summarize,
-)
+from fpplab.cli import ResultStore, build_summary, records_to_csv
+from fpplab.estimators import SweepConfig, by_n, run_sweep
 from fpplab.fpp import (
     brute_force_passage,
     edge_removal_oracle,
@@ -94,7 +85,7 @@ def test_criterion_01_shortest_path_oracle():
     worst = 0.0
     for i, spec in enumerate((Uniform(0, 1), Bernoulli(1, 2, 0.5))):
         for seed in range(100):
-            field = sample_field(spec, BOX33, 10_000 * i + seed, for_fpp=False)
+            field = sample_field(spec, BOX33, 10_000 * i + seed)
             got = passage_time(field, (0, 0), (2, 2), max_grows=0).T
             want = brute_force_passage(field, (0, 0), (2, 2))
             worst = max(worst, abs(got - want))
@@ -111,7 +102,7 @@ def test_criterion_02_intersection_oracle():
     mismatches = 0
     for i, spec in enumerate((Uniform(0, 1), Bernoulli(1, 2, 0.5))):
         for seed in range(100):
-            field = sample_field(spec, BOX33, 20_000 * i + seed, for_fpp=False)
+            field = sample_field(spec, BOX33, 20_000 * i + seed)
             res = passage_time(field, (0, 0), (2, 2), max_grows=0)
             got = {int(e) for e in res.gint_edge_idx}
             if got != edge_removal_oracle(field, (0, 0), (2, 2)):
@@ -129,7 +120,7 @@ def test_criterion_03_criticality_law():
     win = Box((0, 0), (4, 3))
     worst = 0.0
     for trial in range(50):
-        field = sample_field(Uniform(0, 1), win, 30_000 + trial, for_fpp=False)
+        field = sample_field(Uniform(0, 1), win, 30_000 + trial)
         e = int(rng.integers(0, win.n_edges()))
         s, t = np.sort(rng.uniform(0.0, 2.0, size=2))
         res = passage_time(field, (0, 0), (4, 3), max_grows=0)
@@ -165,52 +156,32 @@ def test_criterion_04_inequality_suite():
 
 
 def test_criterion_05_lpp_exponent(lpp_sweep):
-    cfg, records = lpp_sweep
-    pairs = []
-    for n, recs in by_n(records).items():
-        ts = np.array([r.T for r in recs])
-        pairs.append((n, float(ts.var(ddof=1))))
-    fit = fit_chi(pairs)
+    fit = build_summary(*lpp_sweep)["fits"]["chi"]
     _check(
         5, "LPP fluctuation exponent in [0.23, 0.43]",
-        0.23 <= fit.chi_hat <= 0.43,
-        f"chi_hat={fit.chi_hat:.4f} +- {fit.chi_stderr:.4f}",
+        0.23 <= fit["chi_hat"] <= 0.43,
+        f"chi_hat={fit['chi_hat']:.4f} +- {fit['chi_stderr']:.4f}",
     )
 
 
 def test_criterion_06_fpp_variance_trend(fpp_sweep):
-    cfg, records = fpp_sweep
-    grouped = by_n(records)
-    summaries = {n: summarize([r.T for r in recs], cfg.bootstrap) for n, recs in grouped.items()}
-    ok_trend = True
-    detail = []
-    prev = None
-    for n in sorted(summaries):
-        s = summaries[n]
-        cur = (s.var_ci[0] / n, s.var_ci[1] / n, s.variance / n)
-        detail.append(f"{n}:{s.variance / n:.4f}")
-        if prev is not None and cur[2] > prev[2] and cur[0] > prev[1]:
-            ok_trend = False
-        prev = cur
-    fit = fit_chi([(n, summaries[n].variance) for n in sorted(summaries)])
-    ok_chi = fit.chi_hat <= 0.5 + 2 * fit.chi_stderr
+    summary = build_summary(*fpp_sweep)
+    prof, fit = summary["sublinearity"], summary["fits"]["chi"]
+    ok_chi = fit["chi_hat"] <= 0.5 + 2 * fit["chi_stderr"]
+    detail = ", ".join(f"{row['n']}:{row['var_over_n']:.4f}" for row in prof["rows"])
     _check(
         6, "Var/n nonincreasing within CI overlap and chi below 1/2",
-        ok_trend and ok_chi,
-        f"Var/n: {', '.join(detail)}; chi_hat={fit.chi_hat:.4f}+-{fit.chi_stderr:.4f}",
+        prof["var_over_n_nonincreasing"] and ok_chi,
+        f"Var/n: {detail}; chi_hat={fit['chi_hat']:.4f}+-{fit['chi_stderr']:.4f}",
     )
 
 
 def test_criterion_07_geodesic_linearity(fpp_sweep):
-    cfg, records = fpp_sweep
-    grouped = by_n(records)
-    g_over_n = {
-        n: np.mean([r.g_int_size for r in recs]) / n for n, recs in grouped.items()
-    }
-    spread = max(g_over_n.values()) / min(g_over_n.values())
-    ratios = geodesic_window_stats(records)
+    summary = build_summary(*fpp_sweep)
+    g_over_n = [entry["mean_g_int_over_n"] for entry in summary["per_n"].values()]
+    spread = max(g_over_n) / min(g_over_n)
     worst_m_spread = 0.0
-    for n, row in ratios.items():
+    for row in summary["window_ratios"].values():
         vals = list(row.values())
         worst_m_spread = max(worst_m_spread, max(vals) / min(vals))
     _check(
@@ -221,10 +192,9 @@ def test_criterion_07_geodesic_linearity(fpp_sweep):
 
 
 def test_criterion_08_torus_symmetry(torus_sweep):
-    cfg, records = torus_sweep
-    inf = influence_map(records, cfg.d)
-    min_p = min(p for im in inf.values() for p in im.axis_pvalues.values())
-    maxima = [inf[n].max_frequency for n in sorted(inf)]
+    inf = build_summary(*torus_sweep)["influence"]
+    min_p = min(p for row in inf.values() for p in row["axis_pvalues"].values())
+    maxima = [inf[n]["max_frequency"] for n in sorted(inf, key=int)]
     decreasing = all(b < a for a, b in zip(maxima, maxima[1:]))
     _check(
         8, "influence uniformity p > 0.01 per axis; max P(e in G) decreasing",
@@ -234,10 +204,9 @@ def test_criterion_08_torus_symmetry(torus_sweep):
 
 
 def test_criterion_09_fn_approximation(fn_sweep):
-    cfg, records = fn_sweep
-    cmp_res = compare_fn_variance(records)
-    ratios = [row[4] for row in cmp_res.rows]
-    bounded = (not cmp_res.growth_trend) or (max(ratios) <= 3.0 * min(ratios))
+    cmp_res = build_summary(*fn_sweep)["fn_comparison"]
+    ratios = [row["diff_over_n34"] for row in cmp_res["rows"]]
+    bounded = (not cmp_res["growth_trend"]) or (max(ratios) <= 3.0 * min(ratios))
     _check(
         9, "|Var T - Var F|/n^(3/4) bounded over n in {16, 32, 64}",
         bounded,

@@ -397,11 +397,35 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
 
-    def test_report_regenerates_identically(self, tmp_path):
+    def test_report_on_torus_records_without_bitmaps_names_the_size(self, tmp_path, capsys):
+        out = tmp_path / "torus"
+        assert main(["torus", "influence", "--d", "2", "--dist", "bernoulli:1,2,0.5", "--n", "4",
+                     "--replicas", "2", "--seed", "1", "--threads", "1", "--out", str(out)]) == 0
+        lines = (out / TORUS_N4).read_text().splitlines()
+        (out / TORUS_N4).write_text(
+            "\n".join([lines[0], *(line.rsplit(",", 1)[0] + "," for line in lines[1:])]) + "\n"
+        )
+        capsys.readouterr()
+        assert main(["report", "--store", str(out)]) == 2
+        assert "no membership bitmaps recorded at n=4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            pytest.param(["fpp", "fn", "--dist", "uniform:0,1", "--n", "4,6"], id="fpp_fn"),
+            # 18 and 50 edges pad to 24 and 56 bitmap bits: the p-values hold
+            # only if the report trims each bitmap to the torus's edges
+            pytest.param(["torus", "influence", "--dist", "bernoulli:1,2,0.5", "--n", "3,4,5"],
+                         id="torus"),
+            # three sizes: the chi and center fits
+            pytest.param(["lpp", "run", "--dist", "geometric:0.5", "--n", "4,6,8"], id="lpp"),
+        ],
+    )
+    def test_report_regenerates_identically(self, tmp_path, sweep):
         out = tmp_path / "sweep"
         args = [
-            "fpp", "fn", "--d", "2", "--dist", "uniform:0,1", "--n", "4,6",
-            "--replicas", "3", "--seed", "2", "--threads", "1", "--out", str(out),
+            *sweep, "--d", "2", "--replicas", "3", "--seed", "2", "--threads", "1",
+            "--out", str(out),
         ]
         assert main(args) == 0
         original = (out / "summary.json").read_bytes()

@@ -7,21 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpplab import fpp
+from fpplab import cli, fpp
+from fpplab.cli import build_summary
 from fpplab.estimators import (
     WINDOW_MS,
+    EstimatorSummary,
     ReplicaRecord,
     SweepConfig,
     by_n,
-    compare_fn_variance,
     efron_stein_bound,
     fit_chi,
-    geodesic_speed_stats,
-    geodesic_window_stats,
-    influence_map,
     run_replica,
     run_sweep,
-    sublinearity_profile,
     summarize,
     _geometry_stats,
 )
@@ -192,10 +189,10 @@ class TestFitChi:
 
 class TestSublinearity:
     @staticmethod
-    def _synthetic(var_of_n):
-        from fpplab.estimators import EstimatorSummary
-
-        return {
+    def _sublinearity(var_of_n, monkeypatch):
+        """The summary's sublinearity table when the T summary of size n has
+        variance var_of_n(n) and the variance CI var_of_n(n) * (0.9, 1.1)."""
+        synthetic = {
             n: EstimatorSummary(
                 count=100, mean=0.0, variance=var_of_n(n),
                 mean_ci=(0.0, 0.0),
@@ -203,18 +200,23 @@ class TestSublinearity:
             )
             for n in (16, 32, 64)
         }
+        # every T of size n is n, so the stand-in finds the size's summary
+        monkeypatch.setattr(cli, "summarize", lambda values, bootstrap: synthetic[int(values[0])])
+        cfg = unit_config(n_list=(16, 32, 64))
+        records = [ReplicaRecord(n, r, float(n)) for n in cfg.n_list for r in range(2)]
+        return build_summary(cfg, records)["sublinearity"]
 
-    def test_n_over_logn(self):
-        prof = sublinearity_profile(self._synthetic(lambda n: n / math.log(n)))
-        for row in prof.rows:
-            assert row.var_logn_over_n == pytest.approx(1.0, rel=1e-12)
-        assert prof.var_over_n_nonincreasing
+    def test_n_over_logn(self, monkeypatch):
+        prof = self._sublinearity(lambda n: n / math.log(n), monkeypatch)
+        for row in prof["rows"]:
+            assert row["var_logn_over_n"] == pytest.approx(1.0, rel=1e-12)
+        assert prof["var_over_n_nonincreasing"]
 
-    def test_linear_flat(self):
-        prof = sublinearity_profile(self._synthetic(lambda n: float(n)))
-        for row in prof.rows:
-            assert row.var_over_n == pytest.approx(1.0, rel=1e-12)
-        assert prof.var_over_n_nonincreasing
+    def test_linear_flat(self, monkeypatch):
+        prof = self._sublinearity(lambda n: float(n), monkeypatch)
+        for row in prof["rows"]:
+            assert row["var_over_n"] == pytest.approx(1.0, rel=1e-12)
+        assert prof["var_over_n_nonincreasing"]
 
 
 class TestWindowRecords:
@@ -296,7 +298,7 @@ class TestEfronStein:
         else:
             values, probs = map(np.array, zip(*spec.atoms()))
         for seed in range(1 if continuous else 3):
-            field = sample_field(spec, box, seed, for_fpp=False)
+            field = sample_field(spec, box, seed)
             res = passage_time(field, (0, 0), box.hi, max_grows=0)
             C, a = res.edge_law
             x = res._time(C - a)
@@ -324,7 +326,7 @@ class TestEfronStein:
         # the sum of the weights and Var_e T = Var(s) on every edge
         box = Box((0, 0), (5, 0))
         for seed in range(3):
-            field = sample_field(parse_spec(law), box, seed, for_fpp=False)
+            field = sample_field(parse_spec(law), box, seed)
             res = passage_time(field, (0, 0), (5, 0), max_grows=0)
             assert np.all(np.isinf(res.edge_law[0]))
             assert efron_stein_bound(res)[0] == pytest.approx(box.n_edges() * var, rel=1e-12)
@@ -380,22 +382,30 @@ class TestEfronStein:
 
 
 class TestInfluence:
+    @staticmethod
+    def _pvalues(cfg, records):
+        """The summary's per-axis p-values, keyed by n and axis as integers."""
+        influence = build_summary(cfg, records)["influence"]
+        return {
+            int(n): {int(a): p for a, p in row["axis_pvalues"].items()}
+            for n, row in influence.items()
+        }
+
     def test_unit_weights_zero(self):
         cfg = unit_config(model="fpp-torus", n_list=(4,), replicas=3)
         records = run_sweep(cfg, threads=1)
-        inf = influence_map(records, 2)
-        assert inf[4].max_frequency == 0.0
-        assert inf[4].axis_pvalues[0] == 1.0
+        inf = build_summary(cfg, records)["influence"]
+        assert inf["4"]["max_frequency"] == 0.0
+        assert inf["4"]["axis_pvalues"]["0"] == 1.0
 
-    def test_frequencies_sum_to_mean_g(self):
+    def test_mean_g_size_is_mean_g_int(self):
         cfg = unit_config(
             model="fpp-torus", spec=Bernoulli(1, 2, 0.5), n_list=(4,), replicas=40
         )
         records = run_sweep(cfg, threads=1)
-        inf = influence_map(records, 2)
+        inf = build_summary(cfg, records)["influence"]
         mean_g = np.mean([r.g_int_size for r in records])
-        assert inf[4].mean_g_size == pytest.approx(mean_g)
-        assert inf[4].frequencies.sum() == pytest.approx(mean_g)
+        assert inf["4"]["mean_g_size"] == pytest.approx(mean_g)
 
     @staticmethod
     def _scipy_stats_pvalues(records, d):
@@ -420,9 +430,8 @@ class TestInfluence:
             model="fpp-torus", spec=Bernoulli(1, 2, 0.5), n_list=(4, 8), replicas=40
         )
         records = run_sweep(cfg, threads=1)
-        inf = influence_map(records, 2)
         ref = self._scipy_stats_pvalues(records, 2)
-        assert {n: im.axis_pvalues for n, im in inf.items()} == ref
+        assert self._pvalues(cfg, records) == ref
         assert all(any(0.0 < p < 1.0 for p in pv.values()) for pv in ref.values())
 
     def test_pvalues_equal_scipy_stats_on_hand_made_bitmaps(self):
@@ -440,12 +449,10 @@ class TestInfluence:
         # axis 0 has equal counts (stat 0); axis 1 is never used (no test, p = 1)
         even = np.array([True, False] * 8)
         records += [ReplicaRecord(6, i, 0.0, g_bitmap=even) for i in range(3)]
-        inf = influence_map(records, 2)
-        assert {n: im.axis_pvalues for n, im in inf.items()} == self._scipy_stats_pvalues(
-            records, 2
-        )
-        assert inf[5].axis_pvalues[0] < 1e-100
-        assert inf[6].axis_pvalues == {0: 1.0, 1: 1.0}
+        pvalues = self._pvalues(unit_config(model="fpp-torus"), records)
+        assert pvalues == self._scipy_stats_pvalues(records, 2)
+        assert pvalues[5][0] < 1e-100
+        assert pvalues[6] == {0: 1.0, 1: 1.0}
 
 
 def reference_geometry_stats(res, spec):
@@ -497,20 +504,20 @@ class TestGeometryStats:
                 assert np.array_equal(a.g_bitmap, b.g_bitmap)
 
     def test_window_ratio_unit_weights(self):
-        records = run_sweep(unit_config(n_list=(16,), replicas=2), threads=1)
-        stats = geodesic_window_stats(records)
-        for m, ratio in stats[16].items():
+        cfg = unit_config(n_list=(16,), replicas=2)
+        stats = build_summary(cfg, run_sweep(cfg, threads=1))["window_ratios"]
+        for m, ratio in stats["16"].items():
             assert ratio == pytest.approx(1.0)
 
     def test_speed_unit_weights(self):
-        records = run_sweep(unit_config(n_list=(8, 12), replicas=2), threads=1)
-        speed = geodesic_speed_stats(records)
-        assert speed == {8: 1.0, 12: 1.0}
+        cfg = unit_config(n_list=(8, 12), replicas=2)
+        speed = build_summary(cfg, run_sweep(cfg, threads=1))["min_speed"]
+        assert speed == {"8": 1.0, "12": 1.0}
 
     def test_bernoulli_speed_at_least_one(self):
         cfg = unit_config(spec=Bernoulli(1, 2, 0.5), n_list=(8,), replicas=5)
         records = run_sweep(cfg, threads=1)
-        assert geodesic_speed_stats(records)[8] >= 1.0
+        assert build_summary(cfg, records)["min_speed"]["8"] >= 1.0
 
     @given(
         d=st.integers(2, 3),
@@ -572,7 +579,7 @@ class TestGeometryStats:
         spec = parse_spec(law)
         window = point_window(n, d, window_halfwidth(n, 0, 1.25))
         for seed in range(4):
-            field = sample_field(spec, window, mix64(d, seed), for_fpp=False)
+            field = sample_field(spec, window, mix64(d, seed))
             res = passage_time(field, (0,) * d, (n,) + (0,) * (d - 1), max_grows=0)
             assert _geometry_stats(res, spec) == reference_geometry_stats(res, spec)
 
@@ -633,9 +640,18 @@ class TestFnComparison:
     def test_unit_weights_zero_difference(self):
         cfg = unit_config(n_list=(4, 6), replicas=3, record_fn=True)
         records = run_sweep(cfg, threads=1)
-        cmp_res = compare_fn_variance(records)
-        for n, vt, vf, diff, ratio in cmp_res.rows:
-            assert vt == 0.0 and vf == 0.0 and diff == 0.0
+        for row in build_summary(cfg, records)["fn_comparison"]["rows"]:
+            assert row["var_T"] == 0.0 and row["var_F"] == 0.0 and row["abs_diff"] == 0.0
+
+    def test_fn_at_one_size_gives_no_comparison(self):
+        # F_n at one of two sizes: the size keeps its F_n summary, and there
+        # is no comparison across sizes to report
+        cfg = unit_config(n_list=(4, 6), record_fn=True)
+        records = [ReplicaRecord(4, r, 4.0 + r, F_n=4.5 + r) for r in range(3)]
+        records += [ReplicaRecord(6, r, 6.0 + r) for r in range(3)]
+        summary = build_summary(cfg, records)
+        assert "fn_comparison" not in summary
+        assert "F_n" in summary["per_n"]["4"] and "F_n" not in summary["per_n"]["6"]
 
     def test_m_zero_identity(self):
         # B_0 = {origin}: the averaged time collapses to T itself

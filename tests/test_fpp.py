@@ -41,7 +41,8 @@ LAWS = [
     "bernoulli:0,1,0.3",
     "bernoulli:0,1,0.1",
 ]
-# bernoulli:0,1,0.7 has a supercritical atom at 0; only for_fpp=False draws it
+# bernoulli:0,1,0.7 has a supercritical atom at 0: a sweep config rejects it,
+# but a field drawn from it is a valid passage input
 BOUNDED_LAWS = [*LAWS[:4], "bernoulli:0,1,0.7"]
 # a torus stands for its winding cylinder; point_window(6, 2, 3) under
 # bernoulli:0,1,0.1 has the zero-weight clusters of the [window] oracle case
@@ -58,7 +59,7 @@ def unit_field(region):
 
 
 def random_field(region, spec, seed):
-    return sample_field(spec, region, seed, for_fpp=False)
+    return sample_field(spec, region, seed)
 
 
 def searched_graph(field):
@@ -657,7 +658,7 @@ class TestSingleEdgeUpdate:
             "from fpplab.fpp import passage_time, single_edge_update\n"
             "from fpplab.lattice import Box\n"
             "from fpplab.weights import Uniform, sample_field\n"
-            "field = sample_field(Uniform(0, 1), Box((0, 0), (2, 2)), 9, for_fpp=False)\n"
+            "field = sample_field(Uniform(0, 1), Box((0, 0), (2, 2)), 9)\n"
             "res = passage_time(field, (0, 0), (2, 2), max_grows=0)\n"
             "assert 1 in res.gint_edge_idx\n"
             "for t in (-0.5, math.nan, [0.5, -0.5]):\n"

@@ -160,7 +160,7 @@ class TestLastPassage:
         g1 = sample_grid(8, seed=5)
         g2 = sample_grid(8, seed=5)
         assert np.array_equal(g1.vertex_weights, g2.vertex_weights)
-        assert g1.spec == default_spec()
+        assert np.array_equal(g1.vertex_weights, sample_grid(8, 5, default_spec()).vertex_weights)
 
     @pytest.mark.parametrize("spec", LAWS, ids=lambda s: s.name)
     @pytest.mark.parametrize("n", [0, 1, 2, 17, 128])

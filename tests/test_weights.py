@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpplab.estimators import SweepConfig
 from fpplab.lattice import Box, Torus, enumerate_edges, point_window
 from fpplab.weights import (
     Bernoulli,
@@ -193,8 +194,11 @@ class TestSampling:
         assert abs(frac - 0.5) < 0.002
 
     def test_atom_validation(self):
-        with pytest.raises(ValueError):
-            sample_field(Bernoulli(0.0, 1.0, 0.6), Torus(3, 2), seed=0)
+        with pytest.raises(ValueError, match="atom at zero"):
+            SweepConfig(
+                model="fpp-torus", d=2, n_list=(3,), spec=Bernoulli(0.0, 1.0, 0.6),
+                replicas=2, seed=0,
+            )
         validate_for_fpp(Bernoulli(0.0, 1.0, 0.4), 2)
         with pytest.raises(ValueError):
             validate_for_fpp(Bernoulli(0.0, 1.0, 0.3), 3)
@@ -269,7 +273,7 @@ class TestEdgeKey:
         with pytest.raises(ValueError):
             edge_key((0,) * d, d)
         with pytest.raises(ValueError, match="key range"):
-            sample_field(Uniform(0, 1), Box((h - 1,) * d, (h,) * d), 0, for_fpp=False)
+            sample_field(Uniform(0, 1), Box((h - 1,) * d, (h,) * d), 0)
 
     def test_box_field_draws_from_the_keys(self):
         box = point_window(3, 2, 2)
