@@ -227,7 +227,10 @@ def records_from_csv(model: str, text: str, n_edges: Optional[int] = None) -> li
             values = {col: parse(cells[col]) for col, parse in parsers.items()}
             if any(cells.get(col) for col in _WIN_COLS):
                 values["win_counts"] = {m: int(cells[col]) for col, m in _WIN_COLS.items()}
-            if cells.get("g_bitmap"):
+            if model == "fpp-torus":
+                # every torus record has a bitmap: an empty cell is a damaged store
+                if not cells["g_bitmap"]:
+                    raise ValueError(f"no membership bitmap at n={values['n']}")
                 raw = bytes.fromhex(cells["g_bitmap"])
                 bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
                 values["g_bitmap"] = (bits[:n_edges] if n_edges else bits).astype(bool)
@@ -352,9 +355,7 @@ def build_summary(cfg: SweepConfig, records: Sequence[ReplicaRecord]) -> dict:
             # it, and importing scipy.stats would double start-up
             from scipy.special import chdtrc
 
-            bitmaps = [r.g_bitmap for r in recs if r.g_bitmap is not None]
-            if not bitmaps:  # a store whose records CSV lost its bitmaps
-                raise ValueError(f"no membership bitmaps recorded at n={n}")
+            bitmaps = [r.g_bitmap for r in recs]
             counts = np.sum(bitmaps, axis=0).astype(np.float64)
             pvalues = {}
             for axis in range(cfg.d):

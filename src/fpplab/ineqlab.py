@@ -19,8 +19,10 @@ shape (m, 2^k), one function table per row (for log-Sobolev the pair
 validates X once at entry: two axes, a width 2^k with 1 <= k <= K_MAX, and
 finite values (log-Sobolev also needs width 2, and the entropy-variational
 trials G must be finite and shaped (m, t, 2^k)); the checks that need f >= 0
-check that in their arithmetic.  The randomized suite calls each check once
-per group of stacked instances, looked up by module name at call time, and
+check that in their arithmetic.  ``rossignol_check`` likewise takes a list
+of integer rows and returns one ``RossignolResult`` per row.  Every row of
+the randomized suite runs its public ``<name>_check``, once per group of
+stacked instances, looked up by module name at call time, and
 ``fpp_exhaustive_check`` calls the Efron-Stein and Falik-Samorodnitsky
 checks on a stack of one.
 
@@ -29,13 +31,14 @@ generator per check, in a fixed number of Generator calls whatever the
 instance count.  A hypercube batch draws all the k, all the kinds, then each
 kind's values in one call into one buffer in draw order, so instance j
 depends on the instance count as well as the seed, and gathers the tables of
-each k from it as one stack.  Log-Sobolev draws its pairs in one uniform
-call, the same stream as pair by pair.  Rossignol draws each of its six
-integer arrays (counts, denominators, cuts, level steps, a, tau) in one call
-for the whole batch.  The suite runs the check once per k on the instances
-of that k stacked in draw order and puts the verdicts back in draw order.  A
-row's verdict does not depend on the rows stacked with it, bit for bit, by
-three rules:
+each k from it as one stack.  The entropy-variational draw also shifts each
+trial g to E e^g slightly below 1, after its tables' bytes are taken.
+Log-Sobolev draws its pairs in one uniform call, the same stream as pair by
+pair.  Rossignol draws each of its six integer arrays (counts, denominators,
+cuts, level steps, a, tau) in one call for the whole batch.  The suite runs
+the check once per k on the instances of that k stacked in draw order and
+puts the verdicts back in draw order.  A row's verdict does not depend on
+the rows stacked with it, bit for bit, by three rules:
 
 - every sum is a per-row ``math.fsum``, which is correctly rounded, so it
   cannot depend on how rows are grouped;
@@ -73,18 +76,14 @@ may differ in the last bits; so may they where c S overflows.
 The exhaustive pipeline enumerates the simple source-destination paths of the
 box once, as a 0/1 path-by-edge matrix P; T of a block of configurations is
 then the column minimum of P @ W, in the scaled integers passage_time uses.
-The step-function integrals scale x by a common denominator D of the breaks,
-a and tau, and f by the common denominator L of the levels, so each integral
-is an integer sum divided by D L^2: the same exact Fraction as rational
-integration, without Fraction arithmetic per piece.  One integer kernel,
-``_rossignol_rows``, gives every Rossignol verdict and margin; the suite
-draws its instances as integers over the draw's denominator and feeds them
-to it directly, and ``rossignol_check`` calls it on one row after reducing
-its Fractions to integers.  No Fraction is built unless a result's exact
-value is read.  A Rossignol instance is validated once, where it enters:
-``StepFunction`` checks f and ``rossignol_check`` checks a and tau, both in
-Fractions; the kernel checks nothing, and the suite's draws are valid by
-construction.
+A Rossignol instance is a row of integers (D, L, breaks, levels, a, tau):
+the breaks, a and tau over a common denominator D, the levels over L, so
+each integral is an integer sum divided by D L^2, the same exact rational as
+Fraction integration without Fraction arithmetic per piece.  One integer
+kernel, ``rossignol_check``, validates each row once at entry, in integers,
+and gives every Rossignol verdict and margin; the suite draws its instances
+as integer rows over the draw's denominator and runs it on all of them at
+once.  No Fraction is built unless a result's exact value is read.
 """
 
 from __future__ import annotations
@@ -393,36 +392,6 @@ def entropy_variational_check(X, G) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class StepFunction:
-    """Nondecreasing, nonnegative step function on [0, 1] with rational data.
-
-    ``breaks`` are the jump locations 0 < b_1 < ... < b_m < 1 and ``levels``
-    the m+1 values, so f = levels[j] on [b_j, b_{j+1}).
-    """
-
-    breaks: tuple[Fraction, ...]
-    levels: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.levels) != len(self.breaks) + 1:
-            raise ValueError("need one more level than breaks")
-        if any(not (0 < b < 1) for b in self.breaks):
-            raise ValueError("breaks must lie in (0, 1)")
-        if list(self.breaks) != sorted(set(self.breaks)):
-            raise ValueError("breaks must be strictly increasing")
-        if any(v < 0 for v in self.levels):
-            raise ValueError("f must be nonnegative")
-        if any(b > a for a, b in zip(self.levels[1:], self.levels[:-1])):
-            raise ValueError("f must be nondecreasing")
-
-
-def _common_scale(values) -> tuple[int, list[int]]:
-    """(D, [D v for v in values]) with D the lcm of the rationals' denominators."""
-    D = math.lcm(1, *(v.denominator for v in values))
-    return D, [v.numerator * (D // v.denominator) for v in values]
-
-
 def _sq_integral(breaks: list[int], levels: list[int], lo: int, hi: int) -> int:
     """Integral of f^2 over [lo, hi] for integer breaks and levels."""
     pts = [lo, *(b for b in breaks if lo < b < hi), hi]
@@ -479,47 +448,45 @@ class RossignolResult:
         return {"lhs": self.lhs_int / self.unit, "margin": self.margin}
 
 
-def rossignol_check(f: StepFunction, a: Fraction, tau: Fraction) -> RossignolResult:
-    """All applicable cases of the shifted-square integral bound, exactly.
+def rossignol_check(rows) -> list[RossignolResult]:
+    """All applicable cases of the shifted-square integral bound, exactly,
+    for each row (D, L, breaks, levels, a, tau): a nondecreasing step
+    function f >= 0 on [0, 1] with jumps at breaks / D, levels / L on the
+    pieces between them, the point a / D and the shift tau / D, all integers.
 
-    Requires tau in (0, 1/2] and f constant on [a, 1], checked here in
-    Fractions.  The breaks, a and tau are then scaled to integers over their
-    common denominator D and the levels over theirs, L (``_common_scale``);
-    the result is the integer kernel ``_rossignol_rows`` on that one row, so
-    the verdicts carry no tolerance at all.  The small-tau case
-    (tau <= a <= 1/2, bound 2·tau·int f^2) is not computed, because it never
-    decides: there f is the constant c on [1 - tau, 1], so 2·tau·int f^2 >=
-    2·tau·(1 - a)·c^2 >= tau·c^2, the always-case bound.
-    """
-    a, tau = Fraction(a), Fraction(tau)
-    if not 0 < tau <= Fraction(1, 2):
-        raise ValueError("tau must lie in (0, 1/2]")
-    if f.breaks and f.breaks[-1] > a:
-        raise ValueError(f"f is not constant on [{a}, 1]")
-    D, (t, a_int, *breaks) = _common_scale((tau, a, *f.breaks))
-    L, levels = _common_scale(f.levels)
-    return _rossignol_rows([(D, L, breaks, levels, a_int, t)])[0]
-
-
-def _rossignol_rows(rows) -> list[RossignolResult]:
-    """The Rossignol verdicts of rows (D, L, breaks, levels, a, tau): breaks,
-    a and tau integers over D, levels integers over L.
-
-    A row must be a valid instance, which this kernel does not check:
-    ``StepFunction`` and ``rossignol_check`` validate a public instance in
-    Fractions before it gets here, and the suite's draws are valid by
-    construction (``_draw_rossignols``).  x -> D x makes every
-    integration point an integer, f -> L f every level, so each integral is
-    an integer over D L^2 (the small-a bound 2 a int f^2 over D · D L^2).
-    Verdicts compare the integers.  Each margin is an int / int quotient,
-    correctly rounded, so it is the float of the exact rational difference.
-    Neither depends on which common denominator D is used: a multiple s D
-    multiplies every integer of a comparison or a quotient by the same s,
-    which changes no comparison and no rational.  So the suite can use its
-    draw's denominator, and ``rossignol_check`` the reduced one.
+    Each row is checked once, in integers, before its arithmetic: D, L >= 1,
+    one more level than breaks, 0 < b_1 < ... < b_m < D, 0 <= levels[0] <=
+    ... <= levels[m], the last break (or 0) <= a <= D, so f is constant on
+    [a, 1], and 0 < 2 tau <= D.  x -> D x makes every integration point an
+    integer, f -> L f every level, so each integral is an integer over
+    D L^2 (the small-a bound 2 a int f^2 over D · D L^2).  Verdicts compare
+    the integers, with no tolerance at all.  Each margin is an int / int
+    quotient, correctly rounded, so it is the float of the exact rational
+    difference.  Neither depends on which common denominator D is used: a
+    multiple s D multiplies every integer of a comparison or a quotient by the
+    same s, which changes no comparison and no rational.  So the suite can
+    use its draw's denominator, and an instance in lowest terms the reduced
+    one.  The small-tau case (tau <= a <= 1/2, bound 2·tau·int f^2) is not
+    computed, because it never decides: there f is the constant c on
+    [1 - tau, 1], so 2·tau·int f^2 >= 2·tau·(1 - a)·c^2 >= tau·c^2, the
+    always-case bound.
     """
     out = []
     for D, L, breaks, levels, a, tau in rows:
+        if D < 1 or L < 1:
+            raise ValueError("the denominators D and L must be at least 1")
+        if len(levels) != len(breaks) + 1:
+            raise ValueError("need one more level than breaks")
+        if any(p >= q for p, q in zip([0, *breaks], [*breaks, D])):
+            raise ValueError("breaks must lie in (0, 1), strictly increasing")
+        if any(p > q for p, q in zip([0, *levels], levels)):
+            raise ValueError("f must be nonnegative and nondecreasing")
+        if not 0 <= a <= D:
+            raise ValueError("a must lie in [0, 1]")
+        if breaks and breaks[-1] > a:
+            raise ValueError(f"f is not constant on [{Fraction(a, D)}, 1]")
+        if not 0 < 2 * tau <= D:
+            raise ValueError("tau must lie in (0, 1/2]")
         unit = D * L * L
         lhs = _shift_sq_integral(breaks, levels, tau, D)
         tail = _sq_integral(breaks, levels, D - tau, D)
@@ -610,9 +577,10 @@ def _random_tables(rng, m: int, k_max=6, nonneg=False, trials=0) -> tuple[bytes,
     ``trials`` (nonnegative tables only), a table of zeros, the only one
     with E f = 0, becomes a table of ones, and one more normal call draws
     every trial: table j's are the trials·2^k values from trials·start_j on,
-    one row of 2^k per trial.  Returns the tables' bytes in draw order and
-    per k (positions, (stack,)), with the (count, trials, 2^k) trial stack
-    after the tables when there are trials."""
+    one row of 2^k per trial, each shifted by a constant to E e^g slightly
+    below 1.  Returns the tables' bytes in draw order and per k (positions,
+    (stack,)), with the (count, trials, 2^k) trial stack after the tables
+    when there are trials."""
     ks = rng.integers(1, k_max + 1, size=m)
     sizes = 1 << ks
     kinds = np.repeat(rng.integers(0, 3, size=m), sizes)
@@ -634,7 +602,10 @@ def _random_tables(rng, m: int, k_max=6, nonneg=False, trials=0) -> tuple[bytes,
         args = (buf[first + np.arange(1 << k)],)
         if trials:
             G = draws[trials * first + np.arange(trials << k)]
-            args += (G.reshape(positions.size, trials, 1 << k),)
+            G = G.reshape(positions.size, trials, 1 << k)
+            # each trial shifted to E e^g slightly below 1, so feasibility is robust
+            shifts = [math.log(max(mean, 1e-300)) + 1e-9 for mean in _row_means(np.exp(G))]
+            args += (G - _per_row(shifts, G),)
         groups.append((positions, args))
     return buf.tobytes(), groups
 
@@ -672,16 +643,8 @@ def _draw_log_sobolev(rng, m: int) -> tuple[bytes, list]:
     return pairs.tobytes(), [(np.arange(m), (pairs,))]
 
 
-def _entropy_variational_draws(X: np.ndarray, G: np.ndarray) -> list[CheckResult]:
-    """Stacked draws: each raw trial of G (m, t, n) is shifted to E e^g
-    slightly below 1, so feasibility is robust, then checked against the f
-    of its row of X (m, n)."""
-    shifts = [math.log(max(mean, 1e-300)) + 1e-9 for mean in _row_means(np.exp(G))]
-    return entropy_variational_check(X, G - _per_row(shifts, G))
-
-
 def _draw_rossignols(rng, m: int) -> tuple[bytes, list]:
-    """m step-function instances as ``_rossignol_rows`` rows (D, 1, breaks,
+    """m step-function instances as ``rossignol_check`` rows (D, 1, breaks,
     levels, a, tau), in one group, in six Generator calls at any m.
 
     One call per array: the candidate counts c ~ U{0..4}, the denominators
@@ -714,23 +677,19 @@ def _draw_rossignols(rng, m: int) -> tuple[bytes, list]:
     return table.tobytes(), [(np.arange(m), (rows,))]
 
 
-# (name, rng salt, draw, check name): draw(rng, m) makes m random instances
-# in a fixed number of Generator calls and returns their input bytes for the
-# digest (the instances' chunks, in draw order) and their groups (draw
-# positions, check args); the check gives one verdict per position, in
-# order.  A hypercube draw has a group per k, the others one group.  The
-# suite looks each check up by module name at call time, so wrapping a
-# check takes effect; the entropy-variational row shifts its trials first.
+# (name, rng salt, draw): draw(rng, m) makes m random instances in a fixed
+# number of Generator calls and returns their input bytes for the digest (the
+# instances' chunks, in draw order) and their groups (draw positions, check
+# args); the check ``<name>_check`` gives one verdict per position, in order.
+# A hypercube draw has a group per k, the others one group.  The suite looks
+# each check up by module name at call time, so wrapping a check takes effect.
 _RANDOMIZED_CHECKS = (
-    ("efron_stein", 1, _random_tables, "efron_stein_check"),
-    ("falik_samorodnitsky", 2, _random_tables, "falik_samorodnitsky_check"),
-    ("log_sobolev", 3, _draw_log_sobolev, "log_sobolev_check"),
-    ("tensorization", 4, partial(_random_tables, k_max=4, nonneg=True), "tensorization_check"),
-    (
-        "entropy_variational", 5, partial(_random_tables, k_max=4, nonneg=True, trials=4),
-        "_entropy_variational_draws",
-    ),
-    ("rossignol", 6, _draw_rossignols, "_rossignol_rows"),
+    ("efron_stein", 1, _random_tables),
+    ("falik_samorodnitsky", 2, _random_tables),
+    ("log_sobolev", 3, _draw_log_sobolev),
+    ("tensorization", 4, partial(_random_tables, k_max=4, nonneg=True)),
+    ("entropy_variational", 5, partial(_random_tables, k_max=4, nonneg=True, trials=4)),
+    ("rossignol", 6, _draw_rossignols),
 )
 CHECK_NAMES = tuple(name for name, *_ in _RANDOMIZED_CHECKS)
 
@@ -742,10 +701,10 @@ def run_randomized_suite(
     ``instances`` random instances each.
 
     Each check draws all its instances in one ``draw(rng, instances)`` from
-    its own generator, hashes their bytes once and calls its check once per
-    group the draw returns (one per k for a hypercube check).  Every draw
-    makes a fixed number of Generator calls, so instance j may depend on
-    ``instances`` as well as on ``seed``.
+    its own generator, hashes their bytes once and calls ``<name>_check``
+    once per group the draw returns (one per k for a hypercube check).
+    Every draw makes a fixed number of Generator calls, so instance j may
+    depend on ``instances`` as well as on ``seed``.
 
     Any violation is a genuine failure: the inequalities are theorems for the
     generated inputs.  An unknown check name or ``instances < 1`` raises
@@ -759,12 +718,12 @@ def run_randomized_suite(
     if instances < 1:
         raise ValueError(f"instances must be at least 1, got {instances}")
     reports = []
-    for name, salt, draw, check in _RANDOMIZED_CHECKS:
+    for name, salt, draw in _RANDOMIZED_CHECKS:
         if not checks or name in checks:
             data, groups = draw(_rng(seed, salt), instances)
             results = [None] * instances
             for positions, args in groups:
-                for j, result in zip(positions.tolist(), globals()[check](*args)):
+                for j, result in zip(positions.tolist(), globals()[f"{name}_check"](*args)):
                     results[j] = result
             reports.append(_summarize(name, results, data))
     return reports

@@ -397,17 +397,38 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
 
+    @staticmethod
+    def blank_bitmaps(path, rows):
+        """Empty the g_bitmap cell (the last) of the given data rows (1-based)."""
+        lines = path.read_text().splitlines()
+        for row in rows:
+            lines[row] = lines[row].rsplit(",", 1)[0] + ","
+        path.write_text("\n".join(lines) + "\n")
+
     def test_report_on_torus_records_without_bitmaps_names_the_size(self, tmp_path, capsys):
         out = tmp_path / "torus"
         assert main(["torus", "influence", "--d", "2", "--dist", "bernoulli:1,2,0.5", "--n", "4",
                      "--replicas", "2", "--seed", "1", "--threads", "1", "--out", str(out)]) == 0
-        lines = (out / TORUS_N4).read_text().splitlines()
-        (out / TORUS_N4).write_text(
-            "\n".join([lines[0], *(line.rsplit(",", 1)[0] + "," for line in lines[1:])]) + "\n"
-        )
+        self.blank_bitmaps(out / TORUS_N4, [1, 2])
         capsys.readouterr()
-        assert main(["report", "--store", str(out)]) == 2
-        assert "no membership bitmaps recorded at n=4" in capsys.readouterr().err
+        assert main(["report", "--store", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: line 2 of the fpp-torus records")
+        assert "no membership bitmap at n=4" in err
+
+    def test_report_on_one_blanked_bitmap_cell_is_a_config_error(self, tmp_path, capsys):
+        # the other rows' bitmaps alone would give a wrong influence map
+        out = tmp_path / "torus"
+        assert main(["torus", "influence", "--d", "2", "--dist", "bernoulli:1,2,0.5", "--n", "4",
+                     "--replicas", "3", "--seed", "1", "--threads", "1", "--out", str(out)]) == 0
+        summary = (out / "summary.json").read_bytes()
+        self.blank_bitmaps(out / TORUS_N4, [3])
+        capsys.readouterr()
+        assert main(["report", "--store", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: line 4 of the fpp-torus records")
+        assert "no membership bitmap at n=4" in err
+        assert (out / "summary.json").read_bytes() == summary
 
     @pytest.mark.parametrize(
         "sweep",

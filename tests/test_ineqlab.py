@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from fpplab.ineqlab import (
     K_MAX,
-    StepFunction,
     efron_stein_check,
     entropy_variational_check,
     exhaustive_passage_times,
@@ -298,11 +298,11 @@ class TestEntropyVariational:
 
 
 def check_stack(name, X):
-    """Run the public hypercube check ``name`` on the stack X; the
-    entropy-variational check gets one valid (zero) trial per row."""
-    X = np.asarray(X)
+    """Run the public check ``name`` on the stack X; the entropy-variational
+    check gets one valid (zero) trial per row."""
     if name != "entropy_variational":
         return getattr(ineqlab, f"{name}_check")(X)
+    X = np.asarray(X)
     return entropy_variational_check(X, np.zeros((X.shape[0], 1, X.shape[-1])))
 
 
@@ -371,24 +371,51 @@ class TestValidation:
         # 2^K_MAX passes the check; an empty stack allocates nothing
         assert efron_stein_check(np.empty((0, 2**K_MAX))) == []
 
-    # log-Sobolev takes pairs only, so it is checked at k = 1
+    # log-Sobolev takes pairs only, so it is checked at k = 1; Rossignol's
+    # stack is a list of rows, which has no width
     @pytest.mark.parametrize(
         "name, k",
-        [(name, k) for name in HYPERCUBE_CHECKS for k in (1, 2, 3) if name != "log_sobolev" or k == 1],
+        [(name, k) for name in HYPERCUBE_CHECKS for k in (1, 2, 3) if name != "log_sobolev" or k == 1]
+        + [("rossignol", None)],
     )
     def test_an_empty_stack_gives_no_verdicts(self, name, k):
         # entropy-variational gets trials of shape (0, 1, 2^k)
-        assert check_stack(name, np.empty((0, 2**k))) == []
+        assert check_stack(name, [] if k is None else np.empty((0, 2**k))) == []
 
     @pytest.mark.parametrize("name", HYPERCUBE_CHECKS)
     def test_accepts_nested_lists(self, name):
         assert len(check_stack(name, [[1.0, 2.0], [3.0, 3.0]])) == 2
 
 
+@dataclass
+class StepFunction:
+    """A step function on [0, 1] in Fractions: levels[0] below the first of
+    the breaks, levels[j] on [breaks[j - 1], breaks[j]), one more level than
+    breaks."""
+
+    breaks: tuple
+    levels: tuple
+
+
+def common_scale(values):
+    """(D, [D v for v in values]) with D the lcm of the rationals' denominators."""
+    D = math.lcm(1, *(v.denominator for v in values))
+    return D, [v.numerator * (D // v.denominator) for v in values]
+
+
+def fraction_rossignol(f: StepFunction, a, tau):
+    """The Rossignol result of one instance in Fractions: the breaks, a and
+    tau scaled to integers over their reduced common denominator D, the
+    levels over theirs, L, and checked as one ``rossignol_check`` row."""
+    D, (t, a_int, *breaks) = common_scale((Fraction(tau), Fraction(a), *f.breaks))
+    L, levels = common_scale(f.levels)
+    return rossignol_check([(D, L, breaks, levels, a_int, t)])[0]
+
+
 class TestRossignol:
     def test_constant_function(self):
         f = StepFunction((), (Fraction(3),))
-        r = rossignol_check(f, Fraction(0), Fraction(1, 2))
+        r = fraction_rossignol(f, Fraction(0), Fraction(1, 2))
         assert r.lhs == 0
         assert r.holds
 
@@ -396,7 +423,7 @@ class TestRossignol:
         # f = 1_{x >= 1/4}, a = 1/4, tau = 1/2 (case a <= tau):
         # LHS = 1/4 and the small-a bound is 2 * (1/4) * (3/4) = 3/8
         f = StepFunction((Fraction(1, 4),), (Fraction(0), Fraction(1)))
-        r = rossignol_check(f, Fraction(1, 4), Fraction(1, 2))
+        r = fraction_rossignol(f, Fraction(1, 4), Fraction(1, 2))
         assert r.lhs == Fraction(1, 4)
         small_a = exact_rossignol(r)[3]
         assert small_a is not None
@@ -406,19 +433,19 @@ class TestRossignol:
 
     def test_randomized_exact(self):
         for instance in reference_steps(ineqlab._rng(123, 6), 2000):
-            assert rossignol_check(*step_fractions(*instance)).holds
+            assert fraction_rossignol(*step_fractions(*instance)).holds
 
     def test_not_constant_rejected(self):
         f = StepFunction((Fraction(3, 4),), (Fraction(0), Fraction(1)))
         with pytest.raises(ValueError):
-            rossignol_check(f, Fraction(1, 2), Fraction(1, 2))
+            fraction_rossignol(f, Fraction(1, 2), Fraction(1, 2))
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_matches_midpoint_reference(self, data):
         # breaks, levels, a and tau each with their own denominators
         f, a, tau = data.draw(step_instances())
-        r = rossignol_check(f, a, tau)
+        r = fraction_rossignol(f, a, tau)
         want = reference_rossignol(f, a, tau)
         assert exact_rossignol(r) == want[:4]
         # the integer margin is float() of the exact Fraction difference
@@ -440,12 +467,12 @@ class TestRossignol:
         ],
     )
     def test_integer_row_matches_public_check(self, denom, cuts, levels, a, tau):
-        # the suite's row at scale denom against rossignol_check at the reduced
-        # scale, and against midpoint integration
+        # the suite's row at scale denom against the same instance at the
+        # reduced scale, and against midpoint integration
         f = StepFunction(tuple(Fraction(c, denom) for c in cuts), tuple(map(Fraction, levels)))
         a_q, tau_q = Fraction(a, denom), Fraction(tau, denom)
-        (row,) = ineqlab._rossignol_rows([(denom, 1, cuts, levels, a, tau)])
-        assert_same_rossignol(row, rossignol_check(f, a_q, tau_q))
+        (row,) = rossignol_check([(denom, 1, cuts, levels, a, tau)])
+        assert_same_rossignol(row, fraction_rossignol(f, a_q, tau_q))
         want = reference_rossignol(f, a_q, tau_q)
         assert exact_rossignol(row) == want[:4]
 
@@ -455,7 +482,7 @@ class TestRossignol:
             (Fraction(1, 5), Fraction(1, 3)), (Fraction(1, 2), Fraction(2, 3), Fraction(7, 6))
         )
         for a, tau in ((Fraction(1, 3), Fraction(3, 7)), (Fraction(5, 6), Fraction(1, 4))):
-            r = rossignol_check(f, a, tau)
+            r = fraction_rossignol(f, a, tau)
             want = reference_rossignol(f, a, tau)
             assert exact_rossignol(r) == want[:4]
             assert r.unit % 36 == 0  # L^2 divides the unit
@@ -474,17 +501,19 @@ class TestRossignol:
             ((8, 1, [2], [0, 1], 8, 0), "tau must lie"),
             ((8, 1, [2], [0, 1], 8, 5), "tau must lie"),
             ((8, 1, [6], [0, 1], 4, 1), r"not constant on \[1/2, 1\]"),
+            ((2, 1, [], [1], -1, 1), "a must lie in"),  # a = -1/2
+            ((8, 1, [2], [0, 1], -4, 4), "a must lie in"),  # a = -1/2, below the break
+            ((8, 1, [2], [0, 1], 9, 4), "a must lie in"),  # a = 9/8
+            ((0, 1, [], [1], 0, 0), "D and L must be at least 1"),
+            ((8, 0, [2], [0, 1], 8, 4), "D and L must be at least 1"),
         ],
     )
     def test_integer_row_validates_like_the_fractions(self, row, message):
-        # an invalid instance is rejected where it enters, in Fractions: f by
-        # StepFunction, a and tau by rossignol_check; the kernel checks nothing
-        D, L, breaks, levels, a, tau = row
+        # an invalid instance is rejected where it enters the kernel, in
+        # integers, among valid rows, before any verdict
+        valid = (8, 1, [2], [0, 1], 8, 4)
         with pytest.raises(ValueError, match=message):
-            f = StepFunction(
-                tuple(Fraction(b, D) for b in breaks), tuple(Fraction(v, L) for v in levels)
-            )
-            rossignol_check(f, Fraction(a, D), Fraction(tau, D))
+            rossignol_check([valid, row, valid])
 
 
 def assert_same_rossignol(got, want):
@@ -749,7 +778,7 @@ def step_fractions(D, breaks, levels, a, tau):
 
 def batch_rossignol(rng, m):
     instances = reference_steps(rng, m)
-    results = [rossignol_check(*step_fractions(*i)) for i in instances]
+    results = [fraction_rossignol(*step_fractions(*i)) for i in instances]
     return [step_bytes(*i) for i in instances], results
 
 
@@ -766,8 +795,8 @@ REFERENCE_DRAWS = {
 
 def suite_row(name):
     """(salt, draw, check) of a row of the randomized suite."""
-    salt, draw, check = next(row[1:] for row in ineqlab._RANDOMIZED_CHECKS if row[0] == name)
-    return salt, draw, getattr(ineqlab, check)
+    salt, draw = next(row[1:] for row in ineqlab._RANDOMIZED_CHECKS if row[0] == name)
+    return salt, draw, getattr(ineqlab, f"{name}_check")
 
 
 def in_draw_order(groups, m):
@@ -798,7 +827,7 @@ GENERATOR_CALLS = {
 
 def assert_valid_step_row(row):
     """A drawn row (D, 1, breaks, levels, a, tau) is a valid Rossignol
-    instance over D, of Python ints, and its Fractions build a StepFunction."""
+    instance over D, of Python ints, and the kernel accepts it."""
     D, L, breaks, levels, a, tau = row
     assert L == 1 and 8 <= D <= 63
     assert all(0 < b < D for b in breaks) and all(x < y for x, y in zip(breaks, breaks[1:]))
@@ -807,7 +836,7 @@ def assert_valid_step_row(row):
     assert (breaks[-1] if breaks else 0) <= a <= D
     assert 1 <= tau and 2 * tau <= D
     assert all(type(x) is int for x in (D, a, tau, *breaks, *levels))
-    step_fractions(D, breaks, levels, a, tau)
+    rossignol_check([row])
 
 
 class CountingRng:
@@ -868,14 +897,14 @@ class TestSuite:
     @pytest.mark.parametrize("seed", list(ROSSIGNOL_SHA256))
     def test_rossignol_row_matches_public_check(self, seed):
         # each integer row of the pinned batch against its Fraction form
-        # through rossignol_check, and the Fractions against midpoint
+        # reduced to lowest terms, and the Fractions against midpoint
         # integration
         _, [(_, (rows,))] = ineqlab._draw_rossignols(ineqlab._rng(seed, 6), 2000)
-        for row, got in zip(rows, ineqlab._rossignol_rows(rows), strict=True):
+        for row, got in zip(rows, rossignol_check(rows), strict=True):
             D, L, breaks, levels, a, tau = row
             assert L == 1
             f, a_q, tau_q = step_fractions(D, breaks, levels, a, tau)
-            want = rossignol_check(f, a_q, tau_q)
+            want = fraction_rossignol(f, a_q, tau_q)
             assert_same_rossignol(got, want)
             ref = reference_rossignol(f, a_q, tau_q)
             assert exact_rossignol(want) == ref[:4]
@@ -914,7 +943,7 @@ class TestSuite:
         for instance in reference_steps(ineqlab._rng(seed, 6), 300):
             f, a, tau = step_fractions(*instance)
             chunks.append(step_bytes(*instance))
-            r = rossignol_check(f, a, tau)
+            r = fraction_rossignol(f, a, tau)
             lhs, always_rhs, holds, small_a = exact_rossignol(r)
             margins = [float(always_rhs - lhs)]
             if small_a:
@@ -987,30 +1016,37 @@ class TestSuite:
         assert sum(count for count, _ in shapes) == 300
         assert report.to_json() == want
 
-    @pytest.mark.parametrize("name", HYPERCUBE_CHECKS)
+    @pytest.mark.parametrize("name", ineqlab.CHECK_NAMES)
     def test_suite_calls_each_public_check_once_per_size(self, name, monkeypatch):
         # bench/tracing.py spans ineqlab.<check>_check by name, so the suite
-        # must reach each hypercube check through the module: a counting
-        # wrapper put there is called once per drawn k, on every row
+        # must reach each check through the module: a counting wrapper put
+        # there is called once per drawn k (Rossignol once), on every row
         want = run_randomized_suite(7, 300, checks=(name,))[0].to_json()
         check = getattr(ineqlab, f"{name}_check")
-        widths = []
+        calls = []
 
-        def counting(X, *trials):
-            widths.append((len(X), X.shape[1]))
-            return check(X, *trials)
+        def counting(*args):
+            calls.append(args)
+            return check(*args)
 
         monkeypatch.setattr(ineqlab, f"{name}_check", counting)
         (report,) = run_randomized_suite(7, 300, checks=(name,))
+        assert report.to_json() == want
+        assert sum(len(args[0]) for args in calls) == 300
+        if name == "rossignol":
+            assert len(calls) == 1
+            return
         if name == "log_sobolev":
             drawn = {1}
         else:
             k_max = 6 if name in ("efron_stein", "falik_samorodnitsky") else 4
             salt = suite_row(name)[0]
             drawn = set(ineqlab._rng(7, salt).integers(1, k_max + 1, size=300).tolist())
-        assert sorted(n for _, n in widths) == sorted(2**k for k in drawn)
-        assert sum(count for count, _ in widths) == 300
-        assert report.to_json() == want
+        assert sorted(args[0].shape[1] for args in calls) == sorted(2**k for k in drawn)
+        if name == "entropy_variational":
+            # the draw has already shifted every trial to E e^g just below 1
+            for _, G in calls:
+                assert all(1.0 - 1e-8 < e < 1.0 for e in ineqlab._row_means(np.exp(G)))
 
     def test_suite_puts_the_verdicts_back_in_draw_order(self, monkeypatch):
         # the suite's j-th verdict is instance j checked alone
@@ -1078,11 +1114,14 @@ class TestSuite:
             assert all(np.all(f >= 0) for f in fs)
         if name == "entropy_variational":
             assert all(mean(f) > 0 for f in fs)
-            # instance j's trials: the next 4 * 2^k values of the one trial call
+            # instance j's trials: the next 4 * 2^k values of the one trial
+            # call, each trial g less log E e^g + 1e-9
             method, trials = rng.calls[5]
             assert method == "normal" and trials.size == 4 * sum(f.size for f in fs)
             gs = in_draw_order([(pos, (args[1],)) for pos, args in groups], 300)
-            assert np.array_equal(np.concatenate([g.ravel() for g in gs]), trials)
+            raw = np.split(trials, np.cumsum([f.size for f in fs for _ in range(4)])[:-1])
+            shifted = [g - (math.log(max(mean(np.exp(g)), 1e-300)) + 1e-9) for g in raw]
+            assert np.array_equal(np.concatenate([g.ravel() for g in gs]), np.concatenate(shifted))
 
     def test_batch_draw_bytes_of_pairs_and_step_functions(self):
         # one group each, covering every position in draw order
@@ -1154,10 +1193,12 @@ def test_signed_kernels_stacked_equal_rows_alone(X):
 def test_nonnegative_kernels_stacked_equal_rows_alone(X, seed):
     check = tensorization_check
     assert_rows_alone(check(X), [check(X[j : j + 1])[0] for j in range(len(X))])
-    # entropy_variational draws: f with E f > 0, and four raw trials per f
+    # entropy_variational: f with E f > 0, and four trials per f shifted to
+    # E e^g just below 1, as the suite draws them
     X = np.where(X.sum(axis=1, keepdims=True) > 0, X, X + 1.0)
     G = np.random.default_rng(seed).normal(0, 1, size=(len(X), 4, X.shape[1]))
-    check = ineqlab._entropy_variational_draws
+    G -= np.log(np.exp(G).mean(axis=2, keepdims=True)) + 1e-9
+    check = entropy_variational_check
     assert_rows_alone(check(X, G), [check(X[j : j + 1], G[j : j + 1])[0] for j in range(len(X))])
 
 
