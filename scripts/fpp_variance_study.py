@@ -13,10 +13,8 @@ import sys
 import numpy as np
 
 from fpplab.cli import ResultStore, build_summary
-from fpplab.estimators import SweepConfig, efron_stein_bound, run_sweep
-from fpplab.fpp import passage_time
-from fpplab.lattice import point_window, window_halfwidth
-from fpplab.weights import mix64, parse_spec, sample_field
+from fpplab.estimators import SweepConfig, efron_stein_bound, replica_passage, run_sweep
+from fpplab.weights import parse_spec
 
 
 def main() -> int:
@@ -51,21 +49,12 @@ def main() -> int:
     print(f"Var/n nonincreasing (within CI): {prof['var_over_n_nonincreasing']}")
     print(f"chi_hat = {fit['chi_hat']:.4f} +- {fit['chi_stderr']:.4f}   (Kesten bound: 1/2)")
 
-    # the sweep's own fields and windows: replica r of size n, as run_replica draws it
+    # the passages behind the sweep's own records
     fields = min(50, replicas)
     print(f"Efron-Stein sum over the first {fields} fields per n:")
     print(f"{'n':>6} {'Var T':>10} {'ES sum':>10} {'+- se':>8} {'ES/Var':>8}")
     for n in cfg.n_list:
-        window = point_window(n, 2, window_halfwidth(n, 0, cfg.kappa))
-        sums = [
-            efron_stein_bound(
-                passage_time(
-                    sample_field(cfg.spec, window, mix64(cfg.seed, r)), (0, 0), (n, 0),
-                    max_grows=cfg.max_grows,
-                )
-            )[0]
-            for r in range(fields)
-        ]
+        sums = [efron_stein_bound(replica_passage(cfg, n, r)[0])[0] for r in range(fields)]
         es, var = np.mean(sums), summary["per_n"][str(n)]["T"]["variance"]
         se = np.std(sums, ddof=1) / np.sqrt(fields)  # a sweep has at least 2 replicas
         print(f"{n:>6} {var:>10.4f} {es:>10.4f} {se:>8.4f} {es / var:>8.3f}")

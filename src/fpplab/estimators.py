@@ -4,9 +4,13 @@ summaries with bootstrap confidence intervals, fluctuation-exponent fits and
 exact per-field Efron-Stein sums.  ``cli.build_summary`` reduces a sweep's
 records to its reported statistics with these.
 
-Replica r of a sweep with master seed s draws its field from mix64(s, r), so
-record streams are bit-identical for identical configurations regardless of
-worker scheduling.
+A record is a pure function of (config, n, replica).  ``replica_passage`` is
+the one place that turns those into a passage: replica r of a sweep with
+master seed s draws its field from mix64(s, r), on the window or torus the
+config gives, so record streams are bit-identical for identical
+configurations regardless of worker scheduling.  ``run_replica`` reads the
+record off that passage, and a study that needs more of the passage than the
+record holds replays it through ``replica_passage``.
 """
 
 from __future__ import annotations
@@ -22,13 +26,15 @@ import numpy as np
 
 from .fpp import (
     GROW_LIMIT,
+    AveragedPassage,
     PassageResult,
     averaged_passage,
+    fn_radius,
     passage_time,
     torus_passage,
 )
 from .lattice import Torus, point_window, window_halfwidth
-from .lpp import last_passage_value, sample_grid
+from .lpp import LppGrid, last_passage_value, sample_grid
 from .weights import (
     DistributionSpec,
     mix64,
@@ -72,6 +78,10 @@ class SweepConfig:
             raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
         if self.threads < 0:
             raise ValueError(f"threads must be at least 0, got {self.threads}")
+        if self.max_grows < 0:
+            raise ValueError(f"max_grows must be at least 0, got {self.max_grows}")
+        if self.model == "lpp" and self.d != 2:
+            raise ValueError(f"the lpp model is planar: d must be 2, got {self.d}")
         if self.model.startswith("fpp"):
             validate_for_fpp(self.spec, self.d)
 
@@ -194,16 +204,46 @@ def _geometry_stats(res: PassageResult, spec: DistributionSpec) -> dict:
     }
 
 
-def run_replica(config: SweepConfig, n: int, replica: int) -> ReplicaRecord:
+def replica_passage(
+    config: SweepConfig, n: int, replica: int
+) -> tuple[PassageResult | LppGrid, Optional[AveragedPassage]]:
+    """The passage that record ``replica`` of size ``n`` is read from, as
+    ``(passage, fn)``: the one place that turns (config, n, replica) into a
+    field, a window and a passage.
+
+    The field's master seed is mix64(config.seed, replica).  ``passage`` is
+    the lpp model's ``LppGrid``, the torus model's ``PassageResult`` on
+    ``Torus(n, d)``, or the point model's ``PassageResult`` from the origin
+    to n·e_1 on ``point_window(n, d, w)``, with w from ``window_halfwidth``
+    widened by the F_n ball's radius when ``record_fn`` is on.  ``fn`` is
+    then F_n's ``AveragedPassage``, which starts on T's final window and
+    grows it at most ``max_grows`` times in all; otherwise it is None.
+    """
     master = mix64(config.seed, replica)
     if config.model == "lpp":
-        grid = sample_grid(n, master, config.spec)
-        return ReplicaRecord(n, replica, last_passage_value(grid))
+        return sample_grid(n, master, config.spec), None
     if config.model == "fpp-torus":
-        region = Torus(n, config.d)
-        fieldv = sample_field(config.spec, region, master)
-        res = torus_passage(fieldv)
-        bitmap = np.zeros(region.n_edges(), dtype=bool)
+        return torus_passage(sample_field(config.spec, Torus(n, config.d), master)), None
+    m_fn = fn_radius(n) if config.record_fn else 0
+    window = point_window(n, config.d, window_halfwidth(n, m_fn, config.kappa))
+    origin = (0,) * config.d
+    res = passage_time(
+        sample_field(config.spec, window, master), origin, (n,) + origin[1:],
+        want_geometry=config.record_geometry, max_grows=config.max_grows,
+    )
+    if not config.record_fn:
+        return res, None
+    return res, averaged_passage(res.field, n, max_grows=config.max_grows - res.grows)
+
+
+def run_replica(config: SweepConfig, n: int, replica: int) -> ReplicaRecord:
+    """The record of replica ``replica`` of size ``n``, read off
+    :func:`replica_passage`."""
+    res, fn = replica_passage(config, n, replica)
+    if config.model == "lpp":
+        return ReplicaRecord(n, replica, last_passage_value(res))
+    if config.model == "fpp-torus":
+        bitmap = np.zeros(res.window.n_edges(), dtype=bool)
         bitmap[res.gint_edge_idx] = True
         return ReplicaRecord(
             n, replica, res.T,
@@ -211,26 +251,14 @@ def run_replica(config: SweepConfig, n: int, replica: int) -> ReplicaRecord:
             g_int_size=int(res.gint_edge_idx.size),
             g_bitmap=bitmap,
         )
-    # fpp-point
-    m_fn = math.ceil(n**0.25) if config.record_fn else 0
-    w = window_halfwidth(n, m_fn, config.kappa)
-    window = point_window(n, config.d, w)
-    fieldv = sample_field(config.spec, window, master)
-    origin = (0,) * config.d
-    res = passage_time(
-        fieldv, origin, (n,) + origin[1:],
-        want_geometry=config.record_geometry, max_grows=config.max_grows,
-    )
     rec = ReplicaRecord(
         n, replica, res.T, window_grows=res.grows, flagged=res.boundary_flag
     )
     if config.record_geometry:
         for key, val in _geometry_stats(res, config.spec).items():
             setattr(rec, key, val)
-    if config.record_fn:
-        # F_n starts on T's final window and may grow it further; the
-        # record counts the grows of both and flags either flag
-        fn = averaged_passage(res.field, n, max_grows=config.max_grows - res.grows)
+    if fn is not None:
+        # the record counts the grows of T and F_n and flags either flag
         rec.F_n = fn.F_n
         rec.window_grows += fn.grows
         rec.flagged |= fn.boundary_flag

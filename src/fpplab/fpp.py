@@ -875,6 +875,11 @@ class AveragedPassage:
     boundary_flag: bool
 
 
+def fn_radius(n: int) -> int:
+    """ceil(n^(1/4)), the radius of F_n's ball of sources."""
+    return math.ceil(n**0.25)
+
+
 def averaged_passage(
     field: WeightField,
     n: int,
@@ -884,13 +889,13 @@ def averaged_passage(
 ) -> AveragedPassage:
     """F_n: the passage time averaged over sources z in the L1 ball B_m.
 
-    m defaults to ceil(n^(1/4)).  One multi-source search gives every term;
+    m defaults to :func:`fn_radius`.  One multi-source search gives every term;
     each term's geodesic DAG gets the boundary test of :func:`passage_time`,
     and the window grows for all terms at once when any DAG touches it.
     """
     d = field.region.d
     if m is None:
-        m = math.ceil(n**0.25)
+        m = fn_radius(n)
     shift = tuple(n if i == 0 else 0 for i in range(d))
     pairs = [(z, tuple(a + b for a, b in zip(z, shift))) for z in ball(m, d)]
     for z, z2 in pairs:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fpplab.cli import ResultStore, build_summary, records_to_csv
-from fpplab.estimators import SweepConfig, by_n, run_sweep
+from fpplab.estimators import SweepConfig, by_n, replica_passage, run_sweep
 from fpplab.fpp import (
     brute_force_passage,
     edge_removal_oracle,
@@ -21,7 +21,7 @@ from fpplab.fpp import (
 )
 from fpplab.ineqlab import fpp_exhaustive_check, run_randomized_suite
 from fpplab.lattice import Box
-from fpplab.lpp import default_spec
+from fpplab.lpp import default_spec, last_passage_value
 from fpplab.weights import (
     Bernoulli,
     Exponential,
@@ -294,3 +294,27 @@ def test_records_csv_digests(fpp_sweep, fn_sweep, torus_sweep, lpp_sweep):
             for n, recs in by_n(records).items()
         }
         assert got == RECORDS_SHA256[cfg.seed], cfg.model
+
+
+def test_replica_passage_replays_records(fpp_sweep, fn_sweep, torus_sweep, lpp_sweep):
+    # the first, middle and last record of every size, replayed from (config,
+    # n, replica) alone: the passage gives the stored T bit for bit, and the
+    # torus bitmap and F_n too
+    for cfg, records in (fpp_sweep, fn_sweep, torus_sweep, lpp_sweep):
+        for n, recs in by_n(records).items():
+            for rec in (recs[0], recs[len(recs) // 2], recs[-1]):
+                passage, fn = replica_passage(cfg, n, rec.replica)
+                where = (cfg.model, cfg.seed, n, rec.replica)
+                if cfg.model == "lpp":
+                    assert (last_passage_value(passage), fn) == (rec.T, None), where
+                    continue
+                assert passage.T == rec.T, where
+                if cfg.model == "fpp-torus":
+                    bitmap = np.zeros(passage.window.n_edges(), dtype=bool)
+                    bitmap[passage.gint_edge_idx] = True
+                    assert np.array_equal(bitmap, rec.g_bitmap), where
+                elif cfg.record_fn:
+                    assert fn.F_n == rec.F_n, where
+                    assert passage.grows + fn.grows == rec.window_grows, where
+                else:
+                    assert (fn, passage.grows) == (None, rec.window_grows), where

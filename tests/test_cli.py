@@ -263,6 +263,23 @@ class TestCliCommands:
         assert f"config error: FPPLAB_THREADS {why}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_max_grows_is_a_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "sweep.cfg"
+        cfg_path.write_text(MINIMAL + "threads = 1\nmax_grows = -1\n")
+        out = tmp_path / "o"
+        assert main(["fpp", "run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert "config error: max_grows must be at least 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("d", ["3", "-4"])
+    def test_lpp_sweep_off_the_plane_is_a_config_error(self, tmp_path, capsys, d):
+        out = tmp_path / "o"
+        assert main(["lpp", "run", "--d", d, "--dist", "geometric:0.5", "--n", "4",
+                     "--replicas", "4", "--seed", "1", "--threads", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: the lpp model is planar: d must be 2, got {d}" in err
+        assert not out.exists()
+
     def test_config_file_run(self, tmp_path):
         cfg_path = tmp_path / "sweep.cfg"
         cfg_path.write_text(MINIMAL + "threads = 1\n")

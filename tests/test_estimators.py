@@ -17,6 +17,7 @@ from fpplab.estimators import (
     by_n,
     efron_stein_bound,
     fit_chi,
+    replica_passage,
     run_replica,
     run_sweep,
     summarize,
@@ -89,6 +90,18 @@ class TestSweep:
     def test_rejects_sizes_below_one(self, model, n_list):
         with pytest.raises(ValueError, match="sizes must be >= 1"):
             unit_config(model=model, n_list=n_list)
+
+    @pytest.mark.parametrize("max_grows", [-1, -6])
+    def test_rejects_negative_max_grows(self, max_grows):
+        with pytest.raises(ValueError, match=f"max_grows must be at least 0, got {max_grows}"):
+            unit_config(max_grows=max_grows)
+
+    @pytest.mark.parametrize("d", [1, 3, -4])
+    def test_lpp_must_be_planar(self, d):
+        from fpplab.lpp import default_spec
+
+        with pytest.raises(ValueError, match=f"lpp model is planar: d must be 2, got {d}"):
+            unit_config(model="lpp", spec=default_spec(), d=d)
 
     def test_negative_or_non_integer_worker_count_raises(self, monkeypatch):
         cfg = unit_config(n_list=(4,), replicas=2)
@@ -253,6 +266,40 @@ class TestWindowRecords:
         assert grew > 0
 
 
+class TestReplicaPassage:
+    # the acceptance sweeps' records are replayed in tests/test_acceptance.py
+
+    def test_fn_replay_starts_on_the_widened_window(self):
+        # a first window at kappa = 0.05 is 1 site wide without F_n's ball;
+        # the replay must search the widened one, as run_replica does
+        cfg = unit_config(
+            spec=Uniform(0, 1), n_list=(8, 16), replicas=40, kappa=0.05, record_fn=True,
+            record_geometry=False,
+        )
+        for n in cfg.n_list:
+            for r in range(cfg.replicas):
+                rec = run_replica(cfg, n, r)
+                res, fn = replica_passage(cfg, n, r)
+                assert res.T == rec.T, (n, r)
+                assert fn.F_n == rec.F_n, (n, r)
+                assert res.grows + fn.grows == rec.window_grows, (n, r)
+                assert (res.boundary_flag or fn.boundary_flag) == rec.flagged, (n, r)
+
+    def test_three_dimensional_point_replay(self):
+        cfg = unit_config(d=3, spec=Uniform(0, 1), n_list=(4, 6), replicas=4)
+        for n in cfg.n_list:
+            for r in range(cfg.replicas):
+                rec = run_replica(cfg, n, r)
+                res, fn = replica_passage(cfg, n, r)
+                assert fn is None
+                assert (res.src, res.dst, res.window.d) == ((0, 0, 0), (n, 0, 0), 3)
+                assert (res.T, res.grows, res.boundary_flag) == (
+                    rec.T, rec.window_grows, rec.flagged
+                )
+                stats = _geometry_stats(res, cfg.spec)
+                assert stats == {key: getattr(rec, key) for key in stats}
+
+
 class TestEfronStein:
     def test_point_mass_zero(self):
         win = point_window(4, 2, 2)
@@ -365,17 +412,7 @@ class TestEfronStein:
         cfg = unit_config(spec=Uniform(0, 1), n_list=(16,), replicas=200)
         records = run_sweep(cfg, threads=1)
         s = summarize([r.T for r in records], bootstrap=500)
-        ests = []
-        for r in records[:100]:
-            from fpplab.lattice import point_window
-            from fpplab.weights import sample_field
-            from fpplab.fpp import passage_time
-            from fpplab.weights import mix64
-
-            field = sample_field(cfg.spec, point_window(16, 2, 8), mix64(cfg.seed, r.replica))
-            res = passage_time(field, (0, 0), (16, 0))
-            est, _ = efron_stein_bound(res)
-            ests.append(est)
+        ests = [efron_stein_bound(replica_passage(cfg, 16, r.replica)[0])[0] for r in records[:100]]
         bound = summarize(ests, bootstrap=500)
         slack = 2 * (s.var_ci_half + bound.mean_ci_half)
         assert bound.mean >= s.variance - slack
